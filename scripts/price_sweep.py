@@ -10,8 +10,7 @@ import csv
 from pathlib import Path
 
 from renderopt.config import load_config
-from renderopt.game import (CloudParams, EdgeNodeParams, SolverSettings,
-                            price_sweep, solve_stackelberg)
+from renderopt.game import price_sweep, solve_stackelberg
 
 
 def main() -> None:
@@ -21,13 +20,10 @@ def main() -> None:
     parser.add_argument("--out", default="price_sweep.csv")
     args = parser.parse_args()
 
-    cfg = load_config(args.config).section("game")
-    nodes = [EdgeNodeParams(**n) for n in cfg["nodes"]]
-    cloud = CloudParams(**cfg["cloud"])
-    settings = SolverSettings(**cfg["solver"])
-
-    prices, utils = price_sweep(cloud, nodes, settings, n_points=args.points)
-    eq = solve_stackelberg(cloud, nodes, settings)
+    cfg = load_config(args.config)
+    nodes = list(cfg.nodes)
+    prices, utils = price_sweep(cfg.cloud, nodes, cfg.solver, n_points=args.points)
+    eq = solve_stackelberg(cfg.cloud, nodes, cfg.solver)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

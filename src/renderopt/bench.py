@@ -28,6 +28,7 @@ from .diffusion.data import DEFAULT_GROUPS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .diffusion.schedule import NoiseSchedule
+from .errors import check
 from .synthetic import LATENT_DIM, POPULATION_MEAN, PlantedConfig, make_user
 
 POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
@@ -45,15 +46,18 @@ class WorkloadConfig:
     seq_len: int = 16
 
     def __post_init__(self):
-        if self.frames_per_scene != self.fps * 60:
-            raise ValueError(
-                f"frames_per_scene {self.frames_per_scene} != fps*60 = {self.fps * 60} "
-                "(scenes are one minute long)"
-            )
-        if not 0 < self.interest_fraction < 1:
-            raise ValueError(f"interest_fraction must be in (0,1), got {self.interest_fraction}")
-        if not 0 < self.work_low < self.work_high:
-            raise ValueError("require 0 < work_low < work_high")
+        check(self.scenes >= 1, "scenes", "an integer >= 1", self.scenes)
+        check(self.fps >= 1, "fps", "an integer >= 1", self.fps)
+        check(self.frames_per_scene == self.fps * 60, "frames_per_scene",
+              f"fps * 60 = {self.fps * 60} (scenes are one minute long)",
+              self.frames_per_scene)
+        check(self.regions_per_scene >= 2, "regions_per_scene", "an integer >= 2",
+              self.regions_per_scene)
+        check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
+              self.interest_fraction)
+        check(self.work_low > 0, "work_low", "a positive number", self.work_low)
+        check(self.work_high > self.work_low, "work_high", f"> work_low ({self.work_low})",
+              self.work_high)
 
 
 @dataclass
@@ -95,14 +99,17 @@ class RenderPolicy:
     focus_quantile: float | None = None   # defaults to the workload interest fraction
 
     def __post_init__(self):
-        if self.variant not in POLICY_VARIANTS:
-            raise ValueError(f"unknown policy variant {self.variant!r}")
-        if not 0 < self.mdp_discount < 1:
-            raise ValueError(f"discount must be in (0,1), got {self.mdp_discount}")
-        if self.ro_samples < 1:
-            raise ValueError(f"ro_samples must be >= 1, got {self.ro_samples}")
-        if self.focus_quantile is not None and not 0 < self.focus_quantile < 1:
-            raise ValueError(f"focus_quantile must be in (0,1), got {self.focus_quantile}")
+        check(self.variant in POLICY_VARIANTS, "variant",
+              f"one of {', '.join(POLICY_VARIANTS)}", self.variant)
+        check(0 < self.mdp_discount < 1, "mdp_discount", "in (0, 1)", self.mdp_discount)
+        check(self.mdp_cost_weight > 0, "mdp_cost_weight", "a positive number",
+              self.mdp_cost_weight)
+        check(self.ro_samples >= 1, "ro_samples", "an integer >= 1", self.ro_samples)
+        check(self.t_noise >= 1, "t_noise", "an integer >= 1", self.t_noise)
+        check(self.stride >= 1 and self.t_noise % self.stride == 0, "stride",
+              f"a positive divisor of t_noise ({self.t_noise})", self.stride)
+        check(self.focus_quantile is None or 0 < self.focus_quantile < 1, "focus_quantile",
+              "null or in (0, 1)", self.focus_quantile)
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,10 @@ class CostModel:
     throughput: float = 1.0125         # work units per second
 
     def __post_init__(self):
-        if not 0 < self.lod_low < self.lod_high:
-            raise ValueError("require 0 < lod_low < lod_high")
-        if not self.throughput > 0:
-            raise ValueError("throughput must be > 0")
+        check(self.lod_low > 0, "lod_low", "a positive number", self.lod_low)
+        check(self.lod_high > self.lod_low, "lod_high", f"> lod_low ({self.lod_low})",
+              self.lod_high)
+        check(self.throughput > 0, "throughput", "a positive number", self.throughput)
 
 
 @dataclass
@@ -294,10 +301,7 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel | 
     )
 
 
-def compare(reports: list[MetricsReport]) -> dict:
-    """Per-policy table plus pairwise relative render-time reductions."""
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to compare")
+def _summary(reports: list[MetricsReport]) -> dict:
     table = [
         {
             "policy": r.policy,
@@ -323,6 +327,13 @@ def compare(reports: list[MetricsReport]) -> dict:
     return {"table": table, "time_reduction_pct": reductions}
 
 
+def compare(reports: list[MetricsReport]) -> dict:
+    """Per-policy table plus pairwise relative render-time reductions."""
+    if len(reports) < 2:
+        raise ValueError("need at least two reports to compare")
+    return _summary(reports)
+
+
 def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -334,16 +345,8 @@ def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
 
 
 def write_summary_json(reports: list[MetricsReport], path: str | Path) -> None:
-    payload = compare(reports) if len(reports) >= 2 else {
-        "table": [{
-            "policy": r.policy, "accuracy": r.accuracy, "precision": r.precision,
-            "recall": r.recall, "f1": r.f1,
-            "mean_render_time_s": r.mean_render_time_s,
-            "inference_denoiser_calls": r.inference_denoiser_calls,
-        } for r in reports],
-        "time_reduction_pct": {},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """The `compare` payload; a single report gets its table row and no reductions."""
+    Path(path).write_text(json.dumps(_summary(reports), indent=2, sort_keys=True) + "\n")
 
 
 def write_plot_data(reports: list[MetricsReport], out_dir: str | Path) -> list[Path]:

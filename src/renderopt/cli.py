@@ -11,24 +11,23 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bench import (CostModel, RenderPolicy, WorkloadConfig, compare,
-                    generate_workload, run_policy, write_plot_data,
+from .bench import (POLICY_VARIANTS, generate_workload, run_policy, write_plot_data,
                     write_report_csv, write_summary_json)
 from .config import ExperimentConfig, load_config
-from .diffusion import (DEFAULT_GROUPS, AttentionGatedDenoiser, DenoiserConfig,
-                        NoiseSchedule, TrainSettings, interaction_probabilities,
-                        load_checkpoint, save_checkpoint, train, write_curve_csv)
+from .diffusion import (DEFAULT_GROUPS, AttentionGatedDenoiser, TrainSettings,
+                        interaction_probabilities, load_checkpoint, save_checkpoint,
+                        train, write_curve_csv)
 from .diffusion.sampling import reconstruct_preferences
 from .errors import ConfigError, NumericalError
-from .game import CloudParams, EdgeNodeParams, SolverSettings, solve_stackelberg
-from .prerender import (EncodingSpec, GridWorld, MobilitySpec, TimingModel,
-                        load_trace, simulate_walk, write_walk_csv)
+from .game import solve_stackelberg
+from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
 from .synthetic import PlantedConfig, build_training_set, make_population
 
 EXIT_OK = 0
@@ -56,18 +55,9 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str,
     return path
 
 
-def _game_inputs(config: ExperimentConfig):
-    sec = config.section("game")
-    nodes = [EdgeNodeParams(**n) for n in sec["nodes"]]
-    cloud = CloudParams(**sec["cloud"])
-    solver = SolverSettings(**sec["solver"])
-    return cloud, nodes, solver
-
-
 def cmd_game_solve(config: ExperimentConfig, seed: int, out_dir: Path,
                    args) -> list[Path]:
-    cloud, nodes, solver = _game_inputs(config)
-    result = solve_stackelberg(cloud, nodes, solver)
+    result = solve_stackelberg(config.cloud, list(config.nodes), config.solver)
     path = out_dir / "equilibrium.json"
     _write_json(path, result.to_record())
     return [path]
@@ -76,10 +66,6 @@ def cmd_game_solve(config: ExperimentConfig, seed: int, out_dir: Path,
 def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
                       args) -> list[Path]:
     sec = config.section("prerender")
-    world = GridWorld(width=sec["width"], height=sec["height"], spacing=sec["spacing"],
-                      region_side=sec["region_side"], diagonal=sec["diagonal"])
-    timing = TimingModel(**sec["timing"])
-    encoding = EncodingSpec(**sec["encoding"])
     if args.trace:
         trace = load_trace(args.trace)
         mobility = MobilitySpec(kind="trace", trace=trace)
@@ -87,8 +73,8 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
     else:
         mobility = MobilitySpec()
         horizon = sec["steps"]
-    result = simulate_walk(world, timing, mobility, horizon, seed,
-                           encoding=encoding, panorama_work=sec["panorama_work"])
+    result = simulate_walk(config.world, config.timing, mobility, horizon, seed,
+                           encoding=config.encoding, panorama_work=sec["panorama_work"])
     steps_path = out_dir / "walk_steps.csv"
     write_walk_csv(result, steps_path)
     summary_path = out_dir / "walk_summary.json"
@@ -96,28 +82,22 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
     return [steps_path, summary_path]
 
 
-def _diffusion_pieces(config: ExperimentConfig):
-    sec = config.section("diffusion")
-    schedule = NoiseSchedule(steps=sec["steps"], beta_start=sec["beta_start"],
-                             beta_end=sec["beta_end"])
-    dconfig = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=sec["d_model"],
-                             heads=sec["heads"])
-    return sec, schedule, dconfig
+def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: int,
+                    population_seed: int, seed: int):
+    """Train config's denoiser on `users` planted users; returns (result, standardizer)."""
+    planted = PlantedConfig(n_users=users, seq_len=config.section("diffusion")["seq_len"])
+    dataset, standardizer = build_training_set(
+        make_population(planted, seed=population_seed), planted)
+    model = AttentionGatedDenoiser(config.denoiser, seed=seed)
+    return train(dataset, config.schedule, replace(settings, seed=seed), model=model), standardizer
 
 
 def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
-    sec, schedule, dconfig = _diffusion_pieces(config)
-    planted = PlantedConfig(n_users=sec["dataset_users"], seq_len=sec["seq_len"])
-    users = make_population(planted, seed=seed)
-    dataset, standardizer = build_training_set(users, planted)
-    settings = TrainSettings(learning_rate=sec["learning_rate"],
-                             batch_size=sec["batch_size"], epochs=sec["epochs"],
-                             patience=sec["patience"], seed=seed)
-    model = AttentionGatedDenoiser(dconfig, seed=seed)
-    result = train(dataset, schedule, settings, model=model)
+    result, standardizer = _train_denoiser(
+        config, config.train, config.section("diffusion")["dataset_users"], seed, seed)
     ckpt_path = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt_path, result.model, schedule, standardizer)
+    save_checkpoint(ckpt_path, result.model, config.schedule, standardizer)
     curve_path = out_dir / "training_curve.csv"
     write_curve_csv(result.history, curve_path)
     summary_path = out_dir / "train_summary.json"
@@ -182,15 +162,9 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
 
 def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
                   args) -> list[Path]:
-    sec = config.section("bench")
-    wconfig = WorkloadConfig(scenes=sec["scenes"], frames_per_scene=sec["frames_per_scene"],
-                             fps=sec["fps"], regions_per_scene=sec["regions_per_scene"],
-                             interest_fraction=sec["interest_fraction"])
-    cost = CostModel(lod_high=sec["lod_high"], lod_low=sec["lod_low"],
-                     throughput=sec["throughput"])
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for p in policies:
-        if p not in ("proposed", "mdp", "random_opt", "none"):
+        if p not in POLICY_VARIANTS:
             raise ConfigError(f"bench-run: unknown policy {p!r}")
     if not policies:
         raise ConfigError("bench-run: --policies selected nothing")
@@ -202,28 +176,15 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
             if standardizer is None:
                 raise ConfigError("checkpoint carries no standardizer statistics")
         else:
-            tsec = sec["train"]
-            dsec, schedule, dconfig = _diffusion_pieces(config)
-            planted = PlantedConfig(n_users=tsec["users"], seq_len=dsec["seq_len"])
-            users = make_population(planted, seed=seed + 7_777)
-            dataset, standardizer = build_training_set(users, planted)
-            settings = TrainSettings(learning_rate=tsec["learning_rate"],
-                                     batch_size=tsec["batch_size"],
-                                     epochs=tsec["epochs"], patience=tsec["patience"],
-                                     seed=seed)
-            model = train(dataset, schedule, settings,
-                          model=AttentionGatedDenoiser(dconfig, seed=seed)).model
+            result, standardizer = _train_denoiser(
+                config, config.bench_train, config.section("bench")["train"]["users"],
+                seed + 7_777, seed)
+            model, schedule = result.model, config.schedule
 
-    workload = generate_workload(wconfig, seed=seed)
-    reports = []
-    for name in policies:
-        policy = RenderPolicy(variant=name, mdp_discount=sec["mdp_discount"],
-                              mdp_cost_weight=sec["mdp_cost_weight"],
-                              ro_samples=sec["ro_samples"], stride=sec["stride"],
-                              t_noise=sec["t_noise"],
-                              focus_quantile=sec["focus_quantile"])
-        reports.append(run_policy(workload, policy, cost, model=model,
-                                  schedule=schedule, standardizer=standardizer))
+    workload = generate_workload(config.workload, seed=seed)
+    reports = [run_policy(workload, replace(config.policy, variant=name), config.cost,
+                          model=model, schedule=schedule, standardizer=standardizer)
+               for name in policies]
 
     metrics_path = out_dir / "metrics.csv"
     write_report_csv(reports, metrics_path)

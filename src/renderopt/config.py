@@ -1,9 +1,11 @@
 """Experiment configuration: one JSON tree, module-scoped sections.
 
 An empty file (or missing keys) yields the documented defaults below; unknown
-keys are rejected with a nearest-key suggestion; range violations name the
-full key path. The normalized tree serializes canonically, so its digest is
-stable across platforms.
+keys are rejected with a nearest-key suggestion. A value must have the JSON
+type of its default and every number must be finite; its range is checked by
+the dataclass that uses it, which `parse_config` builds once per section, so
+each rule lives in one place. Errors name the full key path. The normalized
+tree serializes canonically, so its digest is stable across platforms.
 """
 
 from __future__ import annotations
@@ -11,10 +13,15 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .bench import POLICY_VARIANTS, CostModel, RenderPolicy, WorkloadConfig
+from .diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
+from .errors import ConfigError, check
+from .game import CloudParams, EdgeNodeParams, SolverSettings
+from .prerender import EncodingSpec, GridWorld, TimingModel
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -89,178 +96,123 @@ DEFAULTS: dict = {
     },
 }
 
-# key path -> (predicate, requirement text); checked after merging
-_RULES: dict[str, tuple] = {
-    "seed": (lambda v: isinstance(v, int) and v >= 0, "a non-negative integer"),
-    "out_dir": (lambda v: isinstance(v, str) and v, "a non-empty string"),
-    "game.cloud.capacity": (lambda v: _pos(v), "a positive number"),
-    "game.solver.br_tolerance": (lambda v: _pos(v), "a positive number"),
-    "game.solver.br_max_iters": (lambda v: isinstance(v, int) and v > 0, "a positive integer"),
-    "game.solver.price_step_frac": (lambda v: _pos(v), "a positive number"),
-    "game.solver.fd_epsilon_frac": (lambda v: _pos(v), "a positive number"),
-    "game.solver.price_max_iters": (lambda v: isinstance(v, int) and v > 0, "a positive integer"),
-    "prerender.width": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "prerender.height": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "prerender.spacing": (lambda v: _pos(v), "a positive number"),
-    "prerender.region_side": (lambda v: isinstance(v, int) and v >= 1 and v % 2 == 1,
-                              "an odd integer >= 1"),
-    "prerender.diagonal": (lambda v: isinstance(v, bool), "a boolean"),
-    "prerender.steps": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "prerender.panorama_work": (lambda v: _pos(v), "a positive number"),
-    "prerender.timing.t_request": (lambda v: _pos(v), "a positive number"),
-    "prerender.timing.render_throughput": (lambda v: _pos(v), "a positive number"),
-    "prerender.timing.bandwidth": (lambda v: _pos(v), "a positive number"),
-    "prerender.timing.avatar_speed": (lambda v: _pos(v), "a positive number"),
-    "prerender.encoding.base_i_size": (lambda v: _pos(v), "a positive number"),
-    "prerender.encoding.ratio_floor": (lambda v: _num(v) and 0 < v <= 1, "in (0, 1]"),
-    "prerender.encoding.decay": (lambda v: _pos(v), "a positive number"),
-    "diffusion.steps": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.beta_start": (lambda v: _num(v) and 0 < v < 1, "in (0, 1)"),
-    "diffusion.beta_end": (lambda v: _num(v) and 0 < v < 1, "in (0, 1)"),
-    "diffusion.d_model": (lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0,
-                          "an even integer >= 2"),
-    "diffusion.heads": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.learning_rate": (lambda v: _pos(v), "a positive number"),
-    "diffusion.batch_size": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.epochs": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.patience": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.seq_len": (lambda v: isinstance(v, int) and v >= 2 and v % 2 == 0,
-                          "an even integer >= 2"),
-    "diffusion.dataset_users": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
-    "diffusion.stride": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "diffusion.infer_noise_step": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.scenes": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.frames_per_scene": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.fps": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.regions_per_scene": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
-    "bench.interest_fraction": (lambda v: _num(v) and 0 < v < 1, "in (0, 1)"),
-    "bench.lod_high": (lambda v: _pos(v), "a positive number"),
-    "bench.lod_low": (lambda v: _pos(v), "a positive number"),
-    "bench.throughput": (lambda v: _pos(v), "a positive number"),
-    "bench.mdp_discount": (lambda v: _num(v) and 0 < v < 1, "in (0, 1)"),
-    "bench.mdp_cost_weight": (lambda v: _pos(v), "a positive number"),
-    "bench.ro_samples": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.stride": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.t_noise": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.focus_quantile": (lambda v: v is None or (_num(v) and 0 < v < 1),
-                             "null or in (0, 1)"),
-    "bench.train.learning_rate": (lambda v: _pos(v), "a positive number"),
-    "bench.train.batch_size": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.train.epochs": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.train.patience": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "bench.train.users": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
-}
-
-_NODE_FIELDS = {"id": str, "alpha": (int, float), "beta": (int, float),
-                "demand_max": (int, float)}
-_CLOUD_FIELDS = {"unit_cost": (int, float), "price_min": (int, float),
-                 "price_max": (int, float), "capacity": (int, float)}
-
-
-def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _pos(v) -> bool:
-    return _num(v) and v > 0
-
 
 def _suggest(key: str, known) -> str:
     matches = difflib.get_close_matches(key, list(known), n=1)
     return f"; did you mean {matches[0]!r}?" if matches else ""
 
 
-def _merge(defaults, user, path: str):
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:          # an int too large for a float
+        return False
+
+
+def _leaf(default, value, path: str):
+    """A leaf takes the JSON type of its default; a null default takes a number too."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str) and value != "", "a non-empty string"
+    elif default is None:
+        ok, kind = value is None or _finite_number(value), "null or a finite number"
+    else:
+        ok, kind = _finite_number(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"{path}: must be {kind}, got {value!r}")
+    return value
+
+
+def _merge(defaults, user, path: str, required: bool = False):
     if isinstance(defaults, dict):
         if not isinstance(user, dict):
             raise ConfigError(f"{path or 'config'}: expected an object, got {type(user).__name__}")
-        out = {}
-        for key, uval in user.items():
+        prefix = path + "." if path else ""
+        for key in user:
             if key not in defaults:
-                raise ConfigError(
-                    f"{path + '.' if path else ''}{key}: unknown key"
-                    f"{_suggest(key, defaults)}"
-                )
+                raise ConfigError(f"{prefix}{key}: unknown key{_suggest(key, defaults)}")
+        out = {}
         for key, dval in defaults.items():
-            sub = f"{path}.{key}" if path else key
-            out[key] = _merge(dval, user[key], sub) if key in user else _copy(dval)
+            if key in user:
+                out[key] = _merge(dval, user[key], prefix + key)
+            elif required:
+                raise ConfigError(f"{prefix}{key}: missing")
+            else:
+                out[key] = _copy(dval)
         return out
-    return user
+    if isinstance(defaults, list):
+        # entries follow the first default entry, with every key required
+        if not isinstance(user, list) or not user:
+            raise ConfigError(f"{path}: expected a non-empty list of objects, got {user!r}")
+        return [_merge(defaults[0], entry, f"{path}[{i}]", required=True)
+                for i, entry in enumerate(user)]
+    return _leaf(defaults, user, path)
 
 
 def _copy(value):
     return json.loads(json.dumps(value))
 
 
-def _validate_nodes(nodes, path: str):
-    if not isinstance(nodes, list) or not nodes:
-        raise ConfigError(f"{path}: expected a non-empty list of node objects")
-    for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}[{i}]: expected an object")
-        for key in node:
-            if key not in _NODE_FIELDS:
-                raise ConfigError(f"{path}[{i}].{key}: unknown key{_suggest(key, _NODE_FIELDS)}")
-        for key, typ in _NODE_FIELDS.items():
-            if key not in node:
-                raise ConfigError(f"{path}[{i}].{key}: missing")
-            if isinstance(node[key], bool) or not isinstance(node[key], typ):
-                raise ConfigError(f"{path}[{i}].{key}: wrong type")
-        if not node["alpha"] > 0:
-            raise ConfigError(f"{path}[{i}].alpha: must be > 0")
-        if node["beta"] < 0:
-            raise ConfigError(f"{path}[{i}].beta: must be >= 0")
-        if not node["demand_max"] > 0:
-            raise ConfigError(f"{path}[{i}].demand_max: must be > 0")
+def _build(path: str, cls, section: dict, **extra):
+    """cls from the section's keys that are its fields; a ValueError names the key path."""
+    kwargs = {f.name: section[f.name] for f in fields(cls) if f.init and f.name in section}
+    try:
+        return cls(**kwargs, **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
-def _validate_cloud(cloud, path: str):
-    for key in cloud:
-        if key not in _CLOUD_FIELDS:
-            raise ConfigError(f"{path}.{key}: unknown key{_suggest(key, _CLOUD_FIELDS)}")
-    if not (0 < cloud["unit_cost"] <= cloud["price_min"] < cloud["price_max"]):
-        raise ConfigError(
-            f"{path}: require 0 < unit_cost <= price_min < price_max"
-        )
-    if not cloud["capacity"] > 0:
-        raise ConfigError(f"{path}.capacity: must be > 0")
-
-
-def _walk_rules(tree: dict):
-    for path, (pred, requirement) in _RULES.items():
-        node = tree
-        for part in path.split("."):
-            node = node[part]
-        if not pred(node):
-            raise ConfigError(f"{path}: must be {requirement}, got {node!r}")
-    _validate_nodes(tree["game"]["nodes"], "game.nodes")
-    _validate_cloud(tree["game"]["cloud"], "game.cloud")
-    if not tree["diffusion"]["beta_start"] < tree["diffusion"]["beta_end"]:
-        raise ConfigError("diffusion.beta_start: must be below diffusion.beta_end")
-    d, h = tree["diffusion"]["d_model"], tree["diffusion"]["heads"]
-    if d % h != 0:
-        raise ConfigError(f"diffusion.d_model: {d} not divisible by diffusion.heads {h}")
-    if tree["bench"]["frames_per_scene"] != tree["bench"]["fps"] * 60:
-        raise ConfigError(
-            "bench.frames_per_scene: must equal bench.fps * 60 (one-minute scenes)"
-        )
-    if not tree["bench"]["lod_low"] < tree["bench"]["lod_high"]:
-        raise ConfigError("bench.lod_low: must be below bench.lod_high")
-    if tree["diffusion"]["infer_noise_step"] > tree["diffusion"]["steps"]:
-        raise ConfigError("diffusion.infer_noise_step: must be <= diffusion.steps")
-    if tree["diffusion"]["infer_noise_step"] % tree["diffusion"]["stride"] != 0:
-        raise ConfigError(
-            "diffusion.stride: must divide diffusion.infer_noise_step"
-        )
-    if tree["bench"]["t_noise"] % tree["bench"]["stride"] != 0:
-        raise ConfigError("bench.stride: must divide bench.t_noise")
+def _check_unheld(tree: dict) -> None:
+    """Rules for the keys that no dataclass holds."""
+    pre, dif = tree["prerender"], tree["diffusion"]
+    try:
+        check(tree["seed"] >= 0, "seed", "a non-negative integer", tree["seed"])
+        check(pre["steps"] >= 1, "prerender.steps", "an integer >= 1", pre["steps"])
+        check(pre["panorama_work"] > 0, "prerender.panorama_work", "a positive number",
+              pre["panorama_work"])
+        check(dif["seq_len"] >= 2 and dif["seq_len"] % 2 == 0, "diffusion.seq_len",
+              "an even integer >= 2", dif["seq_len"])
+        check(dif["dataset_users"] >= 2, "diffusion.dataset_users", "an integer >= 2",
+              dif["dataset_users"])
+        check(tree["bench"]["train"]["users"] >= 2, "bench.train.users", "an integer >= 2",
+              tree["bench"]["train"]["users"])
+        check(1 <= dif["infer_noise_step"] <= dif["steps"], "diffusion.infer_noise_step",
+              f"in [1, diffusion.steps ({dif['steps']})]", dif["infer_noise_step"])
+        check(dif["stride"] >= 1 and dif["infer_noise_step"] % dif["stride"] == 0,
+              "diffusion.stride",
+              f"a positive divisor of diffusion.infer_noise_step ({dif['infer_noise_step']})",
+              dif["stride"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, defaults-filled configuration tree."""
+    """Validated, defaults-filled configuration tree and the objects built from it.
+
+    `data` is the tree; keys that no dataclass holds (`prerender.steps`,
+    `diffusion.seq_len`, ...) are read from it through `section`.
+    """
 
     data: dict
+    nodes: tuple[EdgeNodeParams, ...]
+    cloud: CloudParams
+    solver: SolverSettings
+    world: GridWorld
+    timing: TimingModel
+    encoding: EncodingSpec
+    schedule: NoiseSchedule
+    denoiser: DenoiserConfig
+    train: TrainSettings               # diffusion-train
+    workload: WorkloadConfig
+    cost: CostModel
+    policy: RenderPolicy               # variant is a placeholder; bench-run sets it
+    bench_train: TrainSettings         # bench-run's in-process training
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -287,13 +239,31 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         try:
             user = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # the latter: nesting too deep
             raise ConfigError(f"config parse error: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
     tree = _merge(DEFAULTS, user, "")
-    _walk_rules(tree)
-    return ExperimentConfig(data=tree)
+    game, pre, dif, bench = (tree[k] for k in ("game", "prerender", "diffusion", "bench"))
+    config = ExperimentConfig(
+        data=tree,
+        nodes=tuple(_build(f"game.nodes[{i}]", EdgeNodeParams, node)
+                    for i, node in enumerate(game["nodes"])),
+        cloud=_build("game.cloud", CloudParams, game["cloud"]),
+        solver=_build("game.solver", SolverSettings, game["solver"]),
+        world=_build("prerender", GridWorld, pre),
+        timing=_build("prerender.timing", TimingModel, pre["timing"]),
+        encoding=_build("prerender.encoding", EncodingSpec, pre["encoding"]),
+        schedule=_build("diffusion", NoiseSchedule, dif),
+        denoiser=_build("diffusion", DenoiserConfig, dif),
+        train=_build("diffusion", TrainSettings, dif),
+        workload=_build("bench", WorkloadConfig, bench),
+        cost=_build("bench", CostModel, bench),
+        policy=_build("bench", RenderPolicy, bench, variant=POLICY_VARIANTS[0]),
+        bench_train=_build("bench.train", TrainSettings, bench["train"]),
+    )
+    _check_unheld(tree)
+    return config
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -1,10 +1,9 @@
 """Versioned model checkpoints.
 
 Container format: a numpy .npz archive holding one entry per weight tensor
-(prefixed ``param.``), optimizer moments when present (``adam_m.`` /
-``adam_v.``), standardizer statistics, and a ``meta`` entry with a JSON
-header recording the format version, network shape, schedule parameters, and
-training step count. Tensors are stored as little-endian float64, so archives
+(prefixed ``param.``), standardizer statistics, and a ``meta`` entry with a
+JSON header recording the format version, network shape, schedule parameters,
+and training step count. Tensors are stored as little-endian float64, so archives
 load identically across platforms.
 """
 
@@ -23,8 +22,7 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
-                    schedule: NoiseSchedule, standardizer: Standardizer | None = None,
-                    adam_state: dict | None = None) -> None:
+                    schedule: NoiseSchedule, standardizer: Standardizer | None = None) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -49,12 +47,6 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
     if standardizer is not None and standardizer.mean is not None:
         arrays["standardizer.mean"] = np.ascontiguousarray(standardizer.mean, dtype="<f8")
         arrays["standardizer.std"] = np.ascontiguousarray(standardizer.std, dtype="<f8")
-    if adam_state is not None:
-        for k, v in adam_state.get("m", {}).items():
-            arrays[f"adam_m.{k}"] = np.ascontiguousarray(v, dtype="<f8")
-        for k, v in adam_state.get("v", {}).items():
-            arrays[f"adam_v.{k}"] = np.ascontiguousarray(v, dtype="<f8")
-        meta["adam_step"] = adam_state.get("step", 0)
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 

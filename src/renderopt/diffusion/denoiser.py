@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from ..errors import NumericalError
+from ..errors import NumericalError, check
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -42,13 +42,11 @@ class DenoiserConfig:
     mlp_ratio: int = 2
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.d_model % 2 != 0:
-            raise ValueError(f"d_model must be even, got {self.d_model}")
         for name in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"DenoiserConfig.{name} must be >= 1")
+            check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
+        check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
+        check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
+              self.d_model)
 
     @property
     def gate_dim(self) -> int:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from ..errors import check
 
 
 @dataclass(frozen=True)
@@ -13,26 +16,28 @@ class NoiseSchedule:
 
     betas rise linearly from beta_start to beta_end over `steps` steps;
     alpha_bar[t-1] = prod_{s<=t} (1 - beta_s) is the remaining signal power
-    after t perturbation steps.
+    after t perturbation steps. Both arrays are built on first use, so a
+    schedule validated with the rest of a config costs nothing until a
+    command perturbs or denoises.
     """
 
     steps: int = 700
     beta_start: float = 0.0001
     beta_end: float = 0.04
-    betas: np.ndarray = field(init=False, repr=False)
-    alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0 < self.beta_start < self.beta_end < 1:
-            raise ValueError(
-                f"require 0 < beta_start < beta_end < 1, got "
-                f"[{self.beta_start}, {self.beta_end}]"
-            )
-        betas = np.linspace(self.beta_start, self.beta_end, self.steps, dtype=np.float64)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bar", np.cumprod(1.0 - betas))
+        check(self.steps >= 1, "steps", "an integer >= 1", self.steps)
+        check(0 < self.beta_start < 1, "beta_start", "in (0, 1)", self.beta_start)
+        check(self.beta_start < self.beta_end < 1, "beta_end",
+              f"in (beta_start ({self.beta_start}), 1)", self.beta_end)
+
+    @cached_property
+    def betas(self) -> np.ndarray:
+        return np.linspace(self.beta_start, self.beta_end, self.steps, dtype=np.float64)
+
+    @cached_property
+    def alpha_bar(self) -> np.ndarray:
+        return np.cumprod(1.0 - self.betas)
 
     def signal_level(self, t: int) -> float:
         """alpha_bar at step t (1-indexed); t = 0 means the clean signal."""

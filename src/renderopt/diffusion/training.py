@@ -9,16 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import NumericalError, check
 from .data import PreferenceSequence, ResourceConstraint
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
-from .schedule import NoiseSchedule, forward_diffuse
+from .schedule import NoiseSchedule
 
 
 @dataclass(frozen=True)
 class TrainSettings:
     learning_rate: float = 0.0001
-    batch_size: int = 256
+    batch_size: int = 32
     epochs: int = 20
     patience: int = 5
     min_delta: float = 0.0             # smallest val improvement that resets patience
@@ -26,16 +26,11 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
-        if not 0 <= self.val_fraction < 1:
-            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        check(self.learning_rate > 0, "learning_rate", "a positive number", self.learning_rate)
+        for name in ("batch_size", "epochs", "patience"):
+            check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
+        check(self.min_delta >= 0, "min_delta", "a non-negative number", self.min_delta)
+        check(0 <= self.val_fraction < 1, "val_fraction", "in [0, 1)", self.val_fraction)
 
 
 class Adam:
@@ -87,9 +82,7 @@ def _stack_dataset(dataset: list[tuple[PreferenceSequence, ResourceConstraint]])
 
 def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
                t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule) -> float:
-    ab = schedule.alpha_bar[t - 1][:, None, None]
-    m_t = np.sqrt(ab) * m + np.sqrt(1.0 - ab) * noise
-    pred = model.predict(m_t, t, s)
+    pred = model.predict(forward_diffuse_batch(m, t, schedule, noise), t, s)
     return float(np.mean((pred - noise) ** 2))
 
 
@@ -159,8 +152,7 @@ def train(dataset: list[tuple[PreferenceSequence, ResourceConstraint]],
             mb, sb = m_tr[idx], s_tr[idx]
             tb = rng.integers(1, schedule.steps + 1, size=len(idx))
             noise = rng.standard_normal(mb.shape)
-            ab = schedule.alpha_bar[tb - 1][:, None, None]
-            m_t = np.sqrt(ab) * mb + np.sqrt(1.0 - ab) * noise
+            m_t = forward_diffuse_batch(mb, tb, schedule, noise)
             loss, grads = loss_and_grads(model.params, model.config, m_t,
                                          tb.astype(np.float64), sb, noise)
             if not math.isfinite(loss):
@@ -216,4 +208,4 @@ def forward_diffuse_batch(m: np.ndarray, t: np.ndarray, schedule: NoiseSchedule,
 
 
 __all__ = ["TrainSettings", "Adam", "EpochStats", "TrainResult", "train",
-           "write_curve_csv", "forward_diffuse_batch", "forward_diffuse"]
+           "write_curve_csv", "forward_diffuse_batch"]

@@ -14,3 +14,13 @@ class NumericalError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """Emitted when an inner iterative solve stops at its iteration cap."""
+
+
+def check(ok: bool, field: str, requirement: str, value) -> None:
+    """Raise ``ValueError("<field>: must be <requirement>, got <value>")`` unless ok.
+
+    Every dataclass validates its fields through this one message form, so the
+    config loader can prefix the section's key path to name the offending key.
+    """
+    if not ok:
+        raise ValueError(f"{field}: must be {requirement}, got {value!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning
+from .errors import ConvergenceWarning, check
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -37,12 +37,9 @@ class EdgeNodeParams:
     demand_max: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"node {self.id}: alpha must be > 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"node {self.id}: beta must be >= 0, got {self.beta}")
-        if not self.demand_max > 0:
-            raise ValueError(f"node {self.id}: demand_max must be > 0, got {self.demand_max}")
+        check(self.alpha > 0, "alpha", "a positive number", self.alpha)
+        check(self.beta >= 0, "beta", "a non-negative number", self.beta)
+        check(self.demand_max > 0, "demand_max", "a positive number", self.demand_max)
 
 
 @dataclass(frozen=True)
@@ -55,13 +52,12 @@ class CloudParams:
     capacity: float
 
     def __post_init__(self):
-        if not 0 < self.unit_cost <= self.price_min < self.price_max:
-            raise ValueError(
-                "require 0 < unit_cost <= price_min < price_max, got "
-                f"cost={self.unit_cost} band=[{self.price_min}, {self.price_max}]"
-            )
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
+        check(self.unit_cost > 0, "unit_cost", "a positive number", self.unit_cost)
+        check(self.price_min >= self.unit_cost, "price_min",
+              f">= unit_cost ({self.unit_cost})", self.price_min)
+        check(self.price_max > self.price_min, "price_max",
+              f"> price_min ({self.price_min})", self.price_max)
+        check(self.capacity > 0, "capacity", "a positive number", self.capacity)
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,7 @@ class SolverSettings:
     def __post_init__(self):
         for name in ("br_tolerance", "br_max_iters", "price_step_frac",
                      "fd_epsilon_frac", "price_max_iters"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"SolverSettings.{name} must be strictly positive")
+            check(getattr(self, name) > 0, name, "positive", getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check
+
 Coord = tuple[int, int]
 
 
@@ -33,12 +35,11 @@ class GridWorld:
     diagonal: bool = False         # include diagonal hops (deadline scales per hop)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid must contain at least one point")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
-        if self.region_side < 1 or self.region_side % 2 == 0:
-            raise ValueError(f"region_side must be odd and >= 1, got {self.region_side}")
+        check(self.width >= 1, "width", "an integer >= 1", self.width)
+        check(self.height >= 1, "height", "an integer >= 1", self.height)
+        check(self.spacing > 0, "spacing", "a positive number", self.spacing)
+        check(self.region_side >= 1 and self.region_side % 2 == 1, "region_side",
+              "an odd integer >= 1", self.region_side)
 
     def contains(self, point: Coord) -> bool:
         x, y = point
@@ -56,8 +57,7 @@ class TimingModel:
 
     def __post_init__(self):
         for name in ("t_request", "render_throughput", "bandwidth", "avatar_speed"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"TimingModel.{name} must be strictly positive")
+            check(getattr(self, name) > 0, name, "a positive number", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,9 @@ class EncodingSpec:
     decay: float = 4.0
 
     def __post_init__(self):
-        if not 0 < self.ratio_floor <= 1:
-            raise ValueError(f"ratio_floor must be in (0, 1], got {self.ratio_floor}")
-        if not self.decay > 0:
-            raise ValueError(f"decay must be > 0, got {self.decay}")
-        if not self.base_i_size > 0:
-            raise ValueError(f"base_i_size must be > 0, got {self.base_i_size}")
+        check(self.base_i_size > 0, "base_i_size", "a positive number", self.base_i_size)
+        check(0 < self.ratio_floor <= 1, "ratio_floor", "in (0, 1]", self.ratio_floor)
+        check(self.decay > 0, "decay", "a positive number", self.decay)
 
 
 @dataclass(frozen=True)

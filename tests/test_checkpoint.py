@@ -58,22 +58,6 @@ def test_shape_header_mismatch_rejected(smoke_trained, tmp_path):
         load_checkpoint(bad)
 
 
-def test_optimizer_state_round_trip(smoke_trained, tmp_path):
-    result, schedule, standardizer = smoke_trained
-    path = tmp_path / "model.npz"
-    adam_state = {
-        "m": {"out.b": np.arange(6.0)},
-        "v": {"out.b": np.arange(6.0) ** 2},
-        "step": 160,
-    }
-    save_checkpoint(path, result.model, schedule, standardizer, adam_state=adam_state)
-    with np.load(path) as archive:
-        assert "adam_m.out.b" in archive.files
-        assert np.array_equal(archive["adam_m.out.b"], np.arange(6.0))
-        meta = json.loads(bytes(archive["meta"]).decode())
-        assert meta["adam_step"] == 160
-
-
 def test_schedule_only_checkpoint_has_no_standardizer(smoke_trained, tmp_path):
     result, _, _ = smoke_trained
     path = tmp_path / "bare.npz"

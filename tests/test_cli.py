@@ -167,6 +167,29 @@ class TestErrorPaths:
         assert main(["game-solve", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    INF = float("inf")
+    NODE = {"id": "edge-0", "alpha": 2.0, "beta": 0.5, "demand_max": INF}
+    PROBES = [
+        ({"game": {"cloud": {"unit_cost": "x"}}}, "game.cloud.unit_cost"),
+        ({"game": {"solver": {"br_tolerance": INF}}}, "game.solver.br_tolerance"),
+        ({"game": {"nodes": [NODE]}}, "game.nodes[0].demand_max"),
+        ({"game": {"cloud": {"price_max": INF}}}, "game.cloud.price_max"),
+        ({"bench": {"lod_high": INF}}, "bench.lod_high"),
+        ({"prerender": {"spacing": INF}}, "prerender.spacing"),
+        ({"diffusion": {"learning_rate": INF}}, "diffusion.learning_rate"),
+        ({"game": {"cloud": {"capacity": -INF}}}, "game.cloud.capacity"),
+        ({"bench": {"focus_quantile": float("nan")}}, "bench.focus_quantile"),
+    ]
+
+    @pytest.mark.parametrize("payload, key", PROBES, ids=[k for _, k in PROBES])
+    def test_bad_value_exits_config_with_one_line(self, tmp_path, capsys, payload, key):
+        cfg = _write_config(tmp_path, payload)
+        code = main(["game-solve", "--config", cfg, "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert err.startswith(f"game-solve: config error: {key}: ")
+
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "out"
         main(["prerender-sim", "--out-dir", str(out)])

@@ -1,11 +1,39 @@
 """Config tree: defaults, validation paths, suggestions, round trips."""
 
+import copy
 import json
+import re
+from dataclasses import MISSING, fields
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig
 from renderopt.config import DEFAULTS, load_config, parse_config
+from renderopt.diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
 from renderopt.errors import ConfigError
+from renderopt.game import SolverSettings
+from renderopt.prerender import EncodingSpec, GridWorld, TimingModel
+
+
+def _key_paths(node, keys=()):
+    """(keys, dotted path) of every value below the root of `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = keys + (key,)
+        yield sub, "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in sub)[1:]
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, sub)
+
+
+KEY_PATHS = list(_key_paths(DEFAULTS))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestDefaults:
@@ -64,6 +92,11 @@ class TestValidation:
             parse_config(json.dumps({"game": {"cloud": {
                 "unit_cost": 0.5, "price_min": 0.4, "price_max": 2.0,
                 "capacity": 8.0}}}))
+        with pytest.raises(ConfigError, match=r"game.nodes\[0\].beta: missing"):
+            parse_config(json.dumps({"game": {"nodes": [
+                {"id": "a", "alpha": 1.0, "demand_max": 1.0}]}}))
+        with pytest.raises(ConfigError, match=r"game.nodes\[0\].alpah: unknown key"):
+            parse_config(json.dumps({"game": {"nodes": [{"alpah": 1.0}]}}))
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="prerender.spacing"):
@@ -72,6 +105,38 @@ class TestValidation:
     def test_parse_error_reported(self):
         with pytest.raises(ConfigError, match="parse error"):
             parse_config("{not json")
+        with pytest.raises(ConfigError, match="parse error"):
+            parse_config('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+    def test_type_follows_default(self):
+        with pytest.raises(ConfigError, match="prerender.width: must be an integer"):
+            parse_config(json.dumps({"prerender": {"width": 20.0}}))
+        with pytest.raises(ConfigError, match="out_dir: must be a non-empty string"):
+            parse_config(json.dumps({"out_dir": ""}))
+
+    def test_readme_error_example(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config('{"diffusion": {"learning_rate": -1}}')
+        assert str(info.value) == "diffusion.learning_rate: must be a positive number, got -1"
+
+    @hyp_settings(max_examples=400, deadline=None)
+    @given(target=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
+    def test_any_replaced_value_loads_or_names_its_key(self, target, value):
+        keys, path = target
+        tree = copy.deepcopy(DEFAULTS)
+        node = tree
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        try:
+            parse_config(json.dumps(tree))
+        except ConfigError as exc:
+            msg = str(exc)
+            if not re.match(re.escape(path) + r"[.:\[]", msg):
+                # a rule tying two keys of one object may be reported on the
+                # partner key; the message then names the replaced one
+                parent, _, leaf = path.rpartition(".")
+                assert parent and msg.startswith(parent + ".") and leaf in msg, msg
 
     def test_missing_file_reported(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -101,3 +166,24 @@ class TestRoundTrip:
         assert cfg.data["bench"]["scenes"] == 5
         assert cfg.data["bench"]["frames_per_scene"] == 1800
         assert cfg.data["bench"]["ro_samples"] == 21
+
+
+class TestSingleSource:
+    # dataclasses whose field defaults repeat a leaf of the config section
+    SECTIONS = [
+        (SolverSettings, "game.solver"), (GridWorld, "prerender"),
+        (TimingModel, "prerender.timing"), (EncodingSpec, "prerender.encoding"),
+        (NoiseSchedule, "diffusion"), (DenoiserConfig, "diffusion"),
+        (TrainSettings, "diffusion"), (WorkloadConfig, "bench"), (CostModel, "bench"),
+        (RenderPolicy, "bench"),
+    ]
+
+    @pytest.mark.parametrize("cls, path", SECTIONS, ids=[c.__name__ for c, _ in SECTIONS])
+    def test_dataclass_defaults_match_config_defaults(self, cls, path):
+        section = DEFAULTS
+        for key in path.split("."):
+            section = section[key]
+        shared = {f.name: f.default for f in fields(cls)
+                  if f.default is not MISSING and f.name in section}
+        assert shared
+        assert shared == {name: section[name] for name in shared}

@@ -1,0 +1,27 @@
+"""The benchmark's span tracer wraps package names; keep them where it looks."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tracer_installs_and_records_spans(tmp_path):
+    # a fresh interpreter, since install() rebinds module attributes for good
+    code = "\n".join([
+        "import sys",
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
+        "from tracer import Tracer, install",
+        "from renderopt import cli",
+        "tracer = Tracer()",
+        "install(tracer)",
+        f"assert cli.main(['game-solve', '--out-dir', {str(tmp_path)!r}]) == 0",
+        "print(' '.join(sorted(tracer.table({-1: 'request'}))))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = set(proc.stdout.split())
+    assert {"cli.load_config", "game.solve_stackelberg", "game.nash_equilibrium",
+            "cli._write_json", "cli._write_manifest"} <= spans

@@ -232,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.seed
         out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir)

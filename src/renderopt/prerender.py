@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,40 +146,71 @@ def neighbors(world: GridWorld, point: Coord) -> list[Coord]:
     return out
 
 
-def _region_centers(world: GridWorld) -> list[Coord]:
-    """Centers of the square tiling, row-major by tile; partial border tiles
-    use their median point."""
-    k = world.region_side
-    centers = []
-    for ty in range(0, world.height, k):
-        ny = min(k, world.height - ty)
-        for tx in range(0, world.width, k):
-            nx = min(k, world.width - tx)
-            centers.append((tx + (nx - 1) // 2, ty + (ny - 1) // 2))
-    return centers
+def _axis_tiles(length: int, k: int) -> tuple[list[int], list[int]]:
+    """Along one axis: the tile whose center is nearest to each coordinate
+    (the lower tile on a tie), and each tile's center coordinate.
+
+    Tiles are k wide from 0; a partial last tile uses its median point. A
+    coordinate's own tile center is at most (k-1)/2 away, a center two tiles
+    off at least k+1, so only the own tile and its two neighbours can win.
+    """
+    starts = np.arange(0, length, k)
+    centers = starts + (np.minimum(k, length - starts) - 1) // 2
+    pos = np.arange(length)
+    # own tile -1, +0, +1, clipped to the axis: non-decreasing down each column
+    candidates = np.clip(pos // k + np.array([[-1], [0], [1]]), 0, len(centers) - 1)
+    nearest = np.argmin(np.abs(centers[candidates] - pos), axis=0)   # first: lower tile
+    best = candidates[nearest, pos]
+    return best.tolist(), centers.tolist()
 
 
-def segment_regions(world: GridWorld) -> dict[Coord, tuple[int, Coord]]:
+class RegionMap(Mapping):
+    """Read-only map from every grid point to (region id, center point).
+
+    Iterates row-major, like a dict filled y-outer, x-inner; points off the
+    grid raise KeyError. Manhattan distance is a sum of per-axis distances
+    and region ids are row-major over the tile grid, so the nearest center
+    with the lowest id is the per-axis nearest tile column and tile row:
+    the map stores one tile per column and one per row.
+    """
+
+    def __init__(self, world: GridWorld):
+        self._width, self._height = world.width, world.height
+        self._col_tile, self._center_x = _axis_tiles(world.width, world.region_side)
+        self._row_tile, self._center_y = _axis_tiles(world.height, world.region_side)
+        self._tiles_per_row = len(self._center_x)
+
+    def __getitem__(self, point: Coord) -> tuple[int, Coord]:
+        try:
+            x, y = point
+            if 0 <= x < self._width and 0 <= y < self._height:
+                tx, ty = self._col_tile[x], self._row_tile[y]
+                return ty * self._tiles_per_row + tx, (self._center_x[tx], self._center_y[ty])
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(point)
+
+    def __iter__(self) -> Iterator[Coord]:
+        return ((x, y) for y in range(self._height) for x in range(self._width))
+
+    def __len__(self) -> int:
+        return self._width * self._height
+
+
+def segment_regions(world: GridWorld) -> RegionMap:
     """Map every point to (region id, center point).
 
-    Centers come from the square tiling; each point is assigned to its nearest
+    Centers come from the square tiling (row-major region ids; partial border
+    tiles use their median point); each point is assigned to its nearest
     center under Manhattan distance with ties broken toward the lower region
     id, so border points next to a small partial tile join the closer region.
+    Costs O(width + height); see `RegionMap`.
     """
-    centers = _region_centers(world)
-    cx = np.array([c[0] for c in centers])
-    cy = np.array([c[1] for c in centers])
-    assignment: dict[Coord, tuple[int, Coord]] = {}
-    for y in range(world.height):
-        for x in range(world.width):
-            dist = np.abs(cx - x) + np.abs(cy - y)
-            rid = int(np.argmin(dist))      # argmin takes the lowest index on ties
-            assignment[(x, y)] = (rid, centers[rid])
-    return assignment
+    return RegionMap(world)
 
 
 def encode_frame(world: GridWorld, point: Coord, encoding: EncodingSpec,
-                 regions: dict[Coord, tuple[int, Coord]] | None = None) -> PanoramaFrame:
+                 regions: Mapping[Coord, tuple[int, Coord]] | None = None) -> PanoramaFrame:
     """Frame for one grid point: I at region centers, distance-ramped P elsewhere."""
     if regions is None:
         regions = segment_regions(world)
@@ -213,31 +245,29 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     A step misses its deadline iff that latency exceeds the hop deadline.
     Bytes are charged once per P-frame (the device keeps fetched frames) and
     compared against a baseline that re-sends a full I-frame every step.
+    A replayed trace must start on the grid and hop only to neighbors.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if encoding is None:
         encoding = EncodingSpec()
     regions = segment_regions(world)
-    frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
+    frames: dict[Coord, PanoramaFrame] = {}    # encoded on first entry
     deadline = hop_deadline(world, timing)
 
     if mobility.kind == "trace":
-        path = list(mobility.trace)
-        for p in path:
-            if not world.contains(p):
-                raise ValueError(f"trace point {p} outside grid")
+        path = mobility.trace
         if len(path) < horizon + 1:
             raise ValueError(
                 f"trace has {len(path)} points but horizon {horizon} needs {horizon + 1}"
             )
         current = path[0]
     else:
+        path = None
         current = mobility.start if mobility.start is not None else (
             world.width // 2, world.height // 2)
-        if not world.contains(current):
-            raise ValueError(f"start point {current} outside grid")
-        path = None
+    if not world.contains(current):
+        raise ValueError(f"start point {current} outside grid")
 
     rng = np.random.default_rng(seed)
     fetched: set[Coord] = set()        # P-frames already on the device
@@ -253,9 +283,14 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         prerendered = len(options)
         if path is not None:
             nxt = path[step]
+            if nxt not in options:
+                raise ValueError(f"trace step {step}: hop {current} -> {nxt} "
+                                 f"is not to a grid neighbour")
         else:
             nxt = options[int(rng.integers(len(options)))] if options else current
-        frame = frames[nxt]
+        frame = frames.get(nxt)
+        if frame is None:
+            frame = frames[nxt] = encode_frame(world, nxt, encoding, regions)
         cached = frame.kind == "P" and nxt in fetched
         if world.diagonal:
             hop_len = math.hypot(nxt[0] - current[0], nxt[1] - current[1])
@@ -293,18 +328,26 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
 
 
 def load_trace(path: str | Path) -> tuple[Coord, ...]:
-    """Read a mobility trace: one `step_index x y` line per point."""
-    points: list[tuple[int, Coord]] = []
+    """Read a mobility trace: one `step_index x y` line per point, with step
+    indices strictly increasing in file order."""
+    points: list[Coord] = []
+    last: int | None = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'step_index x y', got {line!r}")
-        points.append((int(parts[0]), (int(parts[1]), int(parts[2]))))
-    points.sort(key=lambda sp: sp[0])
-    return tuple(p for _, p in points)
+        try:
+            index, x, y = (int(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'step_index x y' integers, "
+                             f"got {line!r}") from None
+        if last is not None and index <= last:
+            raise ValueError(f"{path}:{lineno}: step index {index} does not follow "
+                             f"{last}; indices must strictly increase")
+        last = index
+        points.append((x, y))
+    return tuple(points)
 
 
 def save_trace(path: str | Path, points: list[Coord]) -> None:

@@ -1,10 +1,13 @@
-"""Brute-force grid oracles for the resource game, independent of the solver.
+"""Brute-force oracles, independent of the code they check.
 
-The solver uses golden-section best responses inside Jacobi sweeps; these
-oracles only ever scan utility values on grids, so agreement between the two
-is meaningful evidence. The equilibrium oracle does nested grid refinement
-(each stage is an exhaustive scan of a shrinking box) and audits its answer
-with full-range scans at the end.
+For the resource game: the solver uses golden-section best responses inside
+Jacobi sweeps; these oracles only ever scan utility values on grids, so
+agreement between the two is meaningful evidence. The equilibrium oracle does
+nested grid refinement (each stage is an exhaustive scan of a shrinking box)
+and audits its answer with full-range scans at the end.
+
+For pre-rendering: region assignment by checking every center for every
+point.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from renderopt.game import CloudParams, EdgeNodeParams, SolverSettings, cloud_utility
+from renderopt.prerender import Coord, GridWorld
 
 
 def utility_curve(node: EdgeNodeParams, d: np.ndarray, d_others_sum: float,
@@ -144,3 +148,31 @@ def random_instance(rng: np.random.Generator):
         capacity=float(rng.uniform(4.0, 12.0)),
     )
     return cloud, nodes
+
+
+def _region_centers(world: GridWorld) -> list[Coord]:
+    """Centers of the square tiling, row-major by tile; partial border tiles
+    use their median point."""
+    k = world.region_side
+    centers = []
+    for ty in range(0, world.height, k):
+        ny = min(k, world.height - ty)
+        for tx in range(0, world.width, k):
+            nx = min(k, world.width - tx)
+            centers.append((tx + (nx - 1) // 2, ty + (ny - 1) // 2))
+    return centers
+
+
+def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord]]:
+    """(region id, center) per point, row-major: the nearest center under
+    Manhattan distance over every center, the lowest region id on a tie."""
+    centers = _region_centers(world)
+    cx = np.array([c[0] for c in centers])
+    cy = np.array([c[1] for c in centers])
+    assignment: dict[Coord, tuple[int, Coord]] = {}
+    for y in range(world.height):
+        for x in range(world.width):
+            dist = np.abs(cx - x) + np.abs(cy - y)
+            rid = int(np.argmin(dist))      # argmin takes the lowest index on ties
+            assignment[(x, y)] = (rid, centers[rid])
+    return assignment

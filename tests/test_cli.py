@@ -190,6 +190,29 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith(f"game-solve: config error: {key}: ")
 
+    TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
+              ("0 0 0\n1 1 0\n1 2 0\n", "path.trace:3: step index 1 does not follow 1")]
+
+    @pytest.mark.parametrize("text, problem", TRACES, ids=["teleport", "duplicate-index"])
+    def test_bad_trace_exits_config_with_one_line(self, tmp_path, capsys, text, problem):
+        trace_path = tmp_path / "path.trace"
+        trace_path.write_text(text)
+        code = main(["prerender-sim", "--trace", str(trace_path),
+                     "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert err.startswith("prerender-sim: error: ") and problem in err
+
+    @pytest.mark.parametrize("command", ["prerender-sim", "game-solve"])
+    def test_negative_seed_exits_config_with_one_line(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        code = main([command, "--seed", "-1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"{command}: config error: --seed: must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "out"
         main(["prerender-sim", "--out-dir", str(out)])

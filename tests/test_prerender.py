@@ -1,9 +1,13 @@
 """Grid walks, region compression, and deadline accounting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from oracles import segment_regions_bruteforce
+from renderopt import prerender
 from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
@@ -78,6 +82,31 @@ class TestSegmentRegions:
             winners = [centers[i][0] for i, d in enumerate(dists) if d == best]
             assert rid == min(winners)
             assert abs(assigned[0] - x) + abs(assigned[1] - y) == best
+
+    def test_mapping_length_order_and_bounds(self):
+        world = GridWorld(width=7, height=4, region_side=3)
+        regions = segment_regions(world)
+        assert len(regions) == 28
+        assert list(regions) == [(x, y) for y in range(4) for x in range(7)]
+        for point in [(-1, 0), (7, 0), (0, 4), (0, -1), "x", (1, 2, 3)]:
+            with pytest.raises(KeyError):
+                regions[point]
+            assert point not in regions
+
+    def test_mapping_is_read_only(self):
+        regions = segment_regions(WORLD)
+        with pytest.raises(TypeError):
+            regions[(0, 0)] = (0, (2, 2))
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(w=st.integers(1, 60), h=st.integers(1, 60), k=st.sampled_from([1, 3, 5, 7, 9]))
+def test_segmentation_matches_bruteforce(w, h, k):
+    world = GridWorld(width=w, height=h, region_side=k)
+    regions = segment_regions(world)
+    expected = segment_regions_bruteforce(world)
+    assert dict(regions) == expected
+    assert list(regions) == list(expected)
 
 
 class TestEncodeFrame:
@@ -203,6 +232,92 @@ class TestSimulateWalk:
         assert straight.deadline_misses == 1
         assert diagonal.deadline_misses == 0
 
+    def test_teleporting_trace_hop_rejected(self):
+        mobility = MobilitySpec(kind="trace", trace=((0, 0), (1, 0), (5, 5)))
+        with pytest.raises(ValueError, match=r"trace step 2: hop \(1, 0\) -> \(5, 5\)"):
+            simulate_walk(WORLD, TIMING, mobility, 2, seed=0)
+
+    def test_trace_hop_must_move(self):
+        mobility = MobilitySpec(kind="trace", trace=((3, 3), (3, 3)))
+        with pytest.raises(ValueError, match="trace step 1"):
+            simulate_walk(WORLD, TIMING, mobility, 1, seed=0)
+
+    def test_diagonal_trace_hop_legal_only_on_diagonal_floor(self):
+        mobility = MobilitySpec(kind="trace", trace=((0, 0), (1, 1), (2, 0)))
+        diag = GridWorld(width=20, height=20, diagonal=True)
+        assert simulate_walk(diag, TIMING, mobility, 2, seed=0).steps == 2
+        with pytest.raises(ValueError, match="trace step 1"):
+            simulate_walk(WORLD, TIMING, mobility, 2, seed=0)
+
+    def test_frames_encoded_once_per_entered_point(self, monkeypatch):
+        calls = []
+        real = prerender.encode_frame
+
+        def counting(world, point, encoding, regions=None):
+            calls.append(point)
+            return real(world, point, encoding, regions)
+
+        monkeypatch.setattr(prerender, "encode_frame", counting)
+        world = GridWorld(width=300, height=300)
+        result = simulate_walk(world, TIMING, MobilitySpec(), 400, seed=4, encoding=ENCODING)
+        entered = {(row["x"], row["y"]) for row in result.rows}
+        assert sorted(calls) == sorted(entered)
+
+
+def _eager_walk(world, timing, mobility, horizon, seed, encoding, panorama_work=100.0):
+    """Reference walk: every frame encoded up front from the brute-force
+    segmentation, then the same path, caching and deadline rules."""
+    regions = segment_regions_bruteforce(world)
+    frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
+    deadline = hop_deadline(world, timing)
+    rng = np.random.default_rng(seed)
+    current = mobility.trace[0] if mobility.kind == "trace" else (
+        world.width // 2, world.height // 2)
+    fetched, bytes_tx, latencies, rows = set(), 0.0, [], []
+    for step in range(1, horizon + 1):
+        options = neighbors(world, current)
+        if mobility.kind == "trace":
+            nxt = mobility.trace[step]
+        else:
+            nxt = options[int(rng.integers(len(options)))] if options else current
+        frame = frames[nxt]
+        cached = frame.kind == "P" and nxt in fetched
+        hop = math.hypot(nxt[0] - current[0], nxt[1] - current[1]) if world.diagonal else 1.0
+        latency = step_latency(frame, timing, panorama_work, cached=cached)
+        if frame.kind == "P" and not cached:
+            bytes_tx += frame.size
+            fetched.add(nxt)
+        latencies.append(latency)
+        rows.append({"step": step, "x": nxt[0], "y": nxt[1], "kind": frame.kind,
+                     "size": frame.size, "latency_ms": latency,
+                     "missed": int(latency > deadline * max(hop, 1.0)),
+                     "prerendered_neighbors": len(options)})
+        current = nxt
+    return rows, bytes_tx, latencies
+
+
+def _neighbour_path(world, start, hops, rng):
+    path = [start]
+    for _ in range(hops):
+        options = neighbors(world, path[-1])
+        path.append(options[int(rng.integers(len(options)))])
+    return tuple(path)
+
+
+@pytest.mark.parametrize("w,h,k,diagonal", [(23, 17, 5, False), (23, 17, 7, True),
+                                            (12, 9, 5, True), (6, 11, 3, False)])
+def test_walk_matches_eager_reference(w, h, k, diagonal):
+    world = GridWorld(width=w, height=h, region_side=k, diagonal=diagonal)
+    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=5000.0)
+    trace = _neighbour_path(world, (0, h - 1), 600, np.random.default_rng(w * h))
+    for mobility in (MobilitySpec(), MobilitySpec(kind="trace", trace=trace)):
+        result = simulate_walk(world, timing, mobility, 600, seed=7, encoding=ENCODING)
+        rows, bytes_tx, latencies = _eager_walk(world, timing, mobility, 600, 7, ENCODING)
+        assert result.rows == rows
+        assert result.bytes_transmitted == bytes_tx
+        assert result.per_step_latency == latencies
+        assert result.deadline_misses == sum(row["missed"] for row in rows)
+
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
@@ -215,6 +330,26 @@ class TestTraceIO:
         path = tmp_path / "bad.trace"
         path.write_text("0 1\n")
         with pytest.raises(ValueError):
+            load_trace(path)
+
+    def test_gaps_in_step_indices_allowed(self, tmp_path):
+        path = tmp_path / "gaps.trace"
+        path.write_text("# comment\n0 0 0\n\n3 1 0\n10 1 1\n")
+        assert load_trace(path) == ((0, 0), (1, 0), (1, 1))
+
+    @pytest.mark.parametrize("text, lineno", [("0 0 0\n1 1 0\n1 2 0\n", 3),
+                                              ("0 0 0\n2 1 0\n1 2 0\n", 3),
+                                              ("5 0 0\n# c\n4 1 0\n", 3)])
+    def test_non_increasing_step_index_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.trace:{lineno}: step index"):
+            load_trace(path)
+
+    def test_non_integer_field_rejected(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("0 0 0\n1 1.5 0\n")
+        with pytest.raises(ValueError, match="bad.trace:2: expected"):
             load_trace(path)
 
     def test_csv_export_schema(self, tmp_path):
@@ -259,3 +394,15 @@ def test_every_point_assigned_exactly_once(w, h, k):
     world = GridWorld(width=w, height=h, region_side=k)
     regions = segment_regions(world)
     assert set(regions) == {(x, y) for x in range(w) for y in range(h)}
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(indices=st.lists(st.integers(-5, 20), min_size=1, max_size=8))
+def test_trace_loads_iff_indices_strictly_increase(tmp_path_factory, indices):
+    path = tmp_path_factory.mktemp("trace") / "walk.trace"
+    path.write_text("".join(f"{i} {n} 0\n" for n, i in enumerate(indices)))
+    if all(a < b for a, b in zip(indices, indices[1:])):
+        assert load_trace(path) == tuple((n, 0) for n in range(len(indices)))
+    else:
+        with pytest.raises(ValueError, match="indices must strictly increase"):
+            load_trace(path)

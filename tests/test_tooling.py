@@ -16,7 +16,8 @@ def test_tracer_installs_and_records_spans(tmp_path):
         "from renderopt import cli",
         "tracer = Tracer()",
         "install(tracer)",
-        f"assert cli.main(['game-solve', '--out-dir', {str(tmp_path)!r}]) == 0",
+        f"assert cli.main(['game-solve', '--out-dir', {str(tmp_path / 'game')!r}]) == 0",
+        f"assert cli.main(['prerender-sim', '--out-dir', {str(tmp_path / 'walk')!r}]) == 0",
         "print(' '.join(sorted(tracer.table({-1: 'request'}))))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -24,4 +25,5 @@ def test_tracer_installs_and_records_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = set(proc.stdout.split())
     assert {"cli.load_config", "game.solve_stackelberg", "game.nash_equilibrium",
-            "cli._write_json", "cli._write_manifest"} <= spans
+            "cli._write_json", "cli._write_manifest", "prerender.simulate_walk",
+            "prerender.segment_regions", "prerender.encode_frame"} <= spans

@@ -5,14 +5,24 @@ ground-truth interest flags, and a population-level popularity prior. Four
 policies assign a level of detail per region:
 
     proposed    diffusion-predicted interaction probabilities, top-q at high
-    mdp         value iteration over a region-hop model driven by the
-                popularity prior (no personalization)
+    mdp         the popularity-prior MDP baseline (no personalization); see
+                below for what it reduces to
     random_opt  best of a fixed number of randomly sampled LOD configurations
                 under the same popularity objective
     none        everything at high detail
 
 Prediction metrics score each policy's high-detail set against the interest
 flags; simulated render time is work x LOD multiplier / throughput.
+
+The `mdp` baseline is a region-hop MDP: one state per region, actions low and
+high detail, reward popularity x quality - mdp_cost_weight x work x LOD
+multiplier, and a uniform next-region distribution that is the same for both
+actions. Both actions of a state therefore share one continuation value, so
+the optimal policy is greedy per region: high detail exactly where the high
+reward beats the low one, low on a tie. `_mdp_focus` computes that directly;
+`mdp_discount` is still validated (and hashed into the config digest) but
+cannot change the focus set. `value_iteration` stays as the general solver,
+and `tests/oracles.py` solves the same MDP with it as the reference.
 """
 
 from __future__ import annotations
@@ -197,15 +207,18 @@ def _objective(high: np.ndarray, scene: Scene, cost: CostModel,
 
 
 def _mdp_focus(scene: Scene, policy: RenderPolicy, cost: CostModel) -> np.ndarray:
-    n = len(scene.region_work)
-    transitions = np.full((n, 2, n), 1.0 / n)
-    rewards = np.empty((n, 2))
-    rewards[:, 0] = (scene.popularity * cost.quality_low
-                     - policy.mdp_cost_weight * scene.region_work * cost.lod_low)
-    rewards[:, 1] = (scene.popularity * cost.quality_high
-                     - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
-    _, actions, _ = value_iteration(transitions, rewards, policy.mdp_discount)
-    return actions.astype(bool)
+    """High-detail set of the region-hop MDP: regions whose high-detail reward
+    beats the low-detail one (a tie picks low detail).
+
+    The transitions are uniform and action-independent, so value iteration
+    would add the same discounted continuation to both actions of a state and
+    its greedy policy is this comparison, whatever `mdp_discount` is.
+    """
+    low = (scene.popularity * cost.quality_low
+           - policy.mdp_cost_weight * scene.region_work * cost.lod_low)
+    high = (scene.popularity * cost.quality_high
+            - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
+    return high > low
 
 
 def random_opt_select(scene: Scene, policy: RenderPolicy, cost: CostModel,

@@ -62,12 +62,14 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def _gelu(x: np.ndarray):
+    """GELU(x) and the 1 + erf(x / sqrt 2) term its gradient reuses."""
+    erf_term = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * erf_term, erf_term
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu_grad(x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
+    return 0.5 * erf_term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,18 +160,21 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
 
 def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict):
     pre = _linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    act = _gelu(pre)
+    act, erf_term = _gelu(pre)
     out = _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    cache[prefix] = (x, pre, act)
+    # the erf term replaces `act` in the cache: the backward pass rebuilds act
+    # from it with one product, and the cache stays the size it was
+    cache[prefix] = (x, pre, erf_term)
     return out
 
 
 def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict):
-    x, pre, act = cache[prefix]
+    x, pre, erf_term = cache[prefix]
+    act = 0.5 * pre * erf_term
     dact, dw2, db2 = _linear_back(act, params[f"{prefix}.w2"], dout)
     grads[f"{prefix}.w2"] = dw2
     grads[f"{prefix}.b2"] = db2
-    dpre = dact * _gelu_grad(pre)
+    dpre = dact * _gelu_grad(pre, erf_term)
     dx, dw1, db1 = _linear_back(x, params[f"{prefix}.w1"], dpre)
     grads[f"{prefix}.w1"] = dw1
     grads[f"{prefix}.b1"] = db1
@@ -201,40 +206,63 @@ def _block_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
     return dx + dh1
 
 
-def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
+def _param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """(shape, init) of every tensor in creation order; init is "normal"
+    (standard normal over sqrt(fan-in)), "zeros" or "ones"."""
     d, f, c = config.d_model, config.feature_dim, config.cond_dim
     mf = config.d_model * config.mlp_ratio
     a = config.gate_dim
 
-    def w(shape):
-        return rng.standard_normal(shape) / math.sqrt(shape[0])
+    def w(*shape):
+        return shape, "normal"
 
-    params: dict[str, np.ndarray] = {
-        "in.w": w((f, d)), "in.b": np.zeros(d),
-        "time.w": w((d, d)), "time.b": np.zeros(d),
-        "cond.w": w((c, d)), "cond.b": np.zeros(d),
-        "gate.wg": w((d, a)), "gate.wx": w((d, a)), "gate.b": np.zeros(a),
-        "gate.psi": w((a, 1)), "gate.bpsi": np.zeros(1),
-        "merge.w": w((2 * d, d)), "merge.b": np.zeros(d),
-        "dec.ln.g": np.ones(d), "dec.ln.b": np.zeros(d),
-        "dec.mlp.w1": w((d, mf)), "dec.mlp.b1": np.zeros(mf),
-        "dec.mlp.w2": w((mf, d)), "dec.mlp.b2": np.zeros(d),
-        "out.w": w((d, f)), "out.b": np.zeros(f),
+    def zeros(n):
+        return (n,), "zeros"
+
+    def ones(n):
+        return (n,), "ones"
+
+    layout = {
+        "in.w": w(f, d), "in.b": zeros(d),
+        "time.w": w(d, d), "time.b": zeros(d),
+        "cond.w": w(c, d), "cond.b": zeros(d),
+        "gate.wg": w(d, a), "gate.wx": w(d, a), "gate.b": zeros(a),
+        "gate.psi": w(a, 1), "gate.bpsi": zeros(1),
+        "merge.w": w(2 * d, d), "merge.b": zeros(d),
+        "dec.ln.g": ones(d), "dec.ln.b": zeros(d),
+        "dec.mlp.w1": w(d, mf), "dec.mlp.b1": zeros(mf),
+        "dec.mlp.w2": w(mf, d), "dec.mlp.b2": zeros(d),
+        "out.w": w(d, f), "out.b": zeros(f),
     }
     for prefix in ("enc", "bot"):
-        params[f"{prefix}.ln1.g"] = np.ones(d)
-        params[f"{prefix}.ln1.b"] = np.zeros(d)
-        params[f"{prefix}.ln2.g"] = np.ones(d)
-        params[f"{prefix}.ln2.b"] = np.zeros(d)
+        layout[f"{prefix}.ln1.g"] = ones(d)
+        layout[f"{prefix}.ln1.b"] = zeros(d)
+        layout[f"{prefix}.ln2.g"] = ones(d)
+        layout[f"{prefix}.ln2.b"] = zeros(d)
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{prefix}.attn.{name}"] = w((d, d))
+            layout[f"{prefix}.attn.{name}"] = w(d, d)
         for name in ("bq", "bk", "bv", "bo"):
-            params[f"{prefix}.attn.{name}"] = np.zeros(d)
-        params[f"{prefix}.mlp.w1"] = w((d, mf))
-        params[f"{prefix}.mlp.b1"] = np.zeros(mf)
-        params[f"{prefix}.mlp.w2"] = w((mf, d))
-        params[f"{prefix}.mlp.b2"] = np.zeros(d)
+            layout[f"{prefix}.attn.{name}"] = zeros(d)
+        layout[f"{prefix}.mlp.w1"] = w(d, mf)
+        layout[f"{prefix}.mlp.b1"] = zeros(mf)
+        layout[f"{prefix}.mlp.w2"] = w(mf, d)
+        layout[f"{prefix}.mlp.b2"] = zeros(d)
+    return layout
+
+
+def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor the network with this config holds."""
+    return {name: shape for name, (shape, _) in _param_layout(config).items()}
+
+
+def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, (shape, init) in _param_layout(config).items():
+        if init == "normal":
+            params[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
+        else:
+            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
     return params
 
 

@@ -8,12 +8,16 @@ and audits its answer with full-range scans at the end.
 
 For pre-rendering: region assignment by checking every center for every
 point.
+
+For the benchmark's `mdp` policy: the region-hop MDP built as a full
+transition tensor and solved by value iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from renderopt import bench
 from renderopt.game import CloudParams, EdgeNodeParams, SolverSettings, cloud_utility
 from renderopt.prerender import Coord, GridWorld
 
@@ -176,3 +180,18 @@ def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord
             rid = int(np.argmin(dist))      # argmin takes the lowest index on ties
             assignment[(x, y)] = (rid, centers[rid])
     return assignment
+
+
+def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,
+                              cost: bench.CostModel) -> np.ndarray:
+    """High-detail set of the region-hop MDP by value iteration: one state per
+    region, uniform action-independent transitions, greedy action per state."""
+    n = len(scene.region_work)
+    transitions = np.full((n, 2, n), 1.0 / n)
+    rewards = np.empty((n, 2))
+    rewards[:, 0] = (scene.popularity * cost.quality_low
+                     - policy.mdp_cost_weight * scene.region_work * cost.lod_low)
+    rewards[:, 1] = (scene.popularity * cost.quality_high
+                     - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
+    _, actions, _ = bench.value_iteration(transitions, rewards, policy.mdp_discount)
+    return actions.astype(bool)

@@ -18,6 +18,8 @@ def test_tracer_installs_and_records_spans(tmp_path):
         "install(tracer)",
         f"assert cli.main(['game-solve', '--out-dir', {str(tmp_path / 'game')!r}]) == 0",
         f"assert cli.main(['prerender-sim', '--out-dir', {str(tmp_path / 'walk')!r}]) == 0",
+        f"assert cli.main(['bench-run', '--policies', 'mdp,random_opt,none', "
+        f"'--out-dir', {str(tmp_path / 'bench')!r}]) == 0",
         "print(' '.join(sorted(tracer.table({-1: 'request'}))))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -26,4 +28,6 @@ def test_tracer_installs_and_records_spans(tmp_path):
     spans = set(proc.stdout.split())
     assert {"cli.load_config", "game.solve_stackelberg", "game.nash_equilibrium",
             "cli._write_json", "cli._write_manifest", "prerender.simulate_walk",
-            "prerender.segment_regions", "prerender.encode_frame"} <= spans
+            "prerender.segment_regions", "prerender.encode_frame",
+            "bench.run_policy.mdp", "bench.run_policy.random_opt", "bench.run_policy.none",
+            "bench.generate_workload"} <= spans

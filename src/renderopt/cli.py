@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +34,17 @@ from .synthetic import PlantedConfig, build_training_set, make_population
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+@contextmanager
+def _path_from(option: str, path, action: str):
+    """Report an OS or decoding error on a path the user gave as a one-line
+    usage error naming the option that gave it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{option}: cannot {action} {str(path)!r}: {reason}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -67,7 +79,8 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
                       args) -> list[Path]:
     sec = config.section("prerender")
     if args.trace:
-        trace = load_trace(args.trace)
+        with _path_from("--trace", args.trace, "read"):
+            trace = load_trace(args.trace)
         mobility = MobilitySpec(kind="trace", trace=trace)
         horizon = len(trace) - 1
     else:
@@ -118,7 +131,8 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         raise ConfigError("diffusion-infer requires --checkpoint")
     if args.users < 1:
         raise ConfigError("diffusion-infer: --users must be >= 1")
-    model, schedule, standardizer = load_checkpoint(args.checkpoint)
+    with _path_from("--checkpoint", args.checkpoint, "read"):
+        model, schedule, standardizer = load_checkpoint(args.checkpoint)
     if standardizer is None:
         raise ConfigError("checkpoint carries no standardizer statistics")
     sec = config.section("diffusion")
@@ -172,7 +186,8 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
     model = schedule = standardizer = None
     if "proposed" in policies:
         if args.checkpoint:
-            model, schedule, standardizer = load_checkpoint(args.checkpoint)
+            with _path_from("--checkpoint", args.checkpoint, "read"):
+                model, schedule, standardizer = load_checkpoint(args.checkpoint)
             if standardizer is None:
                 raise ConfigError("checkpoint carries no standardizer statistics")
         else:
@@ -234,10 +249,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
-        config = load_config(args.config)
+        with _path_from("--config", args.config, "read"):
+            config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.seed
-        out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.out_dir is not None:
+            option, out_dir = "--out-dir", Path(args.out_dir)
+        else:
+            option, out_dir = "out_dir", Path(config.out_dir)
+        with _path_from(option, out_dir, "create directory"):
+            out_dir.mkdir(parents=True, exist_ok=True)
         started = datetime.now(timezone.utc).isoformat()
         outputs = _COMMANDS[args.command](config, seed, out_dir, args)
         _write_manifest(out_dir, config, args.command, seed, outputs, started)

@@ -4,7 +4,9 @@ Tier 2 is a non-cooperative demand game among edge nodes at a fixed cloud
 price; tier 1 is the cloud's pricing problem over the induced equilibrium.
 The tiers are solved by backward induction: synchronous best-response sweeps
 for the followers, projected gradient ascent with finite-difference gradients
-for the leader.
+for the leader. Within one leader solve the follower game is solved once per
+distinct price: the equilibrium depends on nothing else the solve varies, so
+repeated prices are answered from a memo that lives only as long as the solve.
 
 Edge utility of node i demanding d against opponent total D and price p:
 
@@ -172,12 +174,17 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
 
 
 def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
-                     settings: SolverSettings, capacity: float) -> NashResult:
+                     settings: SolverSettings, capacity: float,
+                     memo: dict[float, NashResult] | None = None) -> NashResult:
     """Synchronous best-response sweeps from all-zero demands.
 
     Stops when the max per-node change falls below br_tolerance; hitting the
     iteration cap is reported through the converged flag, not an exception.
+    `memo` maps price to result for one fixed (nodes, settings, capacity);
+    a price found there is returned without sweeping, a new one is stored.
     """
+    if memo is not None and price in memo:
+        return memo[price]
     if not nodes:
         raise ValueError("need at least one edge node")
     demands = [0.0] * len(nodes)
@@ -195,17 +202,24 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
         if delta < settings.br_tolerance:
             converged = True
             break
-    return NashResult(demands=tuple(demands), iterations=iterations, converged=converged)
+    result = NashResult(demands=tuple(demands), iterations=iterations, converged=converged)
+    if memo is not None:
+        memo[price] = result
+    return result
 
 
 def cloud_utility(cloud: CloudParams, nodes: list[EdgeNodeParams], price: float,
-                  settings: SolverSettings) -> float:
-    """Leader margin times induced total demand, (price - cost) * sum d_i*(price)."""
+                  settings: SolverSettings,
+                  memo: dict[float, NashResult] | None = None) -> float:
+    """Leader margin times induced total demand, (price - cost) * sum d_i*(price).
+
+    Warns on a non-converged follower game whether or not `memo` held it.
+    """
     if not cloud.price_min <= price <= cloud.price_max:
         raise ValueError(
             f"price {price} outside [{cloud.price_min}, {cloud.price_max}]"
         )
-    nash = nash_equilibrium(nodes, price, settings, cloud.capacity)
+    nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo)
     if not nash.converged:
         warnings.warn(
             f"follower game did not converge at price {price:.6g} "
@@ -217,7 +231,8 @@ def cloud_utility(cloud: CloudParams, nodes: list[EdgeNodeParams], price: float,
 
 
 def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
-                 settings: SolverSettings) -> tuple[float, float, int, bool]:
+                 settings: SolverSettings,
+                 memo: dict[float, NashResult]) -> tuple[float, float, int, bool]:
     """Sign-guided ascent with step halving from one starting price."""
     lo, hi = cloud.price_min, cloud.price_max
     band = hi - lo
@@ -226,7 +241,7 @@ def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
     min_step = 1e-8 * band
 
     def u(p: float) -> float:
-        return cloud_utility(cloud, nodes, p, settings)
+        return cloud_utility(cloud, nodes, p, settings, memo)
 
     p = p0
     up = u(p)
@@ -268,19 +283,25 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
     themselves iterative), so the ascent uses central finite differences and
     halves its step on non-improvement. Three deterministic starts (band ends
     and midpoint) guard against flat regions where all demands are zero.
+
+    The follower game is solved once per distinct price: a step that does
+    not move re-probes p +- eps at the same p, and the final equilibrium is
+    at a price already probed. Results are memoized by exact price for this
+    call only, so the outcome is the same as re-solving.
     """
     if settings is None:
         settings = SolverSettings()
     lo, hi = cloud.price_min, cloud.price_max
+    memo: dict[float, NashResult] = {}
     best: tuple[float, float, int, bool] | None = None
     total_iters = 0
     for p0 in (lo, 0.5 * (lo + hi), hi):
-        p, up, iters, conv = _ascend_from(p0, cloud, nodes, settings)
+        p, up, iters, conv = _ascend_from(p0, cloud, nodes, settings, memo)
         total_iters += iters
         if best is None or up > best[1]:
             best = (p, up, iters, conv)
     price, _, _, price_converged = best
-    nash = nash_equilibrium(nodes, price, settings, cloud.capacity)
+    nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo)
     utils = tuple(
         edge_utility(node, d, sum(nash.demands) - d, price, cloud.capacity)
         for node, d in zip(nodes, nash.demands)

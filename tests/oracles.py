@@ -6,6 +6,10 @@ agreement between the two is meaningful evidence. The equilibrium oracle does
 nested grid refinement (each stage is an exhaustive scan of a shrinking box)
 and audits its answer with full-range scans at the end.
 
+For the leader: the Stackelberg solve without its per-solve equilibrium memo,
+re-solving the follower game at every price the ascent evaluates, repeats
+included, plus counters of the follower work a solve does.
+
 For pre-rendering: region assignment by checking every center for every
 point.
 
@@ -15,10 +19,14 @@ transition tensor and solved by value iteration.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+
 import numpy as np
 
-from renderopt import bench
-from renderopt.game import CloudParams, EdgeNodeParams, SolverSettings, cloud_utility
+from renderopt import bench, game
+from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
+                            cloud_utility)
 from renderopt.prerender import Coord, GridWorld
 
 
@@ -129,6 +137,116 @@ def sweep_argmax_price(cloud: CloudParams, nodes: list[EdgeNodeParams],
             if u > best_u:
                 best_p, best_u = float(p), u
     return best_p, best_u
+
+
+def _ascend_from_uncached(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
+                          settings: SolverSettings) -> tuple[float, float, int, bool]:
+    """Sign-guided ascent with step halving from one starting price."""
+    lo, hi = cloud.price_min, cloud.price_max
+    band = hi - lo
+    eps = settings.fd_epsilon_frac * band
+    step = settings.price_step_frac * band
+    min_step = 1e-8 * band
+
+    def u(p: float) -> float:
+        return game.cloud_utility(cloud, nodes, p, settings)
+
+    p = p0
+    up = u(p)
+    iterations = 0
+    converged = False
+    while iterations < settings.price_max_iters:
+        iterations += 1
+        p_hi = min(hi, p + eps)
+        p_lo = max(lo, p - eps)
+        grad = (u(p_hi) - u(p_lo)) / (p_hi - p_lo)
+        moved = False
+        if grad != 0.0:
+            cand = min(hi, max(lo, p + math.copysign(step, grad)))
+            uc = u(cand)
+            if uc > up and cand != p:
+                p, up = cand, uc
+                moved = True
+        else:
+            # flat gradient: probe both directions before shrinking
+            for cand in (min(hi, p + step), max(lo, p - step)):
+                uc = u(cand)
+                if uc > up and cand != p:
+                    p, up = cand, uc
+                    moved = True
+                    break
+        if not moved:
+            step *= 0.5
+            if step < min_step:
+                converged = True
+                break
+    return p, up, iterations, converged
+
+
+def solve_stackelberg_uncached(cloud: CloudParams, nodes: list[EdgeNodeParams],
+                               settings: SolverSettings) -> EquilibriumResult:
+    """Leader solve that runs the follower sweeps at every price it evaluates."""
+    lo, hi = cloud.price_min, cloud.price_max
+    best: tuple[float, float, int, bool] | None = None
+    total_iters = 0
+    for p0 in (lo, 0.5 * (lo + hi), hi):
+        p, up, iters, conv = _ascend_from_uncached(p0, cloud, nodes, settings)
+        total_iters += iters
+        if best is None or up > best[1]:
+            best = (p, up, iters, conv)
+    price, _, _, price_converged = best
+    nash = game.nash_equilibrium(nodes, price, settings, cloud.capacity)
+    utils = tuple(
+        game.edge_utility(node, d, sum(nash.demands) - d, price, cloud.capacity)
+        for node, d in zip(nodes, nash.demands)
+    )
+    return EquilibriumResult(
+        price=price,
+        demands=nash.demands,
+        edge_utilities=utils,
+        cloud_utility=(price - cloud.unit_cost) * sum(nash.demands),
+        iterations=total_iters,
+        converged=price_converged and nash.converged,
+    )
+
+
+@contextmanager
+def counted_game_calls():
+    """Count `renderopt.game`'s follower work while the block runs.
+
+    Yields a dict whose "nash" entry lists (price, best responses made) per
+    `nash_equilibrium` call and whose "br" entry counts every
+    `edge_best_response` call.
+    """
+    nash, br = game.nash_equilibrium, game.edge_best_response
+    log: dict = {"nash": [], "br": 0}
+
+    def counted_br(*args, **kwargs):
+        log["br"] += 1
+        return br(*args, **kwargs)
+
+    def counted_nash(*args, **kwargs):
+        before = log["br"]
+        result = nash(*args, **kwargs)
+        log["nash"].append((args[1], log["br"] - before))
+        return result
+
+    game.nash_equilibrium, game.edge_best_response = counted_nash, counted_br
+    try:
+        yield log
+    finally:
+        game.nash_equilibrium, game.edge_best_response = nash, br
+
+
+def best_responses_per_price(nash_log: list[tuple[float, int]]) -> dict[float, int]:
+    """Best responses spent at each distinct price of a `counted_game_calls`
+    log, checking that every solve at one price made the same number."""
+    per_price: dict[float, int] = {}
+    for price, n in nash_log:
+        if per_price.setdefault(price, n) != n:
+            raise AssertionError(f"price {price}: {n} best responses, earlier "
+                                 f"{per_price[price]}")
+    return per_price
 
 
 def random_instance(rng: np.random.Generator):

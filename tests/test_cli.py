@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,8 @@ FAST_BENCH = {
                                      "batch_size": 32, "patience": 5}},
     "diffusion": {"d_model": 16, "heads": 2},
 }
+# the config of acceptance criterion 7
+CRITERION_7 = {**FAST_BENCH, **FAST_DIFFUSION}
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -46,6 +49,20 @@ class TestGameSolve:
         main(["game-solve", "--out-dir", str(a)])
         main(["game-solve", "--out-dir", str(b)])
         assert (a / "equilibrium.json").read_bytes() == (b / "equilibrium.json").read_bytes()
+
+    # sha256 of the equilibrium.json `game-solve --seed 3` wrote when the
+    # leader re-solved the follower game at every price it evaluated
+    UNCACHED_DIGEST = "c29da77cdf23b9939550d794a44a849991a6f826a4f006e0f43a80e5725b0126"
+
+    @pytest.mark.parametrize("config", ["default", "criterion-7"])
+    def test_equilibrium_unchanged(self, tmp_path, config):
+        out = tmp_path / "out"
+        argv = ["game-solve", "--seed", "3", "--out-dir", str(out)]
+        if config == "criterion-7":
+            argv += ["--config", _write_config(tmp_path, CRITERION_7)]
+        assert main(argv) == EXIT_OK
+        got = hashlib.sha256((out / "equilibrium.json").read_bytes()).hexdigest()
+        assert got == self.UNCACHED_DIGEST
 
 
 class TestPrerenderSim:
@@ -212,6 +229,42 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err == f"{command}: config error: --seed: must be an integer >= 0, got -1\n"
         assert not out.exists()
+
+    PATHS = [("game-solve", "--config", "adir", "cannot read 'adir': Is a directory"),
+             ("game-solve", "--config", "binary", "cannot read 'binary': 'utf-8' codec"),
+             ("prerender-sim", "--trace", "adir", "cannot read 'adir': Is a directory"),
+             ("prerender-sim", "--trace", "nope", "cannot read 'nope': No such file"),
+             ("diffusion-infer", "--checkpoint", "adir", "cannot read 'adir': Is a directory"),
+             ("bench-run", "--checkpoint", "nope", "cannot read 'nope': No such file"),
+             ("game-solve", "--out-dir", "afile", "cannot create directory 'afile': File exists"),
+             ("game-solve", "--out-dir", "afile/sub", "cannot create directory 'afile/sub'")]
+
+    @pytest.mark.parametrize("command, option, path, problem", PATHS,
+                             ids=[f"{c}{o}={p}" for c, o, p, _ in PATHS])
+    def test_bad_path_names_its_option(self, tmp_path, monkeypatch, capsys,
+                                       command, option, path, problem):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x\n")
+        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        argv = [command, option, path]
+        if option != "--out-dir":
+            argv += ["--out-dir", "out"]
+        if command == "bench-run":
+            argv += ["--policies", "proposed"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert err.startswith(f"{command}: config error: {option}: {problem}")
+
+    def test_unmakeable_config_out_dir_names_the_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("x\n")
+        cfg = _write_config(tmp_path, {"out_dir": "afile"})
+        assert main(["game-solve", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("game-solve: config error: out_dir: cannot create "
+                                           "directory 'afile': File exists\n")
 
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "out"

@@ -2,14 +2,16 @@
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from oracles import br_grid, nash_grid, random_instance, sweep_argmax_price
+from oracles import (best_responses_per_price, br_grid, counted_game_calls, nash_grid,
+                     random_instance, solve_stackelberg_uncached, sweep_argmax_price)
 from renderopt.errors import ConvergenceWarning
-from renderopt.game import (CloudParams, EdgeNodeParams, SolverSettings,
+from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility, edge_best_response, edge_utility,
                             nash_equilibrium, price_sweep, solve_stackelberg)
 
@@ -196,6 +198,87 @@ class TestSolveStackelberg:
         assert cloud.price_min <= eq.price <= cloud.price_max
         oracle = nash_grid(nodes, eq.price, cloud.capacity)
         assert np.max(np.abs(np.array(eq.demands) - oracle)) < 1e-3
+
+
+@st.composite
+def markets(draw):
+    """(cloud, nodes, settings) with 1-8 nodes: the benchmark's `market`
+    ranges at default settings, or wider alpha/beta/capacity/price bands with
+    sweep caps the follower game often cannot meet (and a short leader cap)."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        alpha, dmax = st.floats(1.4, 2.1), st.floats(1.8, 2.2)
+        beta = st.one_of(st.just(0.0), st.floats(0.25, 0.55))
+        cloud = CloudParams(unit_cost=0.3, price_min=0.35, price_max=1.8,
+                            capacity=draw(st.floats(7.0, 9.0)))
+        settings = SolverSettings()
+    else:
+        alpha, dmax = st.floats(0.2, 5.0), st.floats(0.5, 4.0)
+        beta = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+        cost = draw(st.floats(0.05, 1.0))
+        price_min = cost + draw(st.floats(0.0, 0.5))
+        cloud = CloudParams(unit_cost=cost, price_min=price_min,
+                            price_max=price_min + draw(st.floats(0.05, 3.0)),
+                            capacity=draw(st.floats(0.5, 20.0)))
+        settings = SolverSettings(br_max_iters=draw(st.sampled_from([1, 2, 5, 20])),
+                                  price_max_iters=draw(st.sampled_from([4, 500])))
+    nodes = [EdgeNodeParams(id=f"n{i}", alpha=draw(alpha), beta=draw(beta),
+                            demand_max=draw(dmax)) for i in range(n)]
+    return cloud, nodes, settings
+
+
+def _counted_solve(solve, cloud, nodes, settings):
+    """(result, follower-work log, convergence warning texts) of one solve."""
+    with counted_game_calls() as log, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        result = solve(cloud, nodes, settings)
+    return result, log, [str(w.message) for w in caught]
+
+
+class TestPerSolveMemo:
+    """`solve_stackelberg` solves the follower game once per distinct price
+    and otherwise behaves exactly as the uncached solve in `oracles`."""
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(market=markets())
+    def test_equals_uncached_solve_doing_each_price_once(self, market):
+        cloud, nodes, settings = market
+        want, want_log, want_warnings = _counted_solve(
+            solve_stackelberg_uncached, cloud, nodes, settings)
+        got, log, got_warnings = _counted_solve(solve_stackelberg, cloud, nodes, settings)
+        for f in fields(EquilibriumResult):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        # every evaluation still goes through nash_equilibrium and still warns
+        assert [p for p, _ in log["nash"]] == [p for p, _ in want_log["nash"]]
+        assert got_warnings == want_warnings
+        # the sweeps run at the first solve of each price and never again
+        per_price = best_responses_per_price(want_log["nash"])
+        swept = [p for p, n in log["nash"] if n > 0]
+        assert sorted(swept) == sorted(per_price)
+        assert log["br"] == sum(per_price.values())
+        # nothing outlives a solve: a second one does the same work
+        again, again_log, _ = _counted_solve(solve_stackelberg, cloud, nodes, settings)
+        assert again == got
+        assert again_log == log
+
+    def test_direct_calls_take_no_memo(self):
+        nodes = [node(alpha=1.7, beta=0.5, nid="a"), node(alpha=2.2, beta=0.9, nid="b")]
+        with counted_game_calls() as log:
+            nash_equilibrium(nodes, 0.9, SETTINGS, 7.0)
+            once = log["br"]
+            nash_equilibrium(nodes, 0.9, SETTINGS, 7.0)
+        assert once > 0 and log["br"] == 2 * once
+
+    def test_memo_hit_still_warns(self):
+        cloud = CloudParams(unit_cost=0.5, price_min=0.5, price_max=2.0, capacity=10.0)
+        nodes = [node(nid="a"), node(nid="b", beta=1.0)]
+        tight = SolverSettings(br_max_iters=1)
+        memo = {}
+        with counted_game_calls() as log, pytest.warns(ConvergenceWarning) as caught:
+            cloud_utility(cloud, nodes, 0.9, tight, memo)
+            cloud_utility(cloud, nodes, 0.9, tight, memo)
+        assert len(caught) == 2
+        assert [n > 0 for _, n in log["nash"]] == [True, False]
 
 
 class TestValidation:

@@ -1,8 +1,12 @@
 """The benchmark's span tracer wraps package names; keep them where it looks."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
+from renderopt.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -10,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_tracer_installs_and_records_spans(tmp_path):
     # a fresh interpreter, since install() rebinds module attributes for good
     code = "\n".join([
+        "import json",
         "import sys",
         f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]",
         "from tracer import Tracer, install",
@@ -20,14 +25,20 @@ def test_tracer_installs_and_records_spans(tmp_path):
         f"assert cli.main(['prerender-sim', '--out-dir', {str(tmp_path / 'walk')!r}]) == 0",
         f"assert cli.main(['bench-run', '--policies', 'mdp,random_opt,none', "
         f"'--out-dir', {str(tmp_path / 'bench')!r}]) == 0",
-        "print(' '.join(sorted(tracer.table({-1: 'request'}))))",
+        "print(json.dumps({k: v['calls'] for k, v in tracer.table({-1: 'request'}).items()}))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    spans = set(proc.stdout.split())
+    calls = json.loads(proc.stdout)
     assert {"cli.load_config", "game.solve_stackelberg", "game.nash_equilibrium",
             "cli._write_json", "cli._write_manifest", "prerender.simulate_walk",
             "prerender.segment_regions", "prerender.encode_frame",
             "bench.run_policy.mdp", "bench.run_policy.random_opt", "bench.run_policy.none",
-            "bench.generate_workload"} <= spans
+            "bench.generate_workload"} <= calls.keys()
+    # the count perfbench/worker.py cross-checks, and one sweep set per price
+    config = load_config(None)
+    with counted_game_calls() as log:
+        solve_stackelberg_uncached(config.cloud, list(config.nodes), config.solver)
+    assert calls["game.nash_equilibrium"] == len(log["nash"]) == 328
+    assert calls["game.edge_best_response"] == sum(best_responses_per_price(log["nash"]).values())

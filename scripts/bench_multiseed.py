@@ -15,9 +15,8 @@ import numpy as np
 
 from renderopt.bench import (CostModel, RenderPolicy, WorkloadConfig, compare,
                              generate_workload, run_policy)
-from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig,
-                                 NoiseSchedule, TrainSettings, train)
-from renderopt.synthetic import PlantedConfig, build_training_set, make_population
+from renderopt.cli import _train_denoiser
+from renderopt.config import load_config
 
 POLICIES = ("proposed", "mdp", "random_opt", "none")
 
@@ -28,14 +27,10 @@ def main() -> None:
     parser.add_argument("--out", default="bench_multiseed.csv")
     args = parser.parse_args()
 
-    planted = PlantedConfig(n_users=256)
-    dataset, standardizer = build_training_set(make_population(planted, seed=101), planted)
-    schedule = NoiseSchedule()
-    settings = TrainSettings(learning_rate=0.003, batch_size=32, epochs=20, seed=0)
-    model = train(dataset, schedule, settings,
-                  model=AttentionGatedDenoiser(
-                      DenoiserConfig(feature_dim=6, cond_dim=4, d_model=64, heads=4),
-                      seed=0)).model
+    # bench-run's training settings on 256 users of population seed 101, seed 0
+    config = load_config(None)
+    result, standardizer = _train_denoiser(config, config.bench_train, 256, 101, 0)
+    model, schedule = result.model, config.schedule
     print("model trained; running workloads")
 
     cost = CostModel()

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion.data import DEFAULT_GROUPS, Standardizer
+from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .diffusion.schedule import NoiseSchedule
@@ -241,8 +241,7 @@ def _proposed_focus(scene: Scene, policy: RenderPolicy, cost: CostModel,
     m_hat_std = reconstruct_preferences(model, schedule, feats, scene.user_condition,
                                         policy.t_noise, policy.stride, noise)
     m_hat = standardizer.inverse(m_hat_std)
-    _, probs = interaction_probabilities(m_hat, scene.region_features,
-                                         DEFAULT_GROUPS.interaction)
+    _, probs = interaction_probabilities(m_hat, scene.region_features, INTERACTION_COLUMNS)
     k = max(1, int(round(q * len(probs))))
     focus = np.zeros(len(probs), dtype=bool)
     focus[np.argsort(-probs)[:k]] = True

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,7 +24,7 @@ from . import __version__
 from .bench import (POLICY_VARIANTS, generate_workload, run_policy, write_plot_data,
                     write_report_csv, write_summary_json)
 from .config import ExperimentConfig, load_config
-from .diffusion import (DEFAULT_GROUPS, AttentionGatedDenoiser, TrainSettings,
+from .diffusion import (INTERACTION_COLUMNS, AttentionGatedDenoiser, TrainSettings,
                         interaction_probabilities, load_checkpoint, save_checkpoint,
                         train, write_curve_csv)
 from .diffusion.sampling import reconstruct_preferences
@@ -133,8 +135,6 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         raise ConfigError("diffusion-infer: --users must be >= 1")
     with _path_from("--checkpoint", args.checkpoint, "read"):
         model, schedule, standardizer = load_checkpoint(args.checkpoint)
-    if standardizer is None:
-        raise ConfigError("checkpoint carries no standardizer statistics")
     sec = config.section("diffusion")
     planted = PlantedConfig(n_users=args.users, seq_len=sec["seq_len"])
     eval_users = make_population(planted, seed=seed + 1_000_003)
@@ -150,7 +150,7 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
             reconstruct_preferences(model, schedule, feats, user.condition,
                                     t_noise, stride, noise))
         idx, probs = interaction_probabilities(m_hat, user.item_features,
-                                               DEFAULT_GROUPS.interaction)
+                                               INTERACTION_COLUMNS)
         flags = user.interest_flags[idx]
         if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
             ranked_ok += 1
@@ -188,8 +188,6 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
         if args.checkpoint:
             with _path_from("--checkpoint", args.checkpoint, "read"):
                 model, schedule, standardizer = load_checkpoint(args.checkpoint)
-            if standardizer is None:
-                raise ConfigError("checkpoint carries no standardizer statistics")
         else:
             result, standardizer = _train_denoiser(
                 config, config.bench_train, config.section("bench")["train"]["users"],
@@ -243,34 +241,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
+    """One line per warning category, in order of first appearance: how many
+    warnings of that category the run raised, and the first one's message."""
+    by_category: dict[type, list[str]] = {}
+    for w in caught:
+        by_category.setdefault(w.category, []).append(str(w.message))
+    return [f"{category.__name__} x{len(messages)}: {messages[0]}"
+            for category, messages in by_category.items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created: list[Path] = []          # output directories this run made, deepest first
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
-        with _path_from("--config", args.config, "read"):
-            config = load_config(args.config)
-        seed = args.seed if args.seed is not None else config.seed
-        if args.out_dir is not None:
-            option, out_dir = "--out-dir", Path(args.out_dir)
-        else:
-            option, out_dir = "out_dir", Path(config.out_dir)
-        with _path_from(option, out_dir, "create directory"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-        started = datetime.now(timezone.utc).isoformat()
-        outputs = _COMMANDS[args.command](config, seed, out_dir, args)
-        _write_manifest(out_dir, config, args.command, seed, outputs, started)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
+            with _path_from("--config", args.config, "read"):
+                config = load_config(args.config)
+            seed = args.seed if args.seed is not None else config.seed
+            if args.out_dir is not None:
+                option, out_dir = "--out-dir", Path(args.out_dir)
+            else:
+                option, out_dir = "out_dir", Path(config.out_dir)
+            created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+            with _path_from(option, out_dir, "create directory"):
+                out_dir.mkdir(parents=True, exist_ok=True)
+            started = datetime.now(timezone.utc).isoformat()
+            outputs = _COMMANDS[args.command](config, seed, out_dir, args)
+            _write_manifest(out_dir, config, args.command, seed, outputs, started)
     except ConfigError as exc:
-        print(f"{args.command}: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"config error: {exc}"
     except NumericalError as exc:
-        print(f"{args.command}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+        code, message = EXIT_CONFIG, f"error: {exc}"
+    else:
+        for line in _warning_lines(caught):
+            print(f"{args.command}: warning: {line}", file=sys.stderr)
+        return EXIT_OK
+    # a failed run leaves no empty directory of its own making behind
+    for path in created:
+        with suppress(OSError):         # not empty, or never made
+            os.rmdir(path)
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """Versioned model checkpoints.
 
 Container format: a numpy .npz archive holding one entry per weight tensor
-(prefixed ``param.``), standardizer statistics, and a ``meta`` entry with a
-JSON header recording the format version, network shape, schedule parameters,
-and training step count. Tensors are stored as little-endian float64, so archives
+(prefixed ``param.``), the training split's standardizer statistics
+(``standardizer.mean`` and ``standardizer.std``, always present), and a
+``meta`` entry with a JSON header recording the format version, network shape,
+schedule parameters, and training step count. Tensors are stored as little-endian float64, so archives
 load identically across platforms.
 
 Loading checks the archive against its own header before building anything:
 every header key present with its JSON type, the network and schedule
 settings valid, exactly the ``param.`` tensors the header's network has, each
-with the shape that network implies, and every stored number finite. A failed
+with the shape that network implies, both standardizer tensors with one entry
+per feature and a positive ``std``, and every stored number finite. A failed
 check raises one ``ValueError`` naming the header key or tensor.
 """
 
@@ -40,7 +42,7 @@ _HEADER = {
 
 
 def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
-                    schedule: NoiseSchedule, standardizer: Standardizer | None = None) -> None:
+                    schedule: NoiseSchedule, standardizer: Standardizer) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -62,9 +64,8 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
         f"param.{k}": np.ascontiguousarray(v, dtype="<f8")
         for k, v in model.params.items()
     }
-    if standardizer is not None and standardizer.mean is not None:
-        arrays["standardizer.mean"] = np.ascontiguousarray(standardizer.mean, dtype="<f8")
-        arrays["standardizer.std"] = np.ascontiguousarray(standardizer.std, dtype="<f8")
+    arrays["standardizer.mean"] = np.ascontiguousarray(standardizer.mean, dtype="<f8")
+    arrays["standardizer.std"] = np.ascontiguousarray(standardizer.std, dtype="<f8")
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -164,15 +165,12 @@ def load_checkpoint(path: str | Path):
             raise ValueError(f"checkpoint tensor {key!r}: not a tensor of the header's network")
     params = {name: _tensor(entries, f"param.{name}", shape) for name, shape in shapes.items()}
 
-    standardizer = None
-    if "standardizer.mean" in entries or "standardizer.std" in entries:
-        features = (config.feature_dim,)
-        mean = _tensor(entries, "standardizer.mean", features)
-        std = _tensor(entries, "standardizer.std", features)
-        if not (std > 0).all():
-            raise ValueError("checkpoint tensor standardizer.std: holds a value <= 0")
-        standardizer = Standardizer(mean=mean, std=std)
+    features = (config.feature_dim,)
+    mean = _tensor(entries, "standardizer.mean", features)
+    std = _tensor(entries, "standardizer.std", features)
+    if not (std > 0).all():
+        raise ValueError("checkpoint tensor standardizer.std: holds a value <= 0")
 
     model = AttentionGatedDenoiser(config, params=params)
     model.step_count = meta["step_count"]
-    return model, schedule, standardizer
+    return model, schedule, Standardizer(mean=mean, std=std)

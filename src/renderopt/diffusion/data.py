@@ -1,108 +1,35 @@
-"""Data plane for the preference model: sequences, conditions, standardization."""
+"""Data plane for the preference model: column layout and standardization.
+
+A training set is two arrays: standardized behaviour sequences (N, L, F),
+one row per timestep, and device/network resource conditions (N, C).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-RESOURCE_FIELDS = ("cpu_load", "gpu_load", "battery_level", "bandwidth")
+# feature columns holding the interaction channels, which the readout pools
+INTERACTION_COLUMNS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
-class ColumnGroups:
-    """Partition of the feature columns into the three behaviour channels."""
-
-    interaction: tuple[int, ...]
-    latency: tuple[int, ...]
-    fluency: tuple[int, ...]
-
-    def validate(self, n_features: int) -> None:
-        all_cols = sorted(self.interaction + self.latency + self.fluency)
-        if all_cols != list(range(n_features)):
-            raise ValueError(
-                f"column groups {all_cols} do not partition {n_features} columns"
-            )
-
-
-DEFAULT_GROUPS = ColumnGroups(interaction=(0, 1, 2), latency=(3, 4), fluency=(5,))
-
-
-@dataclass
-class PreferenceSequence:
-    """Multi-variable behaviour history, one row per timestep."""
-
-    features: np.ndarray                     # (L, F)
-    groups: ColumnGroups = field(default=DEFAULT_GROUPS)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D (L, F), got {self.features.shape}")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite entries")
-        self.groups.validate(self.features.shape[1])
-
-    @property
-    def length(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass
-class ResourceConstraint:
-    """Device/network status vector conditioning the denoiser."""
-
-    values: np.ndarray                       # (4,): cpu, gpu, battery, bandwidth
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(RESOURCE_FIELDS),):
-            raise ValueError(
-                f"expected {len(RESOURCE_FIELDS)} resource entries, got {self.values.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("resource vector contains non-finite entries")
-
-    @property
-    def cpu_load(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def gpu_load(self) -> float:
-        return float(self.values[1])
-
-    @property
-    def battery_level(self) -> float:
-        return float(self.values[2])
-
-    @property
-    def bandwidth(self) -> float:
-        return float(self.values[3])
-
-
 class Standardizer:
     """Per-column zero-mean/unit-variance transform, frozen from a training split."""
 
-    def __init__(self, mean: np.ndarray | None = None, std: np.ndarray | None = None):
-        self.mean = mean
-        self.std = std
+    mean: np.ndarray                         # (F,)
+    std: np.ndarray                          # (F,), every entry > 0
 
-    def fit(self, matrices: list[np.ndarray]) -> "Standardizer":
-        stacked = np.concatenate([np.asarray(m, dtype=np.float64) for m in matrices], axis=0)
-        self.mean = stacked.mean(axis=0)
-        self.std = np.maximum(stacked.std(axis=0), 1e-9)
-        return self
+    @classmethod
+    def fit(cls, features: np.ndarray) -> "Standardizer":
+        """Statistics of every row of `features` (..., F), one per column."""
+        features = np.asarray(features, dtype=np.float64)
+        rows = features.reshape(-1, features.shape[-1])
+        return cls(mean=rows.mean(axis=0), std=np.maximum(rows.std(axis=0), 1e-9))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise ValueError("standardizer not fitted")
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
     def inverse(self, features: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise ValueError("standardizer not fitted")
         return np.asarray(features, dtype=np.float64) * self.std + self.mean

@@ -119,7 +119,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int, cache: dict):
+def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
+                       cache: dict | None):
     q = _linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = _linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = _linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
@@ -132,7 +133,8 @@ def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int, cac
     ctx = probs @ vh
     merged = _merge_heads(ctx)
     out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
+    if cache is not None:
+        cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
     return out
 
 
@@ -158,14 +160,14 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
     return dx
 
 
-def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict):
+def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None):
     pre = _linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     act, erf_term = _gelu(pre)
-    out = _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     # the erf term replaces `act` in the cache: the backward pass rebuilds act
     # from it with one product, and the cache stays the size it was
-    cache[prefix] = (x, pre, erf_term)
-    return out
+    if cache is not None:
+        cache[prefix] = (x, pre, erf_term)
+    return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict):
@@ -181,15 +183,19 @@ def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grad
     return dx
 
 
-def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int, cache: dict):
-    """Pre-norm transformer block: x + attn(LN(x)), then + mlp(LN(.))."""
+def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
+                   cache: dict | None):
+    """Pre-norm transformer block: x + attn(LN(x)), then + mlp(LN(.)).
+
+    Stores what the backward pass needs in `cache`; None keeps nothing alive.
+    """
     ln1, ctx1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    cache[f"{prefix}.ln1"] = ctx1
     h1 = x + _attention_forward(params, f"{prefix}.attn", ln1, heads, cache)
     ln2, ctx2 = _layernorm(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    cache[f"{prefix}.ln2"] = ctx2
-    out = h1 + _mlp_forward(params, f"{prefix}.mlp", ln2, cache)
-    return out
+    if cache is not None:
+        cache[f"{prefix}.ln1"] = ctx1
+        cache[f"{prefix}.ln2"] = ctx2
+    return h1 + _mlp_forward(params, f"{prefix}.mlp", ln2, cache)
 
 
 def _block_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
@@ -268,10 +274,11 @@ def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
 
 def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray,
             s: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """Predict the injected noise. m_t: (B, L, F); t: (B,); s: (B, C)."""
-    want_cache = cache is not None
-    if cache is None:
-        cache = {}
+    """Predict the injected noise. m_t: (B, L, F); t: (B,); s: (B, C).
+
+    Fills `cache` with what `loss_and_grads` needs; without one, each
+    intermediate is freed as soon as the next layer has used it.
+    """
     b, l, f = m_t.shape
     if l % 2 != 0 or l < 2:
         raise ValueError(f"sequence length must be even and >= 2, got {l}")
@@ -281,34 +288,33 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
         raise ValueError(f"condition shape {s.shape} != ({b}, {config.cond_dim})")
     heads = config.heads
 
-    x0 = _linear(m_t, params["in.w"], params["in.b"])
     sin_emb = timestep_embedding(t, config.d_model)
     temb = _linear(sin_emb, params["time.w"], params["time.b"])
     semb = _linear(s, params["cond.w"], params["cond.b"])
-    h = x0 + temb[:, None, :] + semb[:, None, :]
+    h = _linear(m_t, params["in.w"], params["in.b"]) + temb[:, None, :] + semb[:, None, :]
 
     enc = _block_forward(params, "enc", h, heads, cache)
     down = 0.5 * (enc[:, 0::2, :] + enc[:, 1::2, :])
-    bot = _block_forward(params, "bot", down, heads, cache)
-    up = np.repeat(bot, 2, axis=1)
+    up = np.repeat(_block_forward(params, "bot", down, heads, cache), 2, axis=1)
 
     gpre = up @ params["gate.wg"] + enc @ params["gate.wx"] + params["gate.b"]
     gact = np.tanh(gpre)
     zpsi = gact @ params["gate.psi"] + params["gate.bpsi"]
     alpha = 1.0 / (1.0 + np.exp(-zpsi))
-    gated = alpha * enc
+    cat = np.concatenate([up, alpha * enc], axis=-1)
+    if cache is not None:
+        cache.update(m_t=m_t, sin_emb=sin_emb, s=s, enc=enc, up=up, gact=gact,
+                     alpha=alpha, cat=cat)
+    del enc, up, gpre, gact              # the cache, if any, holds what backward needs
 
-    cat = np.concatenate([up, gated], axis=-1)
     mrg = _linear(cat, params["merge.w"], params["merge.b"])
+    del cat
     dln, dctx = _layernorm(mrg, params["dec.ln.g"], params["dec.ln.b"])
     dec = mrg + _mlp_forward(params, "dec.mlp", dln, cache)
-    out = _linear(dec, params["out.w"], params["out.b"])
-
-    if want_cache:
-        cache.update(m_t=m_t, sin_emb=sin_emb, s=s, enc=enc, up=up, gact=gact,
-                     alpha=alpha, gated=gated, cat=cat, dec=dec)
+    if cache is not None:
+        cache["dec"] = dec
         cache["dec.ln"] = dctx
-    return out
+    return _linear(dec, params["out.w"], params["out.b"])
 
 
 def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import expit
 
 from .denoiser import AttentionGatedDenoiser
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, forward_diffuse
 
 
 def _reverse_step(model: AttentionGatedDenoiser, x: np.ndarray, t: int, t_next: int,
@@ -63,8 +63,7 @@ def reconstruct_preferences(model: AttentionGatedDenoiser, schedule: NoiseSchedu
     This is the online path: the perturbation explores preference shifts and
     the conditional reverse process settles them under the resource vector.
     """
-    ab = schedule.signal_level(t_noise)
-    m_t = np.sqrt(ab) * features_std + np.sqrt(1.0 - ab) * noise
+    m_t = forward_diffuse(features_std, t_noise, schedule, noise)
     return skip_step_infer(model, m_t, condition, schedule, stride, t_start=t_noise)
 
 

@@ -48,32 +48,20 @@ class NoiseSchedule:
         return float(self.alpha_bar[t - 1])
 
 
-def forward_diffuse(features: np.ndarray, t: int, schedule: NoiseSchedule,
+def forward_diffuse(features: np.ndarray, t, schedule: NoiseSchedule,
                     noise: np.ndarray) -> np.ndarray:
     """Closed-form marginal of t perturbation steps applied at once.
 
-    Returns sqrt(alpha_bar_t) * features + sqrt(1 - alpha_bar_t) * noise.
+    Returns sqrt(alpha_bar_t) * features + sqrt(1 - alpha_bar_t) * noise. `t`
+    is one step for all of `features`, or an array of per-sample steps
+    indexing its leading axes (one per sequence of a (B, L, F) batch).
     """
     features = np.asarray(features, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != features.shape:
         raise ValueError(f"noise shape {noise.shape} != features shape {features.shape}")
-    if not 1 <= t <= schedule.steps:
+    t = np.asarray(t)
+    if not (1 <= t.min() and t.max() <= schedule.steps):
         raise ValueError(f"step {t} outside [1, {schedule.steps}]")
-    ab = schedule.signal_level(t)
+    ab = schedule.alpha_bar[t - 1].reshape(t.shape + (1,) * (features.ndim - t.ndim))
     return np.sqrt(ab) * features + np.sqrt(1.0 - ab) * noise
-
-
-def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Literal step-by-step perturbation chain, used to validate the marginal.
-
-    Applies x <- sqrt(1 - beta_s) x + sqrt(beta_s) eps_s for s = 1..t.
-    """
-    x = np.asarray(features, dtype=np.float64).copy()
-    if not 1 <= t <= schedule.steps:
-        raise ValueError(f"step {t} outside [1, {schedule.steps}]")
-    for s in range(t):
-        beta = schedule.betas[s]
-        x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.standard_normal(x.shape)
-    return x

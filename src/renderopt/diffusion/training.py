@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NumericalError, check
-from .data import PreferenceSequence, ResourceConstraint
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, forward_diffuse
 
 
 @dataclass(frozen=True)
@@ -74,34 +73,28 @@ class TrainResult:
     stopped_early: bool
 
 
-def _stack_dataset(dataset: list[tuple[PreferenceSequence, ResourceConstraint]]):
-    m = np.stack([seq.features for seq, _ in dataset])
-    s = np.stack([cond.values for _, cond in dataset])
-    return m, s
-
-
 def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
                t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule) -> float:
-    pred = model.predict(forward_diffuse_batch(m, t, schedule, noise), t, s)
+    pred = model.predict(forward_diffuse(m, t, schedule, noise), t, s)
     return float(np.mean((pred - noise) ** 2))
 
 
-def train(dataset: list[tuple[PreferenceSequence, ResourceConstraint]],
-          schedule: NoiseSchedule, settings: TrainSettings,
-          model: AttentionGatedDenoiser | None = None,
+def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
+          settings: TrainSettings, model: AttentionGatedDenoiser,
           n_time_buckets: int = 7) -> TrainResult:
-    """Train the denoiser to predict injected noise.
+    """Train `model` in place to predict injected noise.
 
-    Per batch: draw timesteps uniformly, draw Gaussian noise, perturb with the
-    closed-form marginal, and minimize MSE between the drawn and predicted
-    noise. Validation uses timestep/noise draws fixed once up front so its
+    `dataset` is the pair (standardized sequences (N, L, F), conditions
+    (N, C)) that `synthetic.build_training_set` returns. Per batch: draw
+    timesteps uniformly, draw Gaussian noise, perturb with the closed-form
+    marginal, and minimize MSE between the drawn and predicted noise. Validation uses timestep/noise draws fixed once up front so its
     loss is comparable across epochs; training stops when it fails to improve
     for `patience` epochs. Fully deterministic for a given settings.seed.
     """
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
-    m_all, s_all = _stack_dataset(dataset)
+    m_all, s_all = dataset
     n = m_all.shape[0]
+    if n == 0:
+        raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(settings.seed)
 
     n_val = int(round(settings.val_fraction * n))
@@ -112,12 +105,6 @@ def train(dataset: list[tuple[PreferenceSequence, ResourceConstraint]],
     m_tr, s_tr = m_all[train_idx], s_all[train_idx]
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 
-    if model is None:
-        from .denoiser import DenoiserConfig
-        model = AttentionGatedDenoiser(
-            DenoiserConfig(feature_dim=m_all.shape[2], cond_dim=s_all.shape[1]),
-            seed=settings.seed,
-        )
     opt = Adam(model.params, settings.learning_rate)
 
     # fixed evaluation draws (validation and the epoch-0 reference on train)
@@ -152,7 +139,7 @@ def train(dataset: list[tuple[PreferenceSequence, ResourceConstraint]],
             mb, sb = m_tr[idx], s_tr[idx]
             tb = rng.integers(1, schedule.steps + 1, size=len(idx))
             noise = rng.standard_normal(mb.shape)
-            m_t = forward_diffuse_batch(mb, tb, schedule, noise)
+            m_t = forward_diffuse(mb, tb, schedule, noise)
             loss, grads = loss_and_grads(model.params, model.config, m_t,
                                          tb.astype(np.float64), sb, noise)
             if not math.isfinite(loss):
@@ -200,12 +187,5 @@ def write_curve_csv(history: list[EpochStats], path: str | Path) -> None:
             writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss)])
 
 
-def forward_diffuse_batch(m: np.ndarray, t: np.ndarray, schedule: NoiseSchedule,
-                          noise: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form perturbation for a batch with per-sample steps."""
-    ab = schedule.alpha_bar[np.asarray(t) - 1][:, None, None]
-    return np.sqrt(ab) * m + np.sqrt(1.0 - ab) * noise
-
-
 __all__ = ["TrainSettings", "Adam", "EpochStats", "TrainResult", "train",
-           "write_curve_csv", "forward_diffuse_batch"]
+           "write_curve_csv"]

@@ -159,6 +159,13 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
     c = a + _INVPHI2 * h
     dd = a + _INVPHI * h
     yc, yd = u(c), u(dd)
+    # u overflows to -inf only on a tail of the bracket, past the optimum:
+    # shrink from the right until the right probe is finite
+    while yd == -math.inf:
+        b, dd, yd = dd, c, yc
+        h *= _INVPHI
+        c = a + _INVPHI2 * h
+        yc = u(c)
     for _ in range(n):
         if yc > yd:
             b, dd, yd = dd, c, yc

@@ -10,12 +10,11 @@ predict the flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion.data import (DEFAULT_GROUPS, ColumnGroups, PreferenceSequence,
-                             ResourceConstraint, Standardizer)
+from .diffusion.data import Standardizer
 
 LATENT_DIM = 3
 # population-level taste drift; gives popularity priors partial signal
@@ -31,7 +30,6 @@ class PlantedConfig:
     interest_fraction: float = 0.3
     interaction_noise: float = 0.5
     channel_noise: float = 0.6
-    groups: ColumnGroups = field(default=DEFAULT_GROUPS)
 
     def __post_init__(self):
         if self.n_features != 6:
@@ -91,14 +89,13 @@ def make_population(cfg: PlantedConfig, seed: int) -> list[PlantedUser]:
     return [make_user(cfg, rng) for _ in range(cfg.n_users)]
 
 
-def build_training_set(users: list[PlantedUser], cfg: PlantedConfig,
-                       standardizer: Standardizer | None = None):
-    """Standardized (sequence, condition) pairs plus the frozen statistics."""
-    if standardizer is None:
-        standardizer = Standardizer().fit([u.sequence_raw for u in users])
-    dataset = [
-        (PreferenceSequence(standardizer.transform(u.sequence_raw), groups=cfg.groups),
-         ResourceConstraint(u.condition))
-        for u in users
-    ]
-    return dataset, standardizer
+def build_training_set(users: list[PlantedUser], cfg: PlantedConfig):
+    """((standardized sequences (N, L, F), conditions (N, C)), standardizer).
+
+    The standardizer is fitted on these users' sequences; `cfg` is the config
+    they were drawn with.
+    """
+    raw = np.stack([u.sequence_raw for u in users])
+    standardizer = Standardizer.fit(raw)
+    conditions = np.stack([u.condition for u in users])
+    return (standardizer.transform(raw), conditions), standardizer

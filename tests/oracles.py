@@ -15,6 +15,9 @@ point.
 
 For the benchmark's `mdp` policy: the region-hop MDP built as a full
 transition tensor and solved by value iteration.
+
+For the diffusion forward process: the literal step-by-step perturbation
+chain whose marginal `schedule.forward_diffuse` gives in closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from renderopt import bench, game
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility)
+from renderopt.diffusion.schedule import NoiseSchedule
 from renderopt.prerender import Coord, GridWorld
 
 
@@ -313,3 +317,15 @@ def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,
                      - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
     _, actions, _ = bench.value_iteration(transitions, rewards, policy.mdp_discount)
     return actions.astype(bool)
+
+
+def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Apply x <- sqrt(1 - beta_s) x + sqrt(beta_s) eps_s for s = 1..t."""
+    x = np.asarray(features, dtype=np.float64).copy()
+    if not 1 <= t <= schedule.steps:
+        raise ValueError(f"step {t} outside [1, {schedule.steps}]")
+    for s in range(t):
+        beta = schedule.betas[s]
+        x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.standard_normal(x.shape)
+    return x

@@ -63,16 +63,6 @@ def test_shape_header_mismatch_rejected(smoke_trained, tmp_path):
         load_checkpoint(bad)
 
 
-def test_schedule_only_checkpoint_has_no_standardizer(smoke_trained, tmp_path):
-    result, _, _ = smoke_trained
-    path = tmp_path / "bare.npz"
-    save_checkpoint(path, result.model, NoiseSchedule(steps=50, beta_start=0.001,
-                                                      beta_end=0.1))
-    _, schedule, standardizer = load_checkpoint(path)
-    assert schedule.steps == 50
-    assert standardizer is None
-
-
 # --- load-time validation on a tiny checkpoint -----------------------------
 
 TINY = DenoiserConfig(d_model=8, heads=2)
@@ -145,6 +135,10 @@ def _drop_tensor(key):
     return edit
 
 
+def _drop_standardizer(arrays, meta):
+    del arrays["standardizer.mean"], arrays["standardizer.std"]
+
+
 CORRUPTIONS = [
     ("missing-tensor", _drop_tensor("param.enc.mlp.w2"), "checkpoint tensor param.enc.mlp.w2: missing"),
     ("extra-tensor", _extra_tensor, "checkpoint tensor 'param.enc.mlp.w3': not a tensor"),
@@ -182,6 +176,7 @@ CORRUPTIONS = [
      "checkpoint tensor standardizer.std: holds a value <= 0"),
     ("half-standardizer", _drop_tensor("standardizer.std"),
      "checkpoint tensor standardizer.std: missing"),
+    ("no-standardizer", _drop_standardizer, "checkpoint tensor standardizer.mean: missing"),
     ("integer-tensor", lambda arrays, meta: arrays.update({"param.out.b": np.zeros(6, int)}),
      "checkpoint tensor param.out.b: not a floating-point array"),
 ]
@@ -246,6 +241,21 @@ def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"{command}: error: checkpoint tensor param.enc.mlp.w2: missing\n"
+
+
+@pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
+def test_cli_rejects_checkpoint_without_standardizer(tmp_path, capsys, command):
+    arrays, meta = _tiny_archive()
+    _drop_standardizer(arrays, meta)
+    path = tmp_path / "model.npz"
+    path.write_bytes(_pack(arrays, meta).getvalue())
+    argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
+    if command == "bench-run":
+        argv += ["--policies", "proposed,none"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"{command}: error: checkpoint tensor standardizer.mean: missing\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _header_paths(meta: dict, prefix: str = "") -> list[str]:

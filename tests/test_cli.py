@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from renderopt.config import DEFAULTS
 from renderopt.diffusion import load_checkpoint
 from renderopt.prerender import save_trace
 
@@ -30,6 +35,15 @@ def _write_config(tmp_path, payload, name="config.json"):
 
 def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def _run_cli(*argv, timeout=60):
+    """`python -m renderopt.cli argv` in a fresh interpreter, so warnings reach
+    stderr as they would for a user."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
 
 
 class TestGameSolve:
@@ -63,6 +77,22 @@ class TestGameSolve:
         assert main(argv) == EXIT_OK
         got = hashlib.sha256((out / "equilibrium.json").read_bytes()).hexdigest()
         assert got == self.UNCACHED_DIGEST
+
+    def test_huge_demand_cap_solves(self, tmp_path):
+        nodes = [dict(n) for n in DEFAULTS["game"]["nodes"]]
+        nodes[0]["demand_max"] = 1e308
+        cfg = _write_config(tmp_path, {"game": {"nodes": nodes}})
+        proc = _run_cli("game-solve", "--config", cfg, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads((tmp_path / "out" / "equilibrium.json").read_text())["converged"]
+
+    def test_convergence_warnings_reported_in_one_line(self, tmp_path):
+        cfg = _write_config(tmp_path, {"game": {"solver": {"br_max_iters": 1}}})
+        proc = _run_cli("game-solve", "--config", cfg, "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("game-solve: warning: ConvergenceWarning x")
+        assert "follower game did not converge at price" in proc.stderr
 
 
 class TestPrerenderSim:
@@ -265,6 +295,23 @@ class TestErrorPaths:
         assert main(["game-solve", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == ("game-solve: config error: out_dir: cannot create "
                                            "directory 'afile': File exists\n")
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        code = main(["prerender-sim", "--trace", "adir", "--out-dir", "o2/sub"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
+    def test_failed_run_keeps_a_directory_that_existed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "o2").mkdir()
+        assert main(["prerender-sim", "--trace", "adir", "--out-dir", "o2/sub"]) == EXIT_CONFIG
+        assert main(["prerender-sim", "--trace", "adir", "--out-dir", "adir"]) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "o2"]
+        assert not any((tmp_path / "o2").iterdir())
 
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
-"""Noise-predictor network: shapes, determinism, and gradient correctness."""
+"""Noise-predictor network: shapes, determinism, gradient correctness, memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,3 +121,31 @@ def test_timestep_embedding_shape_and_bounds():
     assert emb.shape == (3, 16)
     assert np.all(np.abs(emb) <= 1.0)
     assert not np.array_equal(emb[0], emb[1])
+
+
+class TestUncachedMemory:
+    # tracemalloc peak of an uncached 800-sequence predict at the default width
+    # when forward kept every block's intermediates alive until it returned
+    PEAK_KEEPING_INTERMEDIATES_MIB = 247.15
+
+    @staticmethod
+    def _batch():
+        rng = np.random.default_rng(0)
+        return (AttentionGatedDenoiser(DenoiserConfig(), seed=0),
+                rng.standard_normal((800, 16, 6)), rng.standard_normal((800, 4)))
+
+    def test_uncached_output_equals_cached(self):
+        model, m_t, s = self._batch()
+        t = np.full(800, 140.0)
+        uncached = forward(model.params, model.config, m_t, t, s)
+        assert np.array_equal(uncached, forward(model.params, model.config, m_t, t, s, {}))
+
+    def test_uncached_peak_at_most_half(self):
+        model, m_t, s = self._batch()
+        tracemalloc.start()
+        try:
+            model.predict(m_t, 140.0, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= 0.5 * self.PEAK_KEEPING_INTERMEDIATES_MIB

@@ -72,6 +72,14 @@ class TestBestResponse:
         want = br_grid(n, 2.0, 0.5, 10.0, resolution=1e-5)
         assert got == pytest.approx(want, abs=2e-5)
 
+    def test_huge_demand_cap_matches_a_small_one(self):
+        # at demand_max 1e308 the utility overflows to -inf at both first probes
+        got = edge_best_response(node(alpha=2.0, beta=0.5, demand_max=1e308), 1.0, 0.5,
+                                 SETTINGS, 8.0)
+        want = edge_best_response(node(alpha=2.0, beta=0.5), 1.0, 0.5, SETTINGS, 8.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, abs=SETTINGS.br_tolerance)
+
 
 class TestNashEquilibrium:
     def test_single_node_reduces_to_best_response(self):

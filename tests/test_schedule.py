@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from renderopt.diffusion import NoiseSchedule, forward_diffuse, stepwise_perturb
+from oracles import stepwise_perturb
+from renderopt.diffusion import NoiseSchedule, forward_diffuse
 
 
 class TestScheduleInvariants:
@@ -89,6 +90,20 @@ class TestForwardDiffuse:
             forward_diffuse(np.zeros(3), 0, s, np.zeros(3))
         with pytest.raises(ValueError):
             forward_diffuse(np.zeros(3), 701, s, np.zeros(3))
+
+    def test_per_sample_steps_match_one_call_per_sample(self):
+        s = NoiseSchedule()
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 16, 6))
+        noise = rng.standard_normal(m.shape)
+        t = np.array([1, 140, 350, 699, 700])
+        batch = forward_diffuse(m, t, s, noise)
+        for i, step in enumerate(t):
+            assert np.array_equal(batch[i], forward_diffuse(m[i], int(step), s, noise[i]))
+            ab = s.alpha_bar[step - 1]
+            assert np.array_equal(batch[i], np.sqrt(ab) * m[i] + np.sqrt(1.0 - ab) * noise[i])
+        with pytest.raises(ValueError):
+            forward_diffuse(m, np.array([1, 2, 3, 4, 701]), s, noise)
 
 
 def test_stepwise_chain_matches_closed_form_marginal():

@@ -36,11 +36,15 @@ def test_interest_fraction_is_exact_top_k():
 def test_training_set_is_column_standardized():
     cfg = PlantedConfig(n_users=128)
     users = make_population(cfg, seed=5)
-    dataset, standardizer = build_training_set(users, cfg)
-    stacked = np.concatenate([seq.features for seq, _ in dataset], axis=0)
+    (features, conditions), standardizer = build_training_set(users, cfg)
+    assert features.shape == (128, cfg.seq_len, 6)
+    stacked = features.reshape(-1, 6)
     assert np.allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(stacked.std(axis=0), 1.0, atol=1e-6)
     assert standardizer.mean.shape == (6,)
+    assert np.array_equal(conditions, np.stack([u.condition for u in users]))
+    for user, row in zip(users, features):
+        assert np.array_equal(row, standardizer.transform(user.sequence_raw))
 
 
 def test_items_live_in_latent_space():

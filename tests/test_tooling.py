@@ -1,14 +1,28 @@
 """The benchmark's span tracer wraps package names; keep them where it looks."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
 from renderopt.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_help_exits_zero(script):
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def test_tracer_installs_and_records_spans(tmp_path):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig,
-                                 NoiseSchedule, PreferenceSequence,
-                                 ResourceConstraint, TrainSettings, train,
-                                 write_curve_csv)
+                                 NoiseSchedule, TrainSettings, train, write_curve_csv)
 from renderopt.diffusion.denoiser import forward, loss_and_grads
 from renderopt.errors import NumericalError
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
@@ -84,8 +82,9 @@ class TestSmokeTraining:
 
 class TestTrainMechanics:
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            train([], NoiseSchedule(), TrainSettings())
+        empty = (np.zeros((0, 16, 6)), np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            train(empty, NoiseSchedule(), TrainSettings(), AttentionGatedDenoiser(TINY))
 
     def test_deterministic_given_seed(self):
         dataset = _tiny_dataset()
@@ -123,26 +122,3 @@ class TestTrainMechanics:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == len(result.history) + 1
 
-
-class TestDataTypes:
-    def test_sequence_validation(self):
-        with pytest.raises(ValueError):
-            PreferenceSequence(np.full((4, 6), np.nan))
-        with pytest.raises(ValueError):
-            PreferenceSequence(np.zeros(4))
-
-    def test_resource_validation(self):
-        with pytest.raises(ValueError):
-            ResourceConstraint(np.zeros(3))
-        rc = ResourceConstraint(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert rc.cpu_load == pytest.approx(0.1)
-        assert rc.bandwidth == pytest.approx(0.4)
-
-    def test_column_groups_must_partition(self):
-        from renderopt.diffusion import ColumnGroups
-        bad = ColumnGroups(interaction=(0, 1), latency=(1, 2), fluency=(3,))
-        with pytest.raises(ValueError):
-            PreferenceSequence(np.zeros((4, 4)), groups=bad)
-        gap = ColumnGroups(interaction=(0,), latency=(2,), fluency=(3,))
-        with pytest.raises(ValueError):
-            PreferenceSequence(np.zeros((4, 4)), groups=gap)

@@ -1,18 +1,18 @@
 """Versioned model checkpoints.
 
-Container format: a numpy .npz archive holding one entry per weight tensor
-(prefixed ``param.``), the training split's standardizer statistics
-(``standardizer.mean`` and ``standardizer.std``, always present), and a
-``meta`` entry with a JSON header recording the format version, network shape,
-schedule parameters, and training step count. Tensors are stored as little-endian float64, so archives
-load identically across platforms.
+Container format 2: a numpy .npz archive of exactly four entries. ``meta`` is
+a JSON header: format version, ``DenoiserConfig`` and ``NoiseSchedule`` fields,
+training step count. ``params`` is every weight tensor raveled into one vector,
+in the network's own layout order (``param_shapes``). ``standardizer.mean`` and
+``standardizer.std`` hold the training split's statistics. Tensors are stored
+as little-endian float64, so archives load identically across platforms.
 
 Loading checks the archive against its own header before building anything:
-every header key present with its JSON type, the network and schedule
-settings valid, exactly the ``param.`` tensors the header's network has, each
-with the shape that network implies, both standardizer tensors with one entry
-per feature and a positive ``std``, and every stored number finite. A failed
-check raises one ``ValueError`` naming the header key or tensor.
+no entry other than those four, every header key present with its JSON type,
+the network and schedule settings valid, a ``params`` vector exactly as long
+as that network's tensors, both standardizer tensors with one entry per
+feature and a positive ``std``, and every stored number finite. A failed
+check raises one ``ValueError`` naming the entry or header key.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import zipfile
+from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +30,23 @@ from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_shapes
 from .schedule import NoiseSchedule
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
 
 _INT, _NUMBER = "an integer", "a finite number"
+
+
+def _fields(cls) -> dict:
+    """The JSON type of each field of a dataclass the header rebuilds."""
+    return {f.name: _INT if f.type in (int, "int") else _NUMBER for f in fields(cls)}
+
+
 # every header key with its JSON type; nested objects are nested dicts
 _HEADER = {
     "format_version": _INT,
-    "config": {k: _INT for k in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio")},
-    "schedule": {"steps": _INT, "beta_start": _NUMBER, "beta_end": _NUMBER},
+    "config": _fields(DenoiserConfig),
+    "schedule": _fields(NoiseSchedule),
     "step_count": _INT,
-    "shapes": {},
 }
 
 
@@ -45,34 +54,20 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
                     schedule: NoiseSchedule, standardizer: Standardizer) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "feature_dim": model.config.feature_dim,
-            "cond_dim": model.config.cond_dim,
-            "d_model": model.config.d_model,
-            "heads": model.config.heads,
-            "mlp_ratio": model.config.mlp_ratio,
-        },
-        "schedule": {
-            "steps": schedule.steps,
-            "beta_start": schedule.beta_start,
-            "beta_end": schedule.beta_end,
-        },
+        "config": asdict(model.config),
+        "schedule": asdict(schedule),
         "step_count": model.step_count,
-        "shapes": {k: list(v.shape) for k, v in model.params.items()},
     }
-    arrays: dict[str, np.ndarray] = {
-        f"param.{k}": np.ascontiguousarray(v, dtype="<f8")
-        for k, v in model.params.items()
-    }
-    arrays["standardizer.mean"] = np.ascontiguousarray(standardizer.mean, dtype="<f8")
-    arrays["standardizer.std"] = np.ascontiguousarray(standardizer.std, dtype="<f8")
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+             params=np.concatenate([np.ravel(model.params[name])
+                                    for name in param_shapes(model.config)], dtype="<f8"),
+             **{"standardizer.mean": np.ascontiguousarray(standardizer.mean, dtype="<f8"),
+                "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
 
 
 def _check_header(node, schema: dict, where: str = "") -> None:
     """Raise ValueError naming the first key of `schema` that `node` lacks or
-    holds with the wrong JSON type (an empty schema takes any object)."""
+    holds with the wrong JSON type."""
     if not isinstance(node, dict):
         raise ValueError(f"checkpoint header {where or 'root'}: must be an object, got {node!r}")
     for key, kind in schema.items():
@@ -90,14 +85,14 @@ def _check_header(node, schema: dict, where: str = "") -> None:
             raise ValueError(f"checkpoint header {path}: must be {kind}, got {value!r}")
 
 
-def _build(cls, fields: dict, where: str):
-    """`cls(**fields)`, rejecting keys outside the header schema and prefixing
+def _build(cls, values: dict, where: str):
+    """`cls(**values)`, rejecting keys outside the header schema and prefixing
     the class's ValueError with the header key path."""
-    unknown = sorted(fields.keys() - _HEADER[where].keys())
+    unknown = sorted(values.keys() - _HEADER[where].keys())
     if unknown:
         raise ValueError(f"checkpoint header {where}: unknown key {unknown[0]!r}")
     try:
-        return cls(**fields)
+        return cls(**values)
     except ValueError as exc:
         raise ValueError(f"checkpoint header {where}.{exc}") from None
 
@@ -120,7 +115,7 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 def load_checkpoint(path: str | Path):
     """Returns (model, schedule, standardizer).
 
-    Raises ValueError, naming the header key or tensor, for an archive that
+    Raises ValueError, naming the entry or header key, for an archive that
     does not match its own header (see the module docstring).
     """
     try:
@@ -134,15 +129,23 @@ def load_checkpoint(path: str | Path):
 
     if "meta" not in entries:
         raise ValueError("checkpoint has no meta header")
+    raw = entries["meta"]
+    not_json = "checkpoint header: not UTF-8 JSON bytes"
+    # not bytes(raw): for a 0-d integer array that allocates as many bytes as its value
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise ValueError(not_json)
     try:
-        meta = json.loads(bytes(entries["meta"]).decode())
+        meta = json.loads(raw.tobytes().decode())
     except (ValueError, RecursionError):
-        raise ValueError("checkpoint header: not UTF-8 JSON") from None
+        raise ValueError(not_json) from None
     _check_header(meta, {"format_version": _INT})
     if meta["format_version"] != FORMAT_VERSION:
         raise ValueError(
             f"checkpoint format {meta['format_version']} != supported {FORMAT_VERSION}"
         )
+    unknown = sorted(entries.keys() - set(ENTRIES))
+    if unknown:
+        raise ValueError(f"checkpoint entry {unknown[0]!r}: not one of {', '.join(ENTRIES)}")
     _check_header(meta, _HEADER)
     config = _build(DenoiserConfig, meta["config"], "config")
     schedule = _build(NoiseSchedule, meta["schedule"], "schedule")
@@ -150,20 +153,12 @@ def load_checkpoint(path: str | Path):
         raise ValueError(f"checkpoint header step_count: must be an integer >= 0, "
                          f"got {meta['step_count']}")
 
-    shapes = param_shapes(config)
-    unknown = sorted(meta["shapes"].keys() - shapes.keys())
-    if unknown:
-        raise ValueError(f"checkpoint header shapes: unknown tensor {unknown[0]!r}")
-    for name, shape in shapes.items():
-        if name not in meta["shapes"]:
-            raise ValueError(f"checkpoint header: missing key shapes.{name}")
-        if meta["shapes"][name] != list(shape):
-            raise ValueError(f"checkpoint header shapes.{name}: must be {list(shape)}, "
-                             f"got {meta['shapes'][name]!r}")
-    for key in sorted(entries):
-        if key.startswith("param.") and key[len("param."):] not in shapes:
-            raise ValueError(f"checkpoint tensor {key!r}: not a tensor of the header's network")
-    params = {name: _tensor(entries, f"param.{name}", shape) for name, shape in shapes.items()}
+    layout = param_shapes(config)
+    sizes = [math.prod(shape) for shape in layout.values()]
+    flat = _tensor(entries, "params", (sum(sizes),))
+    # views into `flat`, one per tensor in layout order
+    params = {name: part.reshape(shape) for (name, shape), part
+              in zip(layout.items(), np.split(flat, list(accumulate(sizes))[:-1]))}
 
     features = (config.feature_dim,)
     mean = _tensor(entries, "standardizer.mean", features)

@@ -16,6 +16,7 @@ import csv
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -146,22 +147,22 @@ def neighbors(world: GridWorld, point: Coord) -> list[Coord]:
     return out
 
 
-def _axis_tiles(length: int, k: int) -> tuple[list[int], list[int]]:
-    """Along one axis: the tile whose center is nearest to each coordinate
-    (the lower tile on a tie), and each tile's center coordinate.
+def _nearest_tile(pos: int, length: int, k: int) -> tuple[int, int]:
+    """Along one axis: the tile whose center is nearest to `pos` (the lower
+    tile on a tie), and that center.
 
-    Tiles are k wide from 0; a partial last tile uses its median point. A
-    coordinate's own tile center is at most (k-1)/2 away, a center two tiles
-    off at least k+1, so only the own tile and its two neighbours can win.
+    Tiles are k wide from 0; a partial last tile uses its median point. The
+    own tile's center is at most (k-1)/2 away and the previous tile's at
+    least (k+1)/2, so only the next tile can win instead: a short last one.
     """
-    starts = np.arange(0, length, k)
-    centers = starts + (np.minimum(k, length - starts) - 1) // 2
-    pos = np.arange(length)
-    # own tile -1, +0, +1, clipped to the axis: non-decreasing down each column
-    candidates = np.clip(pos // k + np.array([[-1], [0], [1]]), 0, len(centers) - 1)
-    nearest = np.argmin(np.abs(centers[candidates] - pos), axis=0)   # first: lower tile
-    best = candidates[nearest, pos]
-    return best.tolist(), centers.tolist()
+    tile = pos // k
+    start = tile * k
+    center = start + (min(k, length - start) - 1) // 2
+    if pos > center and start + k < length:
+        nxt = start + k + (min(k, length - start - k) - 1) // 2
+        if nxt - pos < pos - center:
+            return tile + 1, nxt
+    return tile, center
 
 
 class RegionMap(Mapping):
@@ -171,21 +172,21 @@ class RegionMap(Mapping):
     grid raise KeyError. Manhattan distance is a sum of per-axis distances
     and region ids are row-major over the tile grid, so the nearest center
     with the lowest id is the per-axis nearest tile column and tile row:
-    the map stores one tile per column and one per row.
+    each lookup is O(1) and the map stores no per-point or per-tile data.
     """
 
     def __init__(self, world: GridWorld):
         self._width, self._height = world.width, world.height
-        self._col_tile, self._center_x = _axis_tiles(world.width, world.region_side)
-        self._row_tile, self._center_y = _axis_tiles(world.height, world.region_side)
-        self._tiles_per_row = len(self._center_x)
+        self._side = world.region_side
+        self._tiles_per_row = -(-world.width // world.region_side)
 
     def __getitem__(self, point: Coord) -> tuple[int, Coord]:
         try:
-            x, y = point
+            x, y = map(index, point)
             if 0 <= x < self._width and 0 <= y < self._height:
-                tx, ty = self._col_tile[x], self._row_tile[y]
-                return ty * self._tiles_per_row + tx, (self._center_x[tx], self._center_y[ty])
+                tx, cx = _nearest_tile(x, self._width, self._side)
+                ty, cy = _nearest_tile(y, self._height, self._side)
+                return ty * self._tiles_per_row + tx, (cx, cy)
         except (TypeError, ValueError):
             pass
         raise KeyError(point)
@@ -204,7 +205,7 @@ def segment_regions(world: GridWorld) -> RegionMap:
     tiles use their median point); each point is assigned to its nearest
     center under Manhattan distance with ties broken toward the lower region
     id, so border points next to a small partial tile join the closer region.
-    Costs O(width + height); see `RegionMap`.
+    Costs O(1); see `RegionMap`.
     """
     return RegionMap(world)
 

@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from renderopt.cli import EXIT_CONFIG, main
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
-from renderopt.diffusion.checkpoint import FORMAT_VERSION
+from renderopt.diffusion.checkpoint import ENTRIES, FORMAT_VERSION
 from renderopt.diffusion.denoiser import param_shapes
 
 
@@ -56,11 +57,26 @@ def test_shape_header_mismatch_rejected(smoke_trained, tmp_path):
     save_checkpoint(path, result.model, schedule, standardizer)
     with np.load(path) as archive:
         arrays = {k: archive[k] for k in archive.files}
-    arrays["param.out.b"] = np.zeros(7)
+    arrays["params"] = np.append(arrays["params"], 0.0)
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(bad)
+
+
+def test_archive_holds_exactly_four_entries(smoke_trained, tmp_path):
+    result, schedule, standardizer = smoke_trained
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, result.model, schedule, standardizer)
+    with np.load(path) as archive:
+        assert archive.files == list(ENTRIES)
+        meta = json.loads(bytes(archive["meta"]).decode())
+        params = archive["params"]
+    assert set(meta) == {"format_version", "config", "schedule", "step_count"}
+    assert params.dtype == np.dtype("<f8") and params.ndim == 1
+    expected = np.concatenate([result.model.params[k].ravel()
+                               for k in param_shapes(result.model.config)])
+    assert np.array_equal(params, expected)
 
 
 # --- load-time validation on a tiny checkpoint -----------------------------
@@ -87,21 +103,30 @@ def _pack(arrays: dict, meta) -> io.BytesIO:
     return buf
 
 
+def _size(config: DenoiserConfig) -> int:
+    return sum(int(np.prod(shape)) for shape in param_shapes(config).values())
+
+
+TINY_SIZE = _size(TINY)
+WIDE_SIZE = _size(DenoiserConfig(d_model=16, heads=2))
+
+
 def _extra_tensor(arrays, meta):
     arrays["param.enc.mlp.w3"] = np.zeros((8, 8))
 
 
 def _config_implies_other_shapes(arrays, meta):
-    # header self-consistent for d_model 16, tensors still the d_model 8 ones
+    # header valid for d_model 16, weights still the d_model 8 ones
     meta["config"]["d_model"] = 16
-    meta["shapes"] = {k: list(v) for k, v in
-                      param_shapes(DenoiserConfig(d_model=16, heads=2)).items()}
+
+
+def _params_as_matrix(arrays, meta):
+    arrays["params"] = arrays["params"].reshape(-1, 1)
 
 
 def _locate(meta: dict, path: str) -> tuple[dict, str]:
-    """The object holding a header key path, and the key; tensor names
-    under `shapes` contain dots themselves."""
-    *parents, leaf = path.split(".", 1) if path.startswith("shapes.") else path.split(".")
+    """The object holding a header key path, and the key."""
+    *parents, leaf = path.split(".")
     node = meta
     for key in parents:
         node = node[key]
@@ -140,11 +165,13 @@ def _drop_standardizer(arrays, meta):
 
 
 CORRUPTIONS = [
-    ("missing-tensor", _drop_tensor("param.enc.mlp.w2"), "checkpoint tensor param.enc.mlp.w2: missing"),
-    ("extra-tensor", _extra_tensor, "checkpoint tensor 'param.enc.mlp.w3': not a tensor"),
-    ("tensor-shape", _set("shapes.out.b", [7]), "checkpoint header shapes.out.b: must be [6]"),
+    ("missing-tensor", _drop_tensor("params"), "checkpoint tensor params: missing"),
+    ("extra-tensor", _extra_tensor, "checkpoint entry 'param.enc.mlp.w3': not one of meta, "
+     "params, standardizer.mean, standardizer.std"),
+    ("tensor-shape", _params_as_matrix,
+     f"checkpoint tensor params: shape ({TINY_SIZE}, 1) does not match ({TINY_SIZE},)"),
     ("config-shapes", _config_implies_other_shapes,
-     "checkpoint tensor param.in.w: shape (6, 8) does not match (6, 16)"),
+     f"checkpoint tensor params: shape ({TINY_SIZE},) does not match ({WIDE_SIZE},)"),
     ("missing-config-key", _drop("config.heads"), "checkpoint header: missing key config.heads"),
     ("missing-section", _drop("schedule"), "checkpoint header: missing key schedule"),
     ("missing-step-count", _drop("step_count"), "checkpoint header: missing key step_count"),
@@ -166,10 +193,10 @@ CORRUPTIONS = [
      "checkpoint header config: unknown key 'layers'"),
     ("negative-step-count", _set("step_count", -1),
      "checkpoint header step_count: must be an integer >= 0"),
-    ("nan-weight", _poison("param.enc.attn.wq", 5, np.nan),
-     "checkpoint tensor param.enc.attn.wq: holds non-finite values"),
-    ("inf-weight", _poison("param.out.b", 0, np.inf),
-     "checkpoint tensor param.out.b: holds non-finite values"),
+    ("nan-weight", _poison("params", 5, np.nan),
+     "checkpoint tensor params: holds non-finite values"),
+    ("inf-weight", _poison("params", -1, np.inf),
+     "checkpoint tensor params: holds non-finite values"),
     ("inf-standardizer", _poison("standardizer.mean", 2, -np.inf),
      "checkpoint tensor standardizer.mean: holds non-finite values"),
     ("zero-std", _poison("standardizer.std", 1, 0.0),
@@ -177,8 +204,10 @@ CORRUPTIONS = [
     ("half-standardizer", _drop_tensor("standardizer.std"),
      "checkpoint tensor standardizer.std: missing"),
     ("no-standardizer", _drop_standardizer, "checkpoint tensor standardizer.mean: missing"),
-    ("integer-tensor", lambda arrays, meta: arrays.update({"param.out.b": np.zeros(6, int)}),
-     "checkpoint tensor param.out.b: not a floating-point array"),
+    ("integer-tensor", lambda arrays, meta: arrays.update({"params": np.zeros(TINY_SIZE, int)}),
+     "checkpoint tensor params: not a floating-point array"),
+    ("huge-schedule", _set("schedule.steps", 10**12),
+     "checkpoint header schedule.steps: must be an integer in [1, 100000], got 1000000000000"),
 ]
 
 
@@ -218,6 +247,20 @@ def test_no_meta_entry_rejected():
         load_checkpoint(buf)
 
 
+@pytest.mark.parametrize("raw", [np.array(10**12),
+                                 np.frombuffer(b"{}", np.uint8).astype(np.uint16),
+                                 np.frombuffer(b"\xff", np.uint8)],
+                         ids=["0-d-integer", "uint16-json", "not-utf8"])
+def test_meta_must_be_utf8_json_bytes(raw):
+    # bytes() of a 0-d integer array would allocate that many zero bytes
+    arrays, _ = _tiny_archive()
+    buf = io.BytesIO()
+    np.savez(buf, **arrays, meta=raw)
+    buf.seek(0)
+    with pytest.raises(ValueError, match="^checkpoint header: not UTF-8 JSON bytes$"):
+        load_checkpoint(buf)
+
+
 def test_loading_draws_no_random_weights(monkeypatch):
     arrays, meta = _tiny_archive()
 
@@ -226,13 +269,66 @@ def test_loading_draws_no_random_weights(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     model, _, _ = load_checkpoint(_pack(arrays, meta))
-    assert list(model.params) == [k[len("param."):] for k in arrays if k.startswith("param.")]
+    assert list(model.params) == list(param_shapes(TINY))
+    assert np.array_equal(np.concatenate([p.ravel() for p in model.params.values()]),
+                          arrays["params"])
+
+
+def test_loaded_tensors_are_views_of_one_vector():
+    arrays, meta = _tiny_archive()
+    model, _, _ = load_checkpoint(_pack(arrays, meta))
+    base = model.params["in.w"].base
+    assert base is not None and base.size == TINY_SIZE
+    assert all(p.base is base for p in model.params.values())
+    for name, shape in param_shapes(TINY).items():
+        assert model.params[name].shape == shape
+
+
+def _format_1_archive() -> io.BytesIO:
+    """The tiny checkpoint in the previous layout: one `param.<name>` entry per
+    tensor and the tensor shapes in the header."""
+    arrays, meta = _tiny_archive()
+    model, _, _ = load_checkpoint(_pack(arrays, meta))
+    old = {f"param.{k}": v for k, v in model.params.items()}
+    old["standardizer.mean"], old["standardizer.std"] = (arrays["standardizer.mean"],
+                                                         arrays["standardizer.std"])
+    meta.update(format_version=1, shapes={k: list(v.shape) for k, v in model.params.items()})
+    return _pack(old, meta)
+
+
+def test_format_1_archive_rejected():
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(_format_1_archive())
+    assert str(info.value) == f"checkpoint format 1 != supported {FORMAT_VERSION}"
+
+
+@pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
+def test_cli_rejects_format_1_archive(tmp_path, capsys, command):
+    path = tmp_path / "model.npz"
+    path.write_bytes(_format_1_archive().getvalue())
+    argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
+    if command == "bench-run":
+        argv += ["--policies", "proposed,none"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{command}: error: checkpoint format 1 != supported 2\n"
+
+
+def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):
+    arrays, meta = _tiny_archive()
+    meta["schedule"]["steps"] = 10**12
+    path = tmp_path / "model.npz"
+    path.write_bytes(_pack(arrays, meta).getvalue())
+    argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "diffusion-infer: error: checkpoint header schedule.steps: must be an integer in "
+        "[1, 100000], got 1000000000000\n")
 
 
 @pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
 def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
     arrays, meta = _tiny_archive()
-    _drop_tensor("param.enc.mlp.w2")(arrays, meta)
+    _drop_tensor("params")(arrays, meta)
     path = tmp_path / "model.npz"
     path.write_bytes(_pack(arrays, meta).getvalue())
     argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
@@ -240,7 +336,7 @@ def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
         argv += ["--policies", "proposed,none"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"{command}: error: checkpoint tensor param.enc.mlp.w2: missing\n"
+    assert err == f"{command}: error: checkpoint tensor params: missing\n"
 
 
 @pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
@@ -263,13 +359,13 @@ def _header_paths(meta: dict, prefix: str = "") -> list[str]:
     for key, value in meta.items():
         path = f"{prefix}{key}"
         paths.append(path)
-        if isinstance(value, dict) and key != "shapes":
+        if isinstance(value, dict):
             paths.extend(_header_paths(value, f"{path}."))
     return paths
 
 
 _, _META = _tiny_archive()
-HEADER_PATHS = _header_paths(_META) + [f"shapes.{k}" for k in ("in.w", "out.b", "enc.attn.wq")]
+HEADER_PATHS = _header_paths(_META)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
@@ -297,3 +393,46 @@ def test_any_header_edit_loads_or_names_a_key(path, value, delete):
             assert path in message
     else:
         assert not delete
+
+
+SMALL_ARRAYS = hnp.arrays(
+    dtype=hnp.scalar_dtypes() | hnp.byte_string_dtypes(max_len=4)
+    | hnp.unicode_string_dtypes(max_len=4),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+ENTRY_NAMES = st.text(st.characters(codec="ascii", categories=["L", "N"], include_characters="._"),
+                      min_size=1, max_size=12).filter(lambda name: name not in ENTRIES)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(ENTRIES), action=st.sampled_from(["drop", "replace", "add"]),
+       array=SMALL_ARRAYS, extra=ENTRY_NAMES)
+def test_any_entry_edit_loads_or_names_the_entry(key, action, array, extra):
+    """Drop one of the four entries, replace it with an arbitrary small array,
+    or add a fifth one: loading either returns the stored weights bit for bit
+    or raises one ValueError line naming the entry (the header for `meta`)."""
+    arrays, meta = _tiny_archive()
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    weights = arrays["params"]
+    name = key
+    if action == "drop":
+        del arrays[key]
+    elif action == "replace":
+        arrays[key] = array
+    else:
+        arrays[extra] = array
+        name = extra
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    buf.seek(0)
+    try:
+        model, _, _ = load_checkpoint(buf)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith("checkpoint ") and "\n" not in message
+        assert ("header" if name == "meta" else name) in message
+    else:
+        assert action == "replace" and key != "meta"
+        flat = np.concatenate([p.ravel() for p in model.params.values()])
+        assert np.array_equal(flat, arrays["params"])
+        if key != "params":
+            assert flat.tobytes() == weights.tobytes()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -37,13 +38,19 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
-def _run_cli(*argv, timeout=60):
+def _run_cli(*argv, timeout=60, memory_cap=None):
     """`python -m renderopt.cli argv` in a fresh interpreter, so warnings reach
-    stderr as they would for a user."""
+    stderr as they would for a user; `memory_cap` bytes of address space, if
+    given, make a blow-up fail the run instead of exhausting the host."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
     return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], capture_output=True,
-                          text=True, timeout=timeout, env=env)
+                          text=True, timeout=timeout, env=env,
+                          preexec_fn=cap if memory_cap else None)
 
 
 class TestGameSolve:
@@ -114,6 +121,14 @@ class TestPrerenderSim:
         summary = json.loads((out / "walk_summary.json").read_text())
         assert summary["steps"] == 3
 
+    def test_huge_floor_walks_in_bounded_memory(self, tmp_path):
+        cfg = _write_config(tmp_path, {"prerender": {"width": 10**8, "height": 10**8}})
+        out = tmp_path / "out"
+        proc = _run_cli("prerender-sim", "--config", cfg, "--out-dir", str(out),
+                        memory_cap=2 << 30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads((out / "walk_summary.json").read_text())["steps"] == 500
+
     def test_seed_changes_walk(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["prerender-sim", "--out-dir", str(a), "--seed", "1"])
@@ -152,6 +167,14 @@ class TestDiffusionCommands:
             code = main(["diffusion-train", "--config", cfg,
                          "--out-dir", str(tmp_path / "x")])
         assert code == EXIT_NUMERICAL
+
+    def test_huge_schedule_exits_config_with_one_line(self, tmp_path):
+        cfg = _write_config(tmp_path, {"diffusion": {"steps": 10**12}})
+        proc = _run_cli("diffusion-train", "--config", cfg, "--out-dir", str(tmp_path / "x"),
+                        memory_cap=2 << 30)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == ("diffusion-train: config error: diffusion.steps: must be an "
+                               "integer in [1, 100000], got 1000000000000\n")
 
     def test_checkpoint_roundtrip_preserves_weights(self, tmp_path):
         cfg = _write_config(tmp_path, FAST_DIFFUSION)

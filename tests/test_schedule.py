@@ -48,9 +48,14 @@ class TestScheduleInvariants:
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert s.alpha_bar[0] == 1.0 - s.betas[0]
 
+    def test_step_cap_is_inclusive(self):
+        assert NoiseSchedule(steps=100_000).alpha_bar.nbytes == 800_000
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             NoiseSchedule(steps=0)
+        with pytest.raises(ValueError, match=r"^steps: must be an integer in \[1, 100000\]"):
+            NoiseSchedule(steps=100_001)
         with pytest.raises(ValueError):
             NoiseSchedule(beta_start=0.05, beta_end=0.01)
         with pytest.raises(ValueError):

@@ -26,6 +26,10 @@ def test_script_help_exits_zero(script):
 
 
 def test_tracer_installs_and_records_spans(tmp_path):
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"diffusion": {"dataset_users": 16, "epochs": 1,
+                                              "d_model": 8, "heads": 2}}))
+    train_out, infer_out = tmp_path / "train", tmp_path / "infer"
     # a fresh interpreter, since install() rebinds module attributes for good
     code = "\n".join([
         "import json",
@@ -39,7 +43,16 @@ def test_tracer_installs_and_records_spans(tmp_path):
         f"assert cli.main(['prerender-sim', '--out-dir', {str(tmp_path / 'walk')!r}]) == 0",
         f"assert cli.main(['bench-run', '--policies', 'mdp,random_opt,none', "
         f"'--out-dir', {str(tmp_path / 'bench')!r}]) == 0",
-        "print(json.dumps({k: v['calls'] for k, v in tracer.table({-1: 'request'}).items()}))",
+        f"assert cli.main(['diffusion-train', '--config', {str(tiny)!r}, "
+        f"'--out-dir', {str(train_out)!r}]) == 0",
+        # training's validation losses call predict too; count the inference calls apart
+        "trained = tracer.table({-1: 'request'})['diffusion.predict']['calls']",
+        f"assert cli.main(['diffusion-infer', '--config', {str(tiny)!r}, '--users', '2', "
+        f"'--checkpoint', {str(train_out / 'checkpoint.npz')!r}, "
+        f"'--out-dir', {str(infer_out)!r}]) == 0",
+        "calls = {k: v['calls'] for k, v in tracer.table({-1: 'request'}).items()}",
+        "calls['diffusion.predict'] -= trained",
+        "print(json.dumps(calls))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
@@ -49,7 +62,11 @@ def test_tracer_installs_and_records_spans(tmp_path):
             "cli._write_json", "cli._write_manifest", "prerender.simulate_walk",
             "prerender.segment_regions", "prerender.encode_frame",
             "bench.run_policy.mdp", "bench.run_policy.random_opt", "bench.run_policy.none",
-            "bench.generate_workload"} <= calls.keys()
+            "bench.generate_workload", "diffusion.save_checkpoint",
+            "diffusion.load_checkpoint", "diffusion.predict"} <= calls.keys()
+    assert calls["diffusion.save_checkpoint"] == calls["diffusion.load_checkpoint"] == 1
+    summary = json.loads((infer_out / "infer_summary.json").read_text())
+    assert calls["diffusion.predict"] == summary["denoiser_calls"] > 0
     # the count perfbench/worker.py cross-checks, and one sweep set per price
     config = load_config(None)
     with counted_game_calls() as log:

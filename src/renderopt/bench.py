@@ -42,6 +42,8 @@ from .errors import check
 from .synthetic import LATENT_DIM, POPULATION_MEAN, PlantedConfig, make_user
 
 POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
+# regions in a whole workload; each scene also holds a planted user (~5 KB)
+MAX_REGIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,8 @@ class WorkloadConfig:
         check(self.frames_per_scene == self.fps * 60, "frames_per_scene",
               f"fps * 60 = {self.fps * 60} (scenes are one minute long)",
               self.frames_per_scene)
-        check(self.regions_per_scene >= 2, "regions_per_scene", "an integer >= 2",
+        check(2 <= self.regions_per_scene <= MAX_REGIONS // self.scenes, "regions_per_scene",
+              f"an integer in [2, {MAX_REGIONS} // scenes ({self.scenes})]",
               self.regions_per_scene)
         check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
               self.interest_fraction)

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bench import (POLICY_VARIANTS, generate_workload, run_policy, write_plot_data,
                     write_report_csv, write_summary_json)
-from .config import ExperimentConfig, load_config
+from .config import MAX_USERS, ExperimentConfig, load_config
 from .diffusion import (INTERACTION_COLUMNS, AttentionGatedDenoiser, TrainSettings,
                         interaction_probabilities, load_checkpoint, save_checkpoint,
                         train, write_curve_csv)
@@ -131,8 +131,8 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
     if not args.checkpoint:
         raise ConfigError("diffusion-infer requires --checkpoint")
-    if args.users < 1:
-        raise ConfigError("diffusion-infer: --users must be >= 1")
+    if not 1 <= args.users <= MAX_USERS:
+        raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
     with _path_from("--checkpoint", args.checkpoint, "read"):
         model, schedule, standardizer = load_checkpoint(args.checkpoint)
     sec = config.section("diffusion")

@@ -8,11 +8,12 @@ in the network's own layout order (``param_shapes``). ``standardizer.mean`` and
 as little-endian float64, so archives load identically across platforms.
 
 Loading checks the archive against its own header before building anything:
-no entry other than those four, every header key present with its JSON type,
-the network and schedule settings valid, a ``params`` vector exactly as long
-as that network's tensors, both standardizer tensors with one entry per
-feature and a positive ``std``, and every stored number finite. A failed
-check raises one ``ValueError`` naming the entry or header key.
+no entry other than those four, the header through the config file's
+validator (no key missing or unknown, each of its JSON type and range), a
+``params`` vector exactly as long as that network's tensors, both standardizer
+tensors with one entry per feature and a positive ``std``, and every stored
+number finite. A failed check raises one ``ValueError`` naming the entry or
+header key, e.g. ``checkpoint header config.heads: missing``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import asdict, fields
+from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
+from ..errors import _build, _merge, check
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_shapes
 from .schedule import NoiseSchedule
@@ -33,20 +36,12 @@ from .schedule import NoiseSchedule
 FORMAT_VERSION = 2
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
 
-_INT, _NUMBER = "an integer", "a finite number"
-
-
-def _fields(cls) -> dict:
-    """The JSON type of each field of a dataclass the header rebuilds."""
-    return {f.name: _INT if f.type in (int, "int") else _NUMBER for f in fields(cls)}
-
-
-# every header key with its JSON type; nested objects are nested dicts
+# the header's keys, each with a value of the JSON type it must hold
 _HEADER = {
-    "format_version": _INT,
-    "config": _fields(DenoiserConfig),
-    "schedule": _fields(NoiseSchedule),
-    "step_count": _INT,
+    "format_version": FORMAT_VERSION,
+    "config": asdict(DenoiserConfig()),
+    "schedule": asdict(NoiseSchedule()),
+    "step_count": 0,
 }
 
 
@@ -65,36 +60,13 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
                 "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
 
 
-def _check_header(node, schema: dict, where: str = "") -> None:
-    """Raise ValueError naming the first key of `schema` that `node` lacks or
-    holds with the wrong JSON type."""
-    if not isinstance(node, dict):
-        raise ValueError(f"checkpoint header {where or 'root'}: must be an object, got {node!r}")
-    for key, kind in schema.items():
-        path = f"{where}.{key}" if where else key
-        if key not in node:
-            raise ValueError(f"checkpoint header: missing key {path}")
-        value = node[key]
-        if isinstance(kind, dict):
-            _check_header(value, kind, path)
-            continue
-        # JSON integers are always finite; json.loads turns NaN and Infinity into floats
-        ok = (isinstance(value, int) and not isinstance(value, bool)
-              or kind == _NUMBER and isinstance(value, float) and math.isfinite(value))
-        if not ok:
-            raise ValueError(f"checkpoint header {path}: must be {kind}, got {value!r}")
-
-
-def _build(cls, values: dict, where: str):
-    """`cls(**values)`, rejecting keys outside the header schema and prefixing
-    the class's ValueError with the header key path."""
-    unknown = sorted(values.keys() - _HEADER[where].keys())
-    if unknown:
-        raise ValueError(f"checkpoint header {where}: unknown key {unknown[0]!r}")
+@contextmanager
+def _header_key():
+    """Re-raise a ValueError or ConfigError as one ValueError about the header."""
     try:
-        return cls(**values)
+        yield
     except ValueError as exc:
-        raise ValueError(f"checkpoint header {where}.{exc}") from None
+        raise ValueError(f"checkpoint header {exc}") from None
 
 
 def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -138,20 +110,23 @@ def load_checkpoint(path: str | Path):
         meta = json.loads(raw.tobytes().decode())
     except (ValueError, RecursionError):
         raise ValueError(not_json) from None
-    _check_header(meta, {"format_version": _INT})
-    if meta["format_version"] != FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format {meta['format_version']} != supported {FORMAT_VERSION}"
-        )
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint header: expected an object, got {type(meta).__name__}")
+    # the version alone first: a header of another format holds other keys
+    with _header_key():
+        version = _merge({"format_version": FORMAT_VERSION},
+                         {k: v for k, v in meta.items() if k == "format_version"},
+                         "", required=True)["format_version"]
+    if version != FORMAT_VERSION:
+        raise ValueError(f"checkpoint format {version} != supported {FORMAT_VERSION}")
     unknown = sorted(entries.keys() - set(ENTRIES))
     if unknown:
         raise ValueError(f"checkpoint entry {unknown[0]!r}: not one of {', '.join(ENTRIES)}")
-    _check_header(meta, _HEADER)
-    config = _build(DenoiserConfig, meta["config"], "config")
-    schedule = _build(NoiseSchedule, meta["schedule"], "schedule")
-    if meta["step_count"] < 0:
-        raise ValueError(f"checkpoint header step_count: must be an integer >= 0, "
-                         f"got {meta['step_count']}")
+    with _header_key():
+        meta = _merge(_HEADER, meta, "", required=True)
+        config = _build("config", DenoiserConfig, meta["config"])
+        schedule = _build("schedule", NoiseSchedule, meta["schedule"])
+        check(meta["step_count"] >= 0, "step_count", "an integer >= 0", meta["step_count"])
 
     layout = param_shapes(config)
     sizes = [math.prod(shape) for shape in layout.values()]

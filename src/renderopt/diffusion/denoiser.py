@@ -33,7 +33,8 @@ _LN_EPS = 1e-5
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    """Shapes of the network. d_model must be even and divisible by heads."""
+    """Shapes of the network. d_model must be even, divisible by heads and at
+    most 1024, where the weights take ~200 MB (four times that in training)."""
 
     feature_dim: int = 6
     cond_dim: int = 4
@@ -44,6 +45,7 @@ class DenoiserConfig:
     def __post_init__(self):
         for name in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio"):
             check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
+        check(self.d_model <= 1024, "d_model", "at most 1024", self.d_model)
         check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
         check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
               self.d_model)

@@ -68,15 +68,14 @@ def reconstruct_preferences(model: AttentionGatedDenoiser, schedule: NoiseSchedu
 
 
 def interaction_probabilities(m_hat: np.ndarray, item_features: np.ndarray,
-                              interaction_cols: tuple[int, ...],
-                              interacted: set[int] | None = None
+                              interaction_cols: tuple[int, ...]
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-item interaction probabilities from a reconstructed sequence.
 
     Pools the interaction columns over time, takes the dot product with each
-    item's feature vector, and squashes through a logistic. Items the user
-    already interacted with are dropped from the output support. Returns
-    (item indices, probabilities), probabilities strictly inside (0, 1).
+    item's feature vector, and squashes through a logistic. Returns (item
+    indices, probabilities) over every item, probabilities strictly inside
+    (0, 1).
     """
     m_hat = np.asarray(m_hat, dtype=np.float64)
     item_features = np.asarray(item_features, dtype=np.float64)
@@ -89,7 +88,4 @@ def interaction_probabilities(m_hat: np.ndarray, item_features: np.ndarray,
     logits = item_features @ pooled
     # keep strictly inside (0, 1) even for extreme logits
     tiny = np.finfo(np.float64).tiny
-    probs = np.clip(expit(logits), tiny, 1.0 - 1e-16)
-    keep = np.array([i for i in range(item_features.shape[0])
-                     if not interacted or i not in interacted], dtype=int)
-    return keep, probs[keep]
+    return np.arange(item_features.shape[0]), np.clip(expit(logits), tiny, 1.0 - 1e-16)

@@ -1,13 +1,17 @@
 """Checkpoint container: fidelity, header validation, cross-load behaviour."""
 
+import ast
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from renderopt import errors
 from renderopt.cli import EXIT_CONFIG, main
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
@@ -172,11 +176,10 @@ CORRUPTIONS = [
      f"checkpoint tensor params: shape ({TINY_SIZE}, 1) does not match ({TINY_SIZE},)"),
     ("config-shapes", _config_implies_other_shapes,
      f"checkpoint tensor params: shape ({TINY_SIZE},) does not match ({WIDE_SIZE},)"),
-    ("missing-config-key", _drop("config.heads"), "checkpoint header: missing key config.heads"),
-    ("missing-section", _drop("schedule"), "checkpoint header: missing key schedule"),
-    ("missing-step-count", _drop("step_count"), "checkpoint header: missing key step_count"),
-    ("missing-version", _drop("format_version"),
-     "checkpoint header: missing key format_version"),
+    ("missing-config-key", _drop("config.heads"), "checkpoint header config.heads: missing"),
+    ("missing-section", _drop("schedule"), "checkpoint header schedule: missing"),
+    ("missing-step-count", _drop("step_count"), "checkpoint header step_count: missing"),
+    ("missing-version", _drop("format_version"), "checkpoint header format_version: missing"),
     ("string-int", _set("config.d_model", "8"),
      "checkpoint header config.d_model: must be an integer, got '8'"),
     ("bool-int", _set("config.heads", True),
@@ -185,12 +188,13 @@ CORRUPTIONS = [
      "checkpoint header step_count: must be an integer, got 2.5"),
     ("nan-number", _set("schedule.beta_end", float("nan")),
      "checkpoint header schedule.beta_end: must be a finite number, got nan"),
-    ("section-type", _set("config", [8]), "checkpoint header config: must be an object"),
+    ("section-type", _set("config", [8]),
+     "checkpoint header config: expected an object, got list"),
     ("invalid-config", _set("config.d_model", 7), "checkpoint header config.d_model: must be even"),
     ("invalid-schedule", _set("schedule.beta_start", 2.0),
      "checkpoint header schedule.beta_start: must be in (0, 1)"),
     ("unknown-config-key", _set("config.layers", 3),
-     "checkpoint header config: unknown key 'layers'"),
+     "checkpoint header config.layers: unknown key"),
     ("negative-step-count", _set("step_count", -1),
      "checkpoint header step_count: must be an integer >= 0"),
     ("nan-weight", _poison("params", 5, np.nan),
@@ -373,14 +377,26 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+def _json_type_ok(default, value) -> bool:
+    """Whether `value` has the JSON type the header key holding `default` takes:
+    an object, an integer (not a bool), or a finite number."""
+    if isinstance(default, dict):
+        return isinstance(value, dict)
+    if isinstance(default, int):
+        return type(value) is int
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
 @hyp_settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(HEADER_PATHS), value=st.none() | JSON_VALUES,
        delete=st.booleans())
 def test_any_header_edit_loads_or_names_a_key(path, value, delete):
     """Whatever one header key is replaced with (or if it is deleted), loading
     either succeeds or raises one ValueError line about the checkpoint; a
-    deleted key, or a value of the wrong JSON type for an integer key, is
-    named in it."""
+    deleted key, or a value of the wrong JSON type for its key (object,
+    integer or number), is named at the start of it."""
+    node, leaf = _locate(_META, path)
+    named = delete or not _json_type_ok(node[leaf], value)
     arrays, meta = _tiny_archive()
     (_drop(path) if delete else _set(path, value))(arrays, meta)
     try:
@@ -388,11 +404,22 @@ def test_any_header_edit_loads_or_names_a_key(path, value, delete):
     except ValueError as exc:
         message = str(exc)
         assert message.startswith("checkpoint ") and "\n" not in message
-        int_leaf = path in ("format_version", "step_count") or path.startswith("config.")
-        if delete or (int_leaf and (type(value) is not int)):
-            assert path in message
+        if named:
+            assert message.startswith(f"checkpoint header {path}: ")
     else:
-        assert not delete
+        assert not named
+
+
+def test_errors_module_imports_no_package_module():
+    """`diffusion.checkpoint` and `config` both import the JSON-tree validator
+    from `errors`; an import of the package there would close the cycle
+    config -> diffusion -> checkpoint -> errors -> ..."""
+    tree = ast.parse(Path(errors.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "renderopt"] == []
 
 
 SMALL_ARRAYS = hnp.arrays(

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS
-from renderopt.diffusion import load_checkpoint
+from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
+                                 Standardizer, load_checkpoint, save_checkpoint)
 from renderopt.prerender import save_trace
 
 FAST_DIFFUSION = {
@@ -159,7 +161,6 @@ class TestDiffusionCommands:
         assert main(["diffusion-infer", "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
 
     def test_divergent_training_exits_numerical(self, tmp_path):
-        import numpy as np
         payload = {"diffusion": {"dataset_users": 16, "epochs": 2,
                                  "learning_rate": 1e160, "d_model": 8, "heads": 2}}
         cfg = _write_config(tmp_path, payload)
@@ -180,7 +181,6 @@ class TestDiffusionCommands:
         cfg = _write_config(tmp_path, FAST_DIFFUSION)
         out = tmp_path / "train"
         main(["diffusion-train", "--config", cfg, "--out-dir", str(out)])
-        import numpy as np
         m1, _, _ = load_checkpoint(out / "checkpoint.npz")
         m2, _, _ = load_checkpoint(out / "checkpoint.npz")
         for key in m1.params:
@@ -259,6 +259,40 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1
         assert err.startswith(f"game-solve: config error: {key}: ")
+
+    # each of these died with a MemoryError traceback, or ran until killed (scenes),
+    # before its size had an upper bound
+    OVERSIZED = [
+        ("diffusion-train", {"diffusion": {"d_model": 10**6}}, [], "diffusion.d_model"),
+        ("diffusion-train", {"diffusion": {"dataset_users": 10**12}}, [],
+         "diffusion.dataset_users"),
+        ("bench-run", {"bench": {"regions_per_scene": 10**12}}, ["--policies", "none"],
+         "bench.regions_per_scene"),
+        ("bench-run", {"bench": {"scenes": 10**12}}, ["--policies", "none"],
+         "bench.regions_per_scene: must be an integer in [2, 100000 // scenes"),
+        ("bench-run", {"bench": {"train": {"users": 10**12}}}, ["--policies", "proposed"],
+         "bench.train.users"),
+        ("diffusion-infer", {"diffusion": {"seq_len": 10**12}}, [], "diffusion.seq_len"),
+        ("prerender-sim", {"prerender": {"steps": 10**12}}, [], "prerender.steps"),
+        ("diffusion-infer", {}, ["--users", str(10**9)], "--users"),
+    ]
+
+    @pytest.mark.parametrize("command, payload, flags, named", OVERSIZED,
+                             ids=["d_model", "dataset_users", "regions_per_scene", "scenes",
+                                  "train.users", "seq_len", "prerender.steps", "--users"])
+    def test_oversized_input_exits_config_with_one_line(self, tmp_path, command, payload,
+                                                        flags, named):
+        argv = [command, "--config", _write_config(tmp_path, payload),
+                "--out-dir", str(tmp_path / "out"), *flags]
+        if command == "diffusion-infer":
+            ckpt = tmp_path / "model.npz"
+            save_checkpoint(ckpt, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                            NoiseSchedule(), Standardizer(mean=np.zeros(6), std=np.ones(6)))
+            argv += ["--checkpoint", str(ckpt)]
+        proc = _run_cli(*argv, timeout=30, memory_cap=2 << 30)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"{command}: config error: ") and named in proc.stderr
 
     TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
               ("0 0 0\n1 1 0\n1 2 0\n", "path.trace:3: step index 1 does not follow 1")]

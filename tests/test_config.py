@@ -98,6 +98,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"game.nodes\[0\].alpah: unknown key"):
             parse_config(json.dumps({"game": {"nodes": [{"alpah": 1.0}]}}))
 
+    def test_unprintable_unknown_key_named_on_one_line(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"diffusion": {"a\nb": 1}}))
+        assert str(info.value) == "diffusion.'a\\nb': unknown key"
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="prerender.spacing"):
             parse_config(json.dumps({"prerender": {"spacing": True}}))

@@ -95,14 +95,6 @@ class TestInteractionProbabilities:
         assert np.array_equal(idx, np.arange(12))
         assert np.all(probs == 0.5)
 
-    def test_interacted_items_excluded(self):
-        m_hat = np.zeros((8, 6))
-        items = np.ones((6, 3))
-        idx, probs = interaction_probabilities(m_hat, items, (0, 1, 2),
-                                               interacted={1, 4})
-        assert list(idx) == [0, 2, 3, 5]
-        assert len(probs) == 4
-
     def test_probabilities_strictly_inside_unit_interval(self):
         m_hat = np.zeros((4, 6))
         m_hat[:, 0] = 1e9

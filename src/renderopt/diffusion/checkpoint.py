@@ -2,10 +2,11 @@
 
 Container format 2: a numpy .npz archive of exactly four entries. ``meta`` is
 a JSON header: format version, ``DenoiserConfig`` and ``NoiseSchedule`` fields,
-training step count. ``params`` is every weight tensor raveled into one vector,
-in the network's own layout order (``param_shapes``). ``standardizer.mean`` and
-``standardizer.std`` hold the training split's statistics. Tensors are stored
-as little-endian float64, so archives load identically across platforms.
+training step count. ``params`` is the model's weight vector as it is (laid
+out by ``param_shapes``), and it loads back unsplit as the model's weights.
+``standardizer.mean`` and ``standardizer.std`` hold the training split's
+statistics. Tensors are stored as little-endian float64, so archives load
+identically across platforms.
 
 Loading checks the archive against its own header before building anything:
 no entry other than those four, the header through the config file's
@@ -19,18 +20,16 @@ header key, e.g. ``checkpoint header config.heads: missing``.
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import _build, _merge, check
 from .data import Standardizer
-from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_shapes
+from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 from .schedule import NoiseSchedule
 
 FORMAT_VERSION = 2
@@ -54,8 +53,7 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
         "step_count": model.step_count,
     }
     np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-             params=np.concatenate([np.ravel(model.params[name])
-                                    for name in param_shapes(model.config)], dtype="<f8"),
+             params=np.asarray(model.weights, dtype="<f8"),
              **{"standardizer.mean": np.ascontiguousarray(standardizer.mean, dtype="<f8"),
                 "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
 
@@ -128,12 +126,7 @@ def load_checkpoint(path: str | Path):
         schedule = _build("schedule", NoiseSchedule, meta["schedule"])
         check(meta["step_count"] >= 0, "step_count", "an integer >= 0", meta["step_count"])
 
-    layout = param_shapes(config)
-    sizes = [math.prod(shape) for shape in layout.values()]
-    flat = _tensor(entries, "params", (sum(sizes),))
-    # views into `flat`, one per tensor in layout order
-    params = {name: part.reshape(shape) for (name, shape), part
-              in zip(layout.items(), np.split(flat, list(accumulate(sizes))[:-1]))}
+    weights = _tensor(entries, "params", (param_count(config),))
 
     features = (config.feature_dim,)
     mean = _tensor(entries, "standardizer.mean", features)
@@ -141,6 +134,6 @@ def load_checkpoint(path: str | Path):
     if not (std > 0).all():
         raise ValueError("checkpoint tensor standardizer.std: holds a value <= 0")
 
-    model = AttentionGatedDenoiser(config, params=params)
+    model = AttentionGatedDenoiser(config, weights=weights)
     model.step_count = meta["step_count"]
     return model, schedule, Standardizer(mean=mean, std=std)

@@ -14,6 +14,9 @@ condition vector to the noise it believes was injected. Layout:
 
 Everything is float64 numpy with hand-written backpropagation; gradients are
 validated against central finite differences (see analytic_gradient_check).
+The weights are one vector laid out by `param_shapes`: `init_weights` builds
+it, `split_params` views it tensor by tensor, and `loss_and_grads` returns the
+gradient as a vector in the same layout.
 """
 
 from __future__ import annotations
@@ -78,15 +81,16 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def _linear_back(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Returns (dx, dw, db) for y = x @ w + b with arbitrary leading axes."""
-    din, dout = w.shape
+def _linear_back(x: np.ndarray, dy: np.ndarray, params: dict, grads: dict,
+                 w: str, b: str) -> np.ndarray:
+    """dx for y = x @ params[w] + params[b] with arbitrary leading axes;
+    writes the weight and bias gradients into grads[w] and grads[b]."""
+    din, dout = params[w].shape
     x2 = x.reshape(-1, din)
     dy2 = dy.reshape(-1, dout)
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = (dy2 @ w.T).reshape(x.shape)
-    return dx, dw, db
+    grads[w][...] = x2.T @ dy2
+    grads[b][...] = dy2.sum(axis=0)
+    return (dy2 @ params[w].T).reshape(x.shape)
 
 
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -98,17 +102,16 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return g * xhat + b, (xhat, inv)
 
 
-def _layernorm_back(dy: np.ndarray, g: np.ndarray, ctx):
-    xhat, inv = ctx
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (
+def _layernorm_back(params: dict, prefix: str, dy: np.ndarray, cache: dict, grads: dict):
+    xhat, inv = cache[prefix]
+    grads[f"{prefix}.g"][...] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    grads[f"{prefix}.b"][...] = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dxhat = dy * params[f"{prefix}.g"]
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -143,9 +146,7 @@ def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
 def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
                         cache: dict, grads: dict):
     x, qh, kh, vh, probs, merged, scale = cache[prefix]
-    dmerged, dwo, dbo = _linear_back(merged, params[f"{prefix}.wo"], dout)
-    grads[f"{prefix}.wo"] = dwo
-    grads[f"{prefix}.bo"] = dbo
+    dmerged = _linear_back(merged, dout, params, grads, f"{prefix}.wo", f"{prefix}.bo")
     dctx = _split_heads(dmerged, heads)
     dprobs = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = probs.transpose(0, 1, 3, 2) @ dctx
@@ -153,12 +154,9 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
     dqh = (dscores @ kh) * scale
     dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
     dx = np.zeros_like(x)
-    for name, dh in (("wq", dqh), ("wk", dkh), ("wv", dvh)):
-        dflat = _merge_heads(dh)
-        dxi, dw, db = _linear_back(x, params[f"{prefix}.{name}"], dflat)
-        grads[f"{prefix}.{name}"] = dw
-        grads[f"{prefix}.b{name[1]}"] = db
-        dx += dxi
+    for name, dh in (("q", dqh), ("k", dkh), ("v", dvh)):
+        dx += _linear_back(x, _merge_heads(dh), params, grads,
+                           f"{prefix}.w{name}", f"{prefix}.b{name}")
     return dx
 
 
@@ -175,14 +173,9 @@ def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None):
 def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict):
     x, pre, erf_term = cache[prefix]
     act = 0.5 * pre * erf_term
-    dact, dw2, db2 = _linear_back(act, params[f"{prefix}.w2"], dout)
-    grads[f"{prefix}.w2"] = dw2
-    grads[f"{prefix}.b2"] = db2
+    dact = _linear_back(act, dout, params, grads, f"{prefix}.w2", f"{prefix}.b2")
     dpre = dact * _gelu_grad(pre, erf_term)
-    dx, dw1, db1 = _linear_back(x, params[f"{prefix}.w1"], dpre)
-    grads[f"{prefix}.w1"] = dw1
-    grads[f"{prefix}.b1"] = db1
-    return dx
+    return _linear_back(x, dpre, params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
@@ -203,75 +196,69 @@ def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
 def _block_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
                     cache: dict, grads: dict):
     dln2 = _mlp_backward(params, f"{prefix}.mlp", dout, cache, grads)
-    dh1, dg2, db2 = _layernorm_back(dln2, params[f"{prefix}.ln2.g"], cache[f"{prefix}.ln2"])
-    grads[f"{prefix}.ln2.g"] = dg2
-    grads[f"{prefix}.ln2.b"] = db2
-    dh1 = dh1 + dout
+    dh1 = _layernorm_back(params, f"{prefix}.ln2", dln2, cache, grads) + dout
     dln1 = _attention_backward(params, f"{prefix}.attn", dh1, heads, cache, grads)
-    dx, dg1, db1 = _layernorm_back(dln1, params[f"{prefix}.ln1.g"], cache[f"{prefix}.ln1"])
-    grads[f"{prefix}.ln1.g"] = dg1
-    grads[f"{prefix}.ln1.b"] = db1
-    return dx + dh1
-
-
-def _param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], str]]:
-    """(shape, init) of every tensor in creation order; init is "normal"
-    (standard normal over sqrt(fan-in)), "zeros" or "ones"."""
-    d, f, c = config.d_model, config.feature_dim, config.cond_dim
-    mf = config.d_model * config.mlp_ratio
-    a = config.gate_dim
-
-    def w(*shape):
-        return shape, "normal"
-
-    def zeros(n):
-        return (n,), "zeros"
-
-    def ones(n):
-        return (n,), "ones"
-
-    layout = {
-        "in.w": w(f, d), "in.b": zeros(d),
-        "time.w": w(d, d), "time.b": zeros(d),
-        "cond.w": w(c, d), "cond.b": zeros(d),
-        "gate.wg": w(d, a), "gate.wx": w(d, a), "gate.b": zeros(a),
-        "gate.psi": w(a, 1), "gate.bpsi": zeros(1),
-        "merge.w": w(2 * d, d), "merge.b": zeros(d),
-        "dec.ln.g": ones(d), "dec.ln.b": zeros(d),
-        "dec.mlp.w1": w(d, mf), "dec.mlp.b1": zeros(mf),
-        "dec.mlp.w2": w(mf, d), "dec.mlp.b2": zeros(d),
-        "out.w": w(d, f), "out.b": zeros(f),
-    }
-    for prefix in ("enc", "bot"):
-        layout[f"{prefix}.ln1.g"] = ones(d)
-        layout[f"{prefix}.ln1.b"] = zeros(d)
-        layout[f"{prefix}.ln2.g"] = ones(d)
-        layout[f"{prefix}.ln2.b"] = zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            layout[f"{prefix}.attn.{name}"] = w(d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            layout[f"{prefix}.attn.{name}"] = zeros(d)
-        layout[f"{prefix}.mlp.w1"] = w(d, mf)
-        layout[f"{prefix}.mlp.b1"] = zeros(mf)
-        layout[f"{prefix}.mlp.w2"] = w(mf, d)
-        layout[f"{prefix}.mlp.b2"] = zeros(d)
-    return layout
+    return _layernorm_back(params, f"{prefix}.ln1", dln1, cache, grads) + dh1
 
 
 def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor the network with this config holds."""
-    return {name: shape for name, (shape, _) in _param_layout(config).items()}
+    """Shape of every tensor the network with this config holds, in the order
+    the tensors sit in its weight vector."""
+    d, f, c = config.d_model, config.feature_dim, config.cond_dim
+    mf = config.d_model * config.mlp_ratio
+    a = config.gate_dim
+    shapes = {
+        "in.w": (f, d), "in.b": (d,),
+        "time.w": (d, d), "time.b": (d,),
+        "cond.w": (c, d), "cond.b": (d,),
+        "gate.wg": (d, a), "gate.wx": (d, a), "gate.b": (a,),
+        "gate.psi": (a, 1), "gate.bpsi": (1,),
+        "merge.w": (2 * d, d), "merge.b": (d,),
+        "dec.ln.g": (d,), "dec.ln.b": (d,),
+        "dec.mlp.w1": (d, mf), "dec.mlp.b1": (mf,),
+        "dec.mlp.w2": (mf, d), "dec.mlp.b2": (d,),
+        "out.w": (d, f), "out.b": (f,),
+    }
+    for prefix in ("enc", "bot"):
+        for ln in ("ln1", "ln2"):
+            shapes[f"{prefix}.{ln}.g"] = shapes[f"{prefix}.{ln}.b"] = (d,)
+        for name in ("wq", "wk", "wv", "wo"):
+            shapes[f"{prefix}.attn.{name}"] = (d, d)
+        for name in ("bq", "bk", "bv", "bo"):
+            shapes[f"{prefix}.attn.{name}"] = (d,)
+        shapes[f"{prefix}.mlp.w1"], shapes[f"{prefix}.mlp.b1"] = (d, mf), (mf,)
+        shapes[f"{prefix}.mlp.w2"], shapes[f"{prefix}.mlp.b2"] = (mf, d), (d,)
+    return shapes
 
 
-def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, (shape, init) in _param_layout(config).items():
-        if init == "normal":
-            params[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
-        else:
-            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
+def param_count(config: DenoiserConfig) -> int:
+    """Length of the weight vector of the network with this config."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
+
+
+def split_params(config: DenoiserConfig, weights: np.ndarray) -> dict[str, np.ndarray]:
+    """Every tensor as a view into `weights`, in `param_shapes` order."""
+    if weights.shape != (param_count(config),):
+        raise ValueError(f"weight vector shape {weights.shape} != ({param_count(config)},)")
+    params, start = {}, 0
+    for name, shape in param_shapes(config).items():
+        size = math.prod(shape)
+        params[name] = weights[start:start + size].reshape(shape)
+        start += size
     return params
+
+
+def init_weights(config: DenoiserConfig, seed: int) -> np.ndarray:
+    """Seeded weight vector: each matrix standard normal over sqrt(fan-in),
+    drawn in layout order; layernorm gains (".g") one; biases zero."""
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(param_count(config))
+    for name, tensor in split_params(config, weights).items():
+        if tensor.ndim == 2:
+            tensor[...] = rng.standard_normal(tensor.shape) / math.sqrt(tensor.shape[0])
+        elif name.endswith(".g"):
+            tensor[...] = 1.0
+    return weights
 
 
 def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray,
@@ -321,27 +308,20 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
 
 def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
                    t: np.ndarray, s: np.ndarray, target: np.ndarray):
-    """Mean squared error against the true noise and gradients for every tensor."""
+    """Mean squared error against the true noise, and its gradient as one
+    vector in the weight vector's layout."""
     cache: dict = {}
     out = forward(params, config, m_t, t, s, cache)
     diff = out - target
     loss = float(np.mean(diff * diff))
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros(param_count(config))
+    grads = split_params(config, grad)
     dout = 2.0 * diff / diff.size
 
-    ddec, dw, db = _linear_back(cache["dec"], params["out.w"], dout)
-    grads["out.w"] = dw
-    grads["out.b"] = db
-
+    ddec = _linear_back(cache["dec"], dout, params, grads, "out.w", "out.b")
     ddln = _mlp_backward(params, "dec.mlp", ddec, cache, grads)
-    dmrg, dg, dbn = _layernorm_back(ddln, params["dec.ln.g"], cache["dec.ln"])
-    grads["dec.ln.g"] = dg
-    grads["dec.ln.b"] = dbn
-    dmrg = dmrg + ddec
-
-    dcat, dw, db = _linear_back(cache["cat"], params["merge.w"], dmrg)
-    grads["merge.w"] = dw
-    grads["merge.b"] = db
+    dmrg = _layernorm_back(params, "dec.ln", ddln, cache, grads) + ddec
+    dcat = _linear_back(cache["cat"], dmrg, params, grads, "merge.w", "merge.b")
     d = config.d_model
     dup = dcat[..., :d].copy()
     dgated = dcat[..., d:]
@@ -350,17 +330,14 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     dalpha = (dgated * enc).sum(axis=-1, keepdims=True)
     denc = dgated * alpha
     dzpsi = dalpha * alpha * (1.0 - alpha)
-    _, dpsi, dbpsi = _linear_back(gact, params["gate.psi"], dzpsi)
-    grads["gate.psi"] = dpsi
-    grads["gate.bpsi"] = dbpsi
-    dgact = dzpsi @ params["gate.psi"].T
+    dgact = _linear_back(gact, dzpsi, params, grads, "gate.psi", "gate.bpsi")
     dgpre = dgact * (1.0 - gact * gact)
     dup += dgpre @ params["gate.wg"].T
     denc = denc + dgpre @ params["gate.wx"].T
     a_dim = params["gate.b"].shape[0]
-    grads["gate.wg"] = up.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
-    grads["gate.wx"] = enc.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
-    grads["gate.b"] = dgpre.reshape(-1, a_dim).sum(axis=0)
+    grads["gate.wg"][...] = up.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
+    grads["gate.wx"][...] = enc.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
+    grads["gate.b"][...] = dgpre.reshape(-1, a_dim).sum(axis=0)
 
     dbot = dup[:, 0::2, :] + dup[:, 1::2, :]
     ddown = _block_backward(params, "bot", dbot, config.heads, cache, grads)
@@ -369,25 +346,21 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     dh = _block_backward(params, "enc", denc, config.heads, cache, grads)
 
     dtemb = dh.sum(axis=1)
-    _, dw, db = _linear_back(cache["sin_emb"], params["time.w"], dtemb)
-    grads["time.w"] = dw
-    grads["time.b"] = db
-    _, dw, db = _linear_back(cache["s"], params["cond.w"], dtemb)
-    grads["cond.w"] = dw
-    grads["cond.b"] = db
-    _, dw, db = _linear_back(cache["m_t"], params["in.w"], dh)
-    grads["in.w"] = dw
-    grads["in.b"] = db
-    return loss, grads
+    _linear_back(cache["sin_emb"], dtemb, params, grads, "time.w", "time.b")
+    _linear_back(cache["s"], dtemb, params, grads, "cond.w", "cond.b")
+    _linear_back(cache["m_t"], dh, params, grads, "in.w", "in.b")
+    return loss, grad
 
 
 class AttentionGatedDenoiser:
-    """Stateful wrapper: parameters, config, and a denoiser-call counter."""
+    """Stateful wrapper: config, one weight vector, its per-tensor views
+    (`params`), and a denoiser-call counter."""
 
     def __init__(self, config: DenoiserConfig, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
+                 weights: np.ndarray | None = None):
         self.config = config
-        self.params = params if params is not None else init_params(config, seed)
+        self.weights = weights if weights is not None else init_weights(config, seed)
+        self.params = split_params(config, self.weights)
         self.step_count = 0
         self.call_count = 0
 
@@ -415,11 +388,11 @@ def analytic_gradient_check(model: AttentionGatedDenoiser, m_t: np.ndarray,
                             fd_step: float = 1e-4) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Perturbs every element of every parameter tensor, so keep the model tiny
+    Perturbs every element of the weight vector, so keep the model tiny
     (d_model <= 16) and the probe batch small.
     """
-    params, config = model.params, model.config
-    _, grads = loss_and_grads(params, config, m_t, t, s, target)
+    weights, params, config = model.weights, model.params, model.config
+    _, grad = loss_and_grads(params, config, m_t, t, s, target)
 
     def loss_at() -> float:
         out = forward(params, config, m_t, t, s)
@@ -427,18 +400,15 @@ def analytic_gradient_check(model: AttentionGatedDenoiser, m_t: np.ndarray,
         return float(np.mean(diff * diff))
 
     max_rel = 0.0
-    for name, tensor in params.items():
-        flat = tensor.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_step
-            hi = loss_at()
-            flat[i] = orig - fd_step
-            lo = loss_at()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * fd_step)
-            rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
-            if rel > max_rel:
-                max_rel = rel
+    for i in range(weights.size):
+        orig = weights[i]
+        weights[i] = orig + fd_step
+        hi = loss_at()
+        weights[i] = orig - fd_step
+        lo = loss_at()
+        weights[i] = orig
+        fd = (hi - lo) / (2.0 * fd_step)
+        rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6)
+        if rel > max_rel:
+            max_rel = rel
     return max_rel

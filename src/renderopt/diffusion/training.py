@@ -1,4 +1,9 @@
-"""Noise-prediction training with Adam and early stopping."""
+"""Noise-prediction training with Adam and early stopping.
+
+Training works on the model's one weight vector: `loss_and_grads` returns the
+gradient in its layout, `Adam` keeps its moments as vectors of the same
+length, and the best epoch's weights are a copy of it, written back at the end.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,10 @@ import numpy as np
 from ..errors import NumericalError, check
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
 from .schedule import NoiseSchedule, forward_diffuse
+
+# sequences per predict call when scoring a split; one chunk holds the default
+# splits, and summing then dividing once matches np.mean there bit for bit
+_EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -33,29 +42,23 @@ class TrainSettings:
 
 
 class Adam:
-    """Adaptive moment optimizer over a named parameter dict."""
+    """Adam (Kingma & Ba, arXiv:1412.6980) over one weight vector, with the
+    paper's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def update(self, weights: np.ndarray, grad: np.ndarray) -> None:
         self.step += 1
-        b1c = 1.0 - self.beta1 ** self.step
-        b2c = 1.0 - self.beta2 ** self.step
-        for k in sorted(params):
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        # 1.0 - 0.9 rounds to another float64 than 0.1 does: keep the subtraction
+        self.m = 0.9 * self.m + (1.0 - 0.9) * grad
+        self.v = 0.999 * self.v + (1.0 - 0.999) * grad * grad
+        mhat = self.m / (1.0 - 0.9 ** self.step)
+        vhat = self.v / (1.0 - 0.999 ** self.step)
+        weights -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 @dataclass
@@ -75,8 +78,15 @@ class TrainResult:
 
 def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
                t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule) -> float:
-    pred = model.predict(forward_diffuse(m, t, schedule, noise), t, s)
-    return float(np.mean((pred - noise) ** 2))
+    """Mean squared noise-prediction error over a split, `_EVAL_CHUNK`
+    sequences per `predict` so memory stays flat in the split's size."""
+    total = 0.0
+    for start in range(0, len(m), _EVAL_CHUNK):
+        part = slice(start, start + _EVAL_CHUNK)
+        pred = model.predict(forward_diffuse(m[part], t[part], schedule, noise[part]),
+                             t[part], s[part])
+        total += np.sum((pred - noise[part]) ** 2)
+    return float(total / noise.size)
 
 
 def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
@@ -105,7 +115,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     m_tr, s_tr = m_all[train_idx], s_all[train_idx]
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 
-    opt = Adam(model.params, settings.learning_rate)
+    opt = Adam(model.weights.size, settings.learning_rate)
 
     # fixed evaluation draws (validation and the epoch-0 reference on train)
     t_val = rng.integers(1, schedule.steps + 1, size=max(len(val_idx), 1))
@@ -124,7 +134,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
                    val_loss=val_loss())
     ]
     best_val = history[0].val_loss
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best = model.weights.copy()
     stall = 0
     stopped_early = False
     bucket_edges = np.linspace(0, schedule.steps, n_time_buckets + 1)
@@ -140,21 +150,20 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
             tb = rng.integers(1, schedule.steps + 1, size=len(idx))
             noise = rng.standard_normal(mb.shape)
             m_t = forward_diffuse(mb, tb, schedule, noise)
-            loss, grads = loss_and_grads(model.params, model.config, m_t,
-                                         tb.astype(np.float64), sb, noise)
+            loss, grad = loss_and_grads(model.params, model.config, m_t,
+                                        tb.astype(np.float64), sb, noise)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: loss={loss}"
                 )
-            opt.update(model.params, grads)
+            opt.update(model.weights, grad)
             model.step_count += 1
             losses.append(loss)
             which = np.clip(np.digitize(tb, bucket_edges) - 1, 0, n_time_buckets - 1)
-            for b in which:
-                bucket_counts[b] += 1
             # attribute the batch loss to each timestep bucket it touched
-            for b in np.unique(which):
-                bucket_sums[b] += loss * np.sum(which == b)
+            counts = np.bincount(which, minlength=n_time_buckets)
+            bucket_counts += counts
+            bucket_sums += loss * counts
 
         vl = val_loss()
         buckets = {
@@ -167,7 +176,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
                                   bucket_losses=buckets))
         if vl < best_val - settings.min_delta:
             best_val = vl
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best = model.weights.copy()
             stall = 0
         else:
             stall += 1
@@ -175,7 +184,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
                 stopped_early = True
                 break
 
-    model.params = best_params
+    model.weights[:] = best
     return TrainResult(model=model, history=history, stopped_early=stopped_early)
 
 

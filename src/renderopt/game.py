@@ -186,9 +186,10 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
     """Synchronous best-response sweeps from all-zero demands.
 
     Stops when the max per-node change falls below br_tolerance; hitting the
-    iteration cap is reported through the converged flag, not an exception.
-    `memo` maps price to result for one fixed (nodes, settings, capacity);
-    a price found there is returned without sweeping, a new one is stored.
+    iteration cap is reported through the converged flag and one
+    ConvergenceWarning, not an exception. `memo` maps price to result for one
+    fixed (nodes, settings, capacity); a price found there is returned without
+    sweeping or warning again, a new one is stored.
     """
     if memo is not None and price in memo:
         return memo[price]
@@ -209,6 +210,13 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
         if delta < settings.br_tolerance:
             converged = True
             break
+    if not converged:
+        warnings.warn(
+            f"follower game did not converge at price {price:.6g} "
+            f"({iterations} sweeps)",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     result = NashResult(demands=tuple(demands), iterations=iterations, converged=converged)
     if memo is not None:
         memo[price] = result
@@ -220,20 +228,14 @@ def cloud_utility(cloud: CloudParams, nodes: list[EdgeNodeParams], price: float,
                   memo: dict[float, NashResult] | None = None) -> float:
     """Leader margin times induced total demand, (price - cost) * sum d_i*(price).
 
-    Warns on a non-converged follower game whether or not `memo` held it.
+    A non-converged follower game warns once, when `nash_equilibrium` solves
+    it; a price that `memo` already holds does not warn again.
     """
     if not cloud.price_min <= price <= cloud.price_max:
         raise ValueError(
             f"price {price} outside [{cloud.price_min}, {cloud.price_max}]"
         )
     nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo)
-    if not nash.converged:
-        warnings.warn(
-            f"follower game did not converge at price {price:.6g} "
-            f"({nash.iterations} sweeps)",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
     return (price - cloud.unit_cost) * sum(nash.demands)
 
 

@@ -18,6 +18,11 @@ transition tensor and solved by value iteration.
 
 For the diffusion forward process: the literal step-by-step perturbation
 chain whose marginal `schedule.forward_diffuse` gives in closed form.
+
+For the denoiser's weights: the network's tensors as a table of shape and init
+rule, a seeded init that builds each tensor apart, and Adam over a dict of
+tensors, one tensor at a time. The model keeps one weight vector instead; the
+two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 from renderopt import bench, game
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility)
+from renderopt.diffusion.denoiser import DenoiserConfig
 from renderopt.diffusion.schedule import NoiseSchedule
 from renderopt.prerender import Coord, GridWorld
 
@@ -329,3 +335,85 @@ def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,
         beta = schedule.betas[s]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.standard_normal(x.shape)
     return x
+
+
+def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """(shape, init) of every denoiser tensor in creation order; init is
+    "normal" (standard normal over sqrt(fan-in)), "zeros" or "ones"."""
+    d, f, c = config.d_model, config.feature_dim, config.cond_dim
+    mf = config.d_model * config.mlp_ratio
+    a = config.gate_dim
+
+    def w(*shape):
+        return shape, "normal"
+
+    def zeros(n):
+        return (n,), "zeros"
+
+    def ones(n):
+        return (n,), "ones"
+
+    layout = {
+        "in.w": w(f, d), "in.b": zeros(d),
+        "time.w": w(d, d), "time.b": zeros(d),
+        "cond.w": w(c, d), "cond.b": zeros(d),
+        "gate.wg": w(d, a), "gate.wx": w(d, a), "gate.b": zeros(a),
+        "gate.psi": w(a, 1), "gate.bpsi": zeros(1),
+        "merge.w": w(2 * d, d), "merge.b": zeros(d),
+        "dec.ln.g": ones(d), "dec.ln.b": zeros(d),
+        "dec.mlp.w1": w(d, mf), "dec.mlp.b1": zeros(mf),
+        "dec.mlp.w2": w(mf, d), "dec.mlp.b2": zeros(d),
+        "out.w": w(d, f), "out.b": zeros(f),
+    }
+    for prefix in ("enc", "bot"):
+        layout[f"{prefix}.ln1.g"] = ones(d)
+        layout[f"{prefix}.ln1.b"] = zeros(d)
+        layout[f"{prefix}.ln2.g"] = ones(d)
+        layout[f"{prefix}.ln2.b"] = zeros(d)
+        for name in ("wq", "wk", "wv", "wo"):
+            layout[f"{prefix}.attn.{name}"] = w(d, d)
+        for name in ("bq", "bk", "bv", "bo"):
+            layout[f"{prefix}.attn.{name}"] = zeros(d)
+        layout[f"{prefix}.mlp.w1"] = w(d, mf)
+        layout[f"{prefix}.mlp.b1"] = zeros(mf)
+        layout[f"{prefix}.mlp.w2"] = w(mf, d)
+        layout[f"{prefix}.mlp.b2"] = zeros(d)
+    return layout
+
+
+def init_params(config: DenoiserConfig, seed: int) -> dict[str, np.ndarray]:
+    """Every tensor built apart, drawing in `param_layout` order."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, (shape, init) in param_layout(config).items():
+        if init == "normal":
+            params[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
+        else:
+            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
+    return params
+
+
+class TensorAdam:
+    """Adam over a named tensor dict, one tensor at a time."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.step += 1
+        b1c = 1.0 - self.beta1 ** self.step
+        b2c = 1.0 - self.beta2 ** self.step
+        for k in sorted(params):
+            g = grads[k]
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            mhat = self.m[k] / b1c
+            vhat = self.v[k] / b2c
+            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

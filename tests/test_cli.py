@@ -177,6 +177,16 @@ class TestDiffusionCommands:
         assert proc.stderr == ("diffusion-train: config error: diffusion.steps: must be an "
                                "integer in [1, 100000], got 1000000000000\n")
 
+    def test_large_split_evaluates_in_bounded_memory(self, tmp_path):
+        # one predict over all 1800 training sequences would need 900 MiB for
+        # the (1800, 4, 128, 128) attention scores alone
+        payload = {"diffusion": {"seq_len": 128, "d_model": 8, "heads": 4,
+                                 "dataset_users": 2000, "epochs": 1}}
+        cfg = _write_config(tmp_path, payload)
+        proc = _run_cli("diffusion-train", "--config", cfg, "--out-dir", str(tmp_path / "x"),
+                        memory_cap=2 << 30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
     def test_checkpoint_roundtrip_preserves_weights(self, tmp_path):
         cfg = _write_config(tmp_path, FAST_DIFFUSION)
         out = tmp_path / "train"

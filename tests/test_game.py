@@ -118,7 +118,8 @@ class TestNashEquilibrium:
 
     def test_iteration_cap_reports_not_raises(self):
         tight = SolverSettings(br_max_iters=1)
-        res = nash_equilibrium([node(nid="a"), node(nid="b")], 1.0, tight, 10.0)
+        with pytest.warns(ConvergenceWarning, match="at price 1 "):
+            res = nash_equilibrium([node(nid="a"), node(nid="b")], 1.0, tight, 10.0)
         assert not res.converged
 
     def test_deterministic(self):
@@ -256,14 +257,24 @@ class TestPerSolveMemo:
         got, log, got_warnings = _counted_solve(solve_stackelberg, cloud, nodes, settings)
         for f in fields(EquilibriumResult):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
-        # every evaluation still goes through nash_equilibrium and still warns
+        # every evaluation still goes through nash_equilibrium
         assert [p for p, _ in log["nash"]] == [p for p, _ in want_log["nash"]]
-        assert got_warnings == want_warnings
         # the sweeps run at the first solve of each price and never again
         per_price = best_responses_per_price(want_log["nash"])
         swept = [p for p, n in log["nash"] if n > 0]
         assert sorted(swept) == sorted(per_price)
         assert log["br"] == sum(per_price.values())
+        # each solve that hits the sweep cap warns once: the uncached solve at
+        # every such call, the memoized one at the first solve of each price
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            capped = {p for p in per_price
+                      if not nash_equilibrium(nodes, p, settings, cloud.capacity).converged}
+        assert len(want_warnings) == sum(p in capped for p, _ in want_log["nash"])
+        first_capped = [p for p in swept if p in capped]
+        assert len(got_warnings) == len(first_capped)
+        for p, text in zip(first_capped, got_warnings):
+            assert f" at price {p:.6g} ({settings.br_max_iters} sweeps)" in text
         # nothing outlives a solve: a second one does the same work
         again, again_log, _ = _counted_solve(solve_stackelberg, cloud, nodes, settings)
         assert again == got
@@ -277,15 +288,16 @@ class TestPerSolveMemo:
             nash_equilibrium(nodes, 0.9, SETTINGS, 7.0)
         assert once > 0 and log["br"] == 2 * once
 
-    def test_memo_hit_still_warns(self):
+    def test_memo_hit_does_not_warn_again(self):
         cloud = CloudParams(unit_cost=0.5, price_min=0.5, price_max=2.0, capacity=10.0)
         nodes = [node(nid="a"), node(nid="b", beta=1.0)]
         tight = SolverSettings(br_max_iters=1)
         memo = {}
         with counted_game_calls() as log, pytest.warns(ConvergenceWarning) as caught:
-            cloud_utility(cloud, nodes, 0.9, tight, memo)
-            cloud_utility(cloud, nodes, 0.9, tight, memo)
-        assert len(caught) == 2
+            first = cloud_utility(cloud, nodes, 0.9, tight, memo)
+            assert len(caught) == 1
+            assert cloud_utility(cloud, nodes, 0.9, tight, memo) == first
+        assert len(caught) == 1
         assert [n > 0 for _, n in log["nash"]] == [True, False]
 
 

@@ -62,9 +62,14 @@ def test_tracer_installs_and_records_spans(tmp_path):
             "cli._write_json", "cli._write_manifest", "prerender.simulate_walk",
             "prerender.segment_regions", "prerender.encode_frame",
             "bench.run_policy.mdp", "bench.run_policy.random_opt", "bench.run_policy.none",
-            "bench.generate_workload", "diffusion.save_checkpoint",
+            "bench.generate_workload", "diffusion.train", "diffusion.loss_and_grads",
+            "diffusion.adam_update", "diffusion.save_checkpoint",
             "diffusion.load_checkpoint", "diffusion.predict"} <= calls.keys()
     assert calls["diffusion.save_checkpoint"] == calls["diffusion.load_checkpoint"] == 1
+    # one gradient and one optimizer step per training step
+    steps = json.loads((train_out / "train_summary.json").read_text())["train_steps"]
+    assert calls["diffusion.train"] == 1
+    assert calls["diffusion.loss_and_grads"] == calls["diffusion.adam_update"] == steps > 0
     summary = json.loads((infer_out / "infer_summary.json").read_text())
     assert calls["diffusion.predict"] == summary["denoiser_calls"] > 0
     # the count perfbench/worker.py cross-checks, and one sweep set per price

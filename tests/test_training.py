@@ -1,11 +1,15 @@
-"""Training loop: loss bounds, convergence, early stopping, determinism."""
+"""Training loop: loss bounds, convergence, early stopping, determinism, and
+the weight vector that init, Adam and the checkpoint share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
-from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig,
+from oracles import TensorAdam, init_params
+from renderopt.diffusion import (Adam, AttentionGatedDenoiser, DenoiserConfig,
                                  NoiseSchedule, TrainSettings, train, write_curve_csv)
-from renderopt.diffusion.denoiser import forward, loss_and_grads
+from renderopt.diffusion.denoiser import (forward, init_weights, loss_and_grads, param_shapes,
+                                          split_params)
 from renderopt.errors import NumericalError
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
 
@@ -122,3 +126,50 @@ class TestTrainMechanics:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == len(result.history) + 1
 
+
+@st.composite
+def small_configs(draw):
+    heads = draw(st.integers(1, 3))
+    return DenoiserConfig(feature_dim=draw(st.integers(1, 6)),
+                          cond_dim=draw(st.integers(1, 5)),
+                          d_model=2 * heads * draw(st.integers(1, 3)),
+                          heads=heads, mlp_ratio=draw(st.integers(1, 3)))
+
+
+def _concat(tensors: dict) -> np.ndarray:
+    return np.concatenate([t.ravel() for t in tensors.values()])
+
+
+class TestWeightVector:
+    """One weight vector reproduces the per-tensor init and Adam of `oracles`
+    bit for bit, and its per-tensor views write through to it."""
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(config=small_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_init_and_adam_match_per_tensor_oracles(self, config, seed):
+        weights = init_weights(config, seed)
+        tensors = init_params(config, seed)
+        assert list(tensors) == list(param_shapes(config))
+        assert _concat(tensors).tobytes() == weights.tobytes()
+
+        rng = np.random.default_rng(seed)
+        opt, oracle = Adam(weights.size, 1e-3), TensorAdam(tensors, 1e-3)
+        for _ in range(20):
+            grad = rng.standard_normal(weights.size) * 10.0 ** rng.integers(-4, 3)
+            opt.update(weights, grad)
+            oracle.update(tensors, split_params(config, grad))
+        assert _concat(tensors).tobytes() == weights.tobytes()
+
+    @hyp_settings(max_examples=20, deadline=None)
+    @given(config=small_configs())
+    def test_views_write_through_in_layout_order(self, config):
+        weights = init_weights(config, 0)
+        views = split_params(config, weights)
+        for i, view in enumerate(views.values()):
+            view[...] = i
+        sizes = [int(np.prod(shape)) for shape in param_shapes(config).values()]
+        assert np.array_equal(weights, np.repeat(np.arange(len(sizes)), sizes))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="weight vector shape"):
+            split_params(TINY, np.zeros(3))

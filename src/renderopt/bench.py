@@ -28,7 +28,6 @@ and `tests/oracles.py` solves the same MDP with it as the reference.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .diffusion.schedule import NoiseSchedule
-from .errors import check
+from .errors import check, json_text
 from .synthetic import LATENT_DIM, POPULATION_MEAN, PlantedConfig, make_user
 
 POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
@@ -361,7 +360,7 @@ def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
 
 def write_summary_json(reports: list[MetricsReport], path: str | Path) -> None:
     """The `compare` payload; a single report gets its table row and no reductions."""
-    Path(path).write_text(json.dumps(_summary(reports), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(_summary(reports), Path(path).name))
 
 
 def write_plot_data(reports: list[MetricsReport], out_dir: str | Path) -> list[Path]:

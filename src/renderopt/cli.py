@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import warnings
@@ -28,7 +27,7 @@ from .diffusion import (INTERACTION_COLUMNS, AttentionGatedDenoiser, TrainSettin
                         interaction_probabilities, load_checkpoint, save_checkpoint,
                         train, write_curve_csv)
 from .diffusion.sampling import reconstruct_preferences
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, json_text
 from .game import solve_stackelberg
 from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
 from .synthetic import PlantedConfig, build_training_set, make_population
@@ -50,7 +49,7 @@ def _path_from(option: str, path, action: str):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(payload, path.name))
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str,

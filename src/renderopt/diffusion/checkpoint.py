@@ -1,6 +1,6 @@
 """Versioned model checkpoints.
 
-Container format 2: a numpy .npz archive of exactly four entries. ``meta`` is
+Container format 3: a numpy .npz archive of exactly four entries. ``meta`` is
 a JSON header: format version, ``DenoiserConfig`` and ``NoiseSchedule`` fields,
 training step count. ``params`` is the model's weight vector as it is (laid
 out by ``param_shapes``), and it loads back unsplit as the model's weights.
@@ -32,7 +32,7 @@ from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 from .schedule import NoiseSchedule
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
 
 # the header's keys, each with a value of the JSON type it must hold

@@ -12,6 +12,7 @@ condition vector to the noise it believes was injected. Layout:
     -> concat(up, gated skip) -> merge projection
     -> MLP block -> output projection
 
+Every MLP uses the tanh-form GELU (Hendrycks & Gimpel), which needs only numpy.
 Everything is float64 numpy with hand-written backpropagation; gradients are
 validated against central finite differences (see analytic_gradient_check).
 The weights are one vector laid out by `param_shapes`: `init_weights` builds
@@ -25,12 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import NumericalError, check
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 _LN_EPS = 1e-5
 
 
@@ -68,13 +68,15 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray):
-    """GELU(x) and the 1 + erf(x / sqrt 2) term its gradient reuses."""
-    erf_term = 1.0 + erf(x / _SQRT2)
-    return 0.5 * x * erf_term, erf_term
+    """GELU(x) in tanh form (arXiv:1606.08415) and the 1 + tanh term its gradient reuses."""
+    term = 1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    return 0.5 * x * term, term
 
 
-def _gelu_grad(x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
-    return 0.5 * erf_term + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    # d tanh(u) / du = 1 - tanh(u)^2 = term (2 - term)
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * term + 0.5 * x * term * (2.0 - term) * du
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,19 +164,19 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
 
 def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None):
     pre = _linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    act, erf_term = _gelu(pre)
-    # the erf term replaces `act` in the cache: the backward pass rebuilds act
+    act, term = _gelu(pre)
+    # the tanh term replaces `act` in the cache: the backward pass rebuilds act
     # from it with one product, and the cache stays the size it was
     if cache is not None:
-        cache[prefix] = (x, pre, erf_term)
+        cache[prefix] = (x, pre, term)
     return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict):
-    x, pre, erf_term = cache[prefix]
-    act = 0.5 * pre * erf_term
+    x, pre, term = cache[prefix]
+    act = 0.5 * pre * term
     dact = _linear_back(act, dout, params, grads, f"{prefix}.w2", f"{prefix}.b2")
-    dpre = dact * _gelu_grad(pre, erf_term)
+    dpre = dact * _gelu_grad(pre, term)
     return _linear_back(x, dpre, params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 

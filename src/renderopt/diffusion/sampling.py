@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .denoiser import AttentionGatedDenoiser
 from .schedule import NoiseSchedule, forward_diffuse
@@ -86,6 +85,8 @@ def interaction_probabilities(m_hat: np.ndarray, item_features: np.ndarray,
         )
     pooled = m_hat[:, list(interaction_cols)].mean(axis=0)
     logits = item_features @ pooled
+    with np.errstate(over="ignore"):        # exp overflows to inf: probability 0
+        probs = 1.0 / (1.0 + np.exp(-logits))
     # keep strictly inside (0, 1) even for extreme logits
     tiny = np.finfo(np.float64).tiny
-    return np.arange(item_features.shape[0]), np.clip(expit(logits), tiny, 1.0 - 1e-16)
+    return np.arange(item_features.shape[0]), np.clip(probs, tiny, 1.0 - 1e-16)

@@ -1,4 +1,5 @@
-"""Shared exception and warning types, and the one validator for JSON input.
+"""Shared exception and warning types, the one validator for JSON input, and
+the one serializer of JSON artifacts.
 
 The config file and a checkpoint's ``meta`` header are both checked against a
 tree of defaults by `_merge` and built into dataclasses by `_build`, so each
@@ -25,6 +26,15 @@ class NumericalError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """Emitted when an inner iterative solve stops at its iteration cap."""
+
+
+def json_text(payload, name: str) -> str:
+    """`payload` as indented, key-sorted JSON text; a NumericalError naming the
+    file `name` if it holds an infinity or a NaN, which JSON cannot carry."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError(f"{name}: non-finite value, not written as JSON") from None
 
 
 def check(ok: bool, field: str, requirement: str, value) -> None:

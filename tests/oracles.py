@@ -19,6 +19,9 @@ transition tensor and solved by value iteration.
 For the diffusion forward process: the literal step-by-step perturbation
 chain whose marginal `schedule.forward_diffuse` gives in closed form.
 
+For the denoiser's activation: the exact GELU, x Phi(x), and its derivative,
+element by element with `math.erf`; the network uses the tanh form.
+
 For the denoiser's weights: the network's tensors as a table of shape and init
 rule, a seeded init that builds each tensor apart, and Adam over a dict of
 tensors, one tensor at a time. The model keeps one weight vector instead; the
@@ -335,6 +338,17 @@ def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,
         beta = schedule.betas[s]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.standard_normal(x.shape)
     return x
+
+
+def gelu_exact(x: np.ndarray) -> np.ndarray:
+    """x Phi(x), Phi the standard normal CDF."""
+    return np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+
+
+def gelu_exact_grad(x: np.ndarray) -> np.ndarray:
+    """Phi(x) + x phi(x), phi the standard normal density."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                     + v * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) for v in x])
 
 
 def param_layout(config: DenoiserConfig) -> dict[str, tuple[tuple[int, ...], str]]:

@@ -306,15 +306,26 @@ def test_format_1_archive_rejected():
     assert str(info.value) == f"checkpoint format 1 != supported {FORMAT_VERSION}"
 
 
+def _format_2_archive() -> io.BytesIO:
+    """The tiny checkpoint in the current layout, but written for the exact-erf
+    GELU of format 2, so its weights describe another function."""
+    arrays, meta = _tiny_archive()
+    meta["format_version"] = 2
+    return _pack(arrays, meta)
+
+
 @pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
-def test_cli_rejects_format_1_archive(tmp_path, capsys, command):
+@pytest.mark.parametrize("version", [1, 2])
+def test_cli_rejects_format_1_archive(tmp_path, capsys, command, version):
     path = tmp_path / "model.npz"
-    path.write_bytes(_format_1_archive().getvalue())
+    archive = _format_1_archive() if version == 1 else _format_2_archive()
+    path.write_bytes(archive.getvalue())
     argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     if command == "bench-run":
         argv += ["--policies", "proposed,none"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"{command}: error: checkpoint format 1 != supported 2\n"
+    assert capsys.readouterr().err == (
+        f"{command}: error: checkpoint format {version} != supported 3\n")
 
 
 def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):

@@ -1,15 +1,19 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS
@@ -303,6 +307,56 @@ class TestErrorPaths:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: config error: ") and named in proc.stderr
+
+    # both exited 0 with Infinity and NaN in their JSON artifacts
+    NON_FINITE = [
+        ("prerender-sim", {"prerender": {"encoding": {"base_i_size": 1e308}, "steps": 50}},
+         [], "walk_summary.json"),
+        ("bench-run", {"bench": {"lod_high": 1e308}}, ["--policies", "mdp,none"],
+         "bench_summary.json"),
+    ]
+
+    @pytest.mark.parametrize("command, payload, flags, name", NON_FINITE,
+                             ids=[c for c, *_ in NON_FINITE])
+    def test_non_finite_artifact_exits_numerical_with_one_line(self, tmp_path, capsys, command,
+                                                               payload, flags, name):
+        code = main([command, "--config", _write_config(tmp_path, payload),
+                     "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"{command}: numerical failure: {name}: non-finite value, not written as JSON\n")
+
+    PRERENDER_FLOATS = [("spacing",), ("panorama_work",),
+                        *(("timing", k) for k in DEFAULTS["prerender"]["timing"]),
+                        *(("encoding", k) for k in DEFAULTS["prerender"]["encoding"])]
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(values=st.dictionaries(st.sampled_from(PRERENDER_FLOATS),
+                                  st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+                                  min_size=1))
+    @example(values={("encoding", "base_i_size"): 1e308})      # the sums overflow
+    @example(values={("timing", "t_request"): 1e308})
+    def test_prerender_floats_give_strict_json_or_one_line(self, values):
+        section: dict = {"steps": 20}
+        for keys, value in values.items():
+            node = section
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = value
+
+        def reject(constant):
+            raise ValueError(f"{constant} in a JSON artifact")
+
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+            out = Path(tmp) / "out"
+            cfg = _write_config(Path(tmp), {"prerender": section})
+            code = main(["prerender-sim", "--config", cfg, "--out-dir", str(out)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err.getvalue()
+            if code == EXIT_OK:
+                for path in out.glob("*.json"):
+                    json.loads(path.read_text(), parse_constant=reject)
+            else:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
 
     TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
               ("0 0 0\n1 1 0\n1 2 0\n", "path.trace:3: step index 1 does not follow 1")]

@@ -1,7 +1,10 @@
 """Deterministic reverse process and the probability readout."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from conftest import STRIDE, T_NOISE
 from renderopt.diffusion import (NoiseSchedule, interaction_probabilities,
@@ -95,12 +98,30 @@ class TestInteractionProbabilities:
         assert np.array_equal(idx, np.arange(12))
         assert np.all(probs == 0.5)
 
+    @pytest.mark.filterwarnings("error")
     def test_probabilities_strictly_inside_unit_interval(self):
         m_hat = np.zeros((4, 6))
         m_hat[:, 0] = 1e9
         items = np.array([[1e9, 0.0, 0.0], [-1e9, 0.0, 0.0]])
         _, probs = interaction_probabilities(m_hat, items, (0, 1, 2))
         assert np.all((probs > 0.0) & (probs < 1.0))
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(drawn=st.lists(st.floats(-700.0, 700.0), max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logistic_within_8_ulp_of_libm(self, drawn, seed):
+        # hypothesis favours round values, where most forms are exact; a
+        # seeded uniform sample adds the ordinary ones
+        logits = [*drawn, *np.random.default_rng(seed).uniform(-700.0, 700.0, 1000)]
+        # a pooled block of (1, 0, 0) makes each item's logit its first feature
+        m_hat = np.zeros((2, 6))
+        m_hat[:, 0] = 1.0
+        items = np.zeros((len(logits), 3))
+        items[:, 0] = logits
+        _, probs = interaction_probabilities(m_hat, items, (0, 1, 2))
+        expected = np.array([1.0 / (1.0 + math.exp(-x)) for x in logits])
+        ulps = np.abs(probs.view(np.int64) - expected.view(np.int64))
+        assert ulps.max() <= 8, logits[int(ulps.argmax())]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

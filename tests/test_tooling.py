@@ -25,6 +25,15 @@ def test_script_help_exits_zero(script):
     assert proc.stdout.startswith("usage:")
 
 
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency
+    code = "import sys, renderopt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_tracer_installs_and_records_spans(tmp_path):
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"diffusion": {"dataset_users": 16, "epochs": 1,

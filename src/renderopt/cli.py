@@ -250,10 +250,19 @@ def _warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
             for category, messages in by_category.items()]
 
 
+def _remove_new_files(out_dir: Path, existing: set[str]) -> None:
+    """Delete the files in `out_dir` whose names are not in `existing`."""
+    with suppress(OSError):             # the directory is gone
+        for name in set(os.listdir(out_dir)) - existing:
+            with suppress(OSError):     # not a file, or gone already
+                (out_dir / name).unlink()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     created: list[Path] = []          # output directories this run made, deepest first
+    existing: set[str] | None = None  # the out dir's entries before the command ran
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -269,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
             created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             with _path_from(option, out_dir, "create directory"):
                 out_dir.mkdir(parents=True, exist_ok=True)
+            with _path_from(option, out_dir, "list"):
+                existing = set(os.listdir(out_dir))
             started = datetime.now(timezone.utc).isoformat()
             outputs = _COMMANDS[args.command](config, seed, out_dir, args)
             _write_manifest(out_dir, config, args.command, seed, outputs, started)
@@ -282,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         for line in _warning_lines(caught):
             print(f"{args.command}: warning: {line}", file=sys.stderr)
         return EXIT_OK
-    # a failed run leaves no empty directory of its own making behind
+    # a failed run leaves no file or directory of its own making behind
+    if existing is not None:
+        _remove_new_files(out_dir, existing)
     for path in created:
         with suppress(OSError):         # not empty, or never made
             os.rmdir(path)

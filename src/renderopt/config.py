@@ -20,7 +20,7 @@ from .bench import POLICY_VARIANTS, CostModel, RenderPolicy, WorkloadConfig
 from .diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
 from .errors import ConfigError, _build, _merge, check
 from .game import CloudParams, EdgeNodeParams, SolverSettings
-from .prerender import EncodingSpec, GridWorld, TimingModel
+from .prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -98,10 +98,9 @@ DEFAULTS: dict = {
 
 # training runs one forward pass over its whole split: at default settings,
 # ~1.1 GB RSS for 10 000 users or ~0.6 GB for sequences of 128 steps (attention
-# memory grows with its square); the longest walk keeps ~0.4 GB of steps
+# memory grows with its square)
 MAX_USERS = 10_000
 MAX_SEQ_LEN = 128
-MAX_WALK_STEPS = 1_000_000
 
 
 def _check_unheld(tree: dict) -> None:

@@ -148,35 +148,34 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
     if _edge_marginal(node, node.demand_max, d_others_sum, price, capacity) >= 0:
         return node.demand_max
 
-    alpha, beta, cap = node.alpha, node.beta, capacity
-
-    def u(d: float) -> float:
-        return alpha * math.log1p(d) - beta * d * (d + d_others_sum) / cap - price * d
+    alpha, beta, cap, log1p = node.alpha, node.beta, capacity, math.log1p
+    # the utility alpha*ln(1+d) - beta*d*(d+D)/C - p*d, written out at each probe
 
     a, b = 0.0, node.demand_max
     h = b - a
     n = max(1, math.ceil(math.log(settings.br_tolerance / h) / math.log(_INVPHI)))
     c = a + _INVPHI2 * h
     dd = a + _INVPHI * h
-    yc, yd = u(c), u(dd)
-    # u overflows to -inf only on a tail of the bracket, past the optimum:
-    # shrink from the right until the right probe is finite
+    yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
+    yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
+    # the utility overflows to -inf only on a tail of the bracket, past the
+    # optimum: shrink from the right until the right probe is finite
     while yd == -math.inf:
         b, dd, yd = dd, c, yc
         h *= _INVPHI
         c = a + _INVPHI2 * h
-        yc = u(c)
+        yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
     for _ in range(n):
         if yc > yd:
             b, dd, yd = dd, c, yc
             h *= _INVPHI
             c = a + _INVPHI2 * h
-            yc = u(c)
+            yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
         else:
             a, c, yc = c, dd, yd
             h *= _INVPHI
             dd = a + _INVPHI * h
-            yd = u(dd)
+            yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
     return 0.5 * (a + dd) if yc > yd else 0.5 * (c + b)
 
 

@@ -12,8 +12,8 @@ once per walk.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from operator import index
@@ -21,9 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check
+from .errors import ConfigError, check
 
 Coord = tuple[int, int]
+
+# the longest walk: ~0.4 GB of per-step rows
+MAX_WALK_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,12 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     if encoding is None:
         encoding = EncodingSpec()
     regions = segment_regions(world)
-    frames: dict[Coord, PanoramaFrame] = {}    # encoded on first entry
     deadline = hop_deadline(world, timing)
+    diagonal = world.diagonal
+    # a hop's deadline scales with its length, so on diagonal floors it is
+    # indexed by |dx| + |dy|: a stay (on a 1x1 floor), an axis hop, a diagonal hop
+    hop_deadlines = [deadline * max(math.hypot(dx, dy), 1.0)
+                     for dx, dy in ((0, 0), (1, 0), (1, 1))]
 
     if mobility.kind == "trace":
         path = mobility.trace
@@ -271,6 +278,10 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         raise ValueError(f"start point {current} outside grid")
 
     rng = np.random.default_rng(seed)
+    # per point, filled on the first visit: its neighbours, and on the first
+    # entry (frame, is P-frame, latency when fetched, latency when on the device)
+    around: dict[Coord, list[Coord]] = {}
+    entries: dict[Coord, tuple[PanoramaFrame, bool, float, float]] = {}
     fetched: set[Coord] = set()        # P-frames already on the device
     misses = 0
     bytes_tx = 0.0
@@ -278,10 +289,11 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     rows: list[dict] = []
 
     for step in range(1, horizon + 1):
-        options = neighbors(world, current)
         # pre-render panoramas for every neighbor (the work the edge performs
         # each step so any move is covered)
-        prerendered = len(options)
+        options = around.get(current)
+        if options is None:
+            options = around[current] = neighbors(world, current)
         if path is not None:
             nxt = path[step]
             if nxt not in options:
@@ -289,22 +301,25 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
                                  f"is not to a grid neighbour")
         else:
             nxt = options[int(rng.integers(len(options)))] if options else current
-        frame = frames.get(nxt)
-        if frame is None:
-            frame = frames[nxt] = encode_frame(world, nxt, encoding, regions)
-        cached = frame.kind == "P" and nxt in fetched
-        if world.diagonal:
-            hop_len = math.hypot(nxt[0] - current[0], nxt[1] - current[1])
-            step_deadline = deadline * max(hop_len, 1.0)
+        entry = entries.get(nxt)
+        if entry is None:
+            frame = encode_frame(world, nxt, encoding, regions)
+            entry = entries[nxt] = (frame, frame.kind == "P",
+                                    step_latency(frame, timing, panorama_work),
+                                    step_latency(frame, timing, panorama_work, cached=True))
+        frame, is_p, latency, cached_latency = entry
+        if is_p:
+            if nxt in fetched:
+                latency = cached_latency
+            else:
+                bytes_tx += frame.size
+                fetched.add(nxt)
+        if diagonal:
+            missed = latency > hop_deadlines[abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])]
         else:
-            step_deadline = deadline
-        latency = step_latency(frame, timing, panorama_work, cached=cached)
-        missed = latency > step_deadline
+            missed = latency > deadline
         if missed:
             misses += 1
-        if frame.kind == "P" and not cached:
-            bytes_tx += frame.size
-            fetched.add(nxt)
         latencies.append(latency)
         rows.append({
             "step": step,
@@ -314,7 +329,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
             "size": frame.size,
             "latency_ms": latency,
             "missed": int(missed),
-            "prerendered_neighbors": prerendered,
+            "prerendered_neighbors": len(options),
         })
         current = nxt
 
@@ -328,26 +343,47 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     )
 
 
+# one trace line: blank, a comment, or three ASCII integers
+_TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]+))?\s*",
+                         re.ASCII)
+_ECHO_CHARS = 60                       # longest part of a bad line an error repeats
+
+
+def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
+    text = line.strip()
+    echo = repr(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
+    return ValueError(f"{path}:{lineno}: expected 'step_index x y' integers, got {echo}")
+
+
 def load_trace(path: str | Path) -> tuple[Coord, ...]:
     """Read a mobility trace: one `step_index x y` line per point, with step
-    indices strictly increasing in file order."""
+    indices strictly increasing in file order. Fields are ASCII integers;
+    blank lines and lines starting with `#` are skipped. A trace longer than
+    the longest walk (MAX_WALK_STEPS steps) is refused as soon as its next
+    point is read."""
     points: list[Coord] = []
     last: int | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            index, x, y = (int(part) for part in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected 'step_index x y' integers, "
-                             f"got {line!r}") from None
-        if last is not None and index <= last:
-            raise ValueError(f"{path}:{lineno}: step index {index} does not follow "
-                             f"{last}; indices must strictly increase")
-        last = index
-        points.append((x, y))
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            match = _TRACE_LINE.fullmatch(line)
+            if match is None:
+                raise _bad_trace_line(path, lineno, line)
+            index, x, y = match.groups()
+            if index is None:           # blank or a comment
+                continue
+            try:
+                index, x, y = int(index), int(x), int(y)
+            except ValueError:          # longer than int's digit limit
+                raise _bad_trace_line(path, lineno, line) from None
+            if last is not None and index <= last:
+                raise ValueError(f"{path}:{lineno}: step index {index} does not follow "
+                                 f"{last}; indices must strictly increase")
+            if len(points) > MAX_WALK_STEPS:
+                raise ConfigError(f"--trace: {str(path)!r}:{lineno}: more than "
+                                  f"{MAX_WALK_STEPS + 1} points; a walk takes at most "
+                                  f"{MAX_WALK_STEPS} steps")
+            last = index
+            points.append((x, y))
     return tuple(points)
 
 
@@ -356,12 +392,20 @@ def save_trace(path: str | Path, points: list[Coord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class _Reprs(dict):
+    """Float to its repr, computed on first lookup."""
+
+    def __missing__(self, value: float) -> str:
+        shown = self[value] = repr(float(value))
+        return shown
+
+
 def write_walk_csv(result: WalkResult, path: str | Path) -> None:
-    """Per-step breakdown: step, point, kind, size, latency_ms, missed."""
+    """Per-step breakdown: step, point, kind, size, latency_ms, missed; lines
+    end in CRLF, as csv.writer ends them."""
+    text = _Reprs()                    # repr of each distinct size and latency
+    lines = ["step,x,y,kind,size,latency_ms,missed\r\n"]
+    lines += [f"{row['step']},{row['x']},{row['y']},{row['kind']},{text[row['size']]},"
+              f"{text[row['latency_ms']]},{row['missed']}\r\n" for row in result.rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "x", "y", "kind", "size", "latency_ms", "missed"])
-        for row in result.rows:
-            writer.writerow([row["step"], row["x"], row["y"], row["kind"],
-                             repr(float(row["size"])), repr(float(row["latency_ms"])),
-                             row["missed"]])
+        fh.write("".join(lines))

@@ -11,7 +11,9 @@ re-solving the follower game at every price the ascent evaluates, repeats
 included, plus counters of the follower work a solve does.
 
 For pre-rendering: region assignment by checking every center for every
-point.
+point; a walk that encodes every frame up front and recomputes each step's
+neighbours, latency and deadline; and the step CSV written row by row with
+`csv.writer`.
 
 For the benchmark's `mdp` policy: the region-hop MDP built as a full
 transition tensor and solved by value iteration.
@@ -30,8 +32,10 @@ two must agree bit for bit.
 
 from __future__ import annotations
 
+import csv
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +44,9 @@ from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, Solv
                             cloud_utility)
 from renderopt.diffusion.denoiser import DenoiserConfig
 from renderopt.diffusion.schedule import NoiseSchedule
-from renderopt.prerender import Coord, GridWorld
+from renderopt.prerender import (Coord, EncodingSpec, GridWorld, MobilitySpec, TimingModel,
+                                 WalkResult, encode_frame, hop_deadline, neighbors,
+                                 step_latency)
 
 
 def utility_curve(node: EdgeNodeParams, d: np.ndarray, d_others_sum: float,
@@ -311,6 +317,51 @@ def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord
             rid = int(np.argmin(dist))      # argmin takes the lowest index on ties
             assignment[(x, y)] = (rid, centers[rid])
     return assignment
+
+
+def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, horizon: int,
+               seed: int, encoding: EncodingSpec, panorama_work: float = 100.0):
+    """(rows, bytes transmitted, per-step latencies) of `simulate_walk`: every
+    frame encoded up front from the brute-force segmentation, then the same
+    path, caching and deadline rules, each recomputed at every step."""
+    regions = segment_regions_bruteforce(world)
+    frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
+    deadline = hop_deadline(world, timing)
+    rng = np.random.default_rng(seed)
+    current = mobility.trace[0] if mobility.kind == "trace" else (
+        world.width // 2, world.height // 2)
+    fetched, bytes_tx, latencies, rows = set(), 0.0, [], []
+    for step in range(1, horizon + 1):
+        options = neighbors(world, current)
+        if mobility.kind == "trace":
+            nxt = mobility.trace[step]
+        else:
+            nxt = options[int(rng.integers(len(options)))] if options else current
+        frame = frames[nxt]
+        cached = frame.kind == "P" and nxt in fetched
+        hop = math.hypot(nxt[0] - current[0], nxt[1] - current[1]) if world.diagonal else 1.0
+        latency = step_latency(frame, timing, panorama_work, cached=cached)
+        if frame.kind == "P" and not cached:
+            bytes_tx += frame.size
+            fetched.add(nxt)
+        latencies.append(latency)
+        rows.append({"step": step, "x": nxt[0], "y": nxt[1], "kind": frame.kind,
+                     "size": frame.size, "latency_ms": latency,
+                     "missed": int(latency > deadline * max(hop, 1.0)),
+                     "prerendered_neighbors": len(options)})
+        current = nxt
+    return rows, bytes_tx, latencies
+
+
+def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
+    """The step CSV, one `csv.writer.writerow` per step."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "x", "y", "kind", "size", "latency_ms", "missed"])
+        for row in result.rows:
+            writer.writerow([row["step"], row["x"], row["y"], row["kind"],
+                             repr(float(row["size"])), repr(float(row["latency_ms"])),
+                             row["missed"]])
 
 
 def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,

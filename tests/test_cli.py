@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
-from renderopt.prerender import save_trace
+from renderopt.prerender import MAX_WALK_STEPS, save_trace
 
 FAST_DIFFUSION = {
     "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
@@ -326,6 +327,22 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"{command}: numerical failure: {name}: non-finite value, not written as JSON\n")
 
+    # both left the artifacts written before the failing one
+    @pytest.mark.parametrize("command, payload, flags, name", NON_FINITE,
+                             ids=[c for c, *_ in NON_FINITE])
+    def test_failed_run_removes_the_files_it_wrote(self, tmp_path, capsys, command, payload,
+                                                   flags, name):
+        argv = [command, "--config", _write_config(tmp_path, payload), *flags]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_NUMERICAL
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert main([*argv, "--out-dir", str(tmp_path / "new" / "sub")]) == EXIT_NUMERICAL
+        assert not (tmp_path / "new").exists()
+        assert capsys.readouterr().err.count("\n") == 2
+
     PRERENDER_FLOATS = [("spacing",), ("panorama_work",),
                         *(("timing", k) for k in DEFAULTS["prerender"]["timing"]),
                         *(("encoding", k) for k in DEFAULTS["prerender"]["encoding"])]
@@ -371,6 +388,46 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1
         assert err.startswith("prerender-sim: error: ") and problem in err
+
+    # int() reads both as integers, so such a trace used to walk and exit 0
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_non_ascii_or_underscored_trace_field_exits_config(self, data):
+        path = [(10, 10), (11, 10), (11, 11), (10, 11), (10, 10)]
+        fields = [[str(10 + 7 * i), str(x), str(y)] for i, (x, y) in enumerate(path)]
+        line = data.draw(st.integers(0, len(fields) - 1), label="line")
+        col = data.draw(st.integers(0, 2), label="field")
+        text = fields[line][col]
+        if data.draw(st.booleans(), label="underscore"):
+            at = data.draw(st.integers(1, len(text) - 1), label="at")
+            fields[line][col] = text[:at] + "_" + text[at:]
+        else:           # one digit written in another script, same value
+            at = data.draw(st.integers(0, len(text) - 1), label="at")
+            digit = data.draw(st.characters(categories=("Nd",)).filter(lambda c: not c.isascii()),
+                              label="digit")
+            same = chr(ord(digit) - unicodedata.decimal(digit) + int(text[at]))
+            fields[line][col] = text[:at] + same + text[at + 1:]
+        assert int(fields[line][col]) == int(text)
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+            trace = Path(tmp) / "path.trace"
+            trace.write_text("".join(" ".join(f) + "\n" for f in fields), encoding="utf-8")
+            code = main(["prerender-sim", "--trace", str(trace), "--out-dir", f"{tmp}/out"])
+            assert code == EXIT_CONFIG
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith(f"prerender-sim: error: {trace}:{line + 1}: "
+                                             f"expected 'step_index x y' integers, got ")
+
+    def test_trace_past_the_walk_cap_exits_config_with_one_line(self, tmp_path, capsys):
+        trace = tmp_path / "long.trace"
+        with open(trace, "w") as fh:
+            for i in range(MAX_WALK_STEPS + 2):
+                fh.write(f"{i} {i % 2} 0\n")
+        code = main(["prerender-sim", "--trace", str(trace), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"prerender-sim: config error: --trace: {str(trace)!r}:{MAX_WALK_STEPS + 2}: more "
+            f"than {MAX_WALK_STEPS + 1} points; a walk takes at most {MAX_WALK_STEPS} steps\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["prerender-sim", "game-solve"])
     def test_negative_seed_exits_config_with_one_line(self, tmp_path, capsys, command):

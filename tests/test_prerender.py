@@ -1,13 +1,12 @@
 """Grid walks, region compression, and deadline accounting."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import segment_regions_bruteforce
+from oracles import segment_regions_bruteforce, walk_eager, write_walk_csv_rowwise
 from renderopt import prerender
+from renderopt.errors import ConfigError
 from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
@@ -264,38 +263,6 @@ class TestSimulateWalk:
         assert sorted(calls) == sorted(entered)
 
 
-def _eager_walk(world, timing, mobility, horizon, seed, encoding, panorama_work=100.0):
-    """Reference walk: every frame encoded up front from the brute-force
-    segmentation, then the same path, caching and deadline rules."""
-    regions = segment_regions_bruteforce(world)
-    frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
-    deadline = hop_deadline(world, timing)
-    rng = np.random.default_rng(seed)
-    current = mobility.trace[0] if mobility.kind == "trace" else (
-        world.width // 2, world.height // 2)
-    fetched, bytes_tx, latencies, rows = set(), 0.0, [], []
-    for step in range(1, horizon + 1):
-        options = neighbors(world, current)
-        if mobility.kind == "trace":
-            nxt = mobility.trace[step]
-        else:
-            nxt = options[int(rng.integers(len(options)))] if options else current
-        frame = frames[nxt]
-        cached = frame.kind == "P" and nxt in fetched
-        hop = math.hypot(nxt[0] - current[0], nxt[1] - current[1]) if world.diagonal else 1.0
-        latency = step_latency(frame, timing, panorama_work, cached=cached)
-        if frame.kind == "P" and not cached:
-            bytes_tx += frame.size
-            fetched.add(nxt)
-        latencies.append(latency)
-        rows.append({"step": step, "x": nxt[0], "y": nxt[1], "kind": frame.kind,
-                     "size": frame.size, "latency_ms": latency,
-                     "missed": int(latency > deadline * max(hop, 1.0)),
-                     "prerendered_neighbors": len(options)})
-        current = nxt
-    return rows, bytes_tx, latencies
-
-
 def _neighbour_path(world, start, hops, rng):
     path = [start]
     for _ in range(hops):
@@ -304,25 +271,46 @@ def _neighbour_path(world, start, hops, rng):
     return tuple(path)
 
 
-@pytest.mark.parametrize("w,h,k,diagonal", [(23, 17, 5, False), (23, 17, 7, True),
-                                            (12, 9, 5, True), (6, 11, 3, False)])
-def test_walk_matches_eager_reference(w, h, k, diagonal):
+@hyp_settings(max_examples=60, deadline=None)
+@given(w=st.integers(1, 30), h=st.integers(1, 30), k=st.integers(0, 15).map(lambda n: 2 * n + 1),
+       diagonal=st.booleans(), bandwidth=st.floats(500.0, 20_000.0), seed=st.integers(0, 2**32))
+@example(w=23, h=17, k=5, diagonal=False, bandwidth=5000.0, seed=7)
+@example(w=23, h=17, k=7, diagonal=True, bandwidth=5000.0, seed=7)
+@example(w=12, h=9, k=5, diagonal=True, bandwidth=5000.0, seed=7)
+@example(w=6, h=11, k=3, diagonal=False, bandwidth=5000.0, seed=7)
+@example(w=1, h=1, k=1, diagonal=True, bandwidth=500.0, seed=0)       # no neighbour: stays
+@example(w=30, h=30, k=7, diagonal=True, bandwidth=1000.0, seed=1)    # most P-frames miss
+def test_walk_matches_eager_reference(tmp_path_factory, w, h, k, diagonal, bandwidth, seed):
+    """Seeded and replayed walks equal the eager reference step by step, and
+    their CSV is byte-equal to the one csv.writer writes row by row."""
     world = GridWorld(width=w, height=h, region_side=k, diagonal=diagonal)
-    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=5000.0)
-    trace = _neighbour_path(world, (0, h - 1), 600, np.random.default_rng(w * h))
-    for mobility in (MobilitySpec(), MobilitySpec(kind="trace", trace=trace)):
-        result = simulate_walk(world, timing, mobility, 600, seed=7, encoding=ENCODING)
-        rows, bytes_tx, latencies = _eager_walk(world, timing, mobility, 600, 7, ENCODING)
+    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=bandwidth)
+    mobilities = [MobilitySpec()]
+    if w * h > 1:           # a one-point floor has no hop to replay
+        trace = _neighbour_path(world, (0, h - 1), 600, np.random.default_rng(seed))
+        mobilities.append(MobilitySpec(kind="trace", trace=trace))
+    out = tmp_path_factory.mktemp("walk")
+    for mobility in mobilities:
+        result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
+        rows, bytes_tx, latencies = walk_eager(world, timing, mobility, 600, seed, ENCODING)
         assert result.rows == rows
         assert result.bytes_transmitted == bytes_tx
         assert result.per_step_latency == latencies
         assert result.deadline_misses == sum(row["missed"] for row in rows)
+        write_walk_csv(result, out / "steps.csv")
+        write_walk_csv_rowwise(result, out / "rowwise.csv")
+        assert (out / "steps.csv").read_bytes() == (out / "rowwise.csv").read_bytes()
+
+
+_FIELD = st.integers(-10**30, 10**30)
 
 
 class TestTraceIO:
-    def test_round_trip(self, tmp_path):
-        points = [(0, 0), (1, 0), (1, 1), (2, 1)]
-        path = tmp_path / "walk.trace"
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(_FIELD, _FIELD), min_size=1, max_size=20))
+    @example(points=[(0, 0), (1, 0), (1, 1), (2, 1)])
+    def test_round_trip(self, tmp_path_factory, points):
+        path = tmp_path_factory.mktemp("trace") / "walk.trace"
         save_trace(path, points)
         assert load_trace(path) == tuple(points)
 
@@ -350,6 +338,25 @@ class TestTraceIO:
         path = tmp_path / "bad.trace"
         path.write_text("0 0 0\n1 1.5 0\n")
         with pytest.raises(ValueError, match="bad.trace:2: expected"):
+            load_trace(path)
+
+    def test_long_bad_line_echo_is_capped(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("0 0 0\n1 0 " + "9" * 5000 + "\n")     # past int()'s digit limit
+        with pytest.raises(ValueError) as info:
+            load_trace(path)
+        assert str(info.value).endswith(f"bad.trace:2: expected 'step_index x y' integers, "
+                                        f"got '1 0 {'9' * 56}'...")
+
+    def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(prerender, "MAX_WALK_STEPS", 5)
+        path = tmp_path / "long.trace"
+        path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(6)))
+        assert len(load_trace(path)) == 6
+        # the seventh point is refused before the malformed line after it is read
+        path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(7)) + "not a point\n")
+        with pytest.raises(ConfigError, match=r"^--trace: .*long.trace':7: more than 6 points; "
+                                              r"a walk takes at most 5 steps$"):
             load_trace(path)
 
     def test_csv_export_schema(self, tmp_path):

@@ -271,25 +271,14 @@ def _neighbour_path(world, start, hops, rng):
     return tuple(path)
 
 
-@hyp_settings(max_examples=60, deadline=None)
-@given(w=st.integers(1, 30), h=st.integers(1, 30), k=st.integers(0, 15).map(lambda n: 2 * n + 1),
-       diagonal=st.booleans(), bandwidth=st.floats(500.0, 20_000.0), seed=st.integers(0, 2**32))
-@example(w=23, h=17, k=5, diagonal=False, bandwidth=5000.0, seed=7)
-@example(w=23, h=17, k=7, diagonal=True, bandwidth=5000.0, seed=7)
-@example(w=12, h=9, k=5, diagonal=True, bandwidth=5000.0, seed=7)
-@example(w=6, h=11, k=3, diagonal=False, bandwidth=5000.0, seed=7)
-@example(w=1, h=1, k=1, diagonal=True, bandwidth=500.0, seed=0)       # no neighbour: stays
-@example(w=30, h=30, k=7, diagonal=True, bandwidth=1000.0, seed=1)    # most P-frames miss
-def test_walk_matches_eager_reference(tmp_path_factory, w, h, k, diagonal, bandwidth, seed):
+def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
     """Seeded and replayed walks equal the eager reference step by step, and
     their CSV is byte-equal to the one csv.writer writes row by row."""
-    world = GridWorld(width=w, height=h, region_side=k, diagonal=diagonal)
-    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=bandwidth)
     mobilities = [MobilitySpec()]
-    if w * h > 1:           # a one-point floor has no hop to replay
-        trace = _neighbour_path(world, (0, h - 1), 600, np.random.default_rng(seed))
+    if world.width * world.height > 1:      # a one-point floor has no hop to replay
+        start = (0, world.height - 1)
+        trace = _neighbour_path(world, start, 600, np.random.default_rng(trace_seed))
         mobilities.append(MobilitySpec(kind="trace", trace=trace))
-    out = tmp_path_factory.mktemp("walk")
     for mobility in mobilities:
         result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
         rows, bytes_tx, latencies = walk_eager(world, timing, mobility, 600, seed, ENCODING)
@@ -300,6 +289,26 @@ def test_walk_matches_eager_reference(tmp_path_factory, w, h, k, diagonal, bandw
         write_walk_csv(result, out / "steps.csv")
         write_walk_csv_rowwise(result, out / "rowwise.csv")
         assert (out / "steps.csv").read_bytes() == (out / "rowwise.csv").read_bytes()
+
+
+@pytest.mark.parametrize("w,h,k,diagonal", [(23, 17, 5, False), (23, 17, 7, True),
+                                            (12, 9, 5, True), (6, 11, 3, False)])
+def test_walk_matches_eager_reference(tmp_path, w, h, k, diagonal):
+    world = GridWorld(width=w, height=h, region_side=k, diagonal=diagonal)
+    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=5000.0)
+    _assert_walk_matches_eager(tmp_path, world, timing, seed=7, trace_seed=w * h)
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(w=st.integers(1, 30), h=st.integers(1, 30), k=st.integers(0, 15).map(lambda n: 2 * n + 1),
+       diagonal=st.booleans(), bandwidth=st.floats(500.0, 20_000.0), seed=st.integers(0, 2**32))
+@example(w=1, h=1, k=1, diagonal=True, bandwidth=500.0, seed=0)       # no neighbour: stays
+@example(w=30, h=30, k=7, diagonal=True, bandwidth=1000.0, seed=1)    # most P-frames miss
+def test_walk_matches_eager_reference_on_any_floor(tmp_path_factory, w, h, k, diagonal,
+                                                   bandwidth, seed):
+    world = GridWorld(width=w, height=h, region_side=k, diagonal=diagonal)
+    timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=bandwidth)
+    _assert_walk_matches_eager(tmp_path_factory.mktemp("walk"), world, timing, seed, seed)
 
 
 _FIELD = st.integers(-10**30, 10**30)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import replace
@@ -46,6 +48,13 @@ def _path_from(option: str, path, action: str):
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"{option}: cannot {action} {str(path)!r}: {reason}") from None
+
+
+def _check_noise_step(key: str, t_noise: int, schedule) -> None:
+    """Refuse a noise step the schedule in use has no step for."""
+    if not 1 <= t_noise <= schedule.steps:
+        raise ConfigError(f"{key}: must be in [1, {schedule.steps}] (steps of the schedule "
+                          f"in use), got {t_noise}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -135,10 +144,11 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
     with _path_from("--checkpoint", args.checkpoint, "read"):
         model, schedule, standardizer = load_checkpoint(args.checkpoint)
     sec = config.section("diffusion")
+    t_noise, stride = sec["infer_noise_step"], sec["stride"]
+    _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
     planted = PlantedConfig(n_users=args.users, seq_len=sec["seq_len"])
     eval_users = make_population(planted, seed=seed + 1_000_003)
     rng = np.random.default_rng(seed)
-    t_noise, stride = sec["infer_noise_step"], sec["stride"]
 
     rows = []
     ranked_ok = 0
@@ -188,10 +198,13 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
             with _path_from("--checkpoint", args.checkpoint, "read"):
                 model, schedule, standardizer = load_checkpoint(args.checkpoint)
         else:
+            schedule = config.schedule
+        _check_noise_step("bench.t_noise", config.policy.t_noise, schedule)
+        if model is None:
             result, standardizer = _train_denoiser(
                 config, config.bench_train, config.section("bench")["train"]["users"],
                 seed + 7_777, seed)
-            model, schedule = result.model, config.schedule
+            model = result.model
 
     workload = generate_workload(config.workload, seed=seed)
     reports = [run_policy(workload, replace(config.policy, variant=name), config.cost,
@@ -240,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()               # built once: every main() call parses with it
+
+
 def _warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
     """One line per warning category, in order of first appearance: how many
     warnings of that category the run raised, and the first one's message."""
@@ -250,19 +266,10 @@ def _warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
             for category, messages in by_category.items()]
 
 
-def _remove_new_files(out_dir: Path, existing: set[str]) -> None:
-    """Delete the files in `out_dir` whose names are not in `existing`."""
-    with suppress(OSError):             # the directory is gone
-        for name in set(os.listdir(out_dir)) - existing:
-            with suppress(OSError):     # not a file, or gone already
-                (out_dir / name).unlink()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     created: list[Path] = []          # output directories this run made, deepest first
-    existing: set[str] | None = None  # the out dir's entries before the command ran
+    staging: Path | None = None       # where the command writes, inside the out dir
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -278,11 +285,15 @@ def main(argv: list[str] | None = None) -> int:
             created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             with _path_from(option, out_dir, "create directory"):
                 out_dir.mkdir(parents=True, exist_ok=True)
-            with _path_from(option, out_dir, "list"):
-                existing = set(os.listdir(out_dir))
+                staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
             started = datetime.now(timezone.utc).isoformat()
-            outputs = _COMMANDS[args.command](config, seed, out_dir, args)
-            _write_manifest(out_dir, config, args.command, seed, outputs, started)
+            outputs = _COMMANDS[args.command](config, seed, staging, args)
+            _write_manifest(staging, config, args.command, seed, outputs, started)
+            # only a run that succeeds replaces files in the out dir
+            with _path_from(option, out_dir, "write into"):
+                for name in os.listdir(staging):
+                    os.replace(staging / name, out_dir / name)
+                os.rmdir(staging)
     except ConfigError as exc:
         code, message = EXIT_CONFIG, f"config error: {exc}"
     except NumericalError as exc:
@@ -293,9 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         for line in _warning_lines(caught):
             print(f"{args.command}: warning: {line}", file=sys.stderr)
         return EXIT_OK
-    # a failed run leaves no file or directory of its own making behind
-    if existing is not None:
-        _remove_new_files(out_dir, existing)
+    # a failed run leaves the out dir as it found it, and no directory of its making
+    if staging is not None:
+        shutil.rmtree(staging, ignore_errors=True)
     for path in created:
         with suppress(OSError):         # not empty, or never made
             os.rmdir(path)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, islice
 from operator import index
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .errors import ConfigError, check
 
 Coord = tuple[int, int]
 
-# the longest walk: ~0.4 GB of per-step rows
+# the longest walk: prerender-sim peaks at ~60 MB RSS for it on the default floor
 MAX_WALK_STEPS = 1_000_000
 
 
@@ -113,8 +114,11 @@ class WalkResult:
     deadline_misses: int
     bytes_transmitted: float
     bytes_all_i_baseline: float
+    # per step: the latency, the entered point's frame (one shared object per
+    # point; its grid_point is the entered point) and the deadline miss
     per_step_latency: list[float]
-    rows: list[dict] = field(default_factory=list)   # per-step breakdown for CSV export
+    frames: list[PanoramaFrame]
+    missed: list[bool]
 
     def summary(self) -> dict:
         return {
@@ -239,6 +243,14 @@ def step_latency(frame: PanoramaFrame, timing: TimingModel, work: float,
     return timing.t_request + work / timing.render_throughput + transmit
 
 
+_ECHO_CHARS = 60                       # longest part of a user's input an error repeats
+
+
+def _clip(text: str, show=str) -> str:
+    """`show` of the first _ECHO_CHARS characters of `text`, then "..." if cut."""
+    return show(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
+
+
 def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
                   horizon: int, seed: int, encoding: EncodingSpec | None = None,
                   panorama_work: float = 100.0) -> WalkResult:
@@ -275,7 +287,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         current = mobility.start if mobility.start is not None else (
             world.width // 2, world.height // 2)
     if not world.contains(current):
-        raise ValueError(f"start point {current} outside grid")
+        raise ValueError(f"start point {_clip(str(current))} outside grid")
 
     rng = np.random.default_rng(seed)
     # per point, filled on the first visit: its neighbours, and on the first
@@ -283,10 +295,10 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     around: dict[Coord, list[Coord]] = {}
     entries: dict[Coord, tuple[PanoramaFrame, bool, float, float]] = {}
     fetched: set[Coord] = set()        # P-frames already on the device
-    misses = 0
     bytes_tx = 0.0
     latencies: list[float] = []
-    rows: list[dict] = []
+    frames: list[PanoramaFrame] = []
+    missed: list[bool] = []
 
     for step in range(1, horizon + 1):
         # pre-render panoramas for every neighbor (the work the edge performs
@@ -297,8 +309,8 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         if path is not None:
             nxt = path[step]
             if nxt not in options:
-                raise ValueError(f"trace step {step}: hop {current} -> {nxt} "
-                                 f"is not to a grid neighbour")
+                raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
+                                 f"{_clip(str(nxt))} is not to a grid neighbour")
         else:
             nxt = options[int(rng.integers(len(options)))] if options else current
         entry = entries.get(nxt)
@@ -315,43 +327,26 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
                 bytes_tx += frame.size
                 fetched.add(nxt)
         if diagonal:
-            missed = latency > hop_deadlines[abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])]
+            limit = hop_deadlines[abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])]
         else:
-            missed = latency > deadline
-        if missed:
-            misses += 1
+            limit = deadline
+        missed.append(latency > limit)
         latencies.append(latency)
-        rows.append({
-            "step": step,
-            "x": nxt[0],
-            "y": nxt[1],
-            "kind": frame.kind,
-            "size": frame.size,
-            "latency_ms": latency,
-            "missed": int(missed),
-            "prerendered_neighbors": len(options),
-        })
+        frames.append(frame)
         current = nxt
 
-    return WalkResult(
-        steps=horizon,
-        deadline_misses=misses,
-        bytes_transmitted=bytes_tx,
-        bytes_all_i_baseline=horizon * encoding.base_i_size,
-        per_step_latency=latencies,
-        rows=rows,
-    )
+    return WalkResult(steps=horizon, deadline_misses=sum(missed), bytes_transmitted=bytes_tx,
+                      bytes_all_i_baseline=horizon * encoding.base_i_size,
+                      per_step_latency=latencies, frames=frames, missed=missed)
 
 
 # one trace line: blank, a comment, or three ASCII integers
 _TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]+))?\s*",
                          re.ASCII)
-_ECHO_CHARS = 60                       # longest part of a bad line an error repeats
 
 
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
-    text = line.strip()
-    echo = repr(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
+    echo = _clip(line.strip(), repr)
     return ValueError(f"{path}:{lineno}: expected 'step_index x y' integers, got {echo}")
 
 
@@ -402,10 +397,12 @@ class _Reprs(dict):
 
 def write_walk_csv(result: WalkResult, path: str | Path) -> None:
     """Per-step breakdown: step, point, kind, size, latency_ms, missed; lines
-    end in CRLF, as csv.writer ends them."""
+    end in CRLF, as csv.writer ends them. Written 8192 lines at a time."""
     text = _Reprs()                    # repr of each distinct size and latency
-    lines = ["step,x,y,kind,size,latency_ms,missed\r\n"]
-    lines += [f"{row['step']},{row['x']},{row['y']},{row['kind']},{text[row['size']]},"
-              f"{text[row['latency_ms']]},{row['missed']}\r\n" for row in result.rows]
+    steps = zip(count(1), result.frames, result.per_step_latency, result.missed)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("step,x,y,kind,size,latency_ms,missed\r\n")
+        while lines := [f"{step},{frame.grid_point[0]},{frame.grid_point[1]},{frame.kind},"
+                        f"{text[frame.size]},{text[latency]},{missed:d}\r\n"
+                        for step, frame, latency, missed in islice(steps, 8192)]:
+            fh.write("".join(lines))

@@ -321,16 +321,18 @@ def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord
 
 def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, horizon: int,
                seed: int, encoding: EncodingSpec, panorama_work: float = 100.0):
-    """(rows, bytes transmitted, per-step latencies) of `simulate_walk`: every
-    frame encoded up front from the brute-force segmentation, then the same
-    path, caching and deadline rules, each recomputed at every step."""
+    """(entered frames, latencies, missed flags, bytes transmitted) of
+    `simulate_walk`: every frame encoded up front from the brute-force
+    segmentation, then the same path, caching and deadline rules, each
+    recomputed at every step."""
     regions = segment_regions_bruteforce(world)
     frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
     deadline = hop_deadline(world, timing)
     rng = np.random.default_rng(seed)
     current = mobility.trace[0] if mobility.kind == "trace" else (
         world.width // 2, world.height // 2)
-    fetched, bytes_tx, latencies, rows = set(), 0.0, [], []
+    fetched, bytes_tx = set(), 0.0
+    entered, latencies, missed = [], [], []
     for step in range(1, horizon + 1):
         options = neighbors(world, current)
         if mobility.kind == "trace":
@@ -344,13 +346,11 @@ def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, ho
         if frame.kind == "P" and not cached:
             bytes_tx += frame.size
             fetched.add(nxt)
+        entered.append(frame)
         latencies.append(latency)
-        rows.append({"step": step, "x": nxt[0], "y": nxt[1], "kind": frame.kind,
-                     "size": frame.size, "latency_ms": latency,
-                     "missed": int(latency > deadline * max(hop, 1.0)),
-                     "prerendered_neighbors": len(options)})
+        missed.append(latency > deadline * max(hop, 1.0))
         current = nxt
-    return rows, bytes_tx, latencies
+    return entered, latencies, missed, bytes_tx
 
 
 def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
@@ -358,10 +358,12 @@ def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "x", "y", "kind", "size", "latency_ms", "missed"])
-        for row in result.rows:
-            writer.writerow([row["step"], row["x"], row["y"], row["kind"],
-                             repr(float(row["size"])), repr(float(row["latency_ms"])),
-                             row["missed"]])
+        for step in range(result.steps):
+            frame = result.frames[step]
+            x, y = frame.grid_point
+            writer.writerow([step + 1, x, y, frame.kind, repr(float(frame.size)),
+                             repr(float(result.per_step_latency[step])),
+                             int(result.missed[step])])
 
 
 def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,

@@ -429,6 +429,57 @@ class TestErrorPaths:
             f"than {MAX_WALK_STEPS + 1} points; a walk takes at most {MAX_WALK_STEPS} steps\n")
         assert not (tmp_path / "x").exists()
 
+    # both echoed every digit: lines of ~4 000 characters
+    LONG_COORDINATES = [("0 " + "9" * 4000 + " 0\n1 0 0\n", "start point (" + "9" * 59 + "..."),
+                        ("0 0 0\n1 " + "9" * 4000 + " 0\n",
+                         "trace step 1: hop (0, 0) -> (" + "9" * 59 + "... is not")]
+
+    @pytest.mark.parametrize("text, problem", LONG_COORDINATES, ids=["start", "hop"])
+    def test_long_trace_coordinate_echo_is_capped(self, tmp_path, capsys, text, problem):
+        trace = tmp_path / "path.trace"
+        trace.write_text(text)
+        code = main(["prerender-sim", "--trace", str(trace), "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("prerender-sim: error: ") and problem in err
+
+    # both exited 2 with `step N outside [1, S]`, naming no key
+    NOISE_STEPS = [("bench-run", {"bench": {"t_noise": 1400}}, None,
+                    "bench.t_noise: must be in [1, 700] (steps of the schedule in use), "
+                    "got 1400"),
+                   ("diffusion-infer", {}, 100,
+                    "diffusion.infer_noise_step: must be in [1, 100] (steps of the schedule "
+                    "in use), got 140")]
+
+    @pytest.mark.parametrize("command, payload, checkpoint_steps, problem", NOISE_STEPS,
+                             ids=[c for c, *_ in NOISE_STEPS])
+    def test_noise_step_past_the_schedule_names_the_key(self, tmp_path, capsys, command,
+                                                        payload, checkpoint_steps, problem):
+        argv = [command, "--config", _write_config(tmp_path, payload),
+                "--out-dir", str(tmp_path / "x")]
+        if checkpoint_steps is not None:
+            ckpt = tmp_path / "checkpoint.npz"
+            save_checkpoint(ckpt, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                            NoiseSchedule(steps=checkpoint_steps),
+                            Standardizer(mean=np.zeros(6), std=np.ones(6)))
+            argv += ["--checkpoint", str(ckpt)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{command}: config error: {problem}\n"
+
+    def test_failed_run_leaves_an_earlier_runs_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o2"
+        assert main(["prerender-sim", "--seed", "5", "--out-dir", str(out)]) == EXIT_OK
+
+        def digests():
+            return {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+        before = digests()
+        command, payload, flags, _ = self.NON_FINITE[0]
+        argv = [command, "--config", _write_config(tmp_path, payload), *flags]
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_NUMERICAL
+        assert len(before) == 3 and digests() == before
+
     @pytest.mark.parametrize("command", ["prerender-sim", "game-solve"])
     def test_negative_seed_exits_config_with_one_line(self, tmp_path, capsys, command):
         out = tmp_path / "x"

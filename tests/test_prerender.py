@@ -1,5 +1,7 @@
 """Grid walks, region compression, and deadline accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
@@ -193,18 +195,9 @@ class TestSimulateWalk:
     def test_seed_reproducibility(self):
         a = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
         b = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
-        assert a.rows == b.rows
+        assert (a.frames, a.missed) == (b.frames, b.missed)
         assert a.bytes_transmitted == b.bytes_transmitted
         assert a.per_step_latency == b.per_step_latency
-
-    def test_prerender_count_matches_neighborhood(self):
-        trace = tuple((x, 5) for x in range(6))
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(kind="trace", trace=trace),
-                               5, seed=0, encoding=ENCODING)
-        current = trace[0]
-        for row, nxt in zip(result.rows, trace[1:]):
-            assert row["prerendered_neighbors"] == len(neighbors(WORLD, current))
-            current = nxt
 
     def test_trace_outside_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -248,6 +241,22 @@ class TestSimulateWalk:
         with pytest.raises(ValueError, match="trace step 1"):
             simulate_walk(WORLD, TIMING, mobility, 2, seed=0)
 
+    def test_walk_record_holds_each_step_fact_once(self):
+        # a dict per step held ~6 MB for these 20 000 steps
+        simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=3)   # imports done
+        tracemalloc.start()
+        try:
+            result = simulate_walk(WORLD, TIMING, MobilitySpec(), 20_000, seed=3,
+                                   encoding=ENCODING)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.frames) == 20_000
+        assert held < 2 << 20
+        # one frame object per entered point, however often it is entered
+        entered = {frame.grid_point for frame in result.frames}
+        assert len({id(frame) for frame in result.frames}) == len(entered)
+
     def test_frames_encoded_once_per_entered_point(self, monkeypatch):
         calls = []
         real = prerender.encode_frame
@@ -259,8 +268,7 @@ class TestSimulateWalk:
         monkeypatch.setattr(prerender, "encode_frame", counting)
         world = GridWorld(width=300, height=300)
         result = simulate_walk(world, TIMING, MobilitySpec(), 400, seed=4, encoding=ENCODING)
-        entered = {(row["x"], row["y"]) for row in result.rows}
-        assert sorted(calls) == sorted(entered)
+        assert sorted(calls) == sorted({frame.grid_point for frame in result.frames})
 
 
 def _neighbour_path(world, start, hops, rng):
@@ -281,11 +289,13 @@ def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
         mobilities.append(MobilitySpec(kind="trace", trace=trace))
     for mobility in mobilities:
         result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
-        rows, bytes_tx, latencies = walk_eager(world, timing, mobility, 600, seed, ENCODING)
-        assert result.rows == rows
-        assert result.bytes_transmitted == bytes_tx
+        frames, latencies, missed, bytes_tx = walk_eager(world, timing, mobility, 600, seed,
+                                                         ENCODING)
+        assert result.frames == frames
         assert result.per_step_latency == latencies
-        assert result.deadline_misses == sum(row["missed"] for row in rows)
+        assert result.missed == missed
+        assert result.bytes_transmitted == bytes_tx
+        assert result.deadline_misses == sum(missed)
         write_walk_csv(result, out / "steps.csv")
         write_walk_csv_rowwise(result, out / "rowwise.csv")
         assert (out / "steps.csv").read_bytes() == (out / "rowwise.csv").read_bytes()

@@ -13,8 +13,7 @@ import csv
 
 import numpy as np
 
-from renderopt.bench import (CostModel, RenderPolicy, WorkloadConfig, compare,
-                             generate_workload, run_policy)
+from renderopt.bench import RenderPolicy, compare, generate_workload, run_policy
 from renderopt.cli import _train_denoiser
 from renderopt.config import load_config
 
@@ -27,14 +26,14 @@ def main() -> None:
     parser.add_argument("--out", default="bench_multiseed.csv")
     args = parser.parse_args()
 
-    # bench-run's training settings on 256 users of population seed 101, seed 0
+    # bench-run's training settings and users, on population seed 101, seed 0
     config = load_config(None)
-    result, standardizer = _train_denoiser(config, config.bench_train, 256, 101, 0)
+    result, standardizer = _train_denoiser(config, config.bench_train,
+                                           config.bench_train.users, 101, 0)
     model, schedule = result.model, config.schedule
     print("model trained; running workloads")
 
-    cost = CostModel()
-    wconfig = WorkloadConfig()
+    cost, wconfig = config.cost, config.workload
     rows = []
     agg: dict[str, list] = {p: [] for p in POLICIES}
     for seed in range(args.seeds):

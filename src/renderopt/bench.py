@@ -54,7 +54,7 @@ class WorkloadConfig:
     interest_fraction: float = 0.3
     work_low: float = 0.6
     work_high: float = 1.4
-    seq_len: int = 16
+    seq_len: int = PlantedConfig.seq_len
 
     def __post_init__(self):
         check(self.scenes >= 1, "scenes", "an integer >= 1", self.scenes)
@@ -102,7 +102,7 @@ class SceneWorkload:
 
 @dataclass(frozen=True)
 class RenderPolicy:
-    variant: str
+    variant: str = POLICY_VARIANTS[0]
     mdp_discount: float = 0.95
     mdp_cost_weight: float = 0.55
     ro_samples: int = 21

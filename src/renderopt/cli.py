@@ -87,7 +87,6 @@ def cmd_game_solve(config: ExperimentConfig, seed: int, out_dir: Path,
 
 def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
                       args) -> list[Path]:
-    sec = config.section("prerender")
     if args.trace:
         with _path_from("--trace", args.trace, "read"):
             trace = load_trace(args.trace)
@@ -95,9 +94,9 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
         horizon = len(trace) - 1
     else:
         mobility = MobilitySpec()
-        horizon = sec["steps"]
+        horizon = config.walk.steps
     result = simulate_walk(config.world, config.timing, mobility, horizon, seed,
-                           encoding=config.encoding, panorama_work=sec["panorama_work"])
+                           encoding=config.encoding, panorama_work=config.walk.panorama_work)
     steps_path = out_dir / "walk_steps.csv"
     write_walk_csv(result, steps_path)
     summary_path = out_dir / "walk_summary.json"
@@ -108,7 +107,7 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
 def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: int,
                     population_seed: int, seed: int):
     """Train config's denoiser on `users` planted users; returns (result, standardizer)."""
-    planted = PlantedConfig(n_users=users, seq_len=config.section("diffusion")["seq_len"])
+    planted = PlantedConfig(n_users=users, seq_len=config.diffusion.seq_len)
     dataset, standardizer = build_training_set(
         make_population(planted, seed=population_seed), planted)
     model = AttentionGatedDenoiser(config.denoiser, seed=seed)
@@ -118,7 +117,7 @@ def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: in
 def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
     result, standardizer = _train_denoiser(
-        config, config.train, config.section("diffusion")["dataset_users"], seed, seed)
+        config, config.train, config.diffusion.dataset_users, seed, seed)
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt_path, result.model, config.schedule, standardizer)
     curve_path = out_dir / "training_curve.csv"
@@ -143,10 +142,9 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
     with _path_from("--checkpoint", args.checkpoint, "read"):
         model, schedule, standardizer = load_checkpoint(args.checkpoint)
-    sec = config.section("diffusion")
-    t_noise, stride = sec["infer_noise_step"], sec["stride"]
+    t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
     _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
-    planted = PlantedConfig(n_users=args.users, seq_len=sec["seq_len"])
+    planted = PlantedConfig(n_users=args.users, seq_len=config.diffusion.seq_len)
     eval_users = make_population(planted, seed=seed + 1_000_003)
     rng = np.random.default_rng(seed)
 
@@ -202,8 +200,7 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
         _check_noise_step("bench.t_noise", config.policy.t_noise, schedule)
         if model is None:
             result, standardizer = _train_denoiser(
-                config, config.bench_train, config.section("bench")["train"]["users"],
-                seed + 7_777, seed)
+                config, config.bench_train, config.bench_train.users, seed + 7_777, seed)
             model = result.model
 
     workload = generate_workload(config.workload, seed=seed)
@@ -277,11 +274,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
             with _path_from("--config", args.config, "read"):
                 config = load_config(args.config)
-            seed = args.seed if args.seed is not None else config.seed
+            seed = args.seed if args.seed is not None else config.run.seed
             if args.out_dir is not None:
                 option, out_dir = "--out-dir", Path(args.out_dir)
             else:
-                option, out_dir = "out_dir", Path(config.out_dir)
+                option, out_dir = "out_dir", Path(config.run.out_dir)
             created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             with _path_from(option, out_dir, "create directory"):
                 out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,9 +286,14 @@ def main(argv: list[str] | None = None) -> int:
             started = datetime.now(timezone.utc).isoformat()
             outputs = _COMMANDS[args.command](config, seed, staging, args)
             _write_manifest(staging, config, args.command, seed, outputs, started)
-            # only a run that succeeds replaces files in the out dir
+            # only a run that succeeds publishes, and only where no directory blocks a file
+            names = os.listdir(staging)
+            for name in names:
+                if (out_dir / name).is_dir():
+                    raise ConfigError(f"{option}: cannot write into {str(out_dir)!r}: "
+                                      f"{str(out_dir / name)!r} is a directory")
             with _path_from(option, out_dir, "write into"):
-                for name in os.listdir(staging):
+                for name in names:
                     os.replace(staging / name, out_dir / name)
                 os.rmdir(staging)
     except ConfigError as exc:

@@ -111,10 +111,10 @@ def _copy(value):
     return json.loads(json.dumps(value))
 
 
-def _build(path: str, cls, section: dict, **extra):
+def _build(path: str, cls, section: dict):
     """cls from the section's keys that are its fields; a ValueError names the key path."""
     kwargs = {f.name: section[f.name] for f in fields(cls) if f.init and f.name in section}
     try:
-        return cls(**kwargs, **extra)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None

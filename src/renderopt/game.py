@@ -44,14 +44,19 @@ class EdgeNodeParams:
         check(self.demand_max > 0, "demand_max", "a positive number", self.demand_max)
 
 
+# the market of the config's defaults
+DEFAULT_NODES = (EdgeNodeParams("edge-0", alpha=2.0, beta=0.5, demand_max=2.0),
+                 EdgeNodeParams("edge-1", alpha=1.5, beta=0.3, demand_max=2.0))
+
+
 @dataclass(frozen=True)
 class CloudParams:
     """Cloud side of the market: unit cost, admissible price band, capacity."""
 
-    unit_cost: float
-    price_min: float
-    price_max: float
-    capacity: float
+    unit_cost: float = 0.3
+    price_min: float = 0.35
+    price_max: float = 1.8
+    capacity: float = 8.0
 
     def __post_init__(self):
         check(self.unit_cost > 0, "unit_cost", "a positive number", self.unit_cost)

@@ -34,8 +34,8 @@ MAX_WALK_STEPS = 1_000_000
 class GridWorld:
     """Lattice of panorama points with square compression regions."""
 
-    width: int
-    height: int
+    width: int = 20
+    height: int = 20
     spacing: float = 0.02          # meters between adjacent points
     region_side: int = 5           # points per region side, odd
     diagonal: bool = False         # include diagonal hops (deadline scales per hop)
@@ -56,10 +56,10 @@ class GridWorld:
 class TimingModel:
     """Latency budget pieces: request, collaborative render+encode, downlink."""
 
-    t_request: float               # ms
-    render_throughput: float       # work units per ms
-    bandwidth: float               # bytes per ms
-    avatar_speed: float = 1.0      # m/s
+    t_request: float = 1.0             # ms
+    render_throughput: float = 20.0    # work units per ms
+    bandwidth: float = 8000.0          # bytes per ms
+    avatar_speed: float = 1.0          # m/s
 
     def __post_init__(self):
         for name in ("t_request", "render_throughput", "bandwidth", "avatar_speed"):

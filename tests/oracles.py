@@ -28,6 +28,9 @@ For the denoiser's weights: the network's tensors as a table of shape and init
 rule, a seeded init that builds each tensor apart, and Adam over a dict of
 tensors, one tensor at a time. The model keeps one weight vector instead; the
 two must agree bit for bit.
+
+For the config: every key's default written out as one literal tree, as the
+config module held it before it built the tree from its dataclasses' fields.
 """
 
 from __future__ import annotations
@@ -484,3 +487,77 @@ class TensorAdam:
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
             params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+CONFIG_DEFAULTS: dict = {
+    "seed": 0,
+    "out_dir": "runs",
+    "game": {
+        "nodes": [
+            {"id": "edge-0", "alpha": 2.0, "beta": 0.5, "demand_max": 2.0},
+            {"id": "edge-1", "alpha": 1.5, "beta": 0.3, "demand_max": 2.0},
+        ],
+        "cloud": {"unit_cost": 0.3, "price_min": 0.35, "price_max": 1.8, "capacity": 8.0},
+        "solver": {
+            "br_tolerance": 1e-6,
+            "br_max_iters": 10_000,
+            "price_step_frac": 0.1,
+            "fd_epsilon_frac": 1e-4,
+            "price_max_iters": 500,
+        },
+    },
+    "prerender": {
+        "width": 20,
+        "height": 20,
+        "spacing": 0.02,
+        "region_side": 5,
+        "diagonal": False,
+        "steps": 500,
+        "panorama_work": 100.0,
+        "timing": {
+            "t_request": 1.0,
+            "render_throughput": 20.0,
+            "bandwidth": 8000.0,
+            "avatar_speed": 1.0,
+        },
+        "encoding": {"base_i_size": 100_000.0, "ratio_floor": 0.1, "decay": 4.0},
+    },
+    "diffusion": {
+        "steps": 700,
+        "beta_start": 0.0001,
+        "beta_end": 0.04,
+        "d_model": 64,
+        "heads": 4,
+        "learning_rate": 0.0001,
+        "batch_size": 32,
+        "epochs": 20,
+        "patience": 5,
+        "seq_len": 16,
+        "dataset_users": 256,
+        "stride": 35,
+        "infer_noise_step": 140,
+    },
+    "bench": {
+        "scenes": 20,
+        "frames_per_scene": 3600,
+        "fps": 60,
+        "regions_per_scene": 40,
+        "interest_fraction": 0.3,
+        "lod_high": 1.0,
+        "lod_low": 0.25,
+        "throughput": 1.0125,
+        "mdp_discount": 0.95,
+        "mdp_cost_weight": 0.55,
+        "ro_samples": 21,
+        "stride": 35,
+        "t_noise": 140,
+        "focus_quantile": None,
+        "train": {
+            "learning_rate": 0.003,
+            "batch_size": 32,
+            "epochs": 20,
+            "patience": 5,
+            "users": 256,
+        },
+    },
+}

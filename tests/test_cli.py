@@ -480,6 +480,18 @@ class TestErrorPaths:
         assert main([*argv, "--out-dir", str(out)]) == EXIT_NUMERICAL
         assert len(before) == 3 and digests() == before
 
+    # exited 2 and left the manifest it had moved before the blocked artifact
+    def test_blocked_publish_moves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "o3"
+        blocker = out / "walk_summary.json"
+        blocker.mkdir(parents=True)
+        assert main(["prerender-sim", "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"prerender-sim: config error: --out-dir: cannot write into {str(out)!r}: "
+            f"{str(blocker)!r} is a directory\n")
+        assert [p.name for p in out.iterdir()] == ["walk_summary.json"]
+        assert not any(blocker.iterdir())
+
     @pytest.mark.parametrize("command", ["prerender-sim", "game-solve"])
     def test_negative_seed_exits_config_with_one_line(self, tmp_path, capsys, command):
         out = tmp_path / "x"

@@ -7,13 +7,15 @@ from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from oracles import CONFIG_DEFAULTS
 
-from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig
-from renderopt.config import DEFAULTS, load_config, parse_config
+from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig, generate_workload
+from renderopt.config import (DEFAULTS, SECTIONS, BenchTrainSettings, DiffusionSettings,
+                              RunSettings, WalkSettings, load_config, parse_config)
 from renderopt.diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
 from renderopt.errors import ConfigError
-from renderopt.game import SolverSettings
-from renderopt.prerender import EncodingSpec, GridWorld, TimingModel
+from renderopt.game import CloudParams, SolverSettings
+from renderopt.prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
 
 def _key_paths(node, keys=()):
@@ -48,7 +50,7 @@ class TestDefaults:
         assert cfg.data["bench"]["ro_samples"] == 21
         assert cfg.data["bench"]["scenes"] == 20
         assert cfg.data["bench"]["frames_per_scene"] == 3600
-        assert cfg.seed == 0
+        assert cfg.run.seed == 0
 
     def test_empty_file_loads(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -57,6 +59,30 @@ class TestDefaults:
 
     def test_none_path_loads_defaults(self):
         assert load_config(None).data == DEFAULTS
+
+    def test_defaults_equal_the_written_tree(self):
+        # key order and JSON types included: 8000 and 8000.0 compare equal in Python
+        data = load_config(None).data
+        assert json.dumps(data) == json.dumps(CONFIG_DEFAULTS)
+        assert ({path for _, path in _key_paths(data)}
+                == {path for _, path in _key_paths(CONFIG_DEFAULTS)})
+
+    def test_no_key_has_two_defaults(self):
+        owner: dict = {}
+        for sec in SECTIONS.values():
+            for f in fields(sec["cls"]):
+                if f.name not in sec["not_keys"] and f.default is not MISSING:
+                    key = f"{sec['path']}.{f.name}"
+                    assert key not in owner, f"{key}: default in {owner[key]} and {sec['cls']}"
+                    owner[key] = sec["cls"]
+
+    def test_bench_scenes_follow_diffusion_seq_len(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"diffusion": {"seq_len": 32}, "bench": {"scenes": 2}}))
+        cfg = load_config(path)
+        assert cfg.workload.seq_len == 32
+        scenes = generate_workload(cfg.workload, seed=0).scenes
+        assert [sc.user_sequence_raw.shape[0] for sc in scenes] == [32, 32]
 
 
 class TestValidation:
@@ -119,6 +145,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="out_dir: must be a non-empty string"):
             parse_config(json.dumps({"out_dir": ""}))
 
+    # rules of the keys that only the command line reads, each in its own class
+    SETTINGS_RULES = [
+        ({"seed": -1}, "seed: must be a non-negative integer, got -1"),
+        ({"prerender": {"steps": 0}},
+         f"prerender.steps: must be an integer in [1, {MAX_WALK_STEPS}], got 0"),
+        ({"prerender": {"panorama_work": 0.0}},
+         "prerender.panorama_work: must be a positive number, got 0.0"),
+        ({"diffusion": {"seq_len": 15}},
+         "diffusion.seq_len: must be an even integer in [2, 128], got 15"),
+        ({"diffusion": {"seq_len": 130}},
+         "diffusion.seq_len: must be an even integer in [2, 128], got 130"),
+        ({"diffusion": {"dataset_users": 1}},
+         "diffusion.dataset_users: must be an integer in [2, 10000], got 1"),
+        ({"bench": {"train": {"users": 10_001}}},
+         "bench.train.users: must be an integer in [2, 10000], got 10001"),
+        ({"diffusion": {"infer_noise_step": 800}},
+         "diffusion.infer_noise_step: must be in [1, diffusion.steps (700)], got 800"),
+        ({"diffusion": {"steps": 100}},
+         "diffusion.infer_noise_step: must be in [1, diffusion.steps (100)], got 140"),
+        ({"diffusion": {"stride": 3}},
+         "diffusion.stride: must be a positive divisor of diffusion.infer_noise_step (140), "
+         "got 3"),
+        ({"bench": {"train": {"learning_rate": 0.0}}},
+         "bench.train.learning_rate: must be a positive number, got 0.0"),
+    ]
+
+    @pytest.mark.parametrize("payload, message", SETTINGS_RULES,
+                             ids=[m.split(":")[0] for _, m in SETTINGS_RULES])
+    def test_settings_class_rule_message(self, payload, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(payload))
+        assert str(info.value) == message
+
     def test_readme_error_example(self):
         with pytest.raises(ConfigError) as info:
             parse_config('{"diffusion": {"learning_rate": -1}}')
@@ -174,19 +233,21 @@ class TestRoundTrip:
 
 
 class TestSingleSource:
-    # dataclasses whose field defaults repeat a leaf of the config section
+    # dataclasses whose field defaults are leaves of the config section
     SECTIONS = [
         (SolverSettings, "game.solver"), (GridWorld, "prerender"),
         (TimingModel, "prerender.timing"), (EncodingSpec, "prerender.encoding"),
         (NoiseSchedule, "diffusion"), (DenoiserConfig, "diffusion"),
         (TrainSettings, "diffusion"), (WorkloadConfig, "bench"), (CostModel, "bench"),
-        (RenderPolicy, "bench"),
+        (RenderPolicy, "bench"), (CloudParams, "game.cloud"), (RunSettings, ""),
+        (WalkSettings, "prerender"), (DiffusionSettings, "diffusion"),
+        (BenchTrainSettings, "bench.train"),
     ]
 
     @pytest.mark.parametrize("cls, path", SECTIONS, ids=[c.__name__ for c, _ in SECTIONS])
     def test_dataclass_defaults_match_config_defaults(self, cls, path):
-        section = DEFAULTS
-        for key in path.split("."):
+        section = CONFIG_DEFAULTS
+        for key in filter(None, path.split(".")):
             section = section[key]
         shared = {f.name: f.default for f in fields(cls)
                   if f.default is not MISSING and f.name in section}

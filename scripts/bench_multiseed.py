@@ -13,11 +13,10 @@ import csv
 
 import numpy as np
 
-from renderopt.bench import RenderPolicy, compare, generate_workload, run_policy
+from renderopt.bench import (POLICY_VARIANTS, RenderPolicy, generate_workload, run_policy,
+                             summary)
 from renderopt.cli import _train_denoiser
 from renderopt.config import load_config
-
-POLICIES = ("proposed", "mdp", "random_opt", "none")
 
 
 def main() -> None:
@@ -35,24 +34,23 @@ def main() -> None:
 
     cost, wconfig = config.cost, config.workload
     rows = []
-    agg: dict[str, list] = {p: [] for p in POLICIES}
+    agg: dict[str, list] = {p: [] for p in POLICY_VARIANTS}
     for seed in range(args.seeds):
         workload = generate_workload(wconfig, seed=seed)
         reports = [run_policy(workload, RenderPolicy(variant=p), cost, model=model,
                               schedule=schedule, standardizer=standardizer)
-                   for p in POLICIES]
+                   for p in POLICY_VARIANTS]
         for rep in reports:
             agg[rep.policy].append(rep)
             rows.append((seed, rep.policy, rep.mean_render_time_s, rep.accuracy,
                          rep.recall, rep.f1))
-        summary = compare(reports)
-        red = summary["time_reduction_pct"]["proposed_vs_none"]
+        red = summary(reports)["time_reduction_pct"]["proposed_vs_none"]
         print(f"seed {seed}: " + "  ".join(
             f"{rep.policy}={rep.mean_render_time_s:.2f}s" for rep in reports)
             + f"  (proposed vs none: -{red:.1f}%)")
 
     print("\nmeans over seeds:")
-    for policy in POLICIES:
+    for policy in POLICY_VARIANTS:
         times = [r.mean_render_time_s for r in agg[policy]]
         f1s = [r.f1 for r in agg[policy]]
         print(f"  {policy:11s} time {np.mean(times):6.2f}s  f1 {np.mean(f1s):.3f}")

@@ -7,10 +7,23 @@ Usage: python scripts/price_sweep.py [--config CONFIG] [--points N] [--out CSV]
 
 import argparse
 import csv
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 from renderopt.config import load_config
-from renderopt.game import price_sweep, solve_stackelberg
+from renderopt.errors import ConvergenceWarning
+from renderopt.game import cloud_utility, solve_stackelberg
+
+
+def price_sweep(cloud, nodes, settings, n_points):
+    """The leader's utility at `n_points` evenly spaced prices, band ends included."""
+    prices = np.linspace(cloud.price_min, cloud.price_max, n_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        utils = np.array([cloud_utility(cloud, nodes, float(p), settings) for p in prices])
+    return prices, utils
 
 
 def main() -> None:

@@ -23,12 +23,14 @@ reward beats the low one, low on a tie. `_mdp_focus` computes that directly;
 `mdp_discount` is still validated (and hashed into the config digest) but
 cannot change the focus set. `value_iteration` stays as the general solver,
 and `tests/oracles.py` solves the same MDP with it as the reference.
+`random_opt` scores a configuration as the sum of the same per-region
+rewards, each region's high or low one.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .diffusion.schedule import NoiseSchedule
 from .errors import check, json_text
-from .synthetic import LATENT_DIM, POPULATION_MEAN, PlantedConfig, make_user
+from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user
 
 POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
 # regions in a whole workload; each scene also holds a planted user (~5 KB)
@@ -74,13 +76,14 @@ class WorkloadConfig:
 
 @dataclass
 class Scene:
+    """One scene: its regions are the planted user's items, so region i's
+    features and interest flag are `user.item_features[i]` and
+    `user.interest_flags[i]`."""
+
     index: int
+    user: PlantedUser
     region_work: np.ndarray            # (R,) work units
-    region_features: np.ndarray        # (R, LATENT_DIM)
-    interest_flags: np.ndarray         # (R,) bool
     popularity: np.ndarray             # (R,) population prior in (0, 1)
-    user_sequence_raw: np.ndarray      # (L, F)
-    user_condition: np.ndarray         # (4,)
     noise_seed: int                    # per-scene stream for stochastic policies
 
 
@@ -88,16 +91,6 @@ class Scene:
 class SceneWorkload:
     config: WorkloadConfig
     scenes: list[Scene]
-    seed: int
-
-    def digest(self) -> str:
-        import hashlib
-        h = hashlib.sha256()
-        for sc in self.scenes:
-            for arr in (sc.region_work, sc.region_features, sc.interest_flags,
-                        sc.popularity, sc.user_sequence_raw, sc.user_condition):
-                h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,8 @@ class MetricsReport:
     recall: float
     f1: float
     mean_render_time_s: float
-    scene_rows: list[dict] = field(default_factory=list)
-    inference_denoiser_calls: int = 0
+    scene_rows: list[dict]
+    inference_denoiser_calls: int
 
 
 def generate_workload(config: WorkloadConfig, seed: int) -> SceneWorkload:
@@ -168,17 +161,9 @@ def generate_workload(config: WorkloadConfig, seed: int) -> SceneWorkload:
         popularity = 1.0 / (1.0 + np.exp(-1.2 * pop_score))
         popularity = np.clip(popularity + 0.1 * rng.standard_normal(len(popularity)),
                              0.01, 0.99)
-        scenes.append(Scene(
-            index=i,
-            region_work=work,
-            region_features=user.item_features,
-            interest_flags=user.interest_flags,
-            popularity=popularity,
-            user_sequence_raw=user.sequence_raw,
-            user_condition=user.condition,
-            noise_seed=int(rng.integers(0, 2**31 - 1)),
-        ))
-    return SceneWorkload(config=config, scenes=scenes, seed=seed)
+        scenes.append(Scene(index=i, user=user, region_work=work, popularity=popularity,
+                            noise_seed=int(rng.integers(0, 2**31 - 1))))
+    return SceneWorkload(config=config, scenes=scenes)
 
 
 def value_iteration(transitions: np.ndarray, rewards: np.ndarray, discount: float,
@@ -200,15 +185,16 @@ def value_iteration(transitions: np.ndarray, rewards: np.ndarray, discount: floa
     return values, q.argmax(axis=1), q
 
 
-def _objective(high: np.ndarray, scene: Scene, cost: CostModel,
-               cost_weight: float) -> float:
-    """Popularity-weighted quality minus weighted render cost for one config."""
-    quality = np.where(high, cost.quality_high, cost.quality_low)
-    mult = np.where(high, cost.lod_high, cost.lod_low)
-    return float(np.sum(scene.popularity * quality - cost_weight * scene.region_work * mult))
+def region_rewards(scene: Scene, policy: RenderPolicy,
+                   cost: CostModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per region, the (low, high) detail reward: popularity x quality minus
+    mdp_cost_weight x work x LOD multiplier."""
+    weighted_work = policy.mdp_cost_weight * scene.region_work
+    return (scene.popularity * cost.quality_low - weighted_work * cost.lod_low,
+            scene.popularity * cost.quality_high - weighted_work * cost.lod_high)
 
 
-def _mdp_focus(scene: Scene, policy: RenderPolicy, cost: CostModel) -> np.ndarray:
+def _mdp_focus(rewards: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """High-detail set of the region-hop MDP: regions whose high-detail reward
     beats the low-detail one (a tie picks low detail).
 
@@ -216,34 +202,30 @@ def _mdp_focus(scene: Scene, policy: RenderPolicy, cost: CostModel) -> np.ndarra
     would add the same discounted continuation to both actions of a state and
     its greedy policy is this comparison, whatever `mdp_discount` is.
     """
-    low = (scene.popularity * cost.quality_low
-           - policy.mdp_cost_weight * scene.region_work * cost.lod_low)
-    high = (scene.popularity * cost.quality_high
-            - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
+    low, high = rewards
     return high > low
 
 
-def random_opt_select(scene: Scene, policy: RenderPolicy, cost: CostModel,
+def random_opt_select(rewards: tuple[np.ndarray, np.ndarray], policy: RenderPolicy,
                       rng: np.random.Generator):
-    """Sample LOD configurations and keep the best under the internal objective."""
-    n = len(scene.region_work)
-    configs = rng.random((policy.ro_samples, n)) < 0.5
-    scores = np.array([_objective(c, scene, cost, policy.mdp_cost_weight)
-                       for c in configs])
+    """Sample LOD configurations and keep the one whose regions' rewards sum highest."""
+    low, high = rewards
+    configs = rng.random((policy.ro_samples, len(low))) < 0.5
+    scores = np.array([np.sum(np.where(c, high, low)) for c in configs])
     best = int(np.argmax(scores))
     return configs[best], configs, scores
 
 
-def _proposed_focus(scene: Scene, policy: RenderPolicy, cost: CostModel,
-                    model: AttentionGatedDenoiser, schedule: NoiseSchedule,
-                    standardizer: Standardizer, q: float,
+def _proposed_focus(scene: Scene, policy: RenderPolicy, model: AttentionGatedDenoiser,
+                    schedule: NoiseSchedule, standardizer: Standardizer, q: float,
                     rng: np.random.Generator) -> np.ndarray:
-    feats = standardizer.transform(scene.user_sequence_raw)
+    user = scene.user
+    feats = standardizer.transform(user.sequence_raw)
     noise = rng.standard_normal(feats.shape)
-    m_hat_std = reconstruct_preferences(model, schedule, feats, scene.user_condition,
+    m_hat_std = reconstruct_preferences(model, schedule, feats, user.condition,
                                         policy.t_noise, policy.stride, noise)
     m_hat = standardizer.inverse(m_hat_std)
-    _, probs = interaction_probabilities(m_hat, scene.region_features, INTERACTION_COLUMNS)
+    _, probs = interaction_probabilities(m_hat, user.item_features, INTERACTION_COLUMNS)
     k = max(1, int(round(q * len(probs))))
     focus = np.zeros(len(probs), dtype=bool)
     focus[np.argsort(-probs)[:k]] = True
@@ -260,13 +242,11 @@ def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
 
 
-def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel | None = None,
+def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
                model: AttentionGatedDenoiser | None = None,
                schedule: NoiseSchedule | None = None,
                standardizer: Standardizer | None = None) -> MetricsReport:
     """Score one policy on every scene of the workload."""
-    if cost is None:
-        cost = CostModel()
     if policy.variant == "proposed" and (model is None or schedule is None
                                          or standardizer is None):
         raise ValueError("proposed policy needs a trained model, schedule, and standardizer")
@@ -282,13 +262,12 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel | 
         if policy.variant == "none":
             focus = np.ones(len(scene.region_work), dtype=bool)
         elif policy.variant == "mdp":
-            focus = _mdp_focus(scene, policy, cost)
+            focus = _mdp_focus(region_rewards(scene, policy, cost))
         elif policy.variant == "random_opt":
-            focus, _, _ = random_opt_select(scene, policy, cost, rng)
+            focus, _, _ = random_opt_select(region_rewards(scene, policy, cost), policy, rng)
         else:
-            focus = _proposed_focus(scene, policy, cost, model, schedule,
-                                    standardizer, q, rng)
-        flags = scene.interest_flags
+            focus = _proposed_focus(scene, policy, model, schedule, standardizer, q, rng)
+        flags = scene.user.interest_flags
         s_tp = int(np.sum(focus & flags))
         s_fp = int(np.sum(focus & ~flags))
         s_fn = int(np.sum(~focus & flags))
@@ -315,7 +294,9 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel | 
     )
 
 
-def _summary(reports: list[MetricsReport]) -> dict:
+def summary(reports: list[MetricsReport]) -> dict:
+    """Per-policy table plus pairwise relative render-time reductions; a single
+    report gets its table row and no reductions."""
     table = [
         {
             "policy": r.policy,
@@ -331,21 +312,10 @@ def _summary(reports: list[MetricsReport]) -> dict:
     reductions = {}
     for a in reports:
         for b in reports:
-            if a.policy == b.policy:
-                continue
-            if b.mean_render_time_s > 0:
-                pct = 100.0 * (b.mean_render_time_s - a.mean_render_time_s) / b.mean_render_time_s
-            else:
-                pct = 0.0
-            reductions[f"{a.policy}_vs_{b.policy}"] = pct
+            if a.policy != b.policy:
+                reductions[f"{a.policy}_vs_{b.policy}"] = (
+                    100.0 * (b.mean_render_time_s - a.mean_render_time_s) / b.mean_render_time_s)
     return {"table": table, "time_reduction_pct": reductions}
-
-
-def compare(reports: list[MetricsReport]) -> dict:
-    """Per-policy table plus pairwise relative render-time reductions."""
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to compare")
-    return _summary(reports)
 
 
 def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
@@ -359,8 +329,8 @@ def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
 
 
 def write_summary_json(reports: list[MetricsReport], path: str | Path) -> None:
-    """The `compare` payload; a single report gets its table row and no reductions."""
-    Path(path).write_text(json_text(_summary(reports), Path(path).name))
+    """The `summary` payload."""
+    Path(path).write_text(json_text(summary(reports), Path(path).name))
 
 
 def write_plot_data(reports: list[MetricsReport], out_dir: str | Path) -> list[Path]:

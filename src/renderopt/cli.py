@@ -90,7 +90,10 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
     if args.trace:
         with _path_from("--trace", args.trace, "read"):
             trace = load_trace(args.trace)
-        mobility = MobilitySpec(kind="trace", trace=trace)
+        if len(trace) < 2:
+            raise ConfigError(f"--trace: {str(args.trace)!r} has no step: a walk needs a "
+                              "start point and at least one more")
+        mobility = MobilitySpec(trace=trace)
         horizon = len(trace) - 1
     else:
         mobility = MobilitySpec()
@@ -184,9 +187,11 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
 def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
                   args) -> list[Path]:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for p in policies:
+    for i, p in enumerate(policies):
         if p not in POLICY_VARIANTS:
             raise ConfigError(f"bench-run: unknown policy {p!r}")
+        if p in policies[:i]:
+            raise ConfigError(f"bench-run: policy {p!r} given twice in --policies")
     if not policies:
         raise ConfigError("bench-run: --policies selected nothing")
 
@@ -227,9 +232,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="renderopt",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="renderopt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

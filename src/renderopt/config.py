@@ -58,14 +58,15 @@ class WalkSettings:
 @dataclass(frozen=True)
 class DiffusionSettings:
     """The sequence length (bench-run's scenes too), diffusion-train's users,
-    and diffusion-infer's noise step and stride. The noise step must lie on
-    the schedule: `steps` is `diffusion.steps`, whose default is NoiseSchedule's."""
+    and diffusion-infer's noise step and stride, which default to bench-run's.
+    The noise step must lie on the schedule: `steps` is `diffusion.steps`,
+    whose default is NoiseSchedule's."""
 
     steps: int
     seq_len: int = PlantedConfig.seq_len
     dataset_users: int = 256
-    stride: int = 35
-    infer_noise_step: int = 140
+    stride: int = RenderPolicy.stride
+    infer_noise_step: int = RenderPolicy.t_noise
 
     def __post_init__(self):
         check(2 <= self.seq_len <= MAX_SEQ_LEN and self.seq_len % 2 == 0, "seq_len",
@@ -101,7 +102,7 @@ def _section(path: str, cls: type, not_keys: tuple[str, ...] = (), entries: tupl
     return field(metadata={"path": path, "cls": cls, "not_keys": not_keys, "entries": entries})
 
 
-_NOT_TRAIN_KEYS = ("min_delta", "val_fraction", "seed")
+_NOT_TRAIN_KEYS = ("val_fraction", "seed")
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,6 @@ class ExperimentConfig:
     # variant is a placeholder; bench-run sets it
     policy: RenderPolicy = _section("bench", RenderPolicy, ("variant",))
     bench_train: BenchTrainSettings = _section("bench.train", BenchTrainSettings, _NOT_TRAIN_KEYS)
-
-    def serialize(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
     def digest(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))

@@ -21,6 +21,8 @@ from .schedule import NoiseSchedule, forward_diffuse
 # sequences per predict call when scoring a split; one chunk holds the default
 # splits, and summing then dividing once matches np.mean there bit for bit
 _EVAL_CHUNK = 256
+# equal-width timestep buckets the per-epoch loss is split into
+_TIME_BUCKETS = 7
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class TrainSettings:
     batch_size: int = 32
     epochs: int = 20
     patience: int = 5
-    min_delta: float = 0.0             # smallest val improvement that resets patience
     val_fraction: float = 0.1
     seed: int = 0
 
@@ -37,7 +38,6 @@ class TrainSettings:
         check(self.learning_rate > 0, "learning_rate", "a positive number", self.learning_rate)
         for name in ("batch_size", "epochs", "patience"):
             check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(self.min_delta >= 0, "min_delta", "a non-negative number", self.min_delta)
         check(0 <= self.val_fraction < 1, "val_fraction", "in [0, 1)", self.val_fraction)
 
 
@@ -90,8 +90,7 @@ def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
 
 
 def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
-          settings: TrainSettings, model: AttentionGatedDenoiser,
-          n_time_buckets: int = 7) -> TrainResult:
+          settings: TrainSettings, model: AttentionGatedDenoiser) -> TrainResult:
     """Train `model` in place to predict injected noise.
 
     `dataset` is the pair (standardized sequences (N, L, F), conditions
@@ -137,13 +136,13 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     best = model.weights.copy()
     stall = 0
     stopped_early = False
-    bucket_edges = np.linspace(0, schedule.steps, n_time_buckets + 1)
+    bucket_edges = np.linspace(0, schedule.steps, _TIME_BUCKETS + 1)
 
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(len(train_idx))
         losses = []
-        bucket_sums = np.zeros(n_time_buckets)
-        bucket_counts = np.zeros(n_time_buckets)
+        bucket_sums = np.zeros(_TIME_BUCKETS)
+        bucket_counts = np.zeros(_TIME_BUCKETS)
         for start in range(0, len(order), settings.batch_size):
             idx = order[start:start + settings.batch_size]
             mb, sb = m_tr[idx], s_tr[idx]
@@ -159,22 +158,22 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
             opt.update(model.weights, grad)
             model.step_count += 1
             losses.append(loss)
-            which = np.clip(np.digitize(tb, bucket_edges) - 1, 0, n_time_buckets - 1)
+            which = np.clip(np.digitize(tb, bucket_edges) - 1, 0, _TIME_BUCKETS - 1)
             # attribute the batch loss to each timestep bucket it touched
-            counts = np.bincount(which, minlength=n_time_buckets)
+            counts = np.bincount(which, minlength=_TIME_BUCKETS)
             bucket_counts += counts
             bucket_sums += loss * counts
 
         vl = val_loss()
         buckets = {
             int(bucket_edges[b + 1]): float(bucket_sums[b] / bucket_counts[b])
-            for b in range(n_time_buckets) if bucket_counts[b] > 0
+            for b in range(_TIME_BUCKETS) if bucket_counts[b] > 0
         }
         history.append(EpochStats(epoch=epoch,
                                   train_loss=float(np.mean(losses)),
                                   val_loss=vl,
                                   bucket_losses=buckets))
-        if vl < best_val - settings.min_delta:
+        if vl < best_val:
             best_val = vl
             best = model.weights.copy()
             stall = 0

@@ -21,8 +21,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceWarning, check
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -289,7 +287,7 @@ def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
 
 
 def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
-                      settings: SolverSettings | None = None) -> EquilibriumResult:
+                      settings: SolverSettings) -> EquilibriumResult:
     """Backward induction: pick the price maximizing the leader's utility.
 
     The leader gradient has no closed form here (the equilibrium demands are
@@ -302,8 +300,6 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
     at a price already probed. Results are memoized by exact price for this
     call only, so the outcome is the same as re-solving.
     """
-    if settings is None:
-        settings = SolverSettings()
     lo, hi = cloud.price_min, cloud.price_max
     memo: dict[float, NashResult] = {}
     best: tuple[float, float, int, bool] | None = None
@@ -327,13 +323,3 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
         iterations=total_iters,
         converged=price_converged and nash.converged,
     )
-
-
-def price_sweep(cloud: CloudParams, nodes: list[EdgeNodeParams],
-                settings: SolverSettings, n_points: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the leader utility on a dense price grid (exploration helper)."""
-    prices = np.linspace(cloud.price_min, cloud.price_max, n_points)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        utils = np.array([cloud_utility(cloud, nodes, float(p), settings) for p in prices])
-    return prices, utils

@@ -95,17 +95,14 @@ class PanoramaFrame:
 
 @dataclass(frozen=True)
 class MobilitySpec:
-    """Avatar path source: seeded random walk or a replayed trace."""
+    """Avatar path source: a replayed trace, or with none the seeded random
+    walk from the grid middle."""
 
-    kind: str = "random_walk"      # "random_walk" | "trace"
-    start: Coord | None = None     # defaults to the grid middle
     trace: tuple[Coord, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("random_walk", "trace"):
-            raise ValueError(f"unknown mobility kind {self.kind!r}")
-        if self.kind == "trace" and len(self.trace) < 2:
-            raise ValueError("trace mobility needs at least a start and one step")
+        if len(self.trace) == 1:
+            raise ValueError("a trace needs a start and at least one step")
 
 
 @dataclass
@@ -218,10 +215,9 @@ def segment_regions(world: GridWorld) -> RegionMap:
 
 
 def encode_frame(world: GridWorld, point: Coord, encoding: EncodingSpec,
-                 regions: Mapping[Coord, tuple[int, Coord]] | None = None) -> PanoramaFrame:
-    """Frame for one grid point: I at region centers, distance-ramped P elsewhere."""
-    if regions is None:
-        regions = segment_regions(world)
+                 regions: Mapping[Coord, tuple[int, Coord]]) -> PanoramaFrame:
+    """Frame for one grid point: I at region centers, distance-ramped P
+    elsewhere; `regions` is `world`'s `segment_regions`."""
     _, center = regions[point]
     if point == center:
         return PanoramaFrame(grid_point=point, kind="I",
@@ -252,7 +248,7 @@ def _clip(text: str, show=str) -> str:
 
 
 def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
-                  horizon: int, seed: int, encoding: EncodingSpec | None = None,
+                  horizon: int, seed: int, encoding: EncodingSpec,
                   panorama_work: float = 100.0) -> WalkResult:
     """Walk the avatar for `horizon` steps and account latency and bytes.
 
@@ -265,8 +261,6 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if encoding is None:
-        encoding = EncodingSpec()
     regions = segment_regions(world)
     deadline = hop_deadline(world, timing)
     diagonal = world.diagonal
@@ -275,17 +269,15 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     hop_deadlines = [deadline * max(math.hypot(dx, dy), 1.0)
                      for dx, dy in ((0, 0), (1, 0), (1, 1))]
 
-    if mobility.kind == "trace":
-        path = mobility.trace
+    path = mobility.trace
+    if path:
         if len(path) < horizon + 1:
             raise ValueError(
                 f"trace has {len(path)} points but horizon {horizon} needs {horizon + 1}"
             )
         current = path[0]
     else:
-        path = None
-        current = mobility.start if mobility.start is not None else (
-            world.width // 2, world.height // 2)
+        current = (world.width // 2, world.height // 2)
     if not world.contains(current):
         raise ValueError(f"start point {_clip(str(current))} outside grid")
 
@@ -306,7 +298,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         options = around.get(current)
         if options is None:
             options = around[current] = neighbors(world, current)
-        if path is not None:
+        if path:
             nxt = path[step]
             if nxt not in options:
                 raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
@@ -347,7 +339,7 @@ _TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]
 
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
     echo = _clip(line.strip(), repr)
-    return ValueError(f"{path}:{lineno}: expected 'step_index x y' integers, got {echo}")
+    return ValueError(f"{str(path)!r}:{lineno}: expected 'step_index x y' integers, got {echo}")
 
 
 def load_trace(path: str | Path) -> tuple[Coord, ...]:
@@ -371,7 +363,7 @@ def load_trace(path: str | Path) -> tuple[Coord, ...]:
             except ValueError:          # longer than int's digit limit
                 raise _bad_trace_line(path, lineno, line) from None
             if last is not None and index <= last:
-                raise ValueError(f"{path}:{lineno}: step index {index} does not follow "
+                raise ValueError(f"{str(path)!r}:{lineno}: step index {index} does not follow "
                                  f"{last}; indices must strictly increase")
             if len(points) > MAX_WALK_STEPS:
                 raise ConfigError(f"--trace: {str(path)!r}:{lineno}: more than "
@@ -380,11 +372,6 @@ def load_trace(path: str | Path) -> tuple[Coord, ...]:
             last = index
             points.append((x, y))
     return tuple(points)
-
-
-def save_trace(path: str | Path, points: list[Coord]) -> None:
-    lines = [f"{i} {x} {y}" for i, (x, y) in enumerate(points)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 class _Reprs(dict):

@@ -16,7 +16,11 @@ neighbours, latency and deadline; and the step CSV written row by row with
 `csv.writer`.
 
 For the benchmark's `mdp` policy: the region-hop MDP built as a full
-transition tensor and solved by value iteration.
+transition tensor and solved by value iteration. For `random_opt`: one
+configuration's objective, computed from popularity, quality, work and LOD
+multiplier without the per-region reward pair the policy sums.
+
+For trace files: the writer `load_trace` must read back.
 
 For the diffusion forward process: the literal step-by-step perturbation
 chain whose marginal `schedule.forward_diffuse` gives in closed form.
@@ -332,13 +336,12 @@ def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, ho
     frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
     deadline = hop_deadline(world, timing)
     rng = np.random.default_rng(seed)
-    current = mobility.trace[0] if mobility.kind == "trace" else (
-        world.width // 2, world.height // 2)
+    current = mobility.trace[0] if mobility.trace else (world.width // 2, world.height // 2)
     fetched, bytes_tx = set(), 0.0
     entered, latencies, missed = [], [], []
     for step in range(1, horizon + 1):
         options = neighbors(world, current)
-        if mobility.kind == "trace":
+        if mobility.trace:
             nxt = mobility.trace[step]
         else:
             nxt = options[int(rng.integers(len(options)))] if options else current
@@ -369,6 +372,11 @@ def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
                              int(result.missed[step])])
 
 
+def save_trace(path: str | Path, points: list[Coord]) -> None:
+    """A trace file `load_trace` reads back as `points`: one `index x y` line each."""
+    Path(path).write_text("".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(points)))
+
+
 def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,
                               cost: bench.CostModel) -> np.ndarray:
     """High-detail set of the region-hop MDP by value iteration: one state per
@@ -382,6 +390,15 @@ def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,
                      - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
     _, actions, _ = bench.value_iteration(transitions, rewards, policy.mdp_discount)
     return actions.astype(bool)
+
+
+def random_opt_objective(high: np.ndarray, scene: bench.Scene, cost: bench.CostModel,
+                         cost_weight: float) -> float:
+    """Popularity-weighted quality minus weighted render cost of one LOD
+    configuration (`high` marks the high-detail regions)."""
+    quality = np.where(high, cost.quality_high, cost.quality_low)
+    mult = np.where(high, cost.lod_high, cost.lod_low)
+    return float(np.sum(scene.popularity * quality - cost_weight * scene.region_work * mult))
 
 
 def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,

@@ -2,18 +2,19 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
-from oracles import mdp_focus_value_iteration
+from oracles import mdp_focus_value_iteration, random_opt_objective
 
 from renderopt.bench import (CostModel, MetricsReport, RenderPolicy, Scene,
-                             WorkloadConfig, _mdp_focus, compare, confusion_metrics,
-                             generate_workload, random_opt_select, run_policy,
-                             value_iteration)
+                             WorkloadConfig, _mdp_focus, confusion_metrics,
+                             generate_workload, random_opt_select, region_rewards,
+                             run_policy, summary, value_iteration)
 from renderopt.cli import EXIT_OK, main
-from renderopt.synthetic import LATENT_DIM
+from renderopt.synthetic import LATENT_DIM, PlantedUser
 
 WCONFIG = WorkloadConfig()
 COST = CostModel()
@@ -24,24 +25,34 @@ def workload():
     return generate_workload(WCONFIG, seed=0)
 
 
+def _digest(seed: int) -> str:
+    """sha256 over every array of every scene of the workload at `seed`."""
+    h = hashlib.sha256()
+    for sc in generate_workload(WCONFIG, seed=seed).scenes:
+        u = sc.user
+        for arr in (sc.region_work, u.item_features, u.interest_flags, sc.popularity,
+                    u.sequence_raw, u.condition, u.taste):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 class TestWorkload:
     def test_seed_reuse_gives_identical_digest(self):
-        assert generate_workload(WCONFIG, seed=4).digest() \
-            == generate_workload(WCONFIG, seed=4).digest()
+        assert _digest(4) == _digest(4)
 
     def test_distinct_seeds_give_distinct_digests(self):
-        digests = {generate_workload(WCONFIG, seed=s).digest() for s in range(10)}
-        assert len(digests) == 10
+        assert len({_digest(s) for s in range(10)}) == 10
 
     def test_interest_fraction_per_scene(self, workload):
         for scene in workload.scenes:
-            assert scene.interest_flags.sum() == round(0.3 * 40)
+            assert scene.user.interest_flags.sum() == round(0.3 * 40)
 
     def test_scene_count_and_shapes(self, workload):
         assert len(workload.scenes) == 20
         scene = workload.scenes[0]
         assert scene.region_work.shape == (40,)
-        assert scene.user_sequence_raw.shape == (16, 6)
+        assert scene.user.item_features.shape == (40, LATENT_DIM)
+        assert scene.user.sequence_raw.shape == (16, 6)
         assert np.all((scene.popularity > 0) & (scene.popularity < 1))
 
     def test_one_minute_invariant_enforced(self):
@@ -96,12 +107,15 @@ class TestValueIteration:
 def _scene(popularity, work) -> Scene:
     """A scene carrying only what the popularity baselines read."""
     n = len(popularity)
-    return Scene(index=0, region_work=np.asarray(work, dtype=float),
-                 region_features=np.zeros((n, LATENT_DIM)),
-                 interest_flags=np.zeros(n, dtype=bool),
-                 popularity=np.asarray(popularity, dtype=float),
-                 user_sequence_raw=np.zeros((16, 6)), user_condition=np.zeros(4),
-                 noise_seed=0)
+    user = PlantedUser(taste=np.zeros(LATENT_DIM), sequence_raw=np.zeros((16, 6)),
+                       condition=np.zeros(4), item_features=np.zeros((n, LATENT_DIM)),
+                       interest_flags=np.zeros(n, dtype=bool))
+    return Scene(index=0, user=user, region_work=np.asarray(work, dtype=float),
+                 popularity=np.asarray(popularity, dtype=float), noise_seed=0)
+
+
+def _focus(scene, policy, cost):
+    return _mdp_focus(region_rewards(scene, policy, cost))
 
 
 @st.composite
@@ -123,26 +137,18 @@ def mdp_cases(draw):
 class TestMdpBaseline:
     """The closed-form `mdp` policy against value iteration on the same MDP."""
 
-    @staticmethod
-    def _rewards(scene, policy, cost):
-        low = (scene.popularity * cost.quality_low
-               - policy.mdp_cost_weight * scene.region_work * cost.lod_low)
-        high = (scene.popularity * cost.quality_high
-                - policy.mdp_cost_weight * scene.region_work * cost.lod_high)
-        return low, high
-
     @hyp_settings(max_examples=60, deadline=None)
     @given(case=mdp_cases())
     def test_matches_value_iteration(self, case):
         scene, policy, cost = case
-        focus = _mdp_focus(scene, policy, cost)
+        focus = _focus(scene, policy, cost)
         want = mdp_focus_value_iteration(scene, policy, cost)
         # Value iteration adds one continuation value, of size up to
         # max|reward| / (1 - discount), to both actions of a state; rounding
         # is monotone, so it can only merge a positive reward gap smaller than
         # that sum's rounding into a tie (and then pick low). Everywhere else
         # the two must agree exactly.
-        low, high = self._rewards(scene, policy, cost)
+        low, high = region_rewards(scene, policy, cost)
         scale = np.max(np.abs(np.concatenate([low, high]))) / (1.0 - policy.mdp_discount)
         rounding = (high > low) & (high - low <= 8 * np.finfo(float).eps * scale)
         assert focus.dtype == bool
@@ -152,9 +158,9 @@ class TestMdpBaseline:
         # popularity == cost_weight * work makes both rewards exactly 0
         scene = _scene([0.5, 0.9, 0.1], [1.0, 0.5, 1.5])
         policy = RenderPolicy(variant="mdp", mdp_cost_weight=0.5)
-        low, high = self._rewards(scene, policy, COST)
+        low, high = region_rewards(scene, policy, COST)
         assert high[0] == low[0]
-        assert list(_mdp_focus(scene, policy, COST)) == [False, True, False]
+        assert list(_focus(scene, policy, COST)) == [False, True, False]
         assert list(mdp_focus_value_iteration(scene, policy, COST)) == [False, True, False]
 
     def test_gap_below_continuation_rounding(self):
@@ -163,14 +169,14 @@ class TestMdpBaseline:
         # exact comparison, value iteration sees a tie and picks low
         scene = _scene([np.nextafter(0.3, 1.0), 0.99, 0.5], [0.3, 0.01, 1.0])
         policy = RenderPolicy(variant="mdp", mdp_cost_weight=1.0)
-        low, high = self._rewards(scene, policy, COST)
+        low, high = region_rewards(scene, policy, COST)
         assert 0 < high[0] - low[0] < 1e-16
-        assert list(_mdp_focus(scene, policy, COST)) == [True, True, False]
+        assert list(_focus(scene, policy, COST)) == [True, True, False]
         assert list(mdp_focus_value_iteration(scene, policy, COST)) == [False, True, False]
 
     def test_discount_cannot_change_focus(self, workload):
         for scene in workload.scenes[:4]:
-            sets = {tuple(_mdp_focus(scene, RenderPolicy(variant="mdp", mdp_discount=g), COST))
+            sets = {tuple(_focus(scene, RenderPolicy(variant="mdp", mdp_discount=g), COST))
                     for g in (1e-6, 0.5, 0.95, 1 - 1e-9)}
             assert len(sets) == 1
 
@@ -178,7 +184,7 @@ class TestMdpBaseline:
         policy = RenderPolicy(variant="mdp")
         for seed in range(20):
             for scene in generate_workload(WCONFIG, seed=seed).scenes:
-                assert np.array_equal(_mdp_focus(scene, policy, COST),
+                assert np.array_equal(_focus(scene, policy, COST),
                                       mdp_focus_value_iteration(scene, policy, COST)), \
                     (seed, scene.index)
 
@@ -250,14 +256,33 @@ class TestPolicies:
                 assert row["time_s"] <= none_row["time_s"] + 1e-12
 
     def test_ro_best_dominates_its_samples(self, workload):
-        from renderopt.bench import _objective
         policy = RenderPolicy(variant="random_opt")
         scene = workload.scenes[0]
         rng = np.random.default_rng(scene.noise_seed)
-        best, configs, scores = random_opt_select(scene, policy, COST, rng)
+        best, configs, scores = random_opt_select(region_rewards(scene, policy, COST),
+                                                  policy, rng)
         assert len(configs) == 21
-        assert _objective(best, scene, COST, policy.mdp_cost_weight) == scores.max()
+        assert random_opt_objective(best, scene, COST, policy.mdp_cost_weight) == scores.max()
         assert np.all(scores.max() >= scores)
+
+    @staticmethod
+    def _assert_ro_scores_match_objective(scene, policy, cost):
+        _, configs, scores = random_opt_select(region_rewards(scene, policy, cost), policy,
+                                               np.random.default_rng(scene.noise_seed))
+        want = [random_opt_objective(c, scene, cost, policy.mdp_cost_weight) for c in configs]
+        assert scores.tolist() == want
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(case=mdp_cases())
+    def test_ro_scores_equal_objective_bit_for_bit(self, case):
+        scene, policy, cost = case
+        self._assert_ro_scores_match_objective(scene, replace(policy, ro_samples=40), cost)
+
+    def test_ro_scores_equal_objective_on_workload_seeds(self):
+        policy = RenderPolicy(variant="random_opt")
+        for seed in range(20):
+            for scene in generate_workload(WCONFIG, seed=seed).scenes:
+                self._assert_ro_scores_match_objective(scene, policy, COST)
 
     def test_proposed_needs_model(self, workload):
         with pytest.raises(ValueError):
@@ -298,20 +323,22 @@ class TestPolicies:
 class TestCompare:
     def _report(self, name, time_s, f1=0.5):
         return MetricsReport(policy=name, accuracy=0.5, precision=0.5, recall=0.5,
-                             f1=f1, mean_render_time_s=time_s)
+                             f1=f1, mean_render_time_s=time_s, scene_rows=[],
+                             inference_denoiser_calls=0)
 
     def test_identical_reports_have_zero_deltas(self):
-        out = compare([self._report("a", 10.0), self._report("b", 10.0)])
+        out = summary([self._report("a", 10.0), self._report("b", 10.0)])
         assert all(abs(v) < 1e-12 for v in out["time_reduction_pct"].values())
 
     def test_reference_reduction_value(self):
-        out = compare([self._report("fast", 18.14), self._report("slow", 39.54)])
+        out = summary([self._report("fast", 18.14), self._report("slow", 39.54)])
         assert out["time_reduction_pct"]["fast_vs_slow"] == pytest.approx(54.12, abs=0.01)
 
     def test_table_row_count_matches_policies(self):
         reports = [self._report(n, 5.0 + i) for i, n in enumerate("abcd")]
-        assert len(compare(reports)["table"]) == 4
+        assert len(summary(reports)["table"]) == 4
 
-    def test_two_reports_required(self):
-        with pytest.raises(ValueError):
-            compare([self._report("only", 1.0)])
+    def test_single_report_has_no_reductions(self):
+        out = summary([self._report("only", 1.0)])
+        assert [row["policy"] for row in out["table"]] == ["only"]
+        assert out["time_reduction_pct"] == {}

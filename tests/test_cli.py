@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
+from oracles import save_trace
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
-from renderopt.prerender import MAX_WALK_STEPS, save_trace
+from renderopt.prerender import MAX_WALK_STEPS
 
 FAST_DIFFUSION = {
     "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
@@ -376,7 +377,7 @@ class TestErrorPaths:
                 assert err.getvalue().count("\n") == 1, err.getvalue()
 
     TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
-              ("0 0 0\n1 1 0\n1 2 0\n", "path.trace:3: step index 1 does not follow 1")]
+              ("0 0 0\n1 1 0\n1 2 0\n", "path.trace':3: step index 1 does not follow 1")]
 
     @pytest.mark.parametrize("text, problem", TRACES, ids=["teleport", "duplicate-index"])
     def test_bad_trace_exits_config_with_one_line(self, tmp_path, capsys, text, problem):
@@ -414,7 +415,7 @@ class TestErrorPaths:
             code = main(["prerender-sim", "--trace", str(trace), "--out-dir", f"{tmp}/out"])
             assert code == EXIT_CONFIG
             assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith(f"prerender-sim: error: {trace}:{line + 1}: "
+            assert err.getvalue().startswith(f"prerender-sim: error: {str(trace)!r}:{line + 1}: "
                                              f"expected 'step_index x y' integers, got ")
 
     def test_trace_past_the_walk_cap_exits_config_with_one_line(self, tmp_path, capsys):
@@ -560,3 +561,120 @@ class TestErrorPaths:
         manifest = _manifest(out)
         on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["outputs"]) == on_disk
+
+
+# the fuzz runs: every command sized to about a second in a child interpreter
+FUZZ_CONFIG = {"diffusion": {"dataset_users": 16, "epochs": 1, "d_model": 8, "heads": 2},
+               "bench": {"scenes": 2, "train": {"users": 16, "epochs": 1}},
+               "prerender": {"steps": 50}}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The fuzz config and a checkpoint trained with it."""
+    base = tmp_path_factory.mktemp("fuzz-inputs")
+    config = _write_config(base, FUZZ_CONFIG)
+    assert main(["diffusion-train", "--config", config, "--out-dir", str(base / "ckpt")]) == 0
+    return config, str(base / "ckpt" / "checkpoint.npz")
+
+
+def _tree(path: Path):
+    """Everything under `path`: None if missing, bytes for a file, else a dict."""
+    if path.is_dir():
+        return {p.name: _tree(p) for p in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
+
+
+_TRACE_POINT = st.tuples(st.integers(-2, 12), st.integers(-2, 22), st.integers(-2, 22))
+
+
+@st.composite
+def trace_bytes(draw):
+    """A walk on the default floor, a list of arbitrary small points, or raw bytes."""
+    kind = draw(st.sampled_from(["walk", "points", "raw"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=80))
+    if kind == "points":
+        points = draw(st.lists(_TRACE_POINT, max_size=6))
+    else:
+        x, y = draw(st.integers(0, 19)), draw(st.integers(0, 19))
+        points = [(0, x, y)]
+        for step in draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+                                  max_size=30)):
+            x, y = min(19, max(0, x + step[0])), min(19, max(0, y + step[1]))
+            points.append((len(points), x, y))
+    lines = [f"{i} {x} {y}\n" for i, x, y in points]
+    junk = draw(st.sampled_from(["", "# note\n", "\n", "1 2\n", "\r\n", "0 0 0\n"]))
+    lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "".join(lines).encode()
+
+
+_FLAG_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=8)
+
+
+def _number(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+_OUT_NAMES = ["out", "a/b/out", "an empty dir", "a file", "blocked", "ö ü", "new\nline"]
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv without --config/--out-dir, out-dir name, (trace file name, its
+    bytes or None))."""
+    command = draw(st.sampled_from(["game-solve", "prerender-sim", "diffusion-train",
+                                    "diffusion-infer", "bench-run"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_number(-3, 2**70) | _number(0, 99) | _FLAG_TEXT)]
+    trace = None
+    if command == "prerender-sim" and draw(st.booleans()):
+        trace = draw(trace_bytes())
+    trace_name = draw(st.sampled_from(["walk.trace", "new\nline.trace"]))
+    if command in ("diffusion-infer", "bench-run") and draw(st.booleans()):
+        argv += ["--checkpoint", "<checkpoint>"]
+    if command == "diffusion-infer" and draw(st.booleans()):
+        argv += ["--users", draw(_number(-2, 12) | _number(1, 5) | _FLAG_TEXT)]
+    if command == "bench-run":
+        if draw(st.booleans()):
+            names = st.sampled_from(["proposed", "mdp", "random_opt", "none", " mdp", "",
+                                     "greedy"])
+            argv += ["--policies", draw(st.one_of(st.lists(names, max_size=4).map(",".join),
+                                                  _FLAG_TEXT))]
+        if draw(st.booleans()):
+            argv.append("--plot-data")
+    return argv, draw(st.sampled_from(_OUT_NAMES)), (trace_name, trace)
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(case=cli_cases())
+def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
+    """Exit 0, 2 or 3 with at most one stderr line, in bounded time; a failed
+    run leaves everything as it was, a run that succeeds publishes a manifest
+    that lists every file in its out dir."""
+    config, checkpoint = fuzz_inputs
+    argv, out_name, (trace_name, trace) = case
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "an empty dir").mkdir()
+    (base / "a file").write_text("x\n")
+    (base / "blocked").mkdir()
+    for artifact in ("equilibrium.json", "walk_steps.csv", "checkpoint.npz",
+                     "probabilities.csv", "metrics.csv"):
+        (base / "blocked" / artifact).mkdir()
+    argv = [checkpoint if a == "<checkpoint>" else a for a in argv]
+    if trace is not None:
+        trace_path = base / trace_name
+        trace_path.write_bytes(trace)
+        argv += ["--trace", str(trace_path)]
+    out = base / out_name
+    before = _tree(base)
+    proc = _run_cli(*argv, "--config", config, "--out-dir", str(out), timeout=60,
+                    memory_cap=2 << 30)
+    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
+    assert proc.stderr.count("\n") <= 1, proc.stderr
+    if proc.returncode != EXIT_OK:
+        assert proc.stderr
+        assert _tree(base) == before
+        return
+    files = sorted(p.name for p in out.iterdir())
+    assert files == sorted(_manifest(out)["outputs"] + ["manifest.json"])

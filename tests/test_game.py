@@ -13,7 +13,7 @@ from oracles import (best_responses_per_price, br_grid, counted_game_calls, nash
 from renderopt.errors import ConvergenceWarning
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility, edge_best_response, edge_utility,
-                            nash_equilibrium, price_sweep, solve_stackelberg)
+                            nash_equilibrium, solve_stackelberg)
 
 SETTINGS = SolverSettings()
 
@@ -321,10 +321,3 @@ class TestValidation:
     def test_bad_solver_settings(self):
         with pytest.raises(ValueError):
             SolverSettings(br_tolerance=0.0)
-
-
-def test_price_sweep_shape():
-    cloud = CloudParams(unit_cost=0.3, price_min=0.35, price_max=1.8, capacity=8.0)
-    prices, utils = price_sweep(cloud, [node()], SETTINGS, n_points=50)
-    assert prices.shape == utils.shape == (50,)
-    assert prices[0] == cloud.price_min and prices[-1] == cloud.price_max

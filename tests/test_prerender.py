@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import segment_regions_bruteforce, walk_eager, write_walk_csv_rowwise
+from oracles import save_trace, segment_regions_bruteforce, walk_eager, write_walk_csv_rowwise
 from renderopt import prerender
 from renderopt.errors import ConfigError
 from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
-                                 save_trace, segment_regions, simulate_walk,
+                                 segment_regions, simulate_walk,
                                  step_latency, write_walk_csv)
 
 WORLD = GridWorld(width=20, height=20)
@@ -111,22 +111,24 @@ def test_segmentation_matches_bruteforce(w, h, k):
 
 
 class TestEncodeFrame:
+    FIVE = GridWorld(width=5, height=5)
+
     def test_center_is_reference_frame(self):
-        frame = encode_frame(GridWorld(width=5, height=5), (2, 2), ENCODING)
+        frame = encode_frame(self.FIVE, (2, 2), ENCODING, segment_regions(self.FIVE))
         assert frame.kind == "I"
         assert frame.size == ENCODING.base_i_size
         assert frame.reference is None
 
     def test_distance_ramp_value(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=4.0)
-        frame = encode_frame(GridWorld(width=5, height=5), (0, 2), enc)  # dist 2
+        frame = encode_frame(self.FIVE, (0, 2), enc, segment_regions(self.FIVE))  # dist 2
         assert frame.kind == "P"
         assert frame.size == pytest.approx(550.0)
         assert frame.reference == (2, 2)
 
     def test_floor_reached_in_slow_decay_limit(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=1e9)
-        frame = encode_frame(GridWorld(width=5, height=5), (1, 2), enc)  # dist 1
+        frame = encode_frame(self.FIVE, (1, 2), enc, segment_regions(self.FIVE))  # dist 1
         assert frame.size == pytest.approx(100.0, rel=1e-6)
 
     def test_never_inflates_and_respects_floor(self):
@@ -167,7 +169,7 @@ class TestSimulateWalk:
     def test_tiny_bandwidth_misses_every_fresh_delta_step(self):
         starved = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=0.001)
         trace = tuple((x, 0) for x in range(20))  # row 0 holds no region centers
-        result = simulate_walk(WORLD, starved, MobilitySpec(kind="trace", trace=trace),
+        result = simulate_walk(WORLD, starved, MobilitySpec(trace=trace),
                                19, seed=0, encoding=ENCODING)
         assert result.deadline_misses == result.steps == 19
 
@@ -181,9 +183,10 @@ class TestSimulateWalk:
     def test_revisits_do_not_pay_twice(self):
         # oscillate between two non-center points: only two fresh fetches
         trace = tuple((0, 0) if i % 2 == 0 else (0, 1) for i in range(11))
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(kind="trace", trace=trace),
+        result = simulate_walk(WORLD, TIMING, MobilitySpec(trace=trace),
                                10, seed=0, encoding=ENCODING)
-        frames = {p: encode_frame(WORLD, p, ENCODING) for p in ((0, 0), (0, 1))}
+        frames = {p: encode_frame(WORLD, p, ENCODING, segment_regions(WORLD))
+                  for p in ((0, 0), (0, 1))}
         assert result.bytes_transmitted == pytest.approx(
             frames[(0, 0)].size + frames[(0, 1)].size)
 
@@ -201,13 +204,12 @@ class TestSimulateWalk:
 
     def test_trace_outside_grid_rejected(self):
         with pytest.raises(ValueError):
-            simulate_walk(WORLD, TIMING,
-                          MobilitySpec(kind="trace", trace=((0, 0), (0, 20))),
-                          1, seed=0)
+            simulate_walk(WORLD, TIMING, MobilitySpec(trace=((0, 0), (0, 20))), 1, seed=0,
+                          encoding=ENCODING)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
-            simulate_walk(WORLD, TIMING, MobilitySpec(), 0, seed=0)
+            simulate_walk(WORLD, TIMING, MobilitySpec(), 0, seed=0, encoding=ENCODING)
 
     def test_diagonal_deadline_scales_with_hop_length(self):
         world = GridWorld(width=10, height=10, diagonal=True)
@@ -216,34 +218,34 @@ class TestSimulateWalk:
         timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=8000.0)
         enc = EncodingSpec(base_i_size=120_000.0, ratio_floor=1.0, decay=4.0)
         straight = simulate_walk(world, timing,
-                                 MobilitySpec(kind="trace", trace=((0, 0), (1, 0))),
+                                 MobilitySpec(trace=((0, 0), (1, 0))),
                                  1, seed=0, encoding=enc)
         diagonal = simulate_walk(world, timing,
-                                 MobilitySpec(kind="trace", trace=((0, 0), (1, 1))),
+                                 MobilitySpec(trace=((0, 0), (1, 1))),
                                  1, seed=0, encoding=enc)
         assert straight.deadline_misses == 1
         assert diagonal.deadline_misses == 0
 
     def test_teleporting_trace_hop_rejected(self):
-        mobility = MobilitySpec(kind="trace", trace=((0, 0), (1, 0), (5, 5)))
+        mobility = MobilitySpec(trace=((0, 0), (1, 0), (5, 5)))
         with pytest.raises(ValueError, match=r"trace step 2: hop \(1, 0\) -> \(5, 5\)"):
-            simulate_walk(WORLD, TIMING, mobility, 2, seed=0)
+            simulate_walk(WORLD, TIMING, mobility, 2, seed=0, encoding=ENCODING)
 
     def test_trace_hop_must_move(self):
-        mobility = MobilitySpec(kind="trace", trace=((3, 3), (3, 3)))
+        mobility = MobilitySpec(trace=((3, 3), (3, 3)))
         with pytest.raises(ValueError, match="trace step 1"):
-            simulate_walk(WORLD, TIMING, mobility, 1, seed=0)
+            simulate_walk(WORLD, TIMING, mobility, 1, seed=0, encoding=ENCODING)
 
     def test_diagonal_trace_hop_legal_only_on_diagonal_floor(self):
-        mobility = MobilitySpec(kind="trace", trace=((0, 0), (1, 1), (2, 0)))
+        mobility = MobilitySpec(trace=((0, 0), (1, 1), (2, 0)))
         diag = GridWorld(width=20, height=20, diagonal=True)
-        assert simulate_walk(diag, TIMING, mobility, 2, seed=0).steps == 2
+        assert simulate_walk(diag, TIMING, mobility, 2, seed=0, encoding=ENCODING).steps == 2
         with pytest.raises(ValueError, match="trace step 1"):
-            simulate_walk(WORLD, TIMING, mobility, 2, seed=0)
+            simulate_walk(WORLD, TIMING, mobility, 2, seed=0, encoding=ENCODING)
 
     def test_walk_record_holds_each_step_fact_once(self):
         # a dict per step held ~6 MB for these 20 000 steps
-        simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=3)   # imports done
+        simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=3, encoding=ENCODING)  # imports done
         tracemalloc.start()
         try:
             result = simulate_walk(WORLD, TIMING, MobilitySpec(), 20_000, seed=3,
@@ -286,7 +288,7 @@ def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
     if world.width * world.height > 1:      # a one-point floor has no hop to replay
         start = (0, world.height - 1)
         trace = _neighbour_path(world, start, 600, np.random.default_rng(trace_seed))
-        mobilities.append(MobilitySpec(kind="trace", trace=trace))
+        mobilities.append(MobilitySpec(trace=trace))
     for mobility in mobilities:
         result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
         frames, latencies, missed, bytes_tx = walk_eager(world, timing, mobility, 600, seed,
@@ -350,13 +352,13 @@ class TestTraceIO:
     def test_non_increasing_step_index_rejected(self, tmp_path, text, lineno):
         path = tmp_path / "bad.trace"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"bad.trace:{lineno}: step index"):
+        with pytest.raises(ValueError, match=f"bad.trace':{lineno}: step index"):
             load_trace(path)
 
     def test_non_integer_field_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0 0 0\n1 1.5 0\n")
-        with pytest.raises(ValueError, match="bad.trace:2: expected"):
+        with pytest.raises(ValueError, match="bad.trace':2: expected"):
             load_trace(path)
 
     def test_long_bad_line_echo_is_capped(self, tmp_path):
@@ -364,7 +366,7 @@ class TestTraceIO:
         path.write_text("0 0 0\n1 0 " + "9" * 5000 + "\n")     # past int()'s digit limit
         with pytest.raises(ValueError) as info:
             load_trace(path)
-        assert str(info.value).endswith(f"bad.trace:2: expected 'step_index x y' integers, "
+        assert str(info.value).endswith(f"bad.trace':2: expected 'step_index x y' integers, "
                                         f"got '1 0 {'9' * 56}'...")
 
     def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path, monkeypatch):
@@ -409,9 +411,7 @@ class TestValidation:
 
     def test_mobility_invariants(self):
         with pytest.raises(ValueError):
-            MobilitySpec(kind="hover")
-        with pytest.raises(ValueError):
-            MobilitySpec(kind="trace", trace=((0, 0),))
+            MobilitySpec(trace=((0, 0),))
 
 
 @hyp_settings(max_examples=40, deadline=None)

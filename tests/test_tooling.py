@@ -1,5 +1,7 @@
-"""The benchmark's span tracer wraps package names; keep them where it looks."""
+"""The experiment scripts run, and the benchmark's span tracer wraps package
+names; keep them where it looks."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,20 +11,60 @@ from pathlib import Path
 import pytest
 
 from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
-from renderopt.config import load_config
+from renderopt.bench import POLICY_VARIANTS
+from renderopt.config import DEFAULTS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
+def _run_script(script, *args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_help_exits_zero(script):
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:")
+    assert _run_script(script, "--help").stdout.startswith("usage:")
+
+
+def test_price_sweep_covers_the_band(tmp_path):
+    _run_script("price_sweep.py", "--points", "50", "--out", "sweep.csv", cwd=tmp_path)
+    rows = _rows(tmp_path / "sweep.csv")
+    prices = [float(r["price"]) for r in rows]
+    cloud = DEFAULTS["game"]["cloud"]
+    assert len(rows) == 50
+    assert prices[0] == cloud["price_min"] and prices[-1] == cloud["price_max"]
+    assert prices == sorted(set(prices))
+    assert all(float(r["cloud_utility"]) >= 0 for r in rows)
+
+
+def test_compression_sweep_writes_every_setting(tmp_path):
+    _run_script("compression_sweep.py", "--steps", "20", "--out", "sweep.csv", cwd=tmp_path)
+    rows = _rows(tmp_path / "sweep.csv")
+    assert [(r["region_side"], r["decay"]) for r in rows] == [
+        (side, decay) for side in ("3", "5", "7") for decay in ("2.0", "4.0", "8.0")]
+    assert all(0 < float(r["bytes_ratio"]) <= 1 and int(r["deadline_misses"]) >= 0
+               for r in rows)
+
+
+def test_bench_multiseed_scores_every_policy(tmp_path):
+    proc = _run_script("bench_multiseed.py", "--seeds", "1", "--out", "multiseed.csv",
+                       cwd=tmp_path)
+    assert "proposed vs none" in proc.stdout
+    rows = _rows(tmp_path / "multiseed.csv")
+    assert [(r["seed"], r["policy"]) for r in rows] == [("0", p) for p in POLICY_VARIANTS]
+    times = {r["policy"]: float(r["mean_render_time_s"]) for r in rows}
+    assert all(0 <= float(r["f1"]) <= 1 for r in rows)
+    assert max(times.values()) == times["none"]
 
 
 def test_cli_imports_without_scipy():

@@ -103,8 +103,9 @@ class TestTrainMechanics:
     def test_early_stopping_on_stalled_validation(self):
         dataset = _tiny_dataset()
         schedule = NoiseSchedule(steps=50, beta_start=0.001, beta_end=0.1)
-        settings = TrainSettings(learning_rate=1e-12, batch_size=8, epochs=30,
-                                 patience=2, min_delta=1e-6, seed=5)
+        # steps far below the weights' rounding: the validation loss never moves
+        settings = TrainSettings(learning_rate=1e-300, batch_size=8, epochs=30,
+                                 patience=2, seed=5)
         result = train(dataset, schedule, settings,
                        model=AttentionGatedDenoiser(TINY, seed=5))
         assert result.stopped_early

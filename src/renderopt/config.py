@@ -29,6 +29,7 @@ from .synthetic import PlantedConfig
 # each bound alone keeps a run within 2 GB
 MAX_USERS = 10_000
 MAX_SEQ_LEN = 128
+MAX_CONFIG_BYTES = 1 << 20             # a config file is read up to this size, no further
 
 
 @dataclass(frozen=True)
@@ -194,4 +195,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    with p.open("rb") as fh:
+        raw = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"--config: {str(p)!r} is larger than {MAX_CONFIG_BYTES} bytes")
+    return parse_config(raw.decode())

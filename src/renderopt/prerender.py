@@ -16,6 +16,7 @@ import math
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, islice
 from operator import index
 from pathlib import Path
@@ -247,6 +248,32 @@ def _clip(text: str, show=str) -> str:
     return show(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
 
 
+_DRAW_BLOCK = 1024                     # raw 64-bit draws a seeded walk takes at a time
+
+
+def _halves(seed: int) -> Iterator[int]:
+    """The 32-bit halves `np.random.default_rng(seed).integers` consumes, in
+    its order: each raw 64-bit PCG64 draw's low half, then its high half."""
+    bit_generator = np.random.default_rng(seed).bit_generator
+    while True:
+        raw = bit_generator.random_raw(_DRAW_BLOCK)
+        yield from np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).ravel().tolist()
+
+
+def _bounded(halves: Iterator[int], n: int) -> int:
+    """The integer in [0, n) that `Generator.integers(n)` draws from these
+    halves, for 1 <= n < 2**32: Lemire's multiply-shift, which rejects a
+    half while the low 32 bits of `h * n` fall below (2**32 - n) % n (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 29(1), 2019).
+    n == 1 takes no half."""
+    if n == 1:
+        return 0
+    m = next(halves) * n
+    while m & 0xFFFFFFFF < (0x100000000 - n) % n:
+        m = next(halves) * n
+    return m >> 32
+
+
 def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
                   horizon: int, seed: int, encoding: EncodingSpec,
                   panorama_work: float = 100.0) -> WalkResult:
@@ -281,7 +308,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     if not world.contains(current):
         raise ValueError(f"start point {_clip(str(current))} outside grid")
 
-    rng = np.random.default_rng(seed)
+    halves = _halves(seed)             # each pick is the one rng.integers would draw
     # per point, filled on the first visit: its neighbours, and on the first
     # entry (frame, is P-frame, latency when fetched, latency when on the device)
     around: dict[Coord, list[Coord]] = {}
@@ -304,7 +331,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
                 raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
                                  f"{_clip(str(nxt))} is not to a grid neighbour")
         else:
-            nxt = options[int(rng.integers(len(options)))] if options else current
+            nxt = options[_bounded(halves, len(options))] if options else current
         entry = entries.get(nxt)
         if entry is None:
             frame = encode_frame(world, nxt, encoding, regions)
@@ -335,24 +362,32 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
 # one trace line: blank, a comment, or three ASCII integers
 _TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]+))?\s*",
                          re.ASCII)
+# the longest trace line, newline included; three fields at int()'s
+# 4300-digit limit fit in it, and a longer line is malformed
+_TRACE_LINE_CHARS = 16_384
 
 
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
     echo = _clip(line.strip(), repr)
-    return ValueError(f"{str(path)!r}:{lineno}: expected 'step_index x y' integers, got {echo}")
+    longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
+        if len(line) > _TRACE_LINE_CHARS else ""
+    return ValueError(f"{str(path)!r}:{lineno}: expected 'step_index x y' integers, "
+                      f"got {echo}{longer}")
 
 
 def load_trace(path: str | Path) -> tuple[Coord, ...]:
     """Read a mobility trace: one `step_index x y` line per point, with step
     indices strictly increasing in file order. Fields are ASCII integers;
-    blank lines and lines starting with `#` are skipped. A trace longer than
-    the longest walk (MAX_WALK_STEPS steps) is refused as soon as its next
-    point is read."""
+    blank lines and lines starting with `#` are skipped. A line is read at
+    most _TRACE_LINE_CHARS + 1 characters at a time, and a longer one is
+    malformed. A trace longer than the longest walk (MAX_WALK_STEPS steps)
+    is refused as soon as its next point is read."""
     points: list[Coord] = []
     last: int | None = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            match = _TRACE_LINE.fullmatch(line)
+        lines = iter(partial(fh.readline, _TRACE_LINE_CHARS + 1), "")
+        for lineno, line in enumerate(lines, start=1):
+            match = _TRACE_LINE.fullmatch(line) if len(line) <= _TRACE_LINE_CHARS else None
             if match is None:
                 raise _bad_trace_line(path, lineno, line)
             index, x, y = match.groups()

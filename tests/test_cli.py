@@ -120,6 +120,28 @@ class TestPrerenderSim:
         assert summary["steps"] == 500
         assert summary["deadline_misses"] == 0
 
+    # sha256 of walk_steps.csv and walk_summary.json as `prerender-sim --seed 3`
+    # wrote them at commit 2a2417c, whose walk drew each step with rng.integers
+    WALK_DIGESTS = {
+        "default": ("df04bf5b3e75a9b216a2c996134d34d910a48cb1e2b5462a9ea6569dc1d49921",
+                    "5b239bc7c56292cdc980c0120235abec04f49e1f5da49e5bf9a7d46f7e97f908"),
+        "diagonal-23x17": ("fa73b5163cb0a0523283ecf3d0d93bdaf644ed68d6a896c73d88cc1f792e5566",
+                           "e6bf02c6b0756e096f1b8815e2d0407684fc080fdb4f9b08304b7109d23ea076"),
+    }
+
+    @pytest.mark.parametrize("config", sorted(WALK_DIGESTS))
+    def test_walk_unchanged(self, tmp_path, config):
+        out = tmp_path / "out"
+        argv = ["prerender-sim", "--seed", "3", "--out-dir", str(out)]
+        if config == "diagonal-23x17":
+            floor = {"width": 23, "height": 17, "diagonal": True, "region_side": 7,
+                     "steps": 3000}
+            argv += ["--config", _write_config(tmp_path, {"prerender": floor})]
+        assert main(argv) == EXIT_OK
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("walk_steps.csv", "walk_summary.json"))
+        assert got == self.WALK_DIGESTS[config]
+
     def test_trace_replay(self, tmp_path):
         trace_path = tmp_path / "path.trace"
         save_trace(trace_path, [(0, 0), (1, 0), (2, 0), (2, 1)])
@@ -309,6 +331,36 @@ class TestErrorPaths:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: config error: ") and named in proc.stderr
+
+    # each was read whole: /dev/zero died with a MemoryError traceback, and the
+    # whitespace line and the padded config walked and solved with exit 0
+    UNBOUNDED = [
+        ("prerender-sim", "--trace", "/dev/zero",
+         "'/dev/zero':1: expected 'step_index x y' integers, got '\\x00"),
+        ("game-solve", "--config", "/dev/zero",
+         "--config: '/dev/zero' is larger than 1048576 bytes"),
+        ("prerender-sim", "--trace", "0 1 1\n" + " " * 20_000 + "\n1 2 1\n",
+         "long.input':2: expected 'step_index x y' integers, got '' in a line longer than "
+         "16384 characters"),
+        ("game-solve", "--config", "{}" + " " * (1 << 20),
+         "--config: '{tmp}/long.input' is larger than 1048576 bytes"),
+    ]
+
+    @pytest.mark.parametrize("command, option, source, problem", UNBOUNDED,
+                             ids=["trace-zero", "config-zero", "trace-line", "config-size"])
+    def test_unbounded_input_exits_config_with_one_line(self, tmp_path, command, option,
+                                                        source, problem):
+        if not source.startswith("/dev/"):
+            (tmp_path / "long.input").write_text(source)
+            source = str(tmp_path / "long.input")
+        elif not Path(source).exists():
+            pytest.skip(f"no {source} on this system")
+        proc = _run_cli(command, option, source, "--out-dir", str(tmp_path / "out"),
+                        timeout=30, memory_cap=2 << 30)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"{command}: ")
+        assert problem.format(tmp=tmp_path) in proc.stderr
 
     # both exited 0 with Infinity and NaN in their JSON artifacts
     NON_FINITE = [

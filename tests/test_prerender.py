@@ -323,6 +323,44 @@ def test_walk_matches_eager_reference_on_any_floor(tmp_path_factory, w, h, k, di
     _assert_walk_matches_eager(tmp_path_factory.mktemp("walk"), world, timing, seed, seed)
 
 
+class TestBlockDraws:
+    """A seeded walk picks its next point from raw draws taken in blocks."""
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**64),
+           ns=st.lists(st.one_of(st.integers(1, 8), st.integers(1, 2**32 - 1)),
+                       min_size=1, max_size=100))
+    @example(seed=9001, ns=[7, 1, 2**31 + 1] * 1500)        # past two blocks, many rejections
+    def test_equals_rng_integers(self, seed, ns):
+        """`_bounded` over `_halves(seed)` gives exactly what `rng.integers(n)`
+        gives on a fresh generator with the same seed, one call at a time.
+        Past n = 2**31 the rejection zone is nearly half of all halves, so
+        rejections are compared here too. If a numpy release changes how
+        `Generator.integers` draws, this test fails, and the fix is to go back
+        to `rng.integers` in `simulate_walk`."""
+        rng = np.random.default_rng(seed)
+        halves = prerender._halves(seed)
+        assert [prerender._bounded(halves, n) for n in ns] == [int(rng.integers(n)) for n in ns]
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_rejected_half_takes_the_next(self, n):
+        # for a walk's n (at most 8) a half is rejected with probability below
+        # 2**-29, so no seed reaches this branch: take the halves h with
+        # h * n = k mod 2**32 for every k below the threshold instead
+        threshold = (2**32 - n) % n
+        rejected = [k * pow(n, -1, 2**32) % 2**32 for k in range(threshold)]
+        assert rejected and all((h * n) & 0xFFFFFFFF < threshold for h in rejected)
+        halves = iter([*rejected, 2**32 - 1, 0])
+        assert prerender._bounded(halves, n) == n - 1
+        assert next(halves) == 0
+
+    def test_one_option_takes_no_half(self):
+        halves = iter([2**32 - 1, 0])
+        assert prerender._bounded(halves, 1) == 0
+        assert prerender._bounded(halves, 2) == 1
+        assert next(halves) == 0
+
+
 _FIELD = st.integers(-10**30, 10**30)
 
 

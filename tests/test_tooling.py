@@ -2,6 +2,7 @@
 names; keep them where it looks."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -129,3 +130,46 @@ def test_tracer_installs_and_records_spans(tmp_path):
         solve_stackelberg_uncached(config.cloud, list(config.nodes), config.solver)
     assert calls["game.nash_equilibrium"] == len(log["nash"]) == 328
     assert calls["game.edge_best_response"] == sum(best_responses_per_price(log["nash"]).values())
+
+
+def _bench_pairs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_summary(work, p50, correct=True):
+    return {"correct": correct, "metrics": {"work_per_ref": {"value": work, "unit": "work/ref"},
+                                            "request_p50_ref": {"value": p50, "unit": "ref"}}}
+
+
+PAIR_METRICS = [{"name": "work_per_ref", "unit": "work/ref", "better": "higher"},
+                {"name": "request_p50_ref", "unit": "ref", "better": "lower"}]
+
+
+def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
+    # parent work 100, 110, 90, 105, 95: quartiles 92.5 and 107.5 around 100, spread 0.15
+    parent = [(100, 1.0), (110, 1.1), (90, 0.9), (105, 1.0), (95, 1.0)]
+    change = [(120, 0.8), (126.5, 1.0), (108, 0.85), (121, 0.9), (114, 0.95)]
+    pairs = [{"seed": seed, "first": "parent", "parent": _run_summary(*p),
+              "change": _run_summary(*c)} for seed, p, c in zip(range(5), parent, change)]
+    summarize = _bench_pairs().summarize
+    got = summarize(pairs, PAIR_METRICS)
+    work = got["work_per_ref"]
+    assert work["parent"] == {"values": [100, 110, 90, 105, 95], "median": 100,
+                              "q1": 92.5, "q3": 107.5}
+    assert work["change"]["median"] == 120
+    assert work["ratios"] == [1.2, 1.15, 1.2, 121 / 105, 1.2]
+    assert work["median_ratio"] == 1.2 and work["parent_spread"] == pytest.approx(0.15)
+    assert work["claimable"] is True
+    # every pair is faster, but the median ratio 1 / 1.1 is not below 1 - spread
+    p50 = got["request_p50_ref"]
+    assert all(r < 1 for r in p50["ratios"]) and p50["median_ratio"] == 1.0 / 1.1
+    assert p50["parent_spread"] == pytest.approx(0.1) and p50["claimable"] is False
+    # one pair no better, or one incorrect run, and nothing is claimable
+    worse = [dict(pairs[0], change=_run_summary(100, 0.8)), *pairs[1:]]
+    assert summarize(worse, PAIR_METRICS)["work_per_ref"]["claimable"] is False
+    wrong = [dict(pairs[0], change=_run_summary(120, 0.8, correct=False)), *pairs[1:]]
+    assert summarize(wrong, PAIR_METRICS)["work_per_ref"]["claimable"] is False

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Time each CLI subcommand end to end at the default config, every run in a fresh interpreter.
+
+    python3 scripts/cli_wall.py --repeats 5
+    python3 scripts/cli_wall.py --commands game-solve prerender-sim --repeats 9 --src ../parent/src
+
+Each run is `python -m renderopt.cli <command> --out-dir <new dir>` in a child
+process with OPENBLAS_NUM_THREADS=1, so it counts interpreter start, imports,
+config validation, the command and its writes. Wall time spans the child's
+whole life; CPU time (user + system) and peak resident set size come from
+`os.wait4` on that child alone. diffusion-infer reads the checkpoint of one
+untimed diffusion-train run made first. Prints one row per command: runs,
+median wall seconds, median CPU seconds, and the largest peak RSS of its runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+COMMANDS = ("game-solve", "prerender-sim", "diffusion-train", "diffusion-infer", "bench-run")
+
+
+def run_once(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, float]:
+    """Run one CLI command in a child; its wall seconds, CPU seconds and peak RSS in MB."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "renderopt.cli", *argv,
+                                 "--out-dir", str(out_dir)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            message = err.read().decode(errors="replace").strip()
+            raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {message}")
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--commands", nargs="+", choices=COMMANDS, default=list(COMMANDS))
+    parser.add_argument("--repeats", type=int, default=5, help="timed runs per command")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="renderopt source root to run (default: this checkout's)")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
+           "OPENBLAS_NUM_THREADS": "1"}
+    print(f"{'command':16s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} {'peak_rss_mb':>11s}")
+    with tempfile.TemporaryDirectory(prefix="cli-wall-") as tmp:
+        work = Path(tmp)
+        extra = {name: [] for name in COMMANDS}
+        if "diffusion-infer" in args.commands:
+            run_once(["diffusion-train"], env, work / "checkpoint")
+            extra["diffusion-infer"] = ["--checkpoint", str(work / "checkpoint" / "checkpoint.npz")]
+        for name in args.commands:
+            runs = [run_once([name, *extra[name]], env, work / f"{name}-{i}")
+                    for i in range(args.repeats)]
+            walls, cpus, rss = zip(*runs)
+            print(f"{name:16s} {len(runs):4d} {statistics.median(walls):8.3f} "
+                  f"{statistics.median(cpus):8.3f} {max(rss):11.1f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

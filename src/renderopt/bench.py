@@ -38,40 +38,9 @@ import numpy as np
 from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
-from .diffusion.schedule import NoiseSchedule
-from .errors import check, json_text
+from .errors import json_text
+from .settings import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
 from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user
-
-POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
-# regions in a whole workload; each scene also holds a planted user (~5 KB)
-MAX_REGIONS = 100_000
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    scenes: int = 20
-    frames_per_scene: int = 3600
-    fps: int = 60
-    regions_per_scene: int = 40
-    interest_fraction: float = 0.3
-    work_low: float = 0.6
-    work_high: float = 1.4
-    seq_len: int = PlantedConfig.seq_len
-
-    def __post_init__(self):
-        check(self.scenes >= 1, "scenes", "an integer >= 1", self.scenes)
-        check(self.fps >= 1, "fps", "an integer >= 1", self.fps)
-        check(self.frames_per_scene == self.fps * 60, "frames_per_scene",
-              f"fps * 60 = {self.fps * 60} (scenes are one minute long)",
-              self.frames_per_scene)
-        check(2 <= self.regions_per_scene <= MAX_REGIONS // self.scenes, "regions_per_scene",
-              f"an integer in [2, {MAX_REGIONS} // scenes ({self.scenes})]",
-              self.regions_per_scene)
-        check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
-              self.interest_fraction)
-        check(self.work_low > 0, "work_low", "a positive number", self.work_low)
-        check(self.work_high > self.work_low, "work_high", f"> work_low ({self.work_low})",
-              self.work_high)
 
 
 @dataclass
@@ -91,45 +60,6 @@ class Scene:
 class SceneWorkload:
     config: WorkloadConfig
     scenes: list[Scene]
-
-
-@dataclass(frozen=True)
-class RenderPolicy:
-    variant: str = POLICY_VARIANTS[0]
-    mdp_discount: float = 0.95
-    mdp_cost_weight: float = 0.55
-    ro_samples: int = 21
-    stride: int = 35
-    t_noise: int = 140
-    focus_quantile: float | None = None   # defaults to the workload interest fraction
-
-    def __post_init__(self):
-        check(self.variant in POLICY_VARIANTS, "variant",
-              f"one of {', '.join(POLICY_VARIANTS)}", self.variant)
-        check(0 < self.mdp_discount < 1, "mdp_discount", "in (0, 1)", self.mdp_discount)
-        check(self.mdp_cost_weight > 0, "mdp_cost_weight", "a positive number",
-              self.mdp_cost_weight)
-        check(self.ro_samples >= 1, "ro_samples", "an integer >= 1", self.ro_samples)
-        check(self.t_noise >= 1, "t_noise", "an integer >= 1", self.t_noise)
-        check(self.stride >= 1 and self.t_noise % self.stride == 0, "stride",
-              f"a positive divisor of t_noise ({self.t_noise})", self.stride)
-        check(self.focus_quantile is None or 0 < self.focus_quantile < 1, "focus_quantile",
-              "null or in (0, 1)", self.focus_quantile)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    lod_high: float = 1.0
-    lod_low: float = 0.25
-    quality_high: float = 1.0
-    quality_low: float = 0.25
-    throughput: float = 1.0125         # work units per second
-
-    def __post_init__(self):
-        check(self.lod_low > 0, "lod_low", "a positive number", self.lod_low)
-        check(self.lod_high > self.lod_low, "lod_high", f"> lod_low ({self.lod_low})",
-              self.lod_high)
-        check(self.throughput > 0, "throughput", "a positive number", self.throughput)
 
 
 @dataclass

@@ -3,12 +3,20 @@
 Subcommands: game-solve, prerender-sim, diffusion-train, diffusion-infer,
 bench-run. Every run writes its artifacts plus a manifest.json listing them.
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+
+A command imports only what it runs. The names in `_LAZY` come from the
+numpy-backed modules (bench, diffusion, synthetic): the module `__getattr__`
+(PEP 562) imports each on first use and keeps it as a global. Commands call
+them as `_cli.<name>`: a bare global lookup never reaches `__getattr__`, and
+through the module a rebinding of the attribute, such as a tracer's wrapper,
+takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import os
 import shutil
 import sys
@@ -19,24 +27,35 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bench import (POLICY_VARIANTS, generate_workload, run_policy, write_plot_data,
-                    write_report_csv, write_summary_json)
 from .config import MAX_USERS, ExperimentConfig, load_config
-from .diffusion import (INTERACTION_COLUMNS, AttentionGatedDenoiser, TrainSettings,
-                        interaction_probabilities, load_checkpoint, save_checkpoint,
-                        train, write_curve_csv)
-from .diffusion.sampling import reconstruct_preferences
 from .errors import ConfigError, NumericalError, json_text
 from .game import solve_stackelberg
 from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
-from .synthetic import PlantedConfig, build_training_set, make_population
+from .settings import POLICY_VARIANTS, PlantedConfig, TrainSettings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# name -> the module of this package it is imported from on first use
+_LAZY = {name: module for module, names in (
+    ("bench", ("generate_workload", "run_policy", "write_plot_data", "write_report_csv",
+               "write_summary_json")),
+    ("diffusion", ("INTERACTION_COLUMNS", "AttentionGatedDenoiser", "interaction_probabilities",
+                   "load_checkpoint", "save_checkpoint", "train", "write_curve_csv")),
+    ("diffusion.sampling", ("reconstruct_preferences",)),
+    ("synthetic", ("build_training_set", "make_population")),
+) for name in names}
+_cli = sys.modules[__name__]           # this module, as commands look up lazy names
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 @contextmanager
@@ -111,10 +130,11 @@ def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: in
                     population_seed: int, seed: int):
     """Train config's denoiser on `users` planted users; returns (result, standardizer)."""
     planted = PlantedConfig(n_users=users, seq_len=config.diffusion.seq_len)
-    dataset, standardizer = build_training_set(
-        make_population(planted, seed=population_seed), planted)
-    model = AttentionGatedDenoiser(config.denoiser, seed=seed)
-    return train(dataset, config.schedule, replace(settings, seed=seed), model=model), standardizer
+    dataset, standardizer = _cli.build_training_set(
+        _cli.make_population(planted, seed=population_seed), planted)
+    model = _cli.AttentionGatedDenoiser(config.denoiser, seed=seed)
+    result = _cli.train(dataset, config.schedule, replace(settings, seed=seed), model=model)
+    return result, standardizer
 
 
 def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
@@ -122,9 +142,9 @@ def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
     result, standardizer = _train_denoiser(
         config, config.train, config.diffusion.dataset_users, seed, seed)
     ckpt_path = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt_path, result.model, config.schedule, standardizer)
+    _cli.save_checkpoint(ckpt_path, result.model, config.schedule, standardizer)
     curve_path = out_dir / "training_curve.csv"
-    write_curve_csv(result.history, curve_path)
+    _cli.write_curve_csv(result.history, curve_path)
     summary_path = out_dir / "train_summary.json"
     _write_json(summary_path, {
         "epochs_run": len(result.history) - 1,
@@ -139,16 +159,17 @@ def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
 
 def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
+    import numpy as np
     if not args.checkpoint:
         raise ConfigError("diffusion-infer requires --checkpoint")
     if not 1 <= args.users <= MAX_USERS:
         raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
     with _path_from("--checkpoint", args.checkpoint, "read"):
-        model, schedule, standardizer = load_checkpoint(args.checkpoint)
+        model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
     t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
     _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
     planted = PlantedConfig(n_users=args.users, seq_len=config.diffusion.seq_len)
-    eval_users = make_population(planted, seed=seed + 1_000_003)
+    eval_users = _cli.make_population(planted, seed=seed + 1_000_003)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -157,10 +178,10 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         feats = standardizer.transform(user.sequence_raw)
         noise = rng.standard_normal(feats.shape)
         m_hat = standardizer.inverse(
-            reconstruct_preferences(model, schedule, feats, user.condition,
-                                    t_noise, stride, noise))
-        idx, probs = interaction_probabilities(m_hat, user.item_features,
-                                               INTERACTION_COLUMNS)
+            _cli.reconstruct_preferences(model, schedule, feats, user.condition,
+                                         t_noise, stride, noise))
+        idx, probs = _cli.interaction_probabilities(m_hat, user.item_features,
+                                                    _cli.INTERACTION_COLUMNS)
         flags = user.interest_flags[idx]
         if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
             ranked_ok += 1
@@ -199,7 +220,7 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
     if "proposed" in policies:
         if args.checkpoint:
             with _path_from("--checkpoint", args.checkpoint, "read"):
-                model, schedule, standardizer = load_checkpoint(args.checkpoint)
+                model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
         else:
             schedule = config.schedule
         _check_noise_step("bench.t_noise", config.policy.t_noise, schedule)
@@ -208,18 +229,18 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
                 config, config.bench_train, config.bench_train.users, seed + 7_777, seed)
             model = result.model
 
-    workload = generate_workload(config.workload, seed=seed)
-    reports = [run_policy(workload, replace(config.policy, variant=name), config.cost,
-                          model=model, schedule=schedule, standardizer=standardizer)
+    workload = _cli.generate_workload(config.workload, seed=seed)
+    reports = [_cli.run_policy(workload, replace(config.policy, variant=name), config.cost,
+                               model=model, schedule=schedule, standardizer=standardizer)
                for name in policies]
 
     metrics_path = out_dir / "metrics.csv"
-    write_report_csv(reports, metrics_path)
+    _cli.write_report_csv(reports, metrics_path)
     summary_path = out_dir / "bench_summary.json"
-    write_summary_json(reports, summary_path)
+    _cli.write_summary_json(reports, summary_path)
     outputs = [metrics_path, summary_path]
     if args.plot_data:
-        outputs.extend(write_plot_data(reports, out_dir))
+        outputs.extend(_cli.write_plot_data(reports, out_dir))
     return outputs
 
 

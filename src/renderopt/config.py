@@ -19,12 +19,11 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .bench import CostModel, RenderPolicy, WorkloadConfig
-from .diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
 from .errors import ConfigError, _build, _merge, check
 from .game import DEFAULT_NODES, CloudParams, EdgeNodeParams, SolverSettings
 from .prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
-from .synthetic import PlantedConfig
+from .settings import (CostModel, DenoiserConfig, NoiseSchedule, PlantedConfig, RenderPolicy,
+                       TrainSettings, WorkloadConfig)
 
 # each bound alone keeps a run within 2 GB
 MAX_USERS = 10_000
@@ -194,7 +193,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         return parse_config("")
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"--config: config file {str(p)!r} not found")
     with p.open("rb") as fh:
         raw = fh.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:

@@ -23,39 +23,15 @@ gradient as a vector in the same layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalError, check
+from ..errors import NumericalError
+from ..settings import DenoiserConfig
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-5
-
-
-@dataclass(frozen=True)
-class DenoiserConfig:
-    """Shapes of the network. d_model must be even, divisible by heads and at
-    most 1024, where the weights take ~200 MB (four times that in training)."""
-
-    feature_dim: int = 6
-    cond_dim: int = 4
-    d_model: int = 64
-    heads: int = 4
-    mlp_ratio: int = 2
-
-    def __post_init__(self):
-        for name in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio"):
-            check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(self.d_model <= 1024, "d_model", "at most 1024", self.d_model)
-        check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
-        check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
-              self.d_model)
-
-    @property
-    def gate_dim(self) -> int:
-        return max(1, self.d_model // 2)
 
 
 def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:

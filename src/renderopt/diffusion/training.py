@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalError, check
+from ..errors import NumericalError
+from ..settings import TrainSettings
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -23,22 +24,6 @@ from .schedule import NoiseSchedule, forward_diffuse
 _EVAL_CHUNK = 256
 # equal-width timestep buckets the per-epoch loss is split into
 _TIME_BUCKETS = 7
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    learning_rate: float = 0.0001
-    batch_size: int = 32
-    epochs: int = 20
-    patience: int = 5
-    val_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        check(self.learning_rate > 0, "learning_rate", "a positive number", self.learning_rate)
-        for name in ("batch_size", "epochs", "patience"):
-            check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(0 <= self.val_fraction < 1, "val_fraction", "in [0, 1)", self.val_fraction)
 
 
 class Adam:

@@ -67,7 +67,10 @@ class CloudParams:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs for both tiers. All values strictly positive."""
+    """Numerical knobs for both tiers. All values strictly positive, and
+    br_tolerance at least 1e-8: golden-section search on the utility places a
+    demand no finer than about sqrt(2**-52) of its scale, so a finer stop is
+    never met and every follower solve would run to br_max_iters."""
 
     br_tolerance: float = 1e-6
     br_max_iters: int = 10_000
@@ -79,6 +82,7 @@ class SolverSettings:
         for name in ("br_tolerance", "br_max_iters", "price_step_frac",
                      "fd_epsilon_frac", "price_max_iters"):
             check(getattr(self, name) > 0, name, "positive", getattr(self, name))
+        check(self.br_tolerance >= 1e-8, "br_tolerance", "at least 1e-8", self.br_tolerance)
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,9 @@ def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
         iterations += 1
         p_hi = min(hi, p + eps)
         p_lo = max(lo, p - eps)
-        grad = (u(p_hi) - u(p_lo)) / (p_hi - p_lo)
+        # an eps below the price's float spacing leaves no difference to take:
+        # probe both directions as on a flat gradient
+        grad = (u(p_hi) - u(p_lo)) / (p_hi - p_lo) if p_hi > p_lo else 0.0
         moved = False
         if grad != 0.0:
             cand = min(hi, max(lo, p + math.copysign(step, grad)))

@@ -21,8 +21,6 @@ from itertools import count, islice
 from operator import index
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, check
 
 Coord = tuple[int, int]
@@ -253,7 +251,9 @@ _DRAW_BLOCK = 1024                     # raw 64-bit draws a seeded walk takes at
 
 def _halves(seed: int) -> Iterator[int]:
     """The 32-bit halves `np.random.default_rng(seed).integers` consumes, in
-    its order: each raw 64-bit PCG64 draw's low half, then its high half."""
+    its order: each raw 64-bit PCG64 draw's low half, then its high half.
+    Only a seeded walk draws, so only it imports numpy."""
+    import numpy as np
     bit_generator = np.random.default_rng(seed).bit_generator
     while True:
         raw = bit_generator.random_raw(_DRAW_BLOCK)

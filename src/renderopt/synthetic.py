@@ -15,27 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion.data import Standardizer
+from .settings import PlantedConfig
 
 LATENT_DIM = 3
 # population-level taste drift; gives popularity priors partial signal
 POPULATION_MEAN = np.array([0.5, 0.2, -0.3])
-
-
-@dataclass(frozen=True)
-class PlantedConfig:
-    n_users: int = 256
-    seq_len: int = 16
-    n_features: int = 6
-    n_items: int = 30
-    interest_fraction: float = 0.3
-    interaction_noise: float = 0.5
-    channel_noise: float = 0.6
-
-    def __post_init__(self):
-        if self.n_features != 6:
-            raise ValueError("generator emits 6 feature columns (3 interaction, 2 latency, 1 fluency)")
-        if not 0 < self.interest_fraction < 1:
-            raise ValueError(f"interest_fraction must be in (0, 1), got {self.interest_fraction}")
 
 
 @dataclass

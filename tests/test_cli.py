@@ -556,6 +556,7 @@ class TestErrorPaths:
 
     PATHS = [("game-solve", "--config", "adir", "cannot read 'adir': Is a directory"),
              ("game-solve", "--config", "binary", "cannot read 'binary': 'utf-8' codec"),
+             ("game-solve", "--config", "no\npe", "config file 'no\\npe' not found"),
              ("prerender-sim", "--trace", "adir", "cannot read 'adir': Is a directory"),
              ("prerender-sim", "--trace", "nope", "cannot read 'nope': No such file"),
              ("diffusion-infer", "--checkpoint", "adir", "cannot read 'adir': Is a directory"),
@@ -730,3 +731,79 @@ def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
         return
     files = sorted(p.name for p in out.iterdir())
     assert files == sorted(_manifest(out)["outputs"] + ["manifest.json"])
+
+
+
+def _key_paths(tree, path=()):
+    """Every key path of `tree`, into objects and list entries alike, with its value."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+_CONFIG_PATHS = [path for path, _ in _key_paths(DEFAULTS)]
+_OBJECT_PATHS = [()] + [path for path, value in _key_paths(DEFAULTS) if isinstance(value, dict)]
+# wrong JSON types, and numbers out of most ranges: signs, extremes, non-finite
+_ODD_VALUES = [None, True, "x", "", [], {}, [1], {"a": 1}, -1, 0, 0.5, 1e-300, -1e308, 1e308,
+               2**63, 10**400, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def config_bytes(draw):
+    """DEFAULTS with one key deleted, one unknown key added or one value
+    replaced, as JSON bytes; or bytes that are no JSON object or no UTF-8."""
+    tree = json.loads(json.dumps(DEFAULTS))
+    kind = draw(st.sampled_from(["delete", "unknown", "replace", "cut", "latin-1", "raw"]))
+    if kind in ("delete", "replace"):
+        *parents, key = draw(st.sampled_from(_CONFIG_PATHS))
+        node = tree
+        for parent in parents:
+            node = node[parent]
+        if kind == "delete":
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif kind == "unknown":
+        node = tree
+        for parent in draw(st.sampled_from(_OBJECT_PATHS)):
+            node = node[parent]
+        name = draw(st.text(max_size=6).filter(lambda k: k not in node))
+        node[name] = draw(st.sampled_from(_ODD_VALUES))
+    if kind == "raw":
+        return draw(st.binary(max_size=40))
+    text = json.dumps(tree)
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "latin-1":            # an accented node id, saved in a one-byte encoding
+        return text.replace("edge-0", "\u00e9dge-0").encode("latin-1")
+    return text.encode()
+
+
+def _odd_solver_config(key):
+    tree = json.loads(json.dumps(DEFAULTS))
+    tree["game"]["solver"][key] = 1e-300
+    return json.dumps(tree).encode()
+
+
+# each ran game-solve past a minute or ended in a ZeroDivisionError traceback
+@example(payload=_odd_solver_config("br_tolerance"))
+@example(payload=_odd_solver_config("fd_epsilon_frac"))
+@hyp_settings(max_examples=40, deadline=None)
+@given(payload=config_bytes())
+def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
+    """game-solve, which validates every section, on an edited config file:
+    exit 0, or exit 2 with one stderr line; no traceback, in bounded time."""
+    base = tmp_path_factory.mktemp("config-fuzz")
+    (base / "config.json").write_bytes(payload)
+    proc = _run_cli("game-solve", "--config", str(base / "config.json"),
+                    "--out-dir", str(base / "out"), timeout=30, memory_cap=2 << 30)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == EXIT_OK:
+        assert proc.stderr.count("\n") <= 1, proc.stderr     # a convergence warning at most
+        assert (base / "out" / "equilibrium.json").is_file()
+    else:
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("game-solve: ") and proc.stderr.count("\n") == 1, \
+            proc.stderr

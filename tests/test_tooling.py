@@ -68,13 +68,43 @@ def test_bench_multiseed_scores_every_policy(tmp_path):
     assert max(times.values()) == times["none"]
 
 
-def test_cli_imports_without_scipy():
-    # numpy is the only runtime dependency
-    code = "import sys, renderopt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_cli_wall_times_a_command():
+    lines = _run_script("cli_wall.py", "--commands", "game-solve", "--repeats", "1").stdout
+    header, row = lines.splitlines()
+    assert header.split() == ["command", "runs", "wall_s", "cpu_s", "peak_rss_mb"]
+    name, runs, *figures = row.split()
+    assert (name, runs) == ("game-solve", "1")
+    assert all(float(x) > 0 for x in figures)
+
+
+def _modules_after(argv):
+    """Top two levels of every module name a fresh interpreter holds after
+    importing renderopt.cli and, if `argv` is given, running `main(argv)`."""
+    code = "\n".join([
+        "import json, sys",
+        "from renderopt import cli",
+        f"assert {argv!r} is None or cli.main({argv!r}) == 0",
+        "print(json.dumps(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules})))",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(json.loads(proc.stdout))
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # numpy is the only runtime dependency, and importing the CLI loads none of it
+    assert not {"numpy", "scipy"} & _modules_after(None)
+    # the pricing game and a trace replay run in pure Python
+    assert "numpy" not in _modules_after(["game-solve", "--out-dir", str(tmp_path / "game")])
+    trace = tmp_path / "walk.trace"
+    trace.write_text("0 5 5\n1 5 6\n2 6 6\n")
+    assert "numpy" not in _modules_after(["prerender-sim", "--trace", str(trace),
+                                          "--out-dir", str(tmp_path / "replay")])
+    # a seeded walk draws with numpy, but loads none of the diffusion stack
+    loaded = _modules_after(["prerender-sim", "--out-dir", str(tmp_path / "walk")])
+    assert "numpy" in loaded
+    assert not {"renderopt.diffusion", "renderopt.bench", "renderopt.synthetic"} & loaded
 
 
 def test_tracer_installs_and_records_spans(tmp_path):

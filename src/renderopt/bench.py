@@ -14,6 +14,10 @@ policies assign a level of detail per region:
 Prediction metrics score each policy's high-detail set against the interest
 flags; simulated render time is work x LOD multiplier / throughput.
 
+`preference_probabilities` is the one copy of the diffusion scoring pipeline,
+run by `proposed` and by `diffusion-infer`. It lives here so that its two
+stages are this module's globals, where the benchmark's tracer wraps them.
+
 The `mdp` baseline is a region-hop MDP: one state per region, actions low and
 high detail, reward popularity x quality - mdp_cost_weight x work x LOD
 multiplier, and a uniform next-region distribution that is the same for both
@@ -40,7 +44,10 @@ from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .errors import json_text
 from .settings import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
-from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user
+from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user, top_fraction
+
+# each region's work units are drawn uniformly from [low, high)
+REGION_WORK = (0.6, 1.4)
 
 
 @dataclass
@@ -86,7 +93,7 @@ def generate_workload(config: WorkloadConfig, seed: int) -> SceneWorkload:
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         user = make_user(planted, rng)
-        work = rng.uniform(config.work_low, config.work_high, config.regions_per_scene)
+        work = rng.uniform(*REGION_WORK, config.regions_per_scene)
         pop_score = user.item_features @ pop_dir
         popularity = 1.0 / (1.0 + np.exp(-1.2 * pop_score))
         popularity = np.clip(popularity + 0.1 * rng.standard_normal(len(popularity)),
@@ -146,20 +153,17 @@ def random_opt_select(rewards: tuple[np.ndarray, np.ndarray], policy: RenderPoli
     return configs[best], configs, scores
 
 
-def _proposed_focus(scene: Scene, policy: RenderPolicy, model: AttentionGatedDenoiser,
-                    schedule: NoiseSchedule, standardizer: Standardizer, q: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    user = scene.user
+def preference_probabilities(model: AttentionGatedDenoiser, schedule: NoiseSchedule,
+                             standardizer: Standardizer, user: PlantedUser, t_noise: int,
+                             stride: int, rng: np.random.Generator) -> np.ndarray:
+    """Interaction probability of each of the user's items: the history is
+    standardized, perturbed to step t_noise by one noise block drawn from `rng`,
+    denoised back in steps of `stride`, unstandardized and read out by a logistic."""
     feats = standardizer.transform(user.sequence_raw)
     noise = rng.standard_normal(feats.shape)
-    m_hat_std = reconstruct_preferences(model, schedule, feats, user.condition,
-                                        policy.t_noise, policy.stride, noise)
-    m_hat = standardizer.inverse(m_hat_std)
-    _, probs = interaction_probabilities(m_hat, user.item_features, INTERACTION_COLUMNS)
-    k = max(1, int(round(q * len(probs))))
-    focus = np.zeros(len(probs), dtype=bool)
-    focus[np.argsort(-probs)[:k]] = True
-    return focus
+    m_hat = standardizer.inverse(reconstruct_preferences(
+        model, schedule, feats, user.condition, t_noise, stride, noise))
+    return interaction_probabilities(m_hat, user.item_features, INTERACTION_COLUMNS)[1]
 
 
 def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
@@ -196,7 +200,8 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
         elif policy.variant == "random_opt":
             focus, _, _ = random_opt_select(region_rewards(scene, policy, cost), policy, rng)
         else:
-            focus = _proposed_focus(scene, policy, model, schedule, standardizer, q, rng)
+            focus = top_fraction(preference_probabilities(
+                model, schedule, standardizer, scene.user, policy.t_noise, policy.stride, rng), q)
         flags = scene.user.interest_flags
         s_tp = int(np.sum(focus & flags))
         s_fp = int(np.sum(focus & ~flags))
@@ -210,35 +215,20 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
             "scene": scene.index, "time_s": time_s, "n_high": int(focus.sum()),
             "tp": s_tp, "fp": s_fp, "fn": s_fn, "tn": s_tn,
         })
-    metrics = confusion_metrics(tp, fp, fn, tn)
-    calls = (model.call_count - calls_before) if model is not None else 0
     return MetricsReport(
         policy=policy.variant,
-        accuracy=metrics["accuracy"],
-        precision=metrics["precision"],
-        recall=metrics["recall"],
-        f1=metrics["f1"],
+        **confusion_metrics(tp, fp, fn, tn),
         mean_render_time_s=float(np.mean(times)),
         scene_rows=rows,
-        inference_denoiser_calls=calls if policy.variant == "proposed" else 0,
+        # only the proposed policy calls the denoiser
+        inference_denoiser_calls=model.call_count - calls_before if model is not None else 0,
     )
 
 
 def summary(reports: list[MetricsReport]) -> dict:
     """Per-policy table plus pairwise relative render-time reductions; a single
     report gets its table row and no reductions."""
-    table = [
-        {
-            "policy": r.policy,
-            "accuracy": r.accuracy,
-            "precision": r.precision,
-            "recall": r.recall,
-            "f1": r.f1,
-            "mean_render_time_s": r.mean_render_time_s,
-            "inference_denoiser_calls": r.inference_denoiser_calls,
-        }
-        for r in reports
-    ]
+    table = [{k: v for k, v in vars(r).items() if k != "scene_rows"} for r in reports]
     reductions = {}
     for a in reports:
         for b in reports:

@@ -40,11 +40,13 @@ EXIT_NUMERICAL = 3
 
 # name -> the module of this package it is imported from on first use
 _LAZY = {name: module for module, names in (
-    ("bench", ("generate_workload", "run_policy", "write_plot_data", "write_report_csv",
-               "write_summary_json")),
-    ("diffusion", ("INTERACTION_COLUMNS", "AttentionGatedDenoiser", "interaction_probabilities",
-                   "load_checkpoint", "save_checkpoint", "train", "write_curve_csv")),
-    ("diffusion.sampling", ("reconstruct_preferences",)),
+    ("bench", ("generate_workload", "preference_probabilities", "run_policy", "write_plot_data",
+               "write_report_csv", "write_summary_json")),
+    ("diffusion", ("AttentionGatedDenoiser", "load_checkpoint", "save_checkpoint", "train",
+                   "write_curve_csv")),
+    # no command calls these two from here (bench.preference_probabilities does), but
+    # the benchmark's tracer wraps them on this module as well as on bench
+    ("diffusion.sampling", ("interaction_probabilities", "reconstruct_preferences")),
     ("synthetic", ("build_training_set", "make_population")),
 ) for name in names}
 _cli = sys.modules[__name__]           # this module, as commands look up lazy names
@@ -172,28 +174,19 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
     eval_users = _cli.make_population(planted, seed=seed + 1_000_003)
     rng = np.random.default_rng(seed)
 
-    rows = []
     ranked_ok = 0
-    for uid, user in enumerate(eval_users):
-        feats = standardizer.transform(user.sequence_raw)
-        noise = rng.standard_normal(feats.shape)
-        m_hat = standardizer.inverse(
-            _cli.reconstruct_preferences(model, schedule, feats, user.condition,
-                                         t_noise, stride, noise))
-        idx, probs = _cli.interaction_probabilities(m_hat, user.item_features,
-                                                    _cli.INTERACTION_COLUMNS)
-        flags = user.interest_flags[idx]
-        if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
-            ranked_ok += 1
-        for item, p, flag in zip(idx, probs, flags):
-            rows.append((uid, int(item), float(p), int(flag)))
-
     probs_path = out_dir / "probabilities.csv"
     with open(probs_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "item", "probability", "interest_flag"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), row[3]])
+        for uid, user in enumerate(eval_users):
+            probs = _cli.preference_probabilities(model, schedule, standardizer, user,
+                                                  t_noise, stride, rng)
+            flags = user.interest_flags
+            if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
+                ranked_ok += 1
+            writer.writerows([uid, item, repr(float(p)), int(flag)]
+                             for item, (p, flag) in enumerate(zip(probs, flags)))
     summary_path = out_dir / "infer_summary.json"
     _write_json(summary_path, {
         "users": len(eval_users),

@@ -102,7 +102,7 @@ def _section(path: str, cls: type, not_keys: tuple[str, ...] = (), entries: tupl
     return field(metadata={"path": path, "cls": cls, "not_keys": not_keys, "entries": entries})
 
 
-_NOT_TRAIN_KEYS = ("val_fraction", "seed")
+_NOT_TRAIN_KEYS = ("seed",)
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ class ExperimentConfig:
     train: TrainSettings = _section("diffusion", TrainSettings, _NOT_TRAIN_KEYS)
     diffusion: DiffusionSettings = _section("diffusion", DiffusionSettings)
     # seq_len is diffusion.seq_len: bench-run scores scenes as long as its training sequences
-    workload: WorkloadConfig = _section("bench", WorkloadConfig,
-                                        ("work_low", "work_high", "seq_len"))
+    workload: WorkloadConfig = _section("bench", WorkloadConfig, ("seq_len",))
     cost: CostModel = _section("bench", CostModel, ("quality_high", "quality_low"))
     # variant is a placeholder; bench-run sets it
     policy: RenderPolicy = _section("bench", RenderPolicy, ("variant",))

@@ -20,6 +20,8 @@ header key, e.g. ``checkpoint header config.heads: missing``.
 from __future__ import annotations
 
 import json
+import math
+import tokenize
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -72,14 +74,38 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     if key not in entries:
         raise ValueError(f"checkpoint tensor {key}: missing")
     arr = entries[key]
-    if not isinstance(arr, np.ndarray) or arr.dtype.kind != "f":
+    if arr.dtype.kind != "f":
         raise ValueError(f"checkpoint tensor {key}: not a floating-point array")
     if arr.shape != shape:
         raise ValueError(f"checkpoint tensor {key}: shape {arr.shape} does not match "
                          f"{shape} implied by the header config")
     if not np.isfinite(arr).all():
         raise ValueError(f"checkpoint tensor {key}: holds non-finite values")
-    return np.asarray(arr, dtype=np.float64)
+    return np.array(arr, dtype=np.float64)               # a writable copy
+
+
+def _read_entries(path) -> dict[str, np.ndarray]:
+    """Each member of the .npz archive at `path`, by its name less `.npy`. Each
+    must be stored as `np.savez` stores it: uncompressed, unencrypted, a .npy
+    file of format 1.0 whose header declares exactly the data it holds, so a
+    damaged shape is refused before anything is allocated for it."""
+    entries = {}
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            key = info.filename.removesuffix(".npy")
+            if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                raise ValueError(f"entry {key!r}: compressed or encrypted")
+            with archive.open(info) as fh:
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError(f"entry {key!r}: not a .npy file of format 1.0")
+                # every entry must be 1-D, where Fortran and C order agree
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+                data = fh.read()
+            if math.prod(shape) * dtype.itemsize != len(data):
+                raise ValueError(f"entry {key!r}: header declares shape {shape} of {dtype}, "
+                                 f"but {len(data)} data bytes follow")
+            entries[key] = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return entries
 
 
 def load_checkpoint(path: str | Path):
@@ -89,13 +115,10 @@ def load_checkpoint(path: str | Path):
     does not match its own header (see the module docstring).
     """
     try:
-        archive = np.load(path)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a single array")
-        with archive:
-            entries = {key: archive[key] for key in archive.files}
-    except (EOFError, zipfile.BadZipFile, ValueError) as exc:
-        raise ValueError(f"{path}: not a readable .npz archive ({exc})") from None
+        entries = _read_entries(path)
+    # numpy's .npy header parser lets its tokenizer's error through
+    except (EOFError, zipfile.BadZipFile, ValueError, tokenize.TokenError) as exc:
+        raise ValueError(f"{str(path)!r}: not a readable .npz archive ({exc})") from None
 
     if "meta" not in entries:
         raise ValueError("checkpoint has no meta header")

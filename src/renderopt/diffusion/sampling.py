@@ -20,25 +20,13 @@ def _reverse_step(model: AttentionGatedDenoiser, x: np.ndarray, t: int, t_next: 
     return np.sqrt(ab_n) * x0 + np.sqrt(1.0 - ab_n) * eps
 
 
-def reverse_denoise(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.ndarray,
-                    schedule: NoiseSchedule, t_start: int | None = None) -> np.ndarray:
-    """Dense reverse loop over every timestep from t_start down to 1."""
-    t_start = schedule.steps if t_start is None else t_start
-    if not 1 <= t_start <= schedule.steps:
-        raise ValueError(f"t_start {t_start} outside [1, {schedule.steps}]")
-    x = np.asarray(m_start, dtype=np.float64)
-    for t in range(t_start, 0, -1):
-        x = _reverse_step(model, x, t, t - 1, s, schedule)
-    return x
-
-
 def skip_step_infer(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.ndarray,
                     schedule: NoiseSchedule, stride: int,
                     t_start: int | None = None) -> np.ndarray:
     """Strided deterministic reverse updates over {t_start, t_start - stride, ...}.
 
-    stride must divide t_start so the sub-schedule is uniform; stride 1
-    reproduces the dense loop exactly, stride == t_start is a single-shot
+    stride must divide t_start so the sub-schedule is uniform; stride 1 is
+    the dense loop over every step, stride == t_start is a single-shot
     reconstruction.
     """
     t_start = schedule.steps if t_start is None else t_start
@@ -52,6 +40,12 @@ def skip_step_infer(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.nd
     for t in range(t_start, 0, -stride):
         x = _reverse_step(model, x, t, max(t - stride, 0), s, schedule)
     return x
+
+
+def reverse_denoise(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.ndarray,
+                    schedule: NoiseSchedule, t_start: int | None = None) -> np.ndarray:
+    """Dense reverse loop over every timestep from t_start down to 1."""
+    return skip_step_infer(model, m_start, s, schedule, 1, t_start)
 
 
 def reconstruct_preferences(model: AttentionGatedDenoiser, schedule: NoiseSchedule,

@@ -24,6 +24,8 @@ from .schedule import NoiseSchedule, forward_diffuse
 _EVAL_CHUNK = 256
 # equal-width timestep buckets the per-epoch loss is split into
 _TIME_BUCKETS = 7
+# share of the dataset held out for validation, which early stopping watches
+VAL_FRACTION = 0.1
 
 
 class Adam:
@@ -91,11 +93,9 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(settings.seed)
 
-    n_val = int(round(settings.val_fraction * n))
+    n_val = int(round(VAL_FRACTION * n))
     perm = rng.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation split left no training samples")
+    val_idx, train_idx = perm[:n_val], perm[n_val:]     # n_val < n for any n >= 1
     m_tr, s_tr = m_all[train_idx], s_all[train_idx]
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 

@@ -183,7 +183,9 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
             h *= _INVPHI
             dd = a + _INVPHI * h
             yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
-    return 0.5 * (a + dd) if yc > yd else 0.5 * (c + b)
+    # halved before adding, as c + b overflows near the largest float; the cap bounds
+    # a search that NaN utilities (inf - inf) walked past it
+    return min(0.5 * a + 0.5 * dd if yc > yd else 0.5 * c + 0.5 * b, node.demand_max)
 
 
 def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,

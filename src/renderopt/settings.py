@@ -93,14 +93,12 @@ class TrainSettings:
     batch_size: int = 32
     epochs: int = 20
     patience: int = 5
-    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         check(self.learning_rate > 0, "learning_rate", "a positive number", self.learning_rate)
         for name in ("batch_size", "epochs", "patience"):
             check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(0 <= self.val_fraction < 1, "val_fraction", "in [0, 1)", self.val_fraction)
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,6 @@ class PlantedConfig:
     n_features: int = 6
     n_items: int = 30
     interest_fraction: float = 0.3
-    interaction_noise: float = 0.5
-    channel_noise: float = 0.6
 
     def __post_init__(self):
         if self.n_features != 6:
@@ -127,8 +123,6 @@ class WorkloadConfig:
     fps: int = 60
     regions_per_scene: int = 40
     interest_fraction: float = 0.3
-    work_low: float = 0.6
-    work_high: float = 1.4
     seq_len: int = PlantedConfig.seq_len
 
     def __post_init__(self):
@@ -142,9 +136,6 @@ class WorkloadConfig:
               self.regions_per_scene)
         check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
               self.interest_fraction)
-        check(self.work_low > 0, "work_low", "a positive number", self.work_low)
-        check(self.work_high > self.work_low, "work_high", f"> work_low ({self.work_low})",
-              self.work_high)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from .settings import PlantedConfig
 LATENT_DIM = 3
 # population-level taste drift; gives popularity priors partial signal
 POPULATION_MEAN = np.array([0.5, 0.2, -0.3])
+# per-step noise scale of the interaction channels, and of the latency and fluency ones
+INTERACTION_NOISE, CHANNEL_NOISE = 0.5, 0.6
 
 
 @dataclass
@@ -31,40 +33,38 @@ class PlantedUser:
     interest_flags: np.ndarray         # (n_items,) bool
 
 
-def _items_and_flags(taste: np.ndarray, n_items: int, interest_fraction: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    features = rng.standard_normal((n_items, LATENT_DIM))
-    scores = features @ taste
-    k = max(1, int(round(interest_fraction * n_items)))
-    flags = np.zeros(n_items, dtype=bool)
-    flags[np.argsort(-scores)[:k]] = True
-    return features, flags
+def top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:
+    """Mask of the round(fraction * n) highest of n scores, at least one."""
+    k = max(1, int(round(fraction * len(scores))))
+    mask = np.zeros(len(scores), dtype=bool)
+    mask[np.argsort(-scores)[:k]] = True
+    return mask
 
 
 def _sequence(taste: np.ndarray, condition: np.ndarray, cfg: PlantedConfig,
               rng: np.random.Generator) -> np.ndarray:
     seq = np.empty((cfg.seq_len, cfg.n_features))
     # interaction channels: the taste vector plus per-step jitter
-    seq[:, :3] = taste[None, :] + cfg.interaction_noise * rng.standard_normal((cfg.seq_len, 3))
+    seq[:, :3] = taste[None, :] + INTERACTION_NOISE * rng.standard_normal((cfg.seq_len, 3))
     # latency channels: device-driven level plus noise
     lat_level = 1.5 - 0.4 * condition[3] + 0.3 * condition[0]
-    seq[:, 3] = lat_level + cfg.channel_noise * rng.standard_normal(cfg.seq_len)
-    seq[:, 4] = 0.5 * lat_level + cfg.channel_noise * rng.standard_normal(cfg.seq_len)
+    seq[:, 3] = lat_level + CHANNEL_NOISE * rng.standard_normal(cfg.seq_len)
+    seq[:, 4] = 0.5 * lat_level + CHANNEL_NOISE * rng.standard_normal(cfg.seq_len)
     # fluency channel: anti-correlated with load
-    seq[:, 5] = 2.0 - 0.5 * condition[1] + cfg.channel_noise * rng.standard_normal(cfg.seq_len)
+    seq[:, 5] = 2.0 - 0.5 * condition[1] + CHANNEL_NOISE * rng.standard_normal(cfg.seq_len)
     return seq
 
 
 def make_user(cfg: PlantedConfig, rng: np.random.Generator) -> PlantedUser:
     taste = POPULATION_MEAN + rng.standard_normal(LATENT_DIM)
     condition = rng.standard_normal(4)
-    items, flags = _items_and_flags(taste, cfg.n_items, cfg.interest_fraction, rng)
+    items = rng.standard_normal((cfg.n_items, LATENT_DIM))
     return PlantedUser(
         taste=taste,
         sequence_raw=_sequence(taste, condition, cfg, rng),
         condition=condition,
         item_features=items,
-        interest_flags=flags,
+        interest_flags=top_fraction(items @ taste, cfg.interest_fraction),
     )
 
 

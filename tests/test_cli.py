@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import unicodedata
+import zipfile
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -101,6 +102,18 @@ class TestGameSolve:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((tmp_path / "out" / "equilibrium.json").read_text())["converged"]
 
+    def test_huge_weight_and_cap_exits_numerical_quickly(self, tmp_path):
+        # the follower's best response came back as inf, so no sweep converged and
+        # the run went on for minutes; now the equilibrium's utility is not finite
+        nodes = [dict(n) for n in DEFAULTS["game"]["nodes"]]
+        nodes[0]["alpha"] = nodes[0]["demand_max"] = 1e308
+        cfg = _write_config(tmp_path, {"game": {"nodes": nodes}})
+        proc = _run_cli("game-solve", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                        timeout=30)
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert proc.stderr == ("game-solve: numerical failure: equilibrium.json: non-finite "
+                               "value, not written as JSON\n")
+
     def test_convergence_warnings_reported_in_one_line(self, tmp_path):
         cfg = _write_config(tmp_path, {"game": {"solver": {"br_max_iters": 1}}})
         proc = _run_cli("game-solve", "--config", cfg, "--out-dir", str(tmp_path / "out"))
@@ -184,6 +197,27 @@ class TestDiffusionCommands:
         rows = (infer_out / "probabilities.csv").read_text().strip().splitlines()
         assert rows[0] == "user,item,probability,interest_flag"
         assert len(rows) > 1
+
+    # sha256 of what `diffusion-infer --seed 3 --users 40` wrote on a checkpoint of
+    # `diffusion-train --seed 3`, both under FAST_DIFFUSION, while the command and
+    # the proposed policy each wrote the scoring pipeline out in full
+    INFER_DIGESTS = {
+        "probabilities.csv": "9a15fd6d5458aa37cc9ebcef5197e07dd3c3702e64060e274b82d5f213a256f3",
+        "infer_summary.json": "823331ae08ee825eb48943836231219d6e435acfccc1425a39513473f96cd84f",
+    }
+
+    def test_infer_artifacts_unchanged(self, tmp_path):
+        cfg = _write_config(tmp_path, FAST_DIFFUSION)
+        train_out, out = tmp_path / "train", tmp_path / "infer"
+        proc = _run_cli("diffusion-train", "--config", cfg, "--seed", "3",
+                        "--out-dir", str(train_out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        proc = _run_cli("diffusion-infer", "--config", cfg, "--seed", "3", "--users", "40",
+                        "--checkpoint", str(train_out / "checkpoint.npz"), "--out-dir", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.INFER_DIGESTS}
+        assert got == self.INFER_DIGESTS
 
     def test_infer_requires_checkpoint(self, tmp_path):
         assert main(["diffusion-infer", "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -732,6 +766,87 @@ def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
     files = sorted(p.name for p in out.iterdir())
     assert files == sorted(_manifest(out)["outputs"] + ["manifest.json"])
 
+
+
+_NPY_ENTRIES = ["meta.npy", "params.npy", "standardizer.mean.npy", "standardizer.std.npy"]
+_DESCRS = ["<f8", ">f8", "<f4", "<f2", "<c16", "|u1", "<i8", "|b1", "|O", "<U2", "|V8", "<M8[s]"]
+
+
+@st.composite
+def checkpoint_edits(draw):
+    """How to damage a checkpoint: (entry, edit). With no entry the edit is made
+    to the archive's bytes. An edited entry is stored again under a matching
+    CRC, so the damage reaches the .npy reader: cut at an offset, a span
+    overwritten, the bytes replaced, or the .npy header's shape or dtype set."""
+    entry = draw(st.sampled_from([None, *_NPY_ENTRIES]))
+    kinds = ["cut", "overwrite", "replace"] + (["shape", "descr"] if entry else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "shape":
+        return entry, (kind, tuple(draw(st.lists(st.integers(0, 2**62), max_size=3))))
+    if kind == "descr":
+        return entry, (kind, draw(st.sampled_from(_DESCRS)))
+    # an entry's first 128 bytes are its .npy header; an archive's central
+    # directory is its last few hundred, which a negative offset counts back into
+    offset = draw(st.integers(0, 127) | st.integers(0, 1 << 12) | st.integers(-512, -1))
+    return entry, (kind, offset, draw(st.binary(min_size=1, max_size=16)))
+
+
+def _edit_bytes(raw: bytes, edit) -> bytes:
+    kind, *rest = edit
+    if kind == "shape" or kind == "descr":
+        fh = io.BytesIO(raw)
+        np.lib.format.read_magic(fh)            # np.savez wrote format 1.0
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        header = {"shape": shape, "fortran_order": fortran_order,
+                  "descr": np.lib.format.dtype_to_descr(dtype), kind: rest[0]}
+        out = io.BytesIO()
+        np.lib.format.write_array_header_1_0(out, header)
+        return out.getvalue() + raw[fh.tell():]
+    offset, data = rest
+    offset = max(0, len(raw) + offset) if offset < 0 else min(offset, len(raw))
+    if kind == "cut":
+        return raw[:offset]
+    if kind == "overwrite":
+        return raw[:offset] + data + raw[offset + len(data):]
+    return data
+
+
+def _damaged_checkpoint(path: Path, entry, edit) -> bytes:
+    if entry is None:
+        return _edit_bytes(path.read_bytes(), edit)
+    out = io.BytesIO()
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(out, "w") as dst:
+        for name in src.namelist():
+            raw = src.read(name)
+            dst.writestr(name, _edit_bytes(raw, edit) if name == entry else raw)
+    return out.getvalue()
+
+
+# each ended in a traceback: a member that is no .npy file (numpy returns its
+# bytes), a header declaring 8 TiB, a header its tokenizer cannot read, and
+# an unsupported compression method in the central directory
+@example(damage=("meta.npy", ("cut", 0, b"\x00")))
+@example(damage=("params.npy", ("shape", (2**40,))))
+@example(damage=("standardizer.mean.npy", ("overwrite", 121, b";}\xae")))
+@example(damage=(None, ("overwrite", -144, b"\x1c|S\x88\t")))
+@hyp_settings(max_examples=40, deadline=None)
+@given(damage=checkpoint_edits())
+def test_any_damaged_checkpoint_exits_cleanly(fuzz_inputs, tmp_path_factory, damage):
+    """diffusion-infer on a damaged checkpoint: exit 0 (with a warning line at
+    most) or exit 2 or 3 with one stderr line; no traceback, in bounded time and
+    memory."""
+    config, checkpoint = fuzz_inputs
+    base = tmp_path_factory.mktemp("checkpoint-fuzz")
+    (base / "damaged.npz").write_bytes(_damaged_checkpoint(Path(checkpoint), *damage))
+    proc = _run_cli("diffusion-infer", "--config", config, "--checkpoint",
+                    str(base / "damaged.npz"), "--out-dir", str(base / "out"), timeout=60,
+                    memory_cap=2 << 30)
+    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == EXIT_OK:
+        assert proc.stderr.count("\n") <= 1, proc.stderr     # an overflow warning at most
+    else:
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _key_paths(tree, path=()):

@@ -80,6 +80,15 @@ class TestBestResponse:
         assert math.isfinite(got)
         assert got == pytest.approx(want, abs=SETTINGS.br_tolerance)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1e154, 1e308])
+    @pytest.mark.parametrize("others", [0.0, 1.0, 1e308])
+    def test_huge_cap_best_response_stays_within_the_cap(self, alpha, others):
+        # the bracket's midpoint c + b overflowed to inf once b neared 1e308, and
+        # at alpha 1e308 the NaN utilities walked the probes past the cap
+        cap = node(alpha=alpha, beta=0.5, demand_max=1e308)
+        for price in (0.35, 1.8):
+            assert 0.0 <= edge_best_response(cap, others, price, SETTINGS, 8.0) <= 1e308
+
 
 class TestNashEquilibrium:
     def test_single_node_reduces_to_best_response(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from conftest import STRIDE, T_NOISE
+from renderopt.bench import preference_probabilities
 from renderopt.diffusion import (NoiseSchedule, interaction_probabilities,
                                  reverse_denoise, skip_step_infer)
 from renderopt.diffusion.sampling import reconstruct_preferences
@@ -127,16 +128,13 @@ class TestInteractionProbabilities:
         with pytest.raises(ValueError):
             interaction_probabilities(np.zeros((4, 6)), np.zeros((5, 2)), (0, 1, 2))
 
-    def test_planted_interest_ranks_above_noninterest(self, smoke_trained,
-                                                      eval_users, eval_noise):
+    def test_planted_interest_ranks_above_noninterest(self, smoke_trained, eval_users):
         result, schedule, standardizer = smoke_trained
+        rng = np.random.default_rng(42)        # eval_noise's stream, one block per user
         margins = []
-        for user, noise in zip(eval_users, eval_noise):
-            feats = standardizer.transform(user.sequence_raw)
-            m_hat_std = reconstruct_preferences(result.model, schedule, feats,
-                                                user.condition, T_NOISE, STRIDE, noise)
-            m_hat = standardizer.inverse(m_hat_std)
-            idx, probs = interaction_probabilities(m_hat, user.item_features, (0, 1, 2))
-            flags = user.interest_flags[idx]
+        for user in eval_users:
+            probs = preference_probabilities(result.model, schedule, standardizer, user,
+                                             T_NOISE, STRIDE, rng)
+            flags = user.interest_flags
             margins.append(probs[flags].mean() - probs[~flags].mean())
         assert np.mean(margins) > 0

@@ -154,6 +154,10 @@ def test_tracer_installs_and_records_spans(tmp_path):
     assert calls["diffusion.loss_and_grads"] == calls["diffusion.adam_update"] == steps > 0
     summary = json.loads((infer_out / "infer_summary.json").read_text())
     assert calls["diffusion.predict"] == summary["denoiser_calls"] > 0
+    # the scorer's two stages, wrapped where bench.preference_probabilities looks them
+    # up: one call each per scored user (bench-run above ran no proposed policy)
+    assert calls["diffusion.reconstruct_preferences"] == summary["users"] == 2
+    assert calls["diffusion.interaction_probabilities"] == 2
     # the count perfbench/worker.py cross-checks, and one sweep set per price
     config = load_config(None)
     with counted_game_calls() as log:

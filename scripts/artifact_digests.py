@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print one digest per artifact directory of the five subcommands at --seed 3.
+
+    python3 scripts/artifact_digests.py
+    python3 scripts/artifact_digests.py --src ../parent/src
+
+Each subcommand runs as `python -m renderopt.cli <command> --seed 3` in a
+fresh interpreter with OPENBLAS_NUM_THREADS=1, first under the default config,
+then under the config of acceptance criterion 7 (tests/test_acceptance.py).
+diffusion-infer reads the checkpoint diffusion-train wrote under the same
+config; bench-run trains its own model and writes its plot data too. Each
+line is `<config> <command> <sha256>`, the digest made by
+perfbench/worker.py's `artifact_digest` (manifest timestamps and zip headers
+left out), so two source trees whose runs write the same artifacts print the
+same lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from worker import artifact_digest  # noqa: E402
+
+COMMANDS = ("game-solve", "prerender-sim", "diffusion-train", "diffusion-infer", "bench-run")
+SEED = 3
+# config name -> the config file's contents; None runs without --config
+CONFIGS = {
+    "default": None,
+    "criterion-7": {
+        "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
+                      "d_model": 16, "heads": 2},
+        "bench": {"scenes": 4,
+                  "train": {"users": 48, "epochs": 3, "learning_rate": 0.003,
+                            "batch_size": 32, "patience": 5}},
+    },
+}
+
+
+def run(argv: list[str], env: dict) -> None:
+    """One CLI command in a fresh interpreter; exit naming it if it fails."""
+    proc = subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="renderopt source root to run (default: this checkout's)")
+    args = parser.parse_args()
+
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
+           "OPENBLAS_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
+        work = Path(tmp)
+        for name, payload in CONFIGS.items():
+            config = []
+            if payload is not None:
+                path = work / f"{name}.json"
+                path.write_text(json.dumps(payload))
+                config = ["--config", str(path)]
+            extra = {"diffusion-infer": ["--checkpoint",
+                                         str(work / name / "diffusion-train" / "checkpoint.npz")],
+                     "bench-run": ["--plot-data"]}
+            for command in COMMANDS:
+                out = work / name / command
+                run([command, *config, "--seed", str(SEED), "--out-dir", str(out),
+                     *extra.get(command, [])], env)
+                print(f"{name:12s} {command:16s} {artifact_digest(out)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,7 @@ from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .errors import json_text
-from .settings import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
+from .config import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
 from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user, top_fraction
 
 # each region's work units are drawn uniformly from [low, high)

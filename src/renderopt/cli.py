@@ -28,11 +28,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import MAX_USERS, ExperimentConfig, load_config
+from .config import (MAX_USERS, POLICY_VARIANTS, ExperimentConfig, PlantedConfig,
+                     TrainSettings, load_config)
 from .errors import ConfigError, NumericalError, json_text
 from .game import solve_stackelberg
 from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
-from .settings import POLICY_VARIANTS, PlantedConfig, TrainSettings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -23,9 +23,11 @@ import json
 import math
 import tokenize
 import zipfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
+from os import PathLike
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -37,23 +39,19 @@ from .schedule import NoiseSchedule
 FORMAT_VERSION = 3
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
 
+
+def _header(config: DenoiserConfig, schedule: NoiseSchedule, step_count: int) -> dict:
+    return {"format_version": FORMAT_VERSION, "config": asdict(config),
+            "schedule": asdict(schedule), "step_count": step_count}
+
+
 # the header's keys, each with a value of the JSON type it must hold
-_HEADER = {
-    "format_version": FORMAT_VERSION,
-    "config": asdict(DenoiserConfig()),
-    "schedule": asdict(NoiseSchedule()),
-    "step_count": 0,
-}
+_HEADER = _header(DenoiserConfig(), NoiseSchedule(), 0)
 
 
 def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
                     schedule: NoiseSchedule, standardizer: Standardizer) -> None:
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(model.config),
-        "schedule": asdict(schedule),
-        "step_count": model.step_count,
-    }
+    meta = _header(model.config, schedule, model.step_count)
     np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
              params=np.asarray(model.weights, dtype="<f8"),
              **{"standardizer.mean": np.ascontiguousarray(standardizer.mean, dtype="<f8"),
@@ -84,13 +82,13 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(arr, dtype=np.float64)               # a writable copy
 
 
-def _read_entries(path) -> dict[str, np.ndarray]:
-    """Each member of the .npz archive at `path`, by its name less `.npy`. Each
+def _read_entries(file) -> dict[str, np.ndarray]:
+    """Each member of the .npz archive in the open `file`, by its name less `.npy`. Each
     must be stored as `np.savez` stores it: uncompressed, unencrypted, a .npy
     file of format 1.0 whose header declares exactly the data it holds, so a
     damaged shape is refused before anything is allocated for it."""
     entries = {}
-    with zipfile.ZipFile(path) as archive:
+    with zipfile.ZipFile(file) as archive:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
             if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
@@ -108,17 +106,20 @@ def _read_entries(path) -> dict[str, np.ndarray]:
     return entries
 
 
-def load_checkpoint(path: str | Path):
-    """Returns (model, schedule, standardizer).
+def load_checkpoint(path: str | Path | BinaryIO):
+    """Returns (model, schedule, standardizer) from a path or an open binary file.
 
     Raises ValueError, naming the entry or header key, for an archive that
-    does not match its own header (see the module docstring).
+    does not match its own header (see the module docstring). A path that
+    cannot be opened raises OSError; an OSError once it is open is damage,
+    such as a directory record that sends a seek before the start of the file.
     """
-    try:
-        entries = _read_entries(path)
-    # numpy's .npy header parser lets its tokenizer's error through
-    except (EOFError, zipfile.BadZipFile, ValueError, tokenize.TokenError) as exc:
-        raise ValueError(f"{str(path)!r}: not a readable .npz archive ({exc})") from None
+    with open(path, "rb") if isinstance(path, (str, PathLike)) else nullcontext(path) as file:
+        try:
+            entries = _read_entries(file)
+        # numpy's .npy header parser lets its tokenizer's error through
+        except (EOFError, OSError, zipfile.BadZipFile, ValueError, tokenize.TokenError) as exc:
+            raise ValueError(f"{str(path)!r}: not a readable .npz archive ({exc})") from None
 
     if "meta" not in entries:
         raise ValueError("checkpoint has no meta header")

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalError
-from ..settings import DenoiserConfig
+from ..config import DenoiserConfig
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..settings import NoiseSchedule
+from ..config import NoiseSchedule
 
 
 def forward_diffuse(features: np.ndarray, t, schedule: NoiseSchedule,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NumericalError
-from ..settings import TrainSettings
+from ..config import TrainSettings
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
 from .schedule import NoiseSchedule, forward_diffuse
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion.data import Standardizer
-from .settings import PlantedConfig
+from .config import PlantedConfig
 
 LATENT_DIM = 3
 # population-level taste drift; gives popularity priors partial signal

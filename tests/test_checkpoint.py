@@ -354,6 +354,20 @@ def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
     assert err == f"{command}: error: checkpoint tensor params: missing\n"
 
 
+def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
+    # the central directory's offset, 6 bytes from the end, made huge: zipfile
+    # seeks before the file start, and the OSError that raises is no I/O fault
+    raw = bytearray(_pack(*_tiny_archive()).getvalue())
+    raw[-6:-1] = b"\xff" * 5
+    path = tmp_path / "model.npz"
+    path.write_bytes(raw)
+    argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"diffusion-infer: error: {str(path)!r}: not a readable .npz archive (")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
 def test_cli_rejects_checkpoint_without_standardizer(tmp_path, capsys, command):
     arrays, meta = _tiny_archive()

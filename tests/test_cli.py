@@ -554,6 +554,29 @@ class TestErrorPaths:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"{command}: config error: {problem}\n"
 
+    # both exited 2 against `diffusion.steps`, a schedule neither denoises with
+    NOISE_STEPS_IN_USE = [
+        ("diffusion-train", {"diffusion": {"steps": 100, "dataset_users": 16, "epochs": 1,
+                                           "d_model": 8, "heads": 2}}, None),
+        ("diffusion-infer", {"diffusion": {"infer_noise_step": 800, "stride": 200}}, 1000)]
+
+    @pytest.mark.parametrize("command, payload, checkpoint_steps", NOISE_STEPS_IN_USE,
+                             ids=[c for c, *_ in NOISE_STEPS_IN_USE])
+    def test_noise_step_checked_only_against_the_schedule_in_use(self, tmp_path, command,
+                                                                 payload, checkpoint_steps):
+        out = tmp_path / "x"
+        argv = [command, "--config", _write_config(tmp_path, payload), "--out-dir", str(out)]
+        if checkpoint_steps is not None:
+            ckpt = tmp_path / "checkpoint.npz"
+            save_checkpoint(ckpt, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                            NoiseSchedule(steps=checkpoint_steps),
+                            Standardizer(mean=np.zeros(6), std=np.ones(6)))
+            argv += ["--checkpoint", str(ckpt), "--users", "1"]
+        assert main(argv) == EXIT_OK
+        if command == "diffusion-infer":
+            summary = json.loads((out / "infer_summary.json").read_text())
+            assert (summary["t_noise"], summary["denoiser_calls"]) == (800, 4)
+
     def test_failed_run_leaves_an_earlier_runs_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o2"
         assert main(["prerender-sim", "--seed", "5", "--out-dir", str(out)]) == EXIT_OK

@@ -3,7 +3,7 @@
 import copy
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -67,14 +67,22 @@ class TestDefaults:
         assert ({path for _, path in _key_paths(data)}
                 == {path for _, path in _key_paths(CONFIG_DEFAULTS)})
 
-    def test_no_key_has_two_defaults(self):
-        owner: dict = {}
+    def test_each_key_belongs_to_exactly_one_class(self):
+        owners: dict = {}
         for sec in SECTIONS.values():
             for f in fields(sec["cls"]):
-                if f.name not in sec["not_keys"] and f.default is not MISSING:
-                    key = f"{sec['path']}.{f.name}"
-                    assert key not in owner, f"{key}: default in {owner[key]} and {sec['cls']}"
-                    owner[key] = sec["cls"]
+                if f.name not in sec["not_keys"]:
+                    owners.setdefault((sec["path"], f.name), []).append(sec["cls"].__name__)
+        assert {key: names for key, names in owners.items() if len(names) > 1} == {}
+        keys = set()
+        for sec in SECTIONS.values():
+            section = CONFIG_DEFAULTS
+            for key in filter(None, sec["path"].split(".")):
+                section = section[key]
+            if sec["entries"]:
+                section = section[0]
+            keys |= {(sec["path"], k) for k, v in section.items() if not isinstance(v, dict)}
+        assert set(owners) == keys
 
     def test_bench_scenes_follow_diffusion_seq_len(self, tmp_path):
         path = tmp_path / "config.json"
@@ -160,13 +168,13 @@ class TestValidation:
          "diffusion.dataset_users: must be an integer in [2, 10000], got 1"),
         ({"bench": {"train": {"users": 10_001}}},
          "bench.train.users: must be an integer in [2, 10000], got 10001"),
-        ({"diffusion": {"infer_noise_step": 800}},
-         "diffusion.infer_noise_step: must be in [1, diffusion.steps (700)], got 800"),
-        ({"diffusion": {"steps": 100}},
-         "diffusion.infer_noise_step: must be in [1, diffusion.steps (100)], got 140"),
+        ({"diffusion": {"infer_noise_step": 0}},
+         "diffusion.infer_noise_step: must be an integer >= 1, got 0"),
+        # the stride divides it, but a step is at least 1
+        ({"diffusion": {"infer_noise_step": -35}},
+         "diffusion.infer_noise_step: must be an integer >= 1, got -35"),
         ({"diffusion": {"stride": 3}},
-         "diffusion.stride: must be a positive divisor of diffusion.infer_noise_step (140), "
-         "got 3"),
+         "diffusion.stride: must be a positive divisor of infer_noise_step (140), got 3"),
         ({"bench": {"train": {"learning_rate": 0.0}}},
          "bench.train.learning_rate: must be a positive number, got 0.0"),
     ]
@@ -249,7 +257,6 @@ class TestSingleSource:
         section = CONFIG_DEFAULTS
         for key in filter(None, path.split(".")):
             section = section[key]
-        shared = {f.name: f.default for f in fields(cls)
-                  if f.default is not MISSING and f.name in section}
+        shared = {f.name: f.default for f in fields(cls) if f.name in section}
         assert shared
         assert shared == {name: section[name] for name in shared}

@@ -1,5 +1,7 @@
 """Planted-population generator: determinism and structure."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_items_live_in_latent_space():
 
 
 def test_feature_count_pinned():
-    with pytest.raises(ValueError):
-        PlantedConfig(n_features=5)
+    assert PlantedConfig.n_features == 6
+    assert "n_features" not in {f.name for f in fields(PlantedConfig)}
     with pytest.raises(ValueError):
         PlantedConfig(interest_fraction=1.5)

@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
 from renderopt.bench import POLICY_VARIANTS
+from renderopt.cli import main
 from renderopt.config import DEFAULTS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,9 +168,9 @@ def test_tracer_installs_and_records_spans(tmp_path):
     assert calls["game.edge_best_response"] == sum(best_responses_per_price(log["nash"]).values())
 
 
-def _bench_pairs():
-    path = ROOT / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+def _script_module(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -189,7 +191,7 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
     change = [(120, 0.8), (126.5, 1.0), (108, 0.85), (121, 0.9), (114, 0.95)]
     pairs = [{"seed": seed, "first": "parent", "parent": _run_summary(*p),
               "change": _run_summary(*c)} for seed, p, c in zip(range(5), parent, change)]
-    summarize = _bench_pairs().summarize
+    summarize = _script_module("bench_pairs").summarize
     got = summarize(pairs, PAIR_METRICS)
     work = got["work_per_ref"]
     assert work["parent"] == {"values": [100, 110, 90, 105, 95], "median": 100,
@@ -207,3 +209,15 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
     assert summarize(worse, PAIR_METRICS)["work_per_ref"]["claimable"] is False
     wrong = [dict(pairs[0], change=_run_summary(120, 0.8, correct=False)), *pairs[1:]]
     assert summarize(wrong, PAIR_METRICS)["work_per_ref"]["claimable"] is False
+
+
+def test_artifact_digests_prints_one_digest_per_run(tmp_path):
+    script = _script_module("artifact_digests")
+    rows = [line.split() for line in _run_script("artifact_digests.py").stdout.splitlines()]
+    assert [row[:2] for row in rows] == [[config, command] for config in script.CONFIGS
+                                         for command in script.COMMANDS]
+    assert all(re.fullmatch("[0-9a-f]{64}", row[2]) for row in rows)
+    # the digest of the same run made here, by perfbench's own function
+    out = tmp_path / "game"
+    assert main(["game-solve", "--seed", "3", "--out-dir", str(out)]) == 0
+    assert rows[0][2] == script.artifact_digest(out)

@@ -33,7 +33,6 @@ rewards, each region's high or low one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,7 @@ import numpy as np
 from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
-from .errors import json_text
+from .errors import write_csv, write_json
 from .config import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
 from .synthetic import POPULATION_MEAN, PlantedConfig, PlantedUser, make_user, top_fraction
 
@@ -225,32 +224,33 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
     )
 
 
+def _table(reports: list[MetricsReport], *dropped: str) -> list[dict]:
+    """One row per report: its fields but the per-scene rows and `dropped`."""
+    return [{k: v for k, v in vars(r).items() if k != "scene_rows" and k not in dropped}
+            for r in reports]
+
+
 def summary(reports: list[MetricsReport]) -> dict:
     """Per-policy table plus pairwise relative render-time reductions; a single
     report gets its table row and no reductions."""
-    table = [{k: v for k, v in vars(r).items() if k != "scene_rows"} for r in reports]
     reductions = {}
     for a in reports:
         for b in reports:
             if a.policy != b.policy:
                 reductions[f"{a.policy}_vs_{b.policy}"] = (
                     100.0 * (b.mean_render_time_s - a.mean_render_time_s) / b.mean_render_time_s)
-    return {"table": table, "time_reduction_pct": reductions}
+    return {"table": _table(reports), "time_reduction_pct": reductions}
 
 
 def write_report_csv(reports: list[MetricsReport], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "scene", "time_s", "n_high", "tp", "fp", "fn", "tn"])
-        for rep in reports:
-            for row in rep.scene_rows:
-                writer.writerow([rep.policy, row["scene"], repr(row["time_s"]),
-                                 row["n_high"], row["tp"], row["fp"], row["fn"], row["tn"]])
+    columns = ("scene", "time_s", "n_high", "tp", "fp", "fn", "tn")
+    write_csv(path, ("policy", *columns), ([rep.policy, *(row[c] for c in columns)]
+                                           for rep in reports for row in rep.scene_rows))
 
 
 def write_summary_json(reports: list[MetricsReport], path: str | Path) -> None:
     """The `summary` payload."""
-    Path(path).write_text(json_text(summary(reports), Path(path).name))
+    write_json(path, summary(reports))
 
 
 def write_plot_data(reports: list[MetricsReport], out_dir: str | Path) -> list[Path]:
@@ -259,20 +259,11 @@ def write_plot_data(reports: list[MetricsReport], out_dir: str | Path) -> list[P
     written = []
     for rep in reports:
         path = out_dir / f"plot_time_{rep.policy}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scene", "time_s"])
-            for row in rep.scene_rows:
-                writer.writerow([row["scene"], repr(row["time_s"])])
+        write_csv(path, ("scene", "time_s"),
+                  ((row["scene"], row["time_s"]) for row in rep.scene_rows))
         written.append(path)
     path = out_dir / "plot_metrics.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "accuracy", "precision", "recall", "f1",
-                         "mean_render_time_s"])
-        for rep in reports:
-            writer.writerow([rep.policy, repr(rep.accuracy), repr(rep.precision),
-                             repr(rep.recall), repr(rep.f1),
-                             repr(rep.mean_render_time_s)])
+    table = _table(reports, "inference_denoiser_calls")
+    write_csv(path, table[0], (row.values() for row in table))
     written.append(path)
     return written

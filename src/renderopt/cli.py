@@ -15,7 +15,6 @@ takes effect.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import os
 import shutil
@@ -30,7 +29,8 @@ from pathlib import Path
 from . import __version__
 from .config import (MAX_USERS, POLICY_VARIANTS, ExperimentConfig, PlantedConfig,
                      TrainSettings, load_config)
-from .errors import ConfigError, NumericalError, json_text
+from .errors import ConfigError, NumericalError, write_csv
+from .errors import write_json as _write_json     # the name the benchmark's tracer wraps
 from .game import solve_stackelberg
 from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
 
@@ -78,10 +78,6 @@ def _check_noise_step(key: str, t_noise: int, schedule) -> None:
                           f"in use), got {t_noise}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json_text(payload, path.name))
-
-
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str,
                     seed: int, outputs: list[Path], started: str) -> Path:
     manifest = {
@@ -108,7 +104,7 @@ def cmd_game_solve(config: ExperimentConfig, seed: int, out_dir: Path,
 
 def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
                       args) -> list[Path]:
-    if args.trace:
+    if args.trace is not None:
         with _path_from("--trace", args.trace, "read"):
             trace = load_trace(args.trace)
         if len(trace) < 2:
@@ -162,7 +158,7 @@ def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
 def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
     import numpy as np
-    if not args.checkpoint:
+    if args.checkpoint is None:
         raise ConfigError("diffusion-infer requires --checkpoint")
     if not 1 <= args.users <= MAX_USERS:
         raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
@@ -175,18 +171,21 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
     rng = np.random.default_rng(seed)
 
     ranked_ok = 0
-    probs_path = out_dir / "probabilities.csv"
-    with open(probs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "item", "probability", "interest_flag"])
+
+    def rows():
+        """Each user's rows, scored as the file is written."""
+        nonlocal ranked_ok
         for uid, user in enumerate(eval_users):
             probs = _cli.preference_probabilities(model, schedule, standardizer, user,
                                                   t_noise, stride, rng)
             flags = user.interest_flags
             if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
                 ranked_ok += 1
-            writer.writerows([uid, item, repr(float(p)), int(flag)]
-                             for item, (p, flag) in enumerate(zip(probs, flags)))
+            yield from ((uid, item, p, int(flag))
+                        for item, (p, flag) in enumerate(zip(probs, flags)))
+
+    probs_path = out_dir / "probabilities.csv"
+    write_csv(probs_path, ("user", "item", "probability", "interest_flag"), rows())
     summary_path = out_dir / "infer_summary.json"
     _write_json(summary_path, {
         "users": len(eval_users),
@@ -211,7 +210,7 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
 
     model = schedule = standardizer = None
     if "proposed" in policies:
-        if args.checkpoint:
+        if args.checkpoint is not None:
             with _path_from("--checkpoint", args.checkpoint, "read"):
                 model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
         else:
@@ -300,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
             with _path_from("--config", args.config, "read"):
                 config = load_config(args.config)
             seed = args.seed if args.seed is not None else config.run.seed
+            if args.out_dir == "":           # Path("") is the working directory
+                raise ConfigError("--out-dir: must be a non-empty string, got ''")
             if args.out_dir is not None:
                 option, out_dir = "--out-dir", Path(args.out_dir)
             else:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -354,11 +355,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     """Load and validate a config file; None loads the pure defaults."""
     if path is None:
         return parse_config("")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"--config: config file {str(p)!r} not found")
-    with p.open("rb") as fh:
+    if not os.path.exists(path):        # unlike Path(""), which is ".", "" does not exist
+        raise ConfigError(f"--config: config file {str(path)!r} not found")
+    with open(path, "rb") as fh:
         raw = fh.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
-        raise ConfigError(f"--config: {str(p)!r} is larger than {MAX_CONFIG_BYTES} bytes")
+        raise ConfigError(f"--config: {str(path)!r} is larger than {MAX_CONFIG_BYTES} bytes")
     return parse_config(raw.decode())

@@ -7,14 +7,13 @@ length, and the best epoch's weights are a copy of it, written back at the end.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import NumericalError, write_csv
 from ..config import TrainSettings
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
 from .schedule import NoiseSchedule, forward_diffuse
@@ -83,33 +82,33 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     `dataset` is the pair (standardized sequences (N, L, F), conditions
     (N, C)) that `synthetic.build_training_set` returns. Per batch: draw
     timesteps uniformly, draw Gaussian noise, perturb with the closed-form
-    marginal, and minimize MSE between the drawn and predicted noise. Validation uses timestep/noise draws fixed once up front so its
-    loss is comparable across epochs; training stops when it fails to improve
-    for `patience` epochs. Fully deterministic for a given settings.seed.
+    marginal, and minimize MSE between the drawn and predicted noise.
+    Validation holds out max(1, round(VAL_FRACTION * n)) of the n >= 2
+    sequences and uses timestep/noise draws fixed once up front, so its loss
+    is comparable across epochs; training stops when it fails to improve for
+    `patience` epochs. Fully deterministic for a given settings.seed.
     """
     m_all, s_all = dataset
     n = m_all.shape[0]
-    if n == 0:
-        raise ValueError("dataset must be non-empty")
+    if n < 2:
+        raise ValueError(f"dataset must hold at least 2 sequences, one to validate on, got {n}")
     rng = np.random.default_rng(settings.seed)
 
-    n_val = int(round(VAL_FRACTION * n))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     perm = rng.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]     # n_val < n for any n >= 1
+    val_idx, train_idx = perm[:n_val], perm[n_val:]     # 1 <= n_val < n for any n >= 2
     m_tr, s_tr = m_all[train_idx], s_all[train_idx]
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 
     opt = Adam(model.weights.size, settings.learning_rate)
 
     # fixed evaluation draws (validation and the epoch-0 reference on train)
-    t_val = rng.integers(1, schedule.steps + 1, size=max(len(val_idx), 1))
-    noise_val = rng.standard_normal((max(len(val_idx), 1),) + m_all.shape[1:])
+    t_val = rng.integers(1, schedule.steps + 1, size=n_val)
+    noise_val = rng.standard_normal(m_val.shape)
     t_ref = rng.integers(1, schedule.steps + 1, size=len(train_idx))
     noise_ref = rng.standard_normal(m_tr.shape)
 
     def val_loss() -> float:
-        if len(val_idx) == 0:
-            return _eval_loss(model, m_tr, s_tr, t_ref, noise_ref, schedule)
         return _eval_loss(model, m_val, s_val, t_val, noise_val, schedule)
 
     history: list[EpochStats] = [
@@ -173,11 +172,8 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
 
 
 def write_curve_csv(history: list[EpochStats], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss)])
+    write_csv(path, ("epoch", "train_loss", "val_loss"),
+              ((row.epoch, row.train_loss, row.val_loss) for row in history))
 
 
 __all__ = ["TrainSettings", "Adam", "EpochStats", "TrainResult", "train",

@@ -1,5 +1,5 @@
 """Shared exception and warning types, the one validator for JSON input, and
-the one serializer of JSON artifacts.
+the one writer of each artifact format: JSON, and CSV with floats as their repr.
 
 The config file and a checkpoint's ``meta`` header are both checked against a
 tree of defaults by `_merge` and built into dataclasses by `_build`, so each
@@ -7,10 +7,12 @@ type rule and message form is written once. This module imports no other
 ``renderopt`` module, so any of them can import it.
 """
 
+import csv
 import difflib
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -28,13 +30,25 @@ class ConvergenceWarning(UserWarning):
     """Emitted when an inner iterative solve stops at its iteration cap."""
 
 
-def json_text(payload, name: str) -> str:
-    """`payload` as indented, key-sorted JSON text; a NumericalError naming the
-    file `name` if it holds an infinity or a NaN, which JSON cannot carry."""
+def write_json(path: str | Path, payload) -> None:
+    """`payload` as indented, key-sorted JSON; a NumericalError naming the file
+    if it holds an infinity or a NaN, which JSON cannot carry."""
+    path = Path(path)
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
-        raise NumericalError(f"{name}: non-finite value, not written as JSON") from None
+        raise NumericalError(f"{path.name}: non-finite value, not written as JSON") from None
+    path.write_text(text)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """`header`, then each of `rows` (any iterable, consumed as written); a
+    float is written as its repr, which reads back as the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def check(ok: bool, field: str, requirement: str, value) -> None:

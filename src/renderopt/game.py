@@ -271,22 +271,14 @@ def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
         # an eps below the price's float spacing leaves no difference to take:
         # probe both directions as on a flat gradient
         grad = (u(p_hi) - u(p_lo)) / (p_hi - p_lo) if p_hi > p_lo else 0.0
-        moved = False
-        if grad != 0.0:
-            cand = min(hi, max(lo, p + math.copysign(step, grad)))
+        # step along the gradient's sign; on a flat gradient try up, then down
+        for direction in ((grad,) if grad != 0.0 else (1.0, -1.0)):
+            cand = min(hi, max(lo, p + math.copysign(step, direction)))
             uc = u(cand)
             if uc > up and cand != p:
                 p, up = cand, uc
-                moved = True
-        else:
-            # flat gradient: probe both directions before shrinking
-            for cand in (min(hi, p + step), max(lo, p - step)):
-                uc = u(cand)
-                if uc > up and cand != p:
-                    p, up = cand, uc
-                    moved = True
-                    break
-        if not moved:
+                break
+        else:                           # no direction improved: shrink the step
             step *= 0.5
             if step < min_step:
                 converged = True

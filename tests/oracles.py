@@ -333,7 +333,7 @@ def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, ho
     segmentation, then the same path, caching and deadline rules, each
     recomputed at every step."""
     regions = segment_regions_bruteforce(world)
-    frames = {p: encode_frame(world, p, encoding, regions) for p in regions}
+    frames = {p: encode_frame(p, encoding, regions) for p in regions}
     deadline = hop_deadline(world, timing)
     rng = np.random.default_rng(seed)
     current = mobility.trace[0] if mobility.trace else (world.width // 2, world.height // 2)

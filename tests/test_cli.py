@@ -43,6 +43,11 @@ def _write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _digests(out_dir, names):
+    """sha256 of each named file in out_dir."""
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
 def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
@@ -198,26 +203,64 @@ class TestDiffusionCommands:
         assert rows[0] == "user,item,probability,interest_flag"
         assert len(rows) > 1
 
-    # sha256 of what `diffusion-infer --seed 3 --users 40` wrote on a checkpoint of
-    # `diffusion-train --seed 3`, both under FAST_DIFFUSION, while the command and
-    # the proposed policy each wrote the scoring pipeline out in full
+    @pytest.fixture(scope="class")
+    def fast_training(self, tmp_path_factory):
+        """(config path, out dir) of `diffusion-train --seed 3` under FAST_DIFFUSION."""
+        tmp = tmp_path_factory.mktemp("fast-training")
+        cfg = _write_config(tmp, FAST_DIFFUSION)
+        proc = _run_cli("diffusion-train", "--config", cfg, "--seed", "3",
+                        "--out-dir", str(tmp / "train"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return cfg, tmp / "train"
+
+    # sha256 of what `fast_training` wrote, while each of its CSV and JSON writers
+    # wrote floats as their repr in code of its own
+    TRAIN_DIGESTS = {
+        "training_curve.csv": "d32f885806966ef4c007f18151d7d8677793c62918402383b3ff635e2fdfcbcd",
+        "train_summary.json": "5f5b86c4b1689237806f01b6b60f01f4b5cb80b0e29d9cf64c353726668baa33",
+    }
+
+    def test_train_artifacts_unchanged(self, fast_training):
+        _, out = fast_training
+        assert _digests(out, self.TRAIN_DIGESTS) == self.TRAIN_DIGESTS
+
+    # sha256 of what `diffusion-infer --seed 3 --users 40` wrote on the checkpoint
+    # of `fast_training`, while the command and the proposed policy each wrote the
+    # scoring pipeline out in full
     INFER_DIGESTS = {
         "probabilities.csv": "9a15fd6d5458aa37cc9ebcef5197e07dd3c3702e64060e274b82d5f213a256f3",
         "infer_summary.json": "823331ae08ee825eb48943836231219d6e435acfccc1425a39513473f96cd84f",
     }
 
-    def test_infer_artifacts_unchanged(self, tmp_path):
-        cfg = _write_config(tmp_path, FAST_DIFFUSION)
-        train_out, out = tmp_path / "train", tmp_path / "infer"
-        proc = _run_cli("diffusion-train", "--config", cfg, "--seed", "3",
-                        "--out-dir", str(train_out))
-        assert proc.returncode == EXIT_OK, proc.stderr
+    def test_infer_artifacts_unchanged(self, fast_training, tmp_path):
+        cfg, train_out = fast_training
+        out = tmp_path / "infer"
         proc = _run_cli("diffusion-infer", "--config", cfg, "--seed", "3", "--users", "40",
                         "--checkpoint", str(train_out / "checkpoint.npz"), "--out-dir", str(out))
         assert proc.returncode == EXIT_OK, proc.stderr
-        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in self.INFER_DIGESTS}
-        assert got == self.INFER_DIGESTS
+        assert _digests(out, self.INFER_DIGESTS) == self.INFER_DIGESTS
+
+    # sha256 of what `bench-run --seed 3 --plot-data` wrote on the checkpoint of
+    # `fast_training`, while each CSV writer wrote floats as their repr itself
+    BENCH_DIGESTS = {
+        "metrics.csv": "a0c4bb25b9ce63eab189b5035be7c6e81797e4e48bcbd7d50e6d43f5a043c310",
+        "bench_summary.json": "de2cc6cde822a499fbe7a6b6f490ca35965fe23fc3c6484031542bcfa26a9f8c",
+        "plot_metrics.csv": "0fd6441313790c5f8b7fe42a48888768c9e407102bdb76b6e68de0e4133f8973",
+        "plot_time_proposed.csv":
+            "19f8e9f2816ccd3567f8295ee16e9f42d8d84b07d810c0effb9bec2a6032f2a3",
+        "plot_time_mdp.csv": "ebec12aca22d191472f700102ef4d85d3da2be58b44059e4162b5958e14f0553",
+        "plot_time_random_opt.csv":
+            "df20733fe50e459ecd9c9fdf85e0ee21b6f057df47fcd422232cfbd1f18abb7a",
+        "plot_time_none.csv": "67ee37adb5544bf84a03ba5afdbf99b22d4422adc32713a19e831ef47b3326ca",
+    }
+
+    def test_bench_on_checkpoint_artifacts_unchanged(self, fast_training, tmp_path):
+        cfg, train_out = fast_training
+        out = tmp_path / "bench"
+        proc = _run_cli("bench-run", "--config", cfg, "--seed", "3", "--plot-data",
+                        "--checkpoint", str(train_out / "checkpoint.npz"), "--out-dir", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert _digests(out, self.BENCH_DIGESTS) == self.BENCH_DIGESTS
 
     def test_infer_requires_checkpoint(self, tmp_path):
         assert main(["diffusion-infer", "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -619,7 +662,12 @@ class TestErrorPaths:
              ("diffusion-infer", "--checkpoint", "adir", "cannot read 'adir': Is a directory"),
              ("bench-run", "--checkpoint", "nope", "cannot read 'nope': No such file"),
              ("game-solve", "--out-dir", "afile", "cannot create directory 'afile': File exists"),
-             ("game-solve", "--out-dir", "afile/sub", "cannot create directory 'afile/sub'")]
+             ("game-solve", "--out-dir", "afile/sub", "cannot create directory 'afile/sub'"),
+             # an empty path is not the working directory
+             ("game-solve", "--config", "", "config file '' not found"),
+             ("prerender-sim", "--trace", "", "cannot read '': No such file"),
+             ("bench-run", "--checkpoint", "", "cannot read '': No such file"),
+             ("game-solve", "--out-dir", "", "must be a non-empty string, got ''")]
 
     @pytest.mark.parametrize("command, option, path, problem", PATHS,
                              ids=[f"{c}{o}={p}" for c, o, p, _ in PATHS])

@@ -114,28 +114,28 @@ class TestEncodeFrame:
     FIVE = GridWorld(width=5, height=5)
 
     def test_center_is_reference_frame(self):
-        frame = encode_frame(self.FIVE, (2, 2), ENCODING, segment_regions(self.FIVE))
+        frame = encode_frame((2, 2), ENCODING, segment_regions(self.FIVE))
         assert frame.kind == "I"
         assert frame.size == ENCODING.base_i_size
         assert frame.reference is None
 
     def test_distance_ramp_value(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=4.0)
-        frame = encode_frame(self.FIVE, (0, 2), enc, segment_regions(self.FIVE))  # dist 2
+        frame = encode_frame((0, 2), enc, segment_regions(self.FIVE))  # dist 2
         assert frame.kind == "P"
         assert frame.size == pytest.approx(550.0)
         assert frame.reference == (2, 2)
 
     def test_floor_reached_in_slow_decay_limit(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=1e9)
-        frame = encode_frame(self.FIVE, (1, 2), enc, segment_regions(self.FIVE))  # dist 1
+        frame = encode_frame((1, 2), enc, segment_regions(self.FIVE))  # dist 1
         assert frame.size == pytest.approx(100.0, rel=1e-6)
 
     def test_never_inflates_and_respects_floor(self):
         world = GridWorld(width=23, height=17)
         regions = segment_regions(world)
         for point in regions:
-            frame = encode_frame(world, point, ENCODING, regions)
+            frame = encode_frame(point, ENCODING, regions)
             assert frame.size <= ENCODING.base_i_size
             assert frame.size >= ENCODING.ratio_floor * ENCODING.base_i_size
             if frame.kind == "P":
@@ -185,7 +185,7 @@ class TestSimulateWalk:
         trace = tuple((0, 0) if i % 2 == 0 else (0, 1) for i in range(11))
         result = simulate_walk(WORLD, TIMING, MobilitySpec(trace=trace),
                                10, seed=0, encoding=ENCODING)
-        frames = {p: encode_frame(WORLD, p, ENCODING, segment_regions(WORLD))
+        frames = {p: encode_frame(p, ENCODING, segment_regions(WORLD))
                   for p in ((0, 0), (0, 1))}
         assert result.bytes_transmitted == pytest.approx(
             frames[(0, 0)].size + frames[(0, 1)].size)
@@ -263,9 +263,9 @@ class TestSimulateWalk:
         calls = []
         real = prerender.encode_frame
 
-        def counting(world, point, encoding, regions=None):
+        def counting(point, encoding, regions):
             calls.append(point)
-            return real(world, point, encoding, regions)
+            return real(point, encoding, regions)
 
         monkeypatch.setattr(prerender, "encode_frame", counting)
         world = GridWorld(width=300, height=300)

@@ -10,6 +10,7 @@ from renderopt.diffusion import (Adam, AttentionGatedDenoiser, DenoiserConfig,
                                  NoiseSchedule, TrainSettings, train, write_curve_csv)
 from renderopt.diffusion.denoiser import (forward, init_weights, loss_and_grads, param_shapes,
                                           split_params)
+from renderopt.diffusion.schedule import forward_diffuse
 from renderopt.errors import NumericalError
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
 
@@ -87,8 +88,28 @@ class TestSmokeTraining:
 class TestTrainMechanics:
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, 16, 6)), np.zeros((0, 4)))
-        with pytest.raises(ValueError, match="dataset must be non-empty"):
+        with pytest.raises(ValueError, match="at least 2 sequences, one to validate on, got 0"):
             train(empty, NoiseSchedule(), TrainSettings(), AttentionGatedDenoiser(TINY))
+
+    def test_one_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 sequences, one to validate on, got 1"):
+            train(_tiny_dataset(n=1), NoiseSchedule(), TrainSettings(),
+                  AttentionGatedDenoiser(TINY))
+
+    def test_two_sequences_validate_on_the_held_out_one(self):
+        m, s = _tiny_dataset(n=2)
+        schedule = NoiseSchedule(steps=50, beta_start=0.001, beta_end=0.1)
+        settings = TrainSettings(batch_size=8, epochs=1, seed=5)
+        result = train((m, s), schedule, settings, model=AttentionGatedDenoiser(TINY, seed=5))
+        # train's first draws: the split, then the fixed validation timestep and noise
+        rng = np.random.default_rng(5)
+        held_out = rng.permutation(2)[:1]
+        t = rng.integers(1, schedule.steps + 1, size=1)
+        noise = rng.standard_normal((1,) + m.shape[1:])
+        untrained = AttentionGatedDenoiser(TINY, seed=5)
+        pred = untrained.predict(forward_diffuse(m[held_out], t, schedule, noise), t,
+                                 s[held_out])
+        assert result.history[0].val_loss == float(np.sum((pred - noise) ** 2) / noise.size)
 
     def test_deterministic_given_seed(self):
         dataset = _tiny_dataset()

@@ -10,8 +10,9 @@ side runs first alternates from pair to pair. Each run's
 `.bench_work/result-<workload>-trace0.json` is read back, and
 BENCH_<pr>.json is written at the root of the checkout with the
 environment, each end-to-end metric's median and quartiles per side, the
-per-pair ratios (checkout over parent) and a `claimable` verdict: every
-pair better, and the median ratio outside the parent's spread (the distance
+per-pair ratios (checkout over parent) and a `claimable` verdict: the
+checkout wins at least nine tenths of all pairs (a tie wins for neither
+side), and the median ratio lies outside the parent's spread (the distance
 between its quartiles over its median) on the better side. Run from the
 root of a checkout.
 """
@@ -66,9 +67,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
     `pairs` holds one {"seed", "first", "parent", "change"} per pair, each
     side a result summary as perfbench/run.py writes it. A metric is
-    claimable only when every run was correct, every pair is better, and
-    the median ratio lies beyond 1 by more than the parent's spread,
-    (q3 - q1) / median, on the better side."""
+    claimable only when every run was correct, the change wins at least
+    nine tenths of all pairs (a tie wins for neither side), and the median
+    ratio lies beyond 1 by more than the parent's spread, (q3 - q1) /
+    median, on the better side."""
     correct = all(p[side]["correct"] for p in pairs for side in SIDES)
     out = {}
     for m in metrics:
@@ -80,12 +82,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         band = (parent["q3"] - parent["q1"]) / parent["median"]
         median_ratio = statistics.median(ratios)
         if higher:
-            better = all(r > 1 for r in ratios) and median_ratio > 1 + band
+            wins, beyond = sum(r > 1 for r in ratios), median_ratio > 1 + band
         else:
-            better = all(r < 1 for r in ratios) and median_ratio < 1 - band
+            wins, beyond = sum(r < 1 for r in ratios), median_ratio < 1 - band
         out[name] = {"unit": m["unit"], "better": m["better"], **stats, "ratios": ratios,
-                     "median_ratio": median_ratio, "parent_spread": band,
-                     "claimable": correct and better}
+                     "wins": wins, "median_ratio": median_ratio, "parent_spread": band,
+                     "claimable": correct and 10 * wins >= 9 * len(ratios) and beyond}
     return out
 
 
@@ -126,7 +128,8 @@ def main() -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, m in record["metrics"].items():
         print(f"{name:16s} parent {m['parent']['median']:.4g}  change {m['change']['median']:.4g}"
-              f"  median ratio {m['median_ratio']:.3f}  spread {m['parent_spread']:.3f}"
+              f"  wins {m['wins']}/{len(pairs)}  median ratio {m['median_ratio']:.3f}"
+              f"  spread {m['parent_spread']:.3f}"
               f"  claimable {m['claimable']}")
     print(f"wrote {out.name}")
     return 0

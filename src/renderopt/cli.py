@@ -71,6 +71,17 @@ def _path_from(option: str, path, action: str):
         raise ConfigError(f"{option}: cannot {action} {str(path)!r}: {reason}") from None
 
 
+def _read_checkpoint(path):
+    """(model, schedule, standardizer) from the archive `--checkpoint` names.
+    A file that cannot be read or holds no valid checkpoint is a usage error
+    naming the option."""
+    with _path_from("--checkpoint", path, "read"):
+        try:
+            return _cli.load_checkpoint(path)
+        except ValueError as exc:
+            raise ConfigError(f"--checkpoint: {exc}") from None
+
+
 def _check_noise_step(key: str, t_noise: int, schedule) -> None:
     """Refuse a noise step the schedule in use has no step for."""
     if not 1 <= t_noise <= schedule.steps:
@@ -162,8 +173,7 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         raise ConfigError("diffusion-infer requires --checkpoint")
     if not 1 <= args.users <= MAX_USERS:
         raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
-    with _path_from("--checkpoint", args.checkpoint, "read"):
-        model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
+    model, schedule, standardizer = _read_checkpoint(args.checkpoint)
     t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
     _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
     planted = PlantedConfig(n_users=args.users, seq_len=config.diffusion.seq_len)
@@ -208,12 +218,12 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
     if not policies:
         raise ConfigError("bench-run: --policies selected nothing")
 
+    # a checkpoint given is read whichever policies run, so a bad one is reported
     model = schedule = standardizer = None
+    if args.checkpoint is not None:
+        model, schedule, standardizer = _read_checkpoint(args.checkpoint)
     if "proposed" in policies:
-        if args.checkpoint is not None:
-            with _path_from("--checkpoint", args.checkpoint, "read"):
-                model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
-        else:
+        if schedule is None:
             schedule = config.schedule
         _check_noise_step("bench.t_noise", config.policy.t_noise, schedule)
         if model is None:

@@ -25,7 +25,7 @@ from .errors import ConfigError, check
 
 Coord = tuple[int, int]
 
-# the longest walk: prerender-sim peaks at ~60 MB RSS for it on the default floor
+# the longest walk: prerender-sim peaks at ~46 MB RSS for it on the default floor
 MAX_WALK_STEPS = 1_000_000
 
 
@@ -106,15 +106,31 @@ class MobilitySpec:
 
 @dataclass
 class WalkResult:
-    steps: int
-    deadline_misses: int
     bytes_transmitted: float
     bytes_all_i_baseline: float
-    # per step: the latency, the entered point's frame (one shared object per
-    # point; its grid_point is the entered point) and the deadline miss
-    per_step_latency: list[float]
-    frames: list[PanoramaFrame]
-    missed: list[bool]
+    # the walk's distinct step outcomes, each (entered point's frame, latency,
+    # deadline missed), and per step the id of its outcome in that table; a
+    # frame is one shared object per point, and its grid_point is that point
+    outcomes: list[tuple[PanoramaFrame, float, bool]]
+    step_outcomes: list[int]
+
+    @property
+    def steps(self) -> int:
+        return len(self.step_outcomes)
+
+    def _each_step(self, column: int) -> Iterator:
+        """Column `column` of the outcome table (1 latency, 2 missed) at every
+        step, in step order."""
+        return map([outcome[column] for outcome in self.outcomes].__getitem__,
+                   self.step_outcomes)
+
+    @property
+    def per_step_latency(self) -> list[float]:
+        return list(self._each_step(1))
+
+    @property
+    def deadline_misses(self) -> int:
+        return sum(self._each_step(2))
 
     def summary(self) -> dict:
         return {
@@ -124,8 +140,7 @@ class WalkResult:
             "bytes_all_i_baseline": self.bytes_all_i_baseline,
             "bytes_ratio": self.bytes_transmitted / self.bytes_all_i_baseline
             if self.bytes_all_i_baseline else 0.0,
-            "mean_latency_ms": sum(self.per_step_latency) / len(self.per_step_latency)
-            if self.per_step_latency else 0.0,
+            "mean_latency_ms": sum(self._each_step(1)) / self.steps if self.steps else 0.0,
         }
 
 
@@ -285,6 +300,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     Bytes are charged once per P-frame (the device keeps fetched frames) and
     compared against a baseline that re-sends a full I-frame every step.
     A replayed trace must start on the grid and hop only to neighbors.
+    The result holds each distinct step outcome once and one id per step.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -308,47 +324,63 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         raise ValueError(f"start point {_clip(str(current))} outside grid")
 
     halves = _halves(seed)             # each pick is the one rng.integers would draw
-    # per point, filled on the first visit: its neighbours, and on the first
-    # entry (frame, latency of entering it, bytes the entry fetches); once a
-    # P-frame is fetched the device keeps it, and its entry is rewritten to
-    # the on-device latency with nothing left to fetch
-    around: dict[Coord, list[Coord]] = {}
-    entries: dict[Coord, tuple[PanoramaFrame, float, float]] = {}
+    outcomes: list[tuple[PanoramaFrame, float, bool]] = []
+    step_outcomes: list[int] = []
+
+    def new_outcome(frame: PanoramaFrame, cached: bool, hop: int) -> int:
+        latency = step_latency(frame, timing, panorama_work, cached=cached)
+        outcomes.append((frame, latency, latency > hop_deadlines[hop]))
+        return len(outcomes) - 1
+
+    # per point, filled on the first visit: its neighbours, and per neighbour
+    # the outcome id of a hop into it once its frame is on the device
+    around: dict[Coord, tuple[list[Coord], list[int | None]]] = {}
+    frames: dict[Coord, PanoramaFrame] = {}      # per entered point
+    # per (entered point, hop kind |dx| + |dy|): the outcome id once its frame
+    # is on the device; every I-frame is, and a P-frame from its first entry on
+    kept: dict[tuple[Coord, int], int] = {}
     bytes_tx = 0.0
-    latencies: list[float] = []
-    frames: list[PanoramaFrame] = []
-    missed: list[bool] = []
 
     for step in range(1, horizon + 1):
         # pre-render panoramas for every neighbor (the work the edge performs
         # each step so any move is covered)
-        options = around.get(current)
-        if options is None:
-            options = around[current] = neighbors(world, current)
+        near = around.get(current)
+        if near is None:
+            options = neighbors(world, current)
+            if not options and not path:    # a one-point floor: the walk stays put
+                options = [current]
+            near = around[current] = (options, [None] * len(options))
+        options, ids = near
         if path:
             nxt = path[step]
-            if nxt not in options:
+            try:
+                i = options.index(nxt)
+            except ValueError:
                 raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
-                                 f"{_clip(str(nxt))} is not to a grid neighbour")
+                                 f"{_clip(str(nxt))} is not to a grid neighbour") from None
         else:
-            nxt = options[_bounded(halves, len(options))] if options else current
-        entry = entries.get(nxt)
-        if entry is None:
-            frame = encode_frame(nxt, encoding, regions)
-            entry = entries[nxt] = (frame, step_latency(frame, timing, panorama_work),
-                                    frame.size if frame.kind == "P" else 0.0)
-        frame, latency, fetch = entry
-        if fetch:
-            bytes_tx += fetch
-            entries[nxt] = (frame, step_latency(frame, timing, panorama_work, cached=True), 0.0)
-        missed.append(latency > hop_deadlines[abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])])
-        latencies.append(latency)
-        frames.append(frame)
+            i = _bounded(halves, len(options))
+            nxt = options[i]
+        oid = ids[i]
+        if oid is None:
+            hop = abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])
+            frame = frames.get(nxt)
+            if frame is None:
+                frame = frames[nxt] = encode_frame(nxt, encoding, regions)
+                if frame.kind == "P":       # the entry that fetches it has its own outcome
+                    bytes_tx += frame.size
+                    oid = new_outcome(frame, False, hop)
+            if oid is None:
+                oid = kept.get((nxt, hop))
+                if oid is None:
+                    oid = kept[nxt, hop] = new_outcome(frame, True, hop)
+                ids[i] = oid
+        step_outcomes.append(oid)
         current = nxt
 
-    return WalkResult(steps=horizon, deadline_misses=sum(missed), bytes_transmitted=bytes_tx,
+    return WalkResult(bytes_transmitted=bytes_tx,
                       bytes_all_i_baseline=horizon * encoding.base_i_size,
-                      per_step_latency=latencies, frames=frames, missed=missed)
+                      outcomes=outcomes, step_outcomes=step_outcomes)
 
 
 # one trace line: blank, a comment, or three ASCII integers
@@ -411,15 +443,18 @@ class _Reprs(dict):
 
 def write_walk_csv(result: WalkResult, path: str | Path) -> None:
     """Per-step breakdown: step, point, kind, size, latency_ms, missed; lines
-    end in CRLF, as csv.writer ends them. Written 8192 lines at a time, each
-    distinct float's repr made once, not through `errors.write_csv`: a walk
-    has up to MAX_WALK_STEPS rows but few distinct sizes and latencies, and
-    that writer takes 2.8 times as long for the same bytes (100 000 steps)."""
+    end in CRLF, as csv.writer ends them. Each outcome's line tail (all but
+    the step) is rendered once, with each distinct float's repr made once,
+    and the lines are written 8192 at a time, not through `errors.write_csv`:
+    a walk has up to MAX_WALK_STEPS rows but few distinct outcomes, and that
+    writer takes over ten times as long for the same bytes (100 000 steps:
+    355 ms against 29 ms, median of 5 on 2 cores)."""
     text = _Reprs()                    # repr of each distinct size and latency
-    steps = zip(count(1), result.frames, result.per_step_latency, result.missed)
+    tails = [f"{frame.grid_point[0]},{frame.grid_point[1]},{frame.kind},"
+             f"{text[frame.size]},{text[latency]},{missed:d}\r\n"
+             for frame, latency, missed in result.outcomes]
+    steps = zip(count(1), map(tails.__getitem__, result.step_outcomes))
     with open(path, "w", newline="") as fh:
         fh.write("step,x,y,kind,size,latency_ms,missed\r\n")
-        while lines := [f"{step},{frame.grid_point[0]},{frame.grid_point[1]},{frame.kind},"
-                        f"{text[frame.size]},{text[latency]},{missed:d}\r\n"
-                        for step, frame, latency, missed in islice(steps, 8192)]:
+        while lines := [f"{step},{tail}" for step, tail in islice(steps, 8192)]:
             fh.write("".join(lines))

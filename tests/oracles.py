@@ -359,17 +359,23 @@ def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, ho
     return entered, latencies, missed, bytes_tx
 
 
+def walk_steps(result: WalkResult) -> tuple[list, list[float], list[bool]]:
+    """(entered frames, latencies, missed flags) of a walk, one per step,
+    read from its outcome table through the per-step outcome ids."""
+    per_step = [result.outcomes[i] for i in result.step_outcomes]
+    return ([frame for frame, _, _ in per_step], [latency for _, latency, _ in per_step],
+            [missed for _, _, missed in per_step])
+
+
 def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
     """The step CSV, one `csv.writer.writerow` per step."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "x", "y", "kind", "size", "latency_ms", "missed"])
-        for step in range(result.steps):
-            frame = result.frames[step]
+        for step, (frame, latency, missed) in enumerate(zip(*walk_steps(result)), start=1):
             x, y = frame.grid_point
-            writer.writerow([step + 1, x, y, frame.kind, repr(float(frame.size)),
-                             repr(float(result.per_step_latency[step])),
-                             int(result.missed[step])])
+            writer.writerow([step, x, y, frame.kind, repr(float(frame.size)),
+                             repr(float(latency)), int(missed)])
 
 
 def save_trace(path: str | Path, points: list[Coord]) -> None:

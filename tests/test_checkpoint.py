@@ -325,7 +325,7 @@ def test_cli_rejects_format_1_archive(tmp_path, capsys, command, version):
         argv += ["--policies", "proposed,none"]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"{command}: error: checkpoint format {version} != supported 3\n")
+        f"{command}: config error: --checkpoint: checkpoint format {version} != supported 3\n")
 
 
 def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):
@@ -336,7 +336,8 @@ def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):
     argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "diffusion-infer: error: checkpoint header schedule.steps: must be an integer in "
+        "diffusion-infer: config error: --checkpoint: checkpoint header schedule.steps: must be "
+        "an integer in "
         "[1, 100000], got 1000000000000\n")
 
 
@@ -351,7 +352,7 @@ def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
         argv += ["--policies", "proposed,none"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"{command}: error: checkpoint tensor params: missing\n"
+    assert err == f"{command}: config error: --checkpoint: checkpoint tensor params: missing\n"
 
 
 def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
@@ -364,7 +365,8 @@ def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
     argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"diffusion-infer: error: {str(path)!r}: not a readable .npz archive (")
+    assert err.startswith(f"diffusion-infer: config error: --checkpoint: {str(path)!r}: "
+                          "not a readable .npz archive (")
     assert err.count("\n") == 1
 
 
@@ -379,7 +381,8 @@ def test_cli_rejects_checkpoint_without_standardizer(tmp_path, capsys, command):
         argv += ["--policies", "proposed,none"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"{command}: error: checkpoint tensor standardizer.mean: missing\n"
+    assert err == (f"{command}: config error: --checkpoint: checkpoint tensor standardizer.mean: "
+                   "missing\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -473,38 +473,6 @@ class TestErrorPaths:
         assert not (tmp_path / "new").exists()
         assert capsys.readouterr().err.count("\n") == 2
 
-    PRERENDER_FLOATS = [("spacing",), ("panorama_work",),
-                        *(("timing", k) for k in DEFAULTS["prerender"]["timing"]),
-                        *(("encoding", k) for k in DEFAULTS["prerender"]["encoding"])]
-
-    @hyp_settings(max_examples=60, deadline=None)
-    @given(values=st.dictionaries(st.sampled_from(PRERENDER_FLOATS),
-                                  st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
-                                  min_size=1))
-    @example(values={("encoding", "base_i_size"): 1e308})      # the sums overflow
-    @example(values={("timing", "t_request"): 1e308})
-    def test_prerender_floats_give_strict_json_or_one_line(self, values):
-        section: dict = {"steps": 20}
-        for keys, value in values.items():
-            node = section
-            for key in keys[:-1]:
-                node = node.setdefault(key, {})
-            node[keys[-1]] = value
-
-        def reject(constant):
-            raise ValueError(f"{constant} in a JSON artifact")
-
-        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
-            out = Path(tmp) / "out"
-            cfg = _write_config(Path(tmp), {"prerender": section})
-            code = main(["prerender-sim", "--config", cfg, "--out-dir", str(out)])
-            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err.getvalue()
-            if code == EXIT_OK:
-                for path in out.glob("*.json"):
-                    json.loads(path.read_text(), parse_constant=reject)
-            else:
-                assert err.getvalue().count("\n") == 1, err.getvalue()
-
     TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
               ("0 0 0\n1 1 0\n1 2 0\n", "path.trace':3: step index 1 does not follow 1")]
 
@@ -687,6 +655,24 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1
         assert err.startswith(f"{command}: config error: {option}: {problem}")
+
+    # the checkpoint used to be read only when the proposed policy ran, so both exited 0
+    @pytest.mark.parametrize("name, content, problem", [
+        ("missing.npz", None, "cannot read '{path}': No such file or directory"),
+        ("damaged.npz", b"PK\x03\x04 not a zip archive",
+         "'{path}': not a readable .npz archive (File is not a zip file)")],
+        ids=["missing", "damaged"])
+    def test_bench_run_reads_a_checkpoint_it_does_not_score_with(self, tmp_path, name,
+                                                                 content, problem):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        proc = _run_cli("bench-run", "--policies", "none", "--checkpoint", str(path),
+                        "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == (f"bench-run: config error: --checkpoint: "
+                               f"{problem.format(path=path)}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unmakeable_config_out_dir_names_the_key(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -965,6 +951,70 @@ def config_bytes(draw):
     if kind == "latin-1":            # an accented node id, saved in a one-byte encoding
         return text.replace("edge-0", "\u00e9dge-0").encode("latin-1")
     return text.encode()
+
+
+# Values for each leaf of the prerender section. Sizes are bounded here: a walk
+# of up to 20 000 steps runs in about a second, and a longer `steps` is drawn only
+# past MAX_WALK_STEPS, where it is refused before any walking; floor sides stay
+# at most 10**6. So every example ends in seconds because of what it declares.
+_PRERENDER_LEAVES = [path[1:] for path, value in _key_paths(DEFAULTS)
+                     if path[0] == "prerender" and not isinstance(value, dict)]
+_WRONG_TYPES = st.sampled_from([None, "x", "", [], {}, [1], float("nan")])
+_SIDE_VALUES = st.one_of(st.integers(-2, 10**6), _WRONG_TYPES, st.sampled_from([True, 0.5, 4.0]))
+_PRERENDER_VALUES = {
+    "steps": st.one_of(st.integers(-2, 20_000), _WRONG_TYPES, st.sampled_from(
+        [0.5, 1e308, MAX_WALK_STEPS + 1, 2**63, 10**400])),
+    "width": _SIDE_VALUES, "height": _SIDE_VALUES, "region_side": _SIDE_VALUES,
+    "diagonal": st.one_of(st.booleans(), _WRONG_TYPES, st.sampled_from([0, 1, "true"])),
+}
+_FLOAT_VALUES = st.one_of(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+                          st.floats(-300.0, 308.0).map(lambda e: -10.0 ** e), _WRONG_TYPES,
+                          st.sampled_from([0, 0.0, 3, True, float("inf"), 1e309, 10**400]))
+
+
+@st.composite
+def prerender_sections(draw):
+    """The default prerender section with 1-3 of its leaves set to other values."""
+    section = json.loads(json.dumps(DEFAULTS["prerender"]))
+    for path in draw(st.lists(st.sampled_from(_PRERENDER_LEAVES), min_size=1, max_size=3,
+                              unique=True)):
+        node = section
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(_PRERENDER_VALUES.get(path[-1], _FLOAT_VALUES))
+    return section
+
+
+@example(section={**DEFAULTS["prerender"], "width": 10**6, "height": 1, "steps": 20_000})
+@example(section={**DEFAULTS["prerender"], "width": 1, "height": 1, "diagonal": True})
+@example(section={**DEFAULTS["prerender"], "encoding": {"base_i_size": 1e308}})  # sums overflow
+@example(section={**DEFAULTS["prerender"], "timing": {"t_request": 1e308}})
+@hyp_settings(max_examples=40, deadline=None)
+@given(section=prerender_sections())
+def test_any_prerender_section_exits_cleanly(tmp_path_factory, section):
+    """prerender-sim on a config whose prerender section has 1-3 leaves edited:
+    exit 0 with strict JSON and one CSV row per step, or exit 2 or 3 with one
+    stderr line; no traceback, in bounded time and memory."""
+    base = tmp_path_factory.mktemp("prerender-fuzz")
+    (base / "config.json").write_text(json.dumps({"prerender": section}))
+    proc = _run_cli("prerender-sim", "--config", str(base / "config.json"),
+                    "--out-dir", str(base / "out"), timeout=60, memory_cap=2 << 30)
+    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode != EXIT_OK:
+        assert proc.stderr.startswith("prerender-sim: ") and proc.stderr.count("\n") == 1, \
+            proc.stderr
+        return
+    assert proc.stderr == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} in a JSON artifact")
+
+    summary = json.loads((base / "out" / "walk_summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["steps"] == section["steps"]
+    with open(base / "out" / "walk_steps.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 1 + section["steps"]
 
 
 def _odd_solver_config(key):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import save_trace, segment_regions_bruteforce, walk_eager, write_walk_csv_rowwise
+from oracles import (save_trace, segment_regions_bruteforce, walk_eager, walk_steps,
+                     write_walk_csv_rowwise)
 from renderopt import prerender
 from renderopt.errors import ConfigError
 from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
@@ -198,9 +199,8 @@ class TestSimulateWalk:
     def test_seed_reproducibility(self):
         a = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
         b = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
-        assert (a.frames, a.missed) == (b.frames, b.missed)
+        assert walk_steps(a) == walk_steps(b)
         assert a.bytes_transmitted == b.bytes_transmitted
-        assert a.per_step_latency == b.per_step_latency
 
     def test_trace_outside_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -244,20 +244,26 @@ class TestSimulateWalk:
             simulate_walk(WORLD, TIMING, mobility, 2, seed=0, encoding=ENCODING)
 
     def test_walk_record_holds_each_step_fact_once(self):
-        # a dict per step held ~6 MB for these 20 000 steps
+        # a dict per step held ~6 MB for 20 000 steps; three per-step lists
+        # (frame, latency, missed) held 25 bytes a step. One outcome id a step
+        # is 8 bytes, plus the list's over-allocation.
+        steps = 200_000
         simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=3, encoding=ENCODING)  # imports done
         tracemalloc.start()
         try:
-            result = simulate_walk(WORLD, TIMING, MobilitySpec(), 20_000, seed=3,
+            result = simulate_walk(WORLD, TIMING, MobilitySpec(), steps, seed=3,
                                    encoding=ENCODING)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.frames) == 20_000
-        assert held < 2 << 20
+        assert result.steps == len(result.step_outcomes) == steps
+        assert held < 12 * steps
+        # on an axis floor a point has at most two outcomes: the entry that
+        # fetches its P-frame, and an axis hop into it once the frame is kept
+        assert len(result.outcomes) <= 2 * WORLD.width * WORLD.height
         # one frame object per entered point, however often it is entered
-        entered = {frame.grid_point for frame in result.frames}
-        assert len({id(frame) for frame in result.frames}) == len(entered)
+        entered = {frame.grid_point for frame, _, _ in result.outcomes}
+        assert len({id(frame) for frame, _, _ in result.outcomes}) == len(entered)
 
     def test_frames_encoded_once_per_entered_point(self, monkeypatch):
         calls = []
@@ -270,7 +276,7 @@ class TestSimulateWalk:
         monkeypatch.setattr(prerender, "encode_frame", counting)
         world = GridWorld(width=300, height=300)
         result = simulate_walk(world, TIMING, MobilitySpec(), 400, seed=4, encoding=ENCODING)
-        assert sorted(calls) == sorted({frame.grid_point for frame in result.frames})
+        assert sorted(calls) == sorted({frame.grid_point for frame, _, _ in result.outcomes})
 
 
 def _neighbour_path(world, start, hops, rng):
@@ -293,9 +299,8 @@ def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
         result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
         frames, latencies, missed, bytes_tx = walk_eager(world, timing, mobility, 600, seed,
                                                          ENCODING)
-        assert result.frames == frames
+        assert walk_steps(result) == (frames, latencies, missed)
         assert result.per_step_latency == latencies
-        assert result.missed == missed
         assert result.bytes_transmitted == bytes_tx
         assert result.deadline_misses == sum(missed)
         write_walk_csv(result, out / "steps.csv")

@@ -209,6 +209,19 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
     assert summarize(worse, PAIR_METRICS)["work_per_ref"]["claimable"] is False
     wrong = [dict(pairs[0], change=_run_summary(120, 0.8, correct=False)), *pairs[1:]]
     assert summarize(wrong, PAIR_METRICS)["work_per_ref"]["claimable"] is False
+    # ten pairs, parent spread 0.025: 9 of 10 won is a gain; 8 won and a tie is none
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]
+    change = [0.9 * parent[0], *(1.2 * w for w in parent[1:])]
+    ten = [{"seed": seed, "first": "parent", "parent": _run_summary(p, 1.0),
+            "change": _run_summary(c, 1.0)} for seed, (p, c) in enumerate(zip(parent, change))]
+    work = summarize(ten, PAIR_METRICS)["work_per_ref"]
+    assert work["parent_spread"] == pytest.approx(0.025)
+    assert work["wins"] == 9 and work["median_ratio"] == pytest.approx(1.2)
+    assert work["claimable"] is True
+    tie = [ten[0], dict(ten[1], change=_run_summary(parent[1], 1.0)), *ten[2:]]
+    work = summarize(tie, PAIR_METRICS)["work_per_ref"]
+    assert work["wins"] == 8 and work["median_ratio"] == pytest.approx(1.2)
+    assert work["claimable"] is False
 
 
 def test_artifact_digests_prints_one_digest_per_run(tmp_path):

@@ -11,8 +11,8 @@ Usage: python scripts/compression_sweep.py [--steps N] [--seed S] [--out CSV]
 import argparse
 import csv
 
-from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
-                                 TimingModel, simulate_walk)
+from renderopt.config import WalkSettings
+from renderopt.prerender import EncodingSpec, GridWorld, TimingModel, simulate_walk
 
 
 def main() -> None:
@@ -28,8 +28,8 @@ def main() -> None:
         for decay in (2.0, 4.0, 8.0):
             world = GridWorld(width=20, height=20, region_side=region_side)
             encoding = EncodingSpec(ratio_floor=0.1, decay=decay)
-            result = simulate_walk(world, timing, MobilitySpec(), args.steps,
-                                   seed=args.seed, encoding=encoding)
+            result = simulate_walk(world, timing, args.steps, args.seed, encoding,
+                                   WalkSettings().panorama_work)
             ratio = result.bytes_transmitted / result.bytes_all_i_baseline
             rows.append((region_side, decay, ratio, result.deadline_misses))
             print(f"region_side={region_side} decay={decay}: "

@@ -32,7 +32,7 @@ from .config import (MAX_USERS, POLICY_VARIANTS, ExperimentConfig, PlantedConfig
 from .errors import ConfigError, NumericalError, write_csv
 from .errors import write_json as _write_json     # the name the benchmark's tracer wraps
 from .game import solve_stackelberg
-from .prerender import MobilitySpec, load_trace, simulate_walk, write_walk_csv
+from .prerender import MAX_WALK_STEPS, load_trace, simulate_walk, write_walk_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,15 +71,18 @@ def _path_from(option: str, path, action: str):
         raise ConfigError(f"{option}: cannot {action} {str(path)!r}: {reason}") from None
 
 
-def _read_checkpoint(path):
-    """(model, schedule, standardizer) from the archive `--checkpoint` names.
-    A file that cannot be read or holds no valid checkpoint is a usage error
-    naming the option."""
-    with _path_from("--checkpoint", path, "read"):
+@contextmanager
+def _reading(option: str, path):
+    """Report a file the user gave as a one-line usage error naming the option
+    that gave it: one that cannot be read as `_path_from` does, and one whose
+    content is not valid with the reason."""
+    with _path_from(option, path, "read"):
         try:
-            return _cli.load_checkpoint(path)
+            yield
+        except UnicodeDecodeError:      # a ValueError, but one `_path_from` reports
+            raise
         except ValueError as exc:
-            raise ConfigError(f"--checkpoint: {exc}") from None
+            raise ConfigError(f"{option}: {exc}") from None
 
 
 def _check_noise_step(key: str, t_noise: int, schedule) -> None:
@@ -115,19 +118,14 @@ def cmd_game_solve(config: ExperimentConfig, seed: int, out_dir: Path,
 
 def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
                       args) -> list[Path]:
-    if args.trace is not None:
-        with _path_from("--trace", args.trace, "read"):
-            trace = load_trace(args.trace)
-        if len(trace) < 2:
-            raise ConfigError(f"--trace: {str(args.trace)!r} has no step: a walk needs a "
-                              "start point and at least one more")
-        mobility = MobilitySpec(trace=trace)
-        horizon = len(trace) - 1
+    if args.trace is None:
+        result = simulate_walk(config.world, config.timing, config.walk.steps, seed,
+                               config.encoding, config.walk.panorama_work)
     else:
-        mobility = MobilitySpec()
-        horizon = config.walk.steps
-    result = simulate_walk(config.world, config.timing, mobility, horizon, seed,
-                           encoding=config.encoding, panorama_work=config.walk.panorama_work)
+        with _reading("--trace", args.trace):
+            result = simulate_walk(config.world, config.timing, MAX_WALK_STEPS, seed,
+                                   config.encoding, config.walk.panorama_work,
+                                   trace=load_trace(args.trace))
     steps_path = out_dir / "walk_steps.csv"
     write_walk_csv(result, steps_path)
     summary_path = out_dir / "walk_summary.json"
@@ -170,10 +168,11 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
     import numpy as np
     if args.checkpoint is None:
-        raise ConfigError("diffusion-infer requires --checkpoint")
+        raise ConfigError("--checkpoint: must name a trained model archive, got none")
     if not 1 <= args.users <= MAX_USERS:
-        raise ConfigError(f"diffusion-infer: --users must be in [1, {MAX_USERS}]")
-    model, schedule, standardizer = _read_checkpoint(args.checkpoint)
+        raise ConfigError(f"--users: must be in [1, {MAX_USERS}], got {args.users}")
+    with _reading("--checkpoint", args.checkpoint):
+        model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
     t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
     _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
     planted = PlantedConfig(n_users=args.users, seq_len=config.diffusion.seq_len)
@@ -212,16 +211,18 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for i, p in enumerate(policies):
         if p not in POLICY_VARIANTS:
-            raise ConfigError(f"bench-run: unknown policy {p!r}")
+            raise ConfigError(f"--policies: {p!r} is not one of {', '.join(POLICY_VARIANTS)}, "
+                              f"got {args.policies!r}")
         if p in policies[:i]:
-            raise ConfigError(f"bench-run: policy {p!r} given twice in --policies")
+            raise ConfigError(f"--policies: must name {p!r} once, got {args.policies!r}")
     if not policies:
-        raise ConfigError("bench-run: --policies selected nothing")
+        raise ConfigError(f"--policies: must name a policy, got {args.policies!r}")
 
     # a checkpoint given is read whichever policies run, so a bad one is reported
     model = schedule = standardizer = None
     if args.checkpoint is not None:
-        model, schedule, standardizer = _read_checkpoint(args.checkpoint)
+        with _reading("--checkpoint", args.checkpoint):
+            model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
     if "proposed" in policies:
         if schedule is None:
             schedule = config.schedule
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "diffusion-infer":
             p.add_argument("--users", type=int, default=5, help="planted users to score")
         if name == "bench-run":
-            p.add_argument("--policies", default="proposed,mdp,random_opt,none")
+            p.add_argument("--policies", default=",".join(POLICY_VARIANTS))
             p.add_argument("--plot-data", action="store_true",
                            help="emit per-policy plot series files")
     return parser
@@ -311,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
             seed = args.seed if args.seed is not None else config.run.seed
             if args.out_dir == "":           # Path("") is the working directory
                 raise ConfigError("--out-dir: must be a non-empty string, got ''")
+            if args.out_dir is not None and "\0" in args.out_dir:
+                raise ConfigError(f"--out-dir: must be a path without a NUL character, "
+                                  f"got {args.out_dir!r}")
             if args.out_dir is not None:
                 option, out_dir = "--out-dir", Path(args.out_dir)
             else:

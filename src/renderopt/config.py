@@ -216,6 +216,7 @@ class RunSettings:
 
     def __post_init__(self):
         check(self.seed >= 0, "seed", "a non-negative integer", self.seed)
+        check("\0" not in self.out_dir, "out_dir", "a path without a NUL character", self.out_dir)
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,10 @@ def load_checkpoint(path: str | Path | BinaryIO):
     with open(path, "rb") if isinstance(path, (str, PathLike)) else nullcontext(path) as file:
         try:
             entries = _read_entries(file)
-        # numpy's .npy header parser lets its tokenizer's error through
-        except (EOFError, OSError, zipfile.BadZipFile, ValueError, tokenize.TokenError) as exc:
+        # numpy's .npy header parser lets its tokenizer's error through, and
+        # zipfile reports a feature it does not support as NotImplementedError
+        except (EOFError, OSError, zipfile.BadZipFile, ValueError, tokenize.TokenError,
+                NotImplementedError) as exc:
             raise ValueError(f"{str(path)!r}: not a readable .npz archive ({exc})") from None
 
     if "meta" not in entries:

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
 from operator import index
 from pathlib import Path
 
-from .errors import ConfigError, check
+from .errors import check
 
 Coord = tuple[int, int]
 
@@ -90,18 +90,6 @@ class PanoramaFrame:
     kind: str                      # "I" or "P"
     size: float                    # bytes
     reference: Coord | None        # region center for P-frames
-
-
-@dataclass(frozen=True)
-class MobilitySpec:
-    """Avatar path source: a replayed trace, or with none the seeded random
-    walk from the grid middle."""
-
-    trace: tuple[Coord, ...] = ()
-
-    def __post_init__(self):
-        if len(self.trace) == 1:
-            raise ValueError("a trace needs a start and at least one step")
 
 
 @dataclass
@@ -289,18 +277,21 @@ def _bounded(halves: Iterator[int], n: int) -> int:
     return m >> 32
 
 
-def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
-                  horizon: int, seed: int, encoding: EncodingSpec,
-                  panorama_work: float = 100.0) -> WalkResult:
-    """Walk the avatar for `horizon` steps and account latency and bytes.
+def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int,
+                  encoding: EncodingSpec, panorama_work: float,
+                  trace: Iterable[Coord] | None = None) -> WalkResult:
+    """Walk the avatar and account latency and bytes.
 
     Every step pre-renders all neighbors of the current point, then the
     avatar enters one of them; only the entered point's latency is charged.
     A step misses its deadline iff that latency exceeds the hop deadline.
     Bytes are charged once per P-frame (the device keeps fetched frames) and
     compared against a baseline that re-sends a full I-frame every step.
-    A replayed trace must start on the grid and hop only to neighbors.
-    The result holds each distinct step outcome once and one id per step.
+    With no `trace` the walk takes `horizon` seeded steps from the grid
+    middle. A replay starts at the trace's first point and takes one step per
+    later point, each only to a neighbor, reading the trace as it walks; it
+    must take from 1 to `horizon` steps, and reading stops at the point past
+    that. The result holds each distinct step outcome once and one id per step.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -311,16 +302,13 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     hop_deadlines = [deadline * max(math.hypot(dx, dy), 1.0)
                      for dx, dy in ((0, 0), (1, 0), (1, 1))]
 
-    path = mobility.trace
-    if path:
-        if len(path) < horizon + 1:
-            raise ValueError(
-                f"trace has {len(path)} points but horizon {horizon} needs {horizon + 1}"
-            )
-        current = path[0]
-    else:
+    if trace is None:
+        points = None
         current = (world.width // 2, world.height // 2)
-    if not world.contains(current):
+    else:
+        points = iter(trace)
+        current = next(points, None)
+    if current is not None and not world.contains(current):
         raise ValueError(f"start point {_clip(str(current))} outside grid")
 
     halves = _halves(seed)             # each pick is the one rng.integers would draw
@@ -342,25 +330,26 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
     bytes_tx = 0.0
 
     for step in range(1, horizon + 1):
+        if points is not None and (nxt := next(points, None)) is None:
+            break
         # pre-render panoramas for every neighbor (the work the edge performs
         # each step so any move is covered)
         near = around.get(current)
         if near is None:
             options = neighbors(world, current)
-            if not options and not path:    # a one-point floor: the walk stays put
+            if not options and points is None:      # a one-point floor: the walk stays put
                 options = [current]
             near = around[current] = (options, [None] * len(options))
         options, ids = near
-        if path:
-            nxt = path[step]
+        if points is None:
+            i = _bounded(halves, len(options))
+            nxt = options[i]
+        else:
             try:
                 i = options.index(nxt)
             except ValueError:
                 raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
                                  f"{_clip(str(nxt))} is not to a grid neighbour") from None
-        else:
-            i = _bounded(halves, len(options))
-            nxt = options[i]
         oid = ids[i]
         if oid is None:
             hop = abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])
@@ -378,8 +367,11 @@ def simulate_walk(world: GridWorld, timing: TimingModel, mobility: MobilitySpec,
         step_outcomes.append(oid)
         current = nxt
 
+    if points is not None and (not step_outcomes or next(points, None) is not None):
+        raise ValueError(f"trace has {f'more than {horizon}' if step_outcomes else 'no'} steps; "
+                         f"a walk takes from 1 to {horizon}")
     return WalkResult(bytes_transmitted=bytes_tx,
-                      bytes_all_i_baseline=horizon * encoding.base_i_size,
+                      bytes_all_i_baseline=len(step_outcomes) * encoding.base_i_size,
                       outcomes=outcomes, step_outcomes=step_outcomes)
 
 
@@ -399,14 +391,12 @@ def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
                       f"got {echo}{longer}")
 
 
-def load_trace(path: str | Path) -> tuple[Coord, ...]:
-    """Read a mobility trace: one `step_index x y` line per point, with step
-    indices strictly increasing in file order. Fields are ASCII integers;
-    blank lines and lines starting with `#` are skipped. A line is read at
-    most _TRACE_LINE_CHARS + 1 characters at a time, and a longer one is
-    malformed. A trace longer than the longest walk (MAX_WALK_STEPS steps)
-    is refused as soon as its next point is read."""
-    points: list[Coord] = []
+def load_trace(path: str | Path) -> Iterator[Coord]:
+    """Each point of a mobility trace, read as it is asked for: one
+    `step_index x y` line per point, with step indices strictly increasing in
+    file order. Fields are ASCII integers; blank lines and lines starting with
+    `#` are skipped. A line is read at most _TRACE_LINE_CHARS + 1 characters
+    at a time, and a longer one is malformed."""
     last: int | None = None
     with open(path) as fh:
         lines = iter(partial(fh.readline, _TRACE_LINE_CHARS + 1), "")
@@ -424,13 +414,8 @@ def load_trace(path: str | Path) -> tuple[Coord, ...]:
             if last is not None and index <= last:
                 raise ValueError(f"{str(path)!r}:{lineno}: step index {index} does not follow "
                                  f"{last}; indices must strictly increase")
-            if len(points) > MAX_WALK_STEPS:
-                raise ConfigError(f"--trace: {str(path)!r}:{lineno}: more than "
-                                  f"{MAX_WALK_STEPS + 1} points; a walk takes at most "
-                                  f"{MAX_WALK_STEPS} steps")
             last = index
-            points.append((x, y))
-    return tuple(points)
+            yield x, y
 
 
 class _Reprs(dict):

@@ -51,7 +51,7 @@ from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, Solv
                             cloud_utility)
 from renderopt.diffusion.denoiser import DenoiserConfig
 from renderopt.diffusion.schedule import NoiseSchedule
-from renderopt.prerender import (Coord, EncodingSpec, GridWorld, MobilitySpec, TimingModel,
+from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
                                  step_latency)
 
@@ -326,23 +326,24 @@ def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord
     return assignment
 
 
-def walk_eager(world: GridWorld, timing: TimingModel, mobility: MobilitySpec, horizon: int,
-               seed: int, encoding: EncodingSpec, panorama_work: float = 100.0):
+def walk_eager(world: GridWorld, timing: TimingModel, horizon: int, seed: int,
+               encoding: EncodingSpec, panorama_work: float,
+               trace: tuple[Coord, ...] | None = None):
     """(entered frames, latencies, missed flags, bytes transmitted) of
     `simulate_walk`: every frame encoded up front from the brute-force
     segmentation, then the same path, caching and deadline rules, each
-    recomputed at every step."""
+    recomputed at every step. A `trace` here holds exactly horizon + 1 points."""
     regions = segment_regions_bruteforce(world)
     frames = {p: encode_frame(p, encoding, regions) for p in regions}
     deadline = hop_deadline(world, timing)
     rng = np.random.default_rng(seed)
-    current = mobility.trace[0] if mobility.trace else (world.width // 2, world.height // 2)
+    current = trace[0] if trace else (world.width // 2, world.height // 2)
     fetched, bytes_tx = set(), 0.0
     entered, latencies, missed = [], [], []
     for step in range(1, horizon + 1):
         options = neighbors(world, current)
-        if mobility.trace:
-            nxt = mobility.trace[step]
+        if trace:
+            nxt = trace[step]
         else:
             nxt = options[int(rng.integers(len(options)))] if options else current
         frame = frames[nxt]

@@ -13,14 +13,15 @@ from conftest import SMOKE_TRAIN, SMOKE_WIDTH, STRIDE, T_NOISE
 from oracles import nash_grid, random_instance, sweep_argmax_price
 from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig, generate_workload, run_policy
 from renderopt.cli import EXIT_OK, main
+from renderopt.config import WalkSettings
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig,
                                  NoiseSchedule, interaction_probabilities,
                                  reverse_denoise, skip_step_infer, train)
 from renderopt.diffusion.denoiser import analytic_gradient_check
 from renderopt.diffusion.sampling import reconstruct_preferences
 from renderopt.game import SolverSettings, solve_stackelberg
-from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
-                                 TimingModel, hop_deadline, simulate_walk)
+from renderopt.prerender import (EncodingSpec, GridWorld, TimingModel, hop_deadline,
+                                 simulate_walk)
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
 
 
@@ -57,8 +58,8 @@ def test_criterion_2_deadline_arithmetic():
     timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=8000.0,
                          avatar_speed=1.0)
     deadline = hop_deadline(world, timing)
-    result = simulate_walk(world, timing, MobilitySpec(), 10_000, seed=1,
-                           encoding=EncodingSpec())
+    result = simulate_walk(world, timing, 10_000, 1, EncodingSpec(),
+                           WalkSettings().panorama_work)
     max_latency = max(result.per_step_latency)
     ok = deadline == 20.0 and max_latency <= 20.0 and result.deadline_misses == 0
     _verdict(2, ok, f"hop deadline {deadline} ms (== 20), max step latency "
@@ -71,8 +72,7 @@ def test_criterion_3_compression_saving():
     world = GridWorld(width=20, height=20, region_side=5)
     timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=8000.0)
     encoding = EncodingSpec(ratio_floor=0.1, decay=4.0)
-    result = simulate_walk(world, timing, MobilitySpec(), 500, seed=0,
-                           encoding=encoding)
+    result = simulate_walk(world, timing, 500, 0, encoding, WalkSettings().panorama_work)
     elapsed = time.monotonic() - start
     ratio = result.bytes_transmitted / result.bytes_all_i_baseline
     ok = ratio <= 0.5 and elapsed < 5.0

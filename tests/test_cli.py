@@ -52,10 +52,11 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
-def _run_cli(*argv, timeout=60, memory_cap=None):
-    """`python -m renderopt.cli argv` in a fresh interpreter, so warnings reach
-    stderr as they would for a user; `memory_cap` bytes of address space, if
-    given, make a blow-up fail the run instead of exhausting the host."""
+def _run_cli(*argv, timeout=60, memory_cap=None, cwd=None):
+    """`python -m renderopt.cli argv` in a fresh interpreter, in `cwd` if given,
+    so warnings reach stderr as they would for a user; `memory_cap` bytes of
+    address space, if given, make a blow-up fail the run instead of exhausting
+    the host."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
 
@@ -63,7 +64,7 @@ def _run_cli(*argv, timeout=60, memory_cap=None):
         resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
 
     return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], capture_output=True,
-                          text=True, timeout=timeout, env=env,
+                          text=True, timeout=timeout, env=env, cwd=cwd,
                           preexec_fn=cap if memory_cap else None)
 
 
@@ -176,6 +177,26 @@ class TestPrerenderSim:
                         memory_cap=2 << 30)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((out / "walk_summary.json").read_text())["steps"] == 500
+
+    def test_longest_replay_walks_in_bounded_memory(self, tmp_path):
+        # the replay read its whole trace before the walk and peaked at ~100 MB
+        trace, out = tmp_path / "long.trace", tmp_path / "out"
+        with open(trace, "w") as fh:
+            fh.writelines(f"{i} {i % 2} 0\n" for i in range(MAX_WALK_STEPS + 1))
+        # the peak RSS of the command alone: of the only child of a wrapper
+        wrapper = ("import resource, subprocess, sys; "
+                   "code = subprocess.run(sys.argv[1:]).returncode; "
+                   "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m",
+                               "renderopt.cli", "prerender-sim", "--trace", str(trace),
+                               "--out-dir", str(out)], capture_output=True, text=True,
+                              timeout=180, env={**os.environ, "PYTHONPATH": src})
+        code, peak_kib = map(int, proc.stdout.split())      # ru_maxrss is in KiB on Linux
+        assert code == EXIT_OK, proc.stderr
+        with open(out / "walk_steps.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == 1 + MAX_WALK_STEPS
+        assert peak_kib < 60 * 1024
 
     def test_seed_changes_walk(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -473,19 +494,47 @@ class TestErrorPaths:
         assert not (tmp_path / "new").exists()
         assert capsys.readouterr().err.count("\n") == 2
 
-    TRACES = [("0 0 0\n1 5 5\n", "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
-              ("0 0 0\n1 1 0\n1 2 0\n", "path.trace':3: step index 1 does not follow 1")]
+    # Every fault a --trace file can hold. Malformed lines and bad hops named no
+    # option; the long coordinates (start, hop) were echoed in full, in lines of
+    # ~4 000 characters. An int is that many points, back and forth along row 0.
+    TRACES = {
+        "missing": (None, "cannot read 'path.trace': No such file or directory"),
+        "directory": ("<dir>", "cannot read 'path.trace': Is a directory"),
+        "non-utf-8": (b"0 0 0\n1 \xff 0\n", "cannot read 'path.trace': 'utf-8' codec can't "
+                                            "decode byte 0xff"),
+        "malformed": ("0 0 0\n1 1.5 0\n", "'path.trace':2: expected 'step_index x y' "
+                                          "integers, got '1 1.5 0'"),
+        "duplicate-index": ("0 0 0\n1 1 0\n1 2 0\n", "'path.trace':3: step index 1 does not "
+                                                    "follow 1; indices must strictly increase"),
+        "one-point": ("0 3 3\n", "trace has no steps; a walk takes from 1 to 1000000"),
+        "start": ("0 " + "9" * 4000 + " 0\n1 0 0\n",
+                  "start point (" + "9" * 59 + "... outside grid"),
+        "teleport": ("0 0 0\n1 5 5\n",
+                     "trace step 1: hop (0, 0) -> (5, 5) is not to a grid neighbour"),
+        "hop": ("0 0 0\n1 " + "9" * 4000 + " 0\n",
+                "trace step 1: hop (0, 0) -> (" + "9" * 59 + "... is not to a grid neighbour"),
+        "past-the-cap": (MAX_WALK_STEPS + 2, f"trace has more than {MAX_WALK_STEPS} steps; "
+                                             f"a walk takes from 1 to {MAX_WALK_STEPS}"),
+    }
 
-    @pytest.mark.parametrize("text, problem", TRACES, ids=["teleport", "duplicate-index"])
-    def test_bad_trace_exits_config_with_one_line(self, tmp_path, capsys, text, problem):
-        trace_path = tmp_path / "path.trace"
-        trace_path.write_text(text)
-        code = main(["prerender-sim", "--trace", str(trace_path),
-                     "--out-dir", str(tmp_path / "x")])
+    @pytest.mark.parametrize("text, problem", TRACES.values(), ids=TRACES)
+    def test_bad_trace_exits_config_with_one_line(self, tmp_path, monkeypatch, capsys, text,
+                                                  problem):
+        monkeypatch.chdir(tmp_path)
+        trace = tmp_path / "path.trace"
+        if text == "<dir>":
+            trace.mkdir()
+        elif isinstance(text, int):
+            with open(trace, "w") as fh:
+                fh.writelines(f"{i} {i % 2} 0\n" for i in range(text))
+        elif text is not None:
+            trace.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = main(["prerender-sim", "--trace", "path.trace", "--out-dir", "x"])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.count("\n") == 1
-        assert err.startswith("prerender-sim: error: ") and problem in err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("prerender-sim: config error: --trace: ") and problem in err
+        assert not (tmp_path / "x").exists()
 
     # int() reads both as integers, so such a trace used to walk and exit 0
     @hyp_settings(max_examples=60, deadline=None)
@@ -512,35 +561,9 @@ class TestErrorPaths:
             code = main(["prerender-sim", "--trace", str(trace), "--out-dir", f"{tmp}/out"])
             assert code == EXIT_CONFIG
             assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith(f"prerender-sim: error: {str(trace)!r}:{line + 1}: "
-                                             f"expected 'step_index x y' integers, got ")
-
-    def test_trace_past_the_walk_cap_exits_config_with_one_line(self, tmp_path, capsys):
-        trace = tmp_path / "long.trace"
-        with open(trace, "w") as fh:
-            for i in range(MAX_WALK_STEPS + 2):
-                fh.write(f"{i} {i % 2} 0\n")
-        code = main(["prerender-sim", "--trace", str(trace), "--out-dir", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"prerender-sim: config error: --trace: {str(trace)!r}:{MAX_WALK_STEPS + 2}: more "
-            f"than {MAX_WALK_STEPS + 1} points; a walk takes at most {MAX_WALK_STEPS} steps\n")
-        assert not (tmp_path / "x").exists()
-
-    # both echoed every digit: lines of ~4 000 characters
-    LONG_COORDINATES = [("0 " + "9" * 4000 + " 0\n1 0 0\n", "start point (" + "9" * 59 + "..."),
-                        ("0 0 0\n1 " + "9" * 4000 + " 0\n",
-                         "trace step 1: hop (0, 0) -> (" + "9" * 59 + "... is not")]
-
-    @pytest.mark.parametrize("text, problem", LONG_COORDINATES, ids=["start", "hop"])
-    def test_long_trace_coordinate_echo_is_capped(self, tmp_path, capsys, text, problem):
-        trace = tmp_path / "path.trace"
-        trace.write_text(text)
-        code = main(["prerender-sim", "--trace", str(trace), "--out-dir", str(tmp_path / "x")])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.count("\n") == 1 and len(err) < 200
-        assert err.startswith("prerender-sim: error: ") and problem in err
+            assert err.getvalue().startswith(f"prerender-sim: config error: --trace: "
+                                             f"{str(trace)!r}:{line + 1}: expected "
+                                             f"'step_index x y' integers, got ")
 
     # both exited 2 with `step N outside [1, S]`, naming no key
     NOISE_STEPS = [("bench-run", {"bench": {"t_noise": 1400}}, None,
@@ -612,6 +635,33 @@ class TestErrorPaths:
             f"{str(blocker)!r} is a directory\n")
         assert [p.name for p in out.iterdir()] == ["walk_summary.json"]
         assert not any(blocker.iterdir())
+
+    # each repeated the command name, or named the option last and not the value
+    USAGE = {
+        "no-checkpoint": (["diffusion-infer"],
+                          "--checkpoint: must name a trained model archive, got none"),
+        "users": (["diffusion-infer", "--checkpoint", "model.npz", "--users", "0"],
+                  "--users: must be in [1, 10000], got 0"),
+        "unknown-policy": (["bench-run", "--policies", "none,wizard"],
+                           "--policies: 'wizard' is not one of proposed, mdp, random_opt, none, "
+                           "got 'none,wizard'"),
+        "policy-twice": (["bench-run", "--policies", "mdp, none,mdp"],
+                         "--policies: must name 'mdp' once, got 'mdp, none,mdp'"),
+        "no-policy": (["bench-run", "--policies", " , "],
+                      "--policies: must name a policy, got ' , '"),
+        "nul-out-dir": (["game-solve", "--out-dir", "a\0b"],
+                        "--out-dir: must be a path without a NUL character, got 'a\\x00b'"),
+    }
+
+    @pytest.mark.parametrize("argv, line", USAGE.values(), ids=USAGE)
+    def test_usage_error_names_the_option_then_the_value(self, tmp_path, monkeypatch, capsys,
+                                                          argv, line):
+        monkeypatch.chdir(tmp_path)
+        if "--out-dir" not in argv:
+            argv = [*argv, "--out-dir", "x"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{argv[0]}: config error: {line}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["prerender-sim", "game-solve"])
     def test_negative_seed_exits_config_with_one_line(self, tmp_path, capsys, command):
@@ -880,12 +930,14 @@ def _damaged_checkpoint(path: Path, entry, edit) -> bytes:
 
 
 # each ended in a traceback: a member that is no .npy file (numpy returns its
-# bytes), a header declaring 8 TiB, a header its tokenizer cannot read, and
-# an unsupported compression method in the central directory
+# bytes), a header declaring 8 TiB, a header its tokenizer cannot read, an
+# unsupported compression method in the central directory, and a directory
+# record flagging compressed patched data (zipfile's NotImplementedError)
 @example(damage=("meta.npy", ("cut", 0, b"\x00")))
 @example(damage=("params.npy", ("shape", (2**40,))))
 @example(damage=("standardizer.mean.npy", ("overwrite", 121, b";}\xae")))
 @example(damage=(None, ("overwrite", -144, b"\x1c|S\x88\t")))
+@example(damage=(None, ("overwrite", -258, b"\x00 ")))
 @hyp_settings(max_examples=40, deadline=None)
 @given(damage=checkpoint_edits())
 def test_any_damaged_checkpoint_exits_cleanly(fuzz_inputs, tmp_path_factory, damage):
@@ -1017,29 +1069,81 @@ def test_any_prerender_section_exits_cleanly(tmp_path_factory, section):
         assert sum(1 for _ in fh) == 1 + section["steps"]
 
 
+# Values for each leaf of the pricing game: the cloud, the solver and each default
+# node. Iteration caps are drawn at most 10 (and as wrong types), so every solve
+# ends in seconds however the other values let it converge.
+_GAME_LEAVES = [path[1:] for path, value in _key_paths(DEFAULTS)
+                if path[0] == "game" and not isinstance(value, (dict, list))]
+_ITERS = st.one_of(st.integers(-2, 10), _WRONG_TYPES, st.sampled_from([0.5, 1e308, True]))
+_GAME_VALUES = {"br_max_iters": _ITERS, "price_max_iters": _ITERS,
+                "id": st.one_of(st.text(max_size=4), _WRONG_TYPES, st.sampled_from([0, 1e308]))}
+
+
+@st.composite
+def game_sections(draw):
+    """The default game section with 1-3 of its leaves set to other values."""
+    section = json.loads(json.dumps(DEFAULTS["game"]))
+    for path in draw(st.lists(st.sampled_from(_GAME_LEAVES), min_size=1, max_size=3,
+                              unique=True)):
+        node = section
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(_GAME_VALUES.get(path[-1], _FLOAT_VALUES))
+    return section
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(section=game_sections())
+def test_any_game_section_exits_cleanly(tmp_path_factory, section):
+    """game-solve on a config whose game section has 1-3 leaves edited: exit 0
+    with strict JSON (and a warning line at most), or exit 2 or 3 with one
+    stderr line; no traceback, in bounded time and memory."""
+    base = tmp_path_factory.mktemp("game-fuzz")
+    (base / "config.json").write_text(json.dumps({"game": section}))
+    proc = _run_cli("game-solve", "--config", str(base / "config.json"),
+                    "--out-dir", str(base / "out"), timeout=60, memory_cap=2 << 30)
+    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode != EXIT_OK:
+        assert proc.stderr.startswith("game-solve: ") and proc.stderr.count("\n") == 1, \
+            proc.stderr
+        return
+    assert proc.stderr.count("\n") <= 1, proc.stderr         # a convergence warning at most
+
+    def reject(constant):
+        raise ValueError(f"{constant} in a JSON artifact")
+
+    record = json.loads((base / "out" / "equilibrium.json").read_text(), parse_constant=reject)
+    assert record["price"] > 0
+
+
 def _odd_solver_config(key):
     tree = json.loads(json.dumps(DEFAULTS))
     tree["game"]["solver"][key] = 1e-300
     return json.dumps(tree).encode()
 
 
-# each ran game-solve past a minute or ended in a ZeroDivisionError traceback
+# each ran game-solve past a minute or ended in a ZeroDivisionError traceback,
+# and a NUL in out_dir ended in a ValueError traceback from the clean-up
 @example(payload=_odd_solver_config("br_tolerance"))
 @example(payload=_odd_solver_config("fd_epsilon_frac"))
+@example(payload=json.dumps({"out_dir": "a\0b"}).encode())
 @hyp_settings(max_examples=40, deadline=None)
 @given(payload=config_bytes())
 def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
-    """game-solve, which validates every section, on an edited config file:
-    exit 0, or exit 2 with one stderr line; no traceback, in bounded time."""
+    """game-solve, which validates every section, on an edited config file,
+    writing where its `out_dir` says: exit 0, or exit 2 with one stderr line
+    and nothing made; no traceback, in bounded time."""
     base = tmp_path_factory.mktemp("config-fuzz")
     (base / "config.json").write_bytes(payload)
-    proc = _run_cli("game-solve", "--config", str(base / "config.json"),
-                    "--out-dir", str(base / "out"), timeout=30, memory_cap=2 << 30)
+    proc = _run_cli("game-solve", "--config", "config.json", timeout=30, memory_cap=2 << 30,
+                    cwd=base)
     assert "Traceback" not in proc.stderr, proc.stderr
     if proc.returncode == EXIT_OK:
         assert proc.stderr.count("\n") <= 1, proc.stderr     # a convergence warning at most
-        assert (base / "out" / "equilibrium.json").is_file()
+        assert len(list(base.rglob("equilibrium.json"))) == 1
     else:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.startswith("game-solve: ") and proc.stderr.count("\n") == 1, \
             proc.stderr
+        assert [p.name for p in base.iterdir()] == ["config.json"]

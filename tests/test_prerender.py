@@ -9,8 +9,8 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from oracles import (save_trace, segment_regions_bruteforce, walk_eager, walk_steps,
                      write_walk_csv_rowwise)
 from renderopt import prerender
-from renderopt.errors import ConfigError
-from renderopt.prerender import (EncodingSpec, GridWorld, MobilitySpec,
+from renderopt.config import WalkSettings
+from renderopt.prerender import (EncodingSpec, GridWorld,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
                                  segment_regions, simulate_walk,
@@ -20,6 +20,7 @@ WORLD = GridWorld(width=20, height=20)
 TIMING = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=8000.0,
                      avatar_speed=1.0)
 ENCODING = EncodingSpec(base_i_size=100_000.0, ratio_floor=0.1, decay=4.0)
+WORK = WalkSettings().panorama_work
 
 
 class TestHopDeadline:
@@ -162,21 +163,18 @@ class TestStepLatency:
 
 class TestSimulateWalk:
     def test_default_walk_never_misses(self):
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(), 1000, seed=3,
-                               encoding=ENCODING)
+        result = simulate_walk(WORLD, TIMING, 1000, 3, ENCODING, WORK)
         assert result.deadline_misses == 0
         assert max(result.per_step_latency) <= hop_deadline(WORLD, TIMING)
 
     def test_tiny_bandwidth_misses_every_fresh_delta_step(self):
         starved = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=0.001)
         trace = tuple((x, 0) for x in range(20))  # row 0 holds no region centers
-        result = simulate_walk(WORLD, starved, MobilitySpec(trace=trace),
-                               19, seed=0, encoding=ENCODING)
+        result = simulate_walk(WORLD, starved, 19, 0, ENCODING, WORK, trace=trace)
         assert result.deadline_misses == result.steps == 19
 
     def test_compression_beats_full_frame_baseline(self):
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(), 500, seed=0,
-                               encoding=ENCODING)
+        result = simulate_walk(WORLD, TIMING, 500, 0, ENCODING, WORK)
         assert result.bytes_all_i_baseline == 500 * ENCODING.base_i_size
         assert result.bytes_transmitted <= result.bytes_all_i_baseline
         assert result.bytes_transmitted / result.bytes_all_i_baseline < 1.0
@@ -184,32 +182,29 @@ class TestSimulateWalk:
     def test_revisits_do_not_pay_twice(self):
         # oscillate between two non-center points: only two fresh fetches
         trace = tuple((0, 0) if i % 2 == 0 else (0, 1) for i in range(11))
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(trace=trace),
-                               10, seed=0, encoding=ENCODING)
+        result = simulate_walk(WORLD, TIMING, 10, 0, ENCODING, WORK, trace=trace)
         frames = {p: encode_frame(p, ENCODING, segment_regions(WORLD))
                   for p in ((0, 0), (0, 1))}
         assert result.bytes_transmitted == pytest.approx(
             frames[(0, 0)].size + frames[(0, 1)].size)
 
     def test_misses_bounded_by_steps(self):
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(), 200, seed=9,
-                               encoding=ENCODING)
+        result = simulate_walk(WORLD, TIMING, 200, 9, ENCODING, WORK)
         assert result.deadline_misses <= result.steps
 
     def test_seed_reproducibility(self):
-        a = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
-        b = simulate_walk(WORLD, TIMING, MobilitySpec(), 300, seed=11, encoding=ENCODING)
+        a = simulate_walk(WORLD, TIMING, 300, 11, ENCODING, WORK)
+        b = simulate_walk(WORLD, TIMING, 300, 11, ENCODING, WORK)
         assert walk_steps(a) == walk_steps(b)
         assert a.bytes_transmitted == b.bytes_transmitted
 
     def test_trace_outside_grid_rejected(self):
         with pytest.raises(ValueError):
-            simulate_walk(WORLD, TIMING, MobilitySpec(trace=((0, 0), (0, 20))), 1, seed=0,
-                          encoding=ENCODING)
+            simulate_walk(WORLD, TIMING, 1, 0, ENCODING, WORK, trace=((0, 0), (0, 20)))
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
-            simulate_walk(WORLD, TIMING, MobilitySpec(), 0, seed=0, encoding=ENCODING)
+            simulate_walk(WORLD, TIMING, 0, 0, ENCODING, WORK)
 
     def test_diagonal_deadline_scales_with_hop_length(self):
         world = GridWorld(width=10, height=10, diagonal=True)
@@ -217,42 +212,36 @@ class TestSimulateWalk:
         # diagonal one (28.28ms)
         timing = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=8000.0)
         enc = EncodingSpec(base_i_size=120_000.0, ratio_floor=1.0, decay=4.0)
-        straight = simulate_walk(world, timing,
-                                 MobilitySpec(trace=((0, 0), (1, 0))),
-                                 1, seed=0, encoding=enc)
-        diagonal = simulate_walk(world, timing,
-                                 MobilitySpec(trace=((0, 0), (1, 1))),
-                                 1, seed=0, encoding=enc)
+        straight = simulate_walk(world, timing, 1, 0, enc, WORK, trace=((0, 0), (1, 0)))
+        diagonal = simulate_walk(world, timing, 1, 0, enc, WORK, trace=((0, 0), (1, 1)))
         assert straight.deadline_misses == 1
         assert diagonal.deadline_misses == 0
 
     def test_teleporting_trace_hop_rejected(self):
-        mobility = MobilitySpec(trace=((0, 0), (1, 0), (5, 5)))
+        trace = ((0, 0), (1, 0), (5, 5))
         with pytest.raises(ValueError, match=r"trace step 2: hop \(1, 0\) -> \(5, 5\)"):
-            simulate_walk(WORLD, TIMING, mobility, 2, seed=0, encoding=ENCODING)
+            simulate_walk(WORLD, TIMING, 2, 0, ENCODING, WORK, trace=trace)
 
     def test_trace_hop_must_move(self):
-        mobility = MobilitySpec(trace=((3, 3), (3, 3)))
         with pytest.raises(ValueError, match="trace step 1"):
-            simulate_walk(WORLD, TIMING, mobility, 1, seed=0, encoding=ENCODING)
+            simulate_walk(WORLD, TIMING, 1, 0, ENCODING, WORK, trace=((3, 3), (3, 3)))
 
     def test_diagonal_trace_hop_legal_only_on_diagonal_floor(self):
-        mobility = MobilitySpec(trace=((0, 0), (1, 1), (2, 0)))
+        trace = ((0, 0), (1, 1), (2, 0))
         diag = GridWorld(width=20, height=20, diagonal=True)
-        assert simulate_walk(diag, TIMING, mobility, 2, seed=0, encoding=ENCODING).steps == 2
+        assert simulate_walk(diag, TIMING, 2, 0, ENCODING, WORK, trace=trace).steps == 2
         with pytest.raises(ValueError, match="trace step 1"):
-            simulate_walk(WORLD, TIMING, mobility, 2, seed=0, encoding=ENCODING)
+            simulate_walk(WORLD, TIMING, 2, 0, ENCODING, WORK, trace=trace)
 
     def test_walk_record_holds_each_step_fact_once(self):
         # a dict per step held ~6 MB for 20 000 steps; three per-step lists
         # (frame, latency, missed) held 25 bytes a step. One outcome id a step
         # is 8 bytes, plus the list's over-allocation.
         steps = 200_000
-        simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=3, encoding=ENCODING)  # imports done
+        simulate_walk(WORLD, TIMING, 10, 3, ENCODING, WORK)  # imports done
         tracemalloc.start()
         try:
-            result = simulate_walk(WORLD, TIMING, MobilitySpec(), steps, seed=3,
-                                   encoding=ENCODING)
+            result = simulate_walk(WORLD, TIMING, steps, 3, ENCODING, WORK)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -275,7 +264,7 @@ class TestSimulateWalk:
 
         monkeypatch.setattr(prerender, "encode_frame", counting)
         world = GridWorld(width=300, height=300)
-        result = simulate_walk(world, TIMING, MobilitySpec(), 400, seed=4, encoding=ENCODING)
+        result = simulate_walk(world, TIMING, 400, 4, ENCODING, WORK)
         assert sorted(calls) == sorted({frame.grid_point for frame, _, _ in result.outcomes})
 
 
@@ -290,15 +279,16 @@ def _neighbour_path(world, start, hops, rng):
 def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
     """Seeded and replayed walks equal the eager reference step by step, and
     their CSV is byte-equal to the one csv.writer writes row by row."""
-    mobilities = [MobilitySpec()]
+    traces = [None]
     if world.width * world.height > 1:      # a one-point floor has no hop to replay
         start = (0, world.height - 1)
-        trace = _neighbour_path(world, start, 600, np.random.default_rng(trace_seed))
-        mobilities.append(MobilitySpec(trace=trace))
-    for mobility in mobilities:
-        result = simulate_walk(world, timing, mobility, 600, seed=seed, encoding=ENCODING)
-        frames, latencies, missed, bytes_tx = walk_eager(world, timing, mobility, 600, seed,
-                                                         ENCODING)
+        traces.append(_neighbour_path(world, start, 600, np.random.default_rng(trace_seed)))
+    for trace in traces:
+        # a replay reads its points one at a time, as from a trace file
+        result = simulate_walk(world, timing, 600, seed, ENCODING, WORK,
+                               trace=None if trace is None else iter(trace))
+        frames, latencies, missed, bytes_tx = walk_eager(world, timing, 600, seed, ENCODING,
+                                                         WORK, trace)
         assert walk_steps(result) == (frames, latencies, missed)
         assert result.per_step_latency == latencies
         assert result.bytes_transmitted == bytes_tx
@@ -376,18 +366,18 @@ class TestTraceIO:
     def test_round_trip(self, tmp_path_factory, points):
         path = tmp_path_factory.mktemp("trace") / "walk.trace"
         save_trace(path, points)
-        assert load_trace(path) == tuple(points)
+        assert tuple(load_trace(path)) == tuple(points)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0 1\n")
         with pytest.raises(ValueError):
-            load_trace(path)
+            list(load_trace(path))
 
     def test_gaps_in_step_indices_allowed(self, tmp_path):
         path = tmp_path / "gaps.trace"
         path.write_text("# comment\n0 0 0\n\n3 1 0\n10 1 1\n")
-        assert load_trace(path) == ((0, 0), (1, 0), (1, 1))
+        assert tuple(load_trace(path)) == ((0, 0), (1, 0), (1, 1))
 
     @pytest.mark.parametrize("text, lineno", [("0 0 0\n1 1 0\n1 2 0\n", 3),
                                               ("0 0 0\n2 1 0\n1 2 0\n", 3),
@@ -396,36 +386,36 @@ class TestTraceIO:
         path = tmp_path / "bad.trace"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.trace':{lineno}: step index"):
-            load_trace(path)
+            list(load_trace(path))
 
     def test_non_integer_field_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0 0 0\n1 1.5 0\n")
         with pytest.raises(ValueError, match="bad.trace':2: expected"):
-            load_trace(path)
+            list(load_trace(path))
 
     def test_long_bad_line_echo_is_capped(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0 0 0\n1 0 " + "9" * 5000 + "\n")     # past int()'s digit limit
         with pytest.raises(ValueError) as info:
-            load_trace(path)
+            list(load_trace(path))
         assert str(info.value).endswith(f"bad.trace':2: expected 'step_index x y' integers, "
                                         f"got '1 0 {'9' * 56}'...")
 
-    def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(prerender, "MAX_WALK_STEPS", 5)
+    def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path):
         path = tmp_path / "long.trace"
-        path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(6)))
-        assert len(load_trace(path)) == 6
-        # the seventh point is refused before the malformed line after it is read
+        path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(6)) + "not a point\n")
+        # a 5-step walk reads its 6 points, then the malformed line after them
+        with pytest.raises(ValueError, match="long.trace':7: expected"):
+            simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
+        # a seventh point is refused before the malformed line after it is read
         path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(7)) + "not a point\n")
-        with pytest.raises(ConfigError, match=r"^--trace: .*long.trace':7: more than 6 points; "
-                                              r"a walk takes at most 5 steps$"):
-            load_trace(path)
+        with pytest.raises(ValueError, match="^trace has more than 5 steps; a walk takes "
+                                             "from 1 to 5$"):
+            simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
 
     def test_csv_export_schema(self, tmp_path):
-        result = simulate_walk(WORLD, TIMING, MobilitySpec(), 10, seed=0,
-                               encoding=ENCODING)
+        result = simulate_walk(WORLD, TIMING, 10, 0, ENCODING, WORK)
         path = tmp_path / "steps.csv"
         write_walk_csv(result, path)
         lines = path.read_text().strip().splitlines()
@@ -453,8 +443,19 @@ class TestValidation:
             EncodingSpec(decay=0.0)
 
     def test_mobility_invariants(self):
-        with pytest.raises(ValueError):
-            MobilitySpec(trace=((0, 0),))
+        # a replay takes one step per point after the start, from 1 to horizon steps
+        for points in range(8):
+            trace = [(i % 2, 0) for i in range(points)]
+            if 2 <= points <= 6:
+                result = simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=trace)
+                assert result.steps == points - 1
+                # the all-I baseline counts the steps walked
+                assert result.bytes_all_i_baseline == (points - 1) * ENCODING.base_i_size
+                continue
+            problem = "no" if points < 2 else "more than 5"
+            with pytest.raises(ValueError, match=f"^trace has {problem} steps; a walk takes "
+                                                 f"from 1 to 5$"):
+                simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=trace)
 
 
 @hyp_settings(max_examples=40, deadline=None)
@@ -471,7 +472,7 @@ def test_trace_loads_iff_indices_strictly_increase(tmp_path_factory, indices):
     path = tmp_path_factory.mktemp("trace") / "walk.trace"
     path.write_text("".join(f"{i} {n} 0\n" for n, i in enumerate(indices)))
     if all(a < b for a, b in zip(indices, indices[1:])):
-        assert load_trace(path) == tuple((n, 0) for n in range(len(indices)))
+        assert tuple(load_trace(path)) == tuple((n, 0) for n in range(len(indices)))
     else:
         with pytest.raises(ValueError, match="indices must strictly increase"):
-            load_trace(path)
+            list(load_trace(path))

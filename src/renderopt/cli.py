@@ -2,7 +2,9 @@
 
 Subcommands: game-solve, prerender-sim, diffusion-train, diffusion-infer,
 bench-run. Every run writes its artifacts plus a manifest.json listing them.
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure, each
+failure in one stderr line worded as `errors` words it: `<option>: must be
+<rule>, got <value>`, a value cut to 60 characters (argparse's too), a path whole.
 
 A command imports only what it runs. The names in `_LAZY` come from the
 numpy-backed modules (bench, diffusion, synthetic): the module `__getattr__`
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -29,7 +32,7 @@ from pathlib import Path
 from . import __version__
 from .config import (MAX_USERS, POLICY_VARIANTS, ExperimentConfig, PlantedConfig,
                      TrainSettings, load_config)
-from .errors import ConfigError, NumericalError, write_csv
+from .errors import ConfigError, NumericalError, check, located, shown, write_csv
 from .errors import write_json as _write_json     # the name the benchmark's tracer wraps
 from .game import solve_stackelberg
 from .prerender import MAX_WALK_STEPS, load_trace, simulate_walk, write_walk_csv
@@ -76,20 +79,14 @@ def _reading(option: str, path):
     """Report a file the user gave as a one-line usage error naming the option
     that gave it: one that cannot be read as `_path_from` does, and one whose
     content is not valid with the reason."""
-    with _path_from(option, path, "read"):
-        try:
-            yield
-        except UnicodeDecodeError:      # a ValueError, but one `_path_from` reports
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{option}: {exc}") from None
+    with _path_from(option, path, "read"), located(f"{option}: "):
+        yield
 
 
 def _check_noise_step(key: str, t_noise: int, schedule) -> None:
     """Refuse a noise step the schedule in use has no step for."""
-    if not 1 <= t_noise <= schedule.steps:
-        raise ConfigError(f"{key}: must be in [1, {schedule.steps}] (steps of the schedule "
-                          f"in use), got {t_noise}")
+    check(1 <= t_noise <= schedule.steps, key,
+          f"in [1, {schedule.steps}] (steps of the schedule in use)", t_noise)
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str,
@@ -169,8 +166,7 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
     import numpy as np
     if args.checkpoint is None:
         raise ConfigError("--checkpoint: must name a trained model archive, got none")
-    if not 1 <= args.users <= MAX_USERS:
-        raise ConfigError(f"--users: must be in [1, {MAX_USERS}], got {args.users}")
+    check(1 <= args.users <= MAX_USERS, "--users", f"in [1, {MAX_USERS}]", args.users)
     with _reading("--checkpoint", args.checkpoint):
         model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
     t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
@@ -209,14 +205,15 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
 def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
                   args) -> list[Path]:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    given = shown(args.policies)
     for i, p in enumerate(policies):
         if p not in POLICY_VARIANTS:
-            raise ConfigError(f"--policies: {p!r} is not one of {', '.join(POLICY_VARIANTS)}, "
-                              f"got {args.policies!r}")
+            raise ConfigError(f"--policies: {shown(p)} is not one of "
+                              f"{', '.join(POLICY_VARIANTS)}, got {given}")
         if p in policies[:i]:
-            raise ConfigError(f"--policies: must name {p!r} once, got {args.policies!r}")
+            raise ConfigError(f"--policies: must name {shown(p)} once, got {given}")
     if not policies:
-        raise ConfigError(f"--policies: must name a policy, got {args.policies!r}")
+        raise ConfigError(f"--policies: must name a policy, got {given}")
 
     # a checkpoint given is read whichever policies run, so a bad one is reported
     model = schedule = standardizer = None
@@ -256,10 +253,17 @@ _COMMANDS = {
 }
 
 
+# what argparse repeats of a command line: a quoted value, or a bare one
+# (compiled by `re` on the first error, so a run without one does not)
+_ARGPARSE_ECHO = (r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|"""
+                  r"(?<=^unrecognized arguments: ).+|(?<=^ambiguous option: ).+(?= could match)")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one line, without the usage text."""
+    """Reports a usage error in one line, without the usage text, its echoes cut."""
 
     def error(self, message: str):
+        message = re.sub(_ARGPARSE_ECHO, lambda m: shown(m.group(), str), message)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
@@ -305,17 +309,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError(f"--seed: must be an integer >= 0, got {args.seed}")
+            check(args.seed is None or args.seed >= 0, "--seed", "an integer >= 0", args.seed)
             with _path_from("--config", args.config, "read"):
                 config = load_config(args.config)
             seed = args.seed if args.seed is not None else config.run.seed
-            if args.out_dir == "":           # Path("") is the working directory
-                raise ConfigError("--out-dir: must be a non-empty string, got ''")
-            if args.out_dir is not None and "\0" in args.out_dir:
-                raise ConfigError(f"--out-dir: must be a path without a NUL character, "
-                                  f"got {args.out_dir!r}")
-            if args.out_dir is not None:
+            if args.out_dir is not None:      # Path("") would be the working directory
+                check(args.out_dir != "", "--out-dir", "a non-empty string", args.out_dir)
+                check("\0" not in args.out_dir, "--out-dir", "a path without a NUL character",
+                      args.out_dir)
                 option, out_dir = "--out-dir", Path(args.out_dir)
             else:
                 option, out_dir = "out_dir", Path(config.run.out_dir)

@@ -20,9 +20,9 @@ first used.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -144,8 +144,8 @@ class PlantedConfig:
     n_features: ClassVar[int] = 6
 
     def __post_init__(self):
-        if not 0 < self.interest_fraction < 1:
-            raise ValueError(f"interest_fraction must be in (0, 1), got {self.interest_fraction}")
+        check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
+              self.interest_fraction)
 
 
 @dataclass(frozen=True)
@@ -353,13 +353,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Load and validate a config file; None loads the pure defaults."""
+    """Load and validate a config file (None: the defaults); OSError if unreadable or too large."""
     if path is None:
         return parse_config("")
-    if not os.path.exists(path):        # unlike Path(""), which is ".", "" does not exist
-        raise ConfigError(f"--config: config file {str(path)!r} not found")
     with open(path, "rb") as fh:
         raw = fh.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
-        raise ConfigError(f"--config: {str(path)!r} is larger than {MAX_CONFIG_BYTES} bytes")
+        raise OSError(errno.EFBIG, f"larger than {MAX_CONFIG_BYTES} bytes")
     return parse_config(raw.decode())

@@ -13,8 +13,9 @@ no entry other than those four, the header through the config file's
 validator (no key missing or unknown, each of its JSON type and range), a
 ``params`` vector exactly as long as that network's tensors, both standardizer
 tensors with one entry per feature and a positive ``std``, and every stored
-number finite. A failed check raises one ``ValueError`` naming the entry or
-header key, e.g. ``checkpoint header config.heads: missing``.
+number finite. A path is read only if it names a regular file, not a device
+such as ``/dev/zero``. A failed check raises one ``ValueError`` naming what
+failed, e.g. ``checkpoint header config.heads: missing``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import tokenize
 import zipfile
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict
 from os import PathLike
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ..errors import _build, _merge, check
+from ..errors import _build, _merge, check, located, shown
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 from .schedule import NoiseSchedule
@@ -58,15 +59,6 @@ def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
                 "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
 
 
-@contextmanager
-def _header_key():
-    """Re-raise a ValueError or ConfigError as one ValueError about the header."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"checkpoint header {exc}") from None
-
-
 def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """The float64 tensor stored at `key`, after checking its dtype, shape and values."""
     if key not in entries:
@@ -75,7 +67,7 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     if arr.dtype.kind != "f":
         raise ValueError(f"checkpoint tensor {key}: not a floating-point array")
     if arr.shape != shape:
-        raise ValueError(f"checkpoint tensor {key}: shape {arr.shape} does not match "
+        raise ValueError(f"checkpoint tensor {key}: shape {shown(arr.shape)} does not match "
                          f"{shape} implied by the header config")
     if not np.isfinite(arr).all():
         raise ValueError(f"checkpoint tensor {key}: holds non-finite values")
@@ -92,16 +84,16 @@ def _read_entries(file) -> dict[str, np.ndarray]:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
             if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-                raise ValueError(f"entry {key!r}: compressed or encrypted")
+                raise ValueError(f"entry {shown(key)}: compressed or encrypted")
             with archive.open(info) as fh:
                 if np.lib.format.read_magic(fh) != (1, 0):
-                    raise ValueError(f"entry {key!r}: not a .npy file of format 1.0")
+                    raise ValueError(f"entry {shown(key)}: not a .npy file of format 1.0")
                 # every entry must be 1-D, where Fortran and C order agree
                 shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
                 data = fh.read()
             if math.prod(shape) * dtype.itemsize != len(data):
-                raise ValueError(f"entry {key!r}: header declares shape {shape} of {dtype}, "
-                                 f"but {len(data)} data bytes follow")
+                raise ValueError(f"entry {shown(key)}: header declares shape {shown(shape)} "
+                                 f"of {shown(dtype, str)}, but {len(data)} data bytes follow")
             entries[key] = np.frombuffer(data, dtype=dtype).reshape(shape)
     return entries
 
@@ -109,12 +101,14 @@ def _read_entries(file) -> dict[str, np.ndarray]:
 def load_checkpoint(path: str | Path | BinaryIO):
     """Returns (model, schedule, standardizer) from a path or an open binary file.
 
-    Raises ValueError, naming the entry or header key, for an archive that
-    does not match its own header (see the module docstring). A path that
-    cannot be opened raises OSError; an OSError once it is open is damage,
-    such as a directory record that sends a seek before the start of the file.
+    Raises ValueError for a path that is not a regular file and, naming the
+    entry or header key, for an archive that does not match its own header.
+    A path that cannot be opened raises OSError; an OSError once it is open
+    is damage, such as a directory record that sends a seek before the start.
     """
     with open(path, "rb") if isinstance(path, (str, PathLike)) else nullcontext(path) as file:
+        if file is not path and not Path(path).is_file():
+            raise ValueError(f"{str(path)!r}: not a regular file")
         try:
             entries = _read_entries(file)
         # numpy's .npy header parser lets its tokenizer's error through, and
@@ -137,16 +131,16 @@ def load_checkpoint(path: str | Path | BinaryIO):
     if not isinstance(meta, dict):
         raise ValueError(f"checkpoint header: expected an object, got {type(meta).__name__}")
     # the version alone first: a header of another format holds other keys
-    with _header_key():
+    with located("checkpoint header "):
         version = _merge({"format_version": FORMAT_VERSION},
                          {k: v for k, v in meta.items() if k == "format_version"},
                          "", required=True)["format_version"]
     if version != FORMAT_VERSION:
-        raise ValueError(f"checkpoint format {version} != supported {FORMAT_VERSION}")
+        raise ValueError(f"checkpoint format {shown(version)} != supported {FORMAT_VERSION}")
     unknown = sorted(entries.keys() - set(ENTRIES))
     if unknown:
-        raise ValueError(f"checkpoint entry {unknown[0]!r}: not one of {', '.join(ENTRIES)}")
-    with _header_key():
+        raise ValueError(f"checkpoint entry {shown(unknown[0])}: not one of {', '.join(ENTRIES)}")
+    with located("checkpoint header "):
         meta = _merge(_HEADER, meta, "", required=True)
         config = _build("config", DenoiserConfig, meta["config"])
         schedule = _build("schedule", NoiseSchedule, meta["schedule"])

@@ -1,25 +1,28 @@
-"""Shared exception and warning types, the one validator for JSON input, and
-the one writer of each artifact format: JSON, and CSV with floats as their repr.
+"""Shared exception and warning types, the wording of every fault, the one
+validator for JSON input, and the one writer of each artifact format: JSON, and
+CSV with floats as their repr.
 
-The config file and a checkpoint's ``meta`` header are both checked against a
-tree of defaults by `_merge` and built into dataclasses by `_build`, so each
-type rule and message form is written once. This module imports no other
-``renderopt`` module, so any of them can import it.
+A fault reads ``<where>: must be <rule>, got <value>`` (`check`), each value cut
+to 60 characters (`shown`); `located` prefixes where a ValueError came from. The
+config file and a checkpoint's ``meta`` header are both checked against a tree
+of defaults by `_merge` and built into dataclasses by `_build`. This module
+imports no other ``renderopt`` module, so any of them can import it.
 """
 
 import csv
 import difflib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
 
-class ConfigError(ValueError):
-    """Raised when a config file cannot be parsed or fails validation.
+_ECHO_CHARS = 60                       # longest part of a user's input a message repeats
 
-    The message names the offending key path (e.g. ``diffusion.learning_rate``).
-    """
+
+class ConfigError(ValueError):
+    """Raised when a user's input fails validation; the message names where first."""
 
 
 class NumericalError(RuntimeError):
@@ -51,19 +54,32 @@ def write_csv(path: str | Path, header, rows) -> None:
                          for row in rows)
 
 
-def check(ok: bool, field: str, requirement: str, value) -> None:
-    """Raise ``ValueError("<field>: must be <requirement>, got <value>")`` unless ok.
+def shown(value, show=repr) -> str:
+    """`show` of `value`, cut to _ECHO_CHARS characters and then "..." if longer."""
+    text = show(value)
+    return text[:_ECHO_CHARS] + ("..." if len(text) > _ECHO_CHARS else "")
 
-    Every dataclass validates its fields through this one message form, so
-    `_build` can prefix the section's key path to name the offending key.
+
+def check(ok: bool, field: str, requirement: str, value) -> None:
+    """Raise ``ConfigError("<field>: must be <requirement>, got <value>")`` unless ok.
+
+    Every dataclass validates its fields, and `cli` its options, through this one
+    message form; `_build` prefixes the section's key path to name the offending key.
     """
     if not ok:
-        raise ValueError(f"{field}: must be {requirement}, got {value!r}")
+        raise ConfigError(f"{field}: must be {requirement}, got {shown(value)}")
 
 
-def _suggest(key: str, known) -> str:
-    matches = difflib.get_close_matches(key, list(known), n=1)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
+@contextmanager
+def located(where: str):
+    """Re-raise a ValueError from the block as a ConfigError prefixed by `where`;
+    a UnicodeDecodeError passes, for the reader of the file to report."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _finite_number(value) -> bool:
@@ -87,8 +103,7 @@ def _leaf(default, value, path: str):
         ok, kind = value is None or _finite_number(value), "null or a finite number"
     else:
         ok, kind = _finite_number(value), "a finite number"
-    if not ok:
-        raise ConfigError(f"{path}: must be {kind}, got {value!r}")
+    check(ok, path, kind, value)
     return value
 
 
@@ -101,8 +116,10 @@ def _merge(defaults, user, path: str, required: bool = False):
         prefix = path + "." if path else ""
         for key in user:
             if key not in defaults:
-                name = key if key.isprintable() else repr(key)    # keep the message one line
-                raise ConfigError(f"{prefix}{name}: unknown key{_suggest(key, defaults)}")
+                name = shown(key, str if key.isprintable() else repr)   # one line
+                near = difflib.get_close_matches(key, list(defaults), n=1)
+                hint = f"; did you mean {near[0]!r}?" if near else ""
+                raise ConfigError(f"{prefix}{name}: unknown key{hint}")
         out = {}
         for key, dval in defaults.items():
             if key in user:
@@ -115,7 +132,7 @@ def _merge(defaults, user, path: str, required: bool = False):
     if isinstance(defaults, list):
         # entries follow the first default entry, with every key required
         if not isinstance(user, list) or not user:
-            raise ConfigError(f"{path}: expected a non-empty list of objects, got {user!r}")
+            raise ConfigError(f"{path}: expected a non-empty list of objects, got {shown(user)}")
         return [_merge(defaults[0], entry, f"{path}[{i}]", required=True)
                 for i, entry in enumerate(user)]
     return _leaf(defaults, user, path)
@@ -128,7 +145,5 @@ def _copy(value):
 def _build(path: str, cls, section: dict):
     """cls from the section's keys that are its fields; a ValueError names the key path."""
     kwargs = {f.name: section[f.name] for f in fields(cls) if f.init and f.name in section}
-    try:
+    with located(f"{path}." if path else ""):
         return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None

@@ -21,7 +21,7 @@ from itertools import count, islice
 from operator import index
 from pathlib import Path
 
-from .errors import check
+from .errors import check, shown
 
 Coord = tuple[int, int]
 
@@ -241,14 +241,6 @@ def step_latency(frame: PanoramaFrame, timing: TimingModel, work: float,
     return timing.t_request + work / timing.render_throughput + transmit
 
 
-_ECHO_CHARS = 60                       # longest part of a user's input an error repeats
-
-
-def _clip(text: str, show=str) -> str:
-    """`show` of the first _ECHO_CHARS characters of `text`, then "..." if cut."""
-    return show(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
-
-
 _DRAW_BLOCK = 1024                     # raw 64-bit draws a seeded walk takes at a time
 
 
@@ -309,7 +301,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
         points = iter(trace)
         current = next(points, None)
     if current is not None and not world.contains(current):
-        raise ValueError(f"start point {_clip(str(current))} outside grid")
+        raise ValueError(f"start point {shown(current)} outside grid")
 
     halves = _halves(seed)             # each pick is the one rng.integers would draw
     outcomes: list[tuple[PanoramaFrame, float, bool]] = []
@@ -348,8 +340,8 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
             try:
                 i = options.index(nxt)
             except ValueError:
-                raise ValueError(f"trace step {step}: hop {_clip(str(current))} -> "
-                                 f"{_clip(str(nxt))} is not to a grid neighbour") from None
+                raise ValueError(f"trace step {step}: hop {shown(current)} -> {shown(nxt)} "
+                                 f"is not to a grid neighbour") from None
         oid = ids[i]
         if oid is None:
             hop = abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])
@@ -384,11 +376,10 @@ _TRACE_LINE_CHARS = 16_384
 
 
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
-    echo = _clip(line.strip(), repr)
     longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
         if len(line) > _TRACE_LINE_CHARS else ""
     return ValueError(f"{str(path)!r}:{lineno}: expected 'step_index x y' integers, "
-                      f"got {echo}{longer}")
+                      f"got {shown(line.strip())}{longer}")
 
 
 def load_trace(path: str | Path) -> Iterator[Coord]:
@@ -412,8 +403,8 @@ def load_trace(path: str | Path) -> Iterator[Coord]:
             except ValueError:          # longer than int's digit limit
                 raise _bad_trace_line(path, lineno, line) from None
             if last is not None and index <= last:
-                raise ValueError(f"{str(path)!r}:{lineno}: step index {index} does not follow "
-                                 f"{last}; indices must strictly increase")
+                raise ValueError(f"{str(path)!r}:{lineno}: step index {shown(index)} does not "
+                                 f"follow {shown(last)}; indices must strictly increase")
             last = index
             yield x, y
 
@@ -422,8 +413,8 @@ class _Reprs(dict):
     """Float to its repr, computed on first lookup."""
 
     def __missing__(self, value: float) -> str:
-        shown = self[value] = repr(float(value))
-        return shown
+        text = self[value] = repr(float(value))
+        return text
 
 
 def write_walk_csv(result: WalkResult, path: str | Path) -> None:

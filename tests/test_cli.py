@@ -19,7 +19,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from oracles import save_trace
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from renderopt.config import DEFAULTS
+from renderopt.config import DEFAULTS, parse_config
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
 from renderopt.prerender import MAX_WALK_STEPS
@@ -430,22 +430,28 @@ class TestErrorPaths:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: config error: ") and named in proc.stderr
 
-    # each was read whole: /dev/zero died with a MemoryError traceback, and the
-    # whitespace line and the padded config walked and solved with exit 0
+    # each was read whole: /dev/zero died with a MemoryError traceback (for a
+    # checkpoint in zipfile's end-record scan, or was killed for memory), and
+    # the whitespace line and the padded config walked and solved with exit 0
     UNBOUNDED = [
         ("prerender-sim", "--trace", "/dev/zero",
          "'/dev/zero':1: expected 'step_index x y' integers, got '\\x00"),
         ("game-solve", "--config", "/dev/zero",
-         "--config: '/dev/zero' is larger than 1048576 bytes"),
+         "--config: cannot read '/dev/zero': larger than 1048576 bytes"),
         ("prerender-sim", "--trace", "0 1 1\n" + " " * 20_000 + "\n1 2 1\n",
          "long.input':2: expected 'step_index x y' integers, got '' in a line longer than "
          "16384 characters"),
         ("game-solve", "--config", "{}" + " " * (1 << 20),
-         "--config: '{tmp}/long.input' is larger than 1048576 bytes"),
+         "--config: cannot read '{tmp}/long.input': larger than 1048576 bytes"),
+        ("diffusion-infer", "--checkpoint", "/dev/zero",
+         "--checkpoint: '/dev/zero': not a regular file"),
+        ("bench-run", "--checkpoint", "/dev/zero",
+         "--checkpoint: '/dev/zero': not a regular file"),
     ]
 
     @pytest.mark.parametrize("command, option, source, problem", UNBOUNDED,
-                             ids=["trace-zero", "config-zero", "trace-line", "config-size"])
+                             ids=["trace-zero", "config-zero", "trace-line", "config-size",
+                                  "infer-checkpoint-zero", "bench-checkpoint-zero"])
     def test_unbounded_input_exits_config_with_one_line(self, tmp_path, command, option,
                                                         source, problem):
         if not source.startswith("/dev/"):
@@ -459,6 +465,42 @@ class TestErrorPaths:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: ")
         assert problem.format(tmp=tmp_path) in proc.stderr
+
+    # each repeated the whole value, in a line of 4 000 to 500 000 characters;
+    # ("member", name) is a trained checkpoint with one more member of that name
+    LONG_ECHOES = {
+        "policies": (["bench-run", "--policies", "x" * 100_000], None),
+        "seed": (["game-solve", "--seed", "9" * 5_000], None),
+        "command": (["x" * 100_000], None),
+        "argument": (["game-solve", "y" * 100_000], None),
+        "trace-index": (["prerender-sim", "--trace", "in.trace"],
+                        "9" * 4_001 + " 0 0\n" + "9" * 4_001 + " 1 0\n"),
+        "config-string": (["game-solve", "--config", "in.json"],
+                          {"diffusion": {"learning_rate": "x" * 100_000}}),
+        "config-key": (["game-solve", "--config", "in.json"], {"k" * 100_000: 1}),
+        "config-list": (["game-solve", "--config", "in.json"], {"out_dir": [0] * 100_000}),
+        "checkpoint-member": (["diffusion-infer", "--checkpoint", "in.npz"],
+                              ("member", "m" * 10_000 + ".npy")),
+    }
+
+    @pytest.mark.parametrize("argv, content", LONG_ECHOES.values(), ids=LONG_ECHOES)
+    def test_long_value_is_echoed_cut(self, tmp_path, argv, content):
+        if isinstance(content, dict):
+            _write_config(tmp_path, content, "in.json")
+        elif isinstance(content, tuple):
+            raw = io.BytesIO()
+            save_checkpoint(raw, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                            NoiseSchedule(), Standardizer(mean=np.zeros(6), std=np.ones(6)))
+            with zipfile.ZipFile(raw, "a") as archive:
+                archive.writestr(content[1], archive.read("params.npy"))
+            (tmp_path / "in.npz").write_bytes(raw.getvalue())
+        elif content is not None:
+            (tmp_path / "in.trace").write_text(content)
+        proc = _run_cli(*argv, "--out-dir", "out", timeout=30, memory_cap=2 << 30,
+                        cwd=tmp_path)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[:300]
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= 300, proc.stderr[:300]
+        assert "..." in proc.stderr
 
     # both exited 0 with Infinity and NaN in their JSON artifacts
     NON_FINITE = [
@@ -674,7 +716,7 @@ class TestErrorPaths:
 
     PATHS = [("game-solve", "--config", "adir", "cannot read 'adir': Is a directory"),
              ("game-solve", "--config", "binary", "cannot read 'binary': 'utf-8' codec"),
-             ("game-solve", "--config", "no\npe", "config file 'no\\npe' not found"),
+             ("game-solve", "--config", "no\npe", "cannot read 'no\\npe': No such file"),
              ("prerender-sim", "--trace", "adir", "cannot read 'adir': Is a directory"),
              ("prerender-sim", "--trace", "nope", "cannot read 'nope': No such file"),
              ("diffusion-infer", "--checkpoint", "adir", "cannot read 'adir': Is a directory"),
@@ -682,7 +724,7 @@ class TestErrorPaths:
              ("game-solve", "--out-dir", "afile", "cannot create directory 'afile': File exists"),
              ("game-solve", "--out-dir", "afile/sub", "cannot create directory 'afile/sub'"),
              # an empty path is not the working directory
-             ("game-solve", "--config", "", "config file '' not found"),
+             ("game-solve", "--config", "", "cannot read '': No such file"),
              ("prerender-sim", "--trace", "", "cannot read '': No such file"),
              ("bench-run", "--checkpoint", "", "cannot read '': No such file"),
              ("game-solve", "--out-dir", "", "must be a non-empty string, got ''")]
@@ -969,9 +1011,11 @@ def _key_paths(tree, path=()):
 
 _CONFIG_PATHS = [path for path, _ in _key_paths(DEFAULTS)]
 _OBJECT_PATHS = [()] + [path for path, value in _key_paths(DEFAULTS) if isinstance(value, dict)]
-# wrong JSON types, and numbers out of most ranges: signs, extremes, non-finite
-_ODD_VALUES = [None, True, "x", "", [], {}, [1], {"a": 1}, -1, 0, 0.5, 1e-300, -1e308, 1e308,
-               2**63, 10**400, float("nan"), float("inf"), float("-inf")]
+# wrong JSON types, long values a message must cut, and numbers out of most
+# ranges: signs, extremes, non-finite
+_ODD_VALUES = [None, True, "x", "", "x" * 10_000, [], {}, [1], [0] * 10_000, {"a": 1}, -1, 0,
+               0.5, 1e-300, -1e308, 1e308, 2**63, 10**400, float("nan"), float("inf"),
+               float("-inf")]
 
 
 @st.composite
@@ -1005,116 +1049,141 @@ def config_bytes(draw):
     return text.encode()
 
 
-# Values for each leaf of the prerender section. Sizes are bounded here: a walk
-# of up to 20 000 steps runs in about a second, and a longer `steps` is drawn only
-# past MAX_WALK_STEPS, where it is refused before any walking; floor sides stay
-# at most 10**6. So every example ends in seconds because of what it declares.
-_PRERENDER_LEAVES = [path[1:] for path, value in _key_paths(DEFAULTS)
-                     if path[0] == "prerender" and not isinstance(value, dict)]
+# Values for each leaf of each section, by section and leaf name; a leaf not
+# named takes _FLOAT_VALUES. Sizes are bounded here, so every example ends in
+# seconds because of what it declares, and a larger size is drawn only past
+# its config bound, where it is refused before any work:
+# - prerender: a walk of up to 20 000 steps runs in about a second; floor sides
+#   stay at most 10**6.
+# - game: iteration caps are at most 10, so every solve ends in seconds however
+#   the other values let it converge.
+# - diffusion and bench: epochs <= 2, users <= 64, d_model <= 64, schedule
+#   steps <= 2 000, scenes <= 8, regions_per_scene <= 200, and other counts
+#   at most a few hundred; the other sections keep the fuzz config's sizes.
 _WRONG_TYPES = st.sampled_from([None, "x", "", [], {}, [1], float("nan")])
-_SIDE_VALUES = st.one_of(st.integers(-2, 10**6), _WRONG_TYPES, st.sampled_from([True, 0.5, 4.0]))
-_PRERENDER_VALUES = {
-    "steps": st.one_of(st.integers(-2, 20_000), _WRONG_TYPES, st.sampled_from(
-        [0.5, 1e308, MAX_WALK_STEPS + 1, 2**63, 10**400])),
-    "width": _SIDE_VALUES, "height": _SIDE_VALUES, "region_side": _SIDE_VALUES,
-    "diagonal": st.one_of(st.booleans(), _WRONG_TYPES, st.sampled_from([0, 1, "true"])),
-}
 _FLOAT_VALUES = st.one_of(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
                           st.floats(-300.0, 308.0).map(lambda e: -10.0 ** e), _WRONG_TYPES,
                           st.sampled_from([0, 0.0, 3, True, float("inf"), 1e309, 10**400]))
 
 
-@st.composite
-def prerender_sections(draw):
-    """The default prerender section with 1-3 of its leaves set to other values."""
-    section = json.loads(json.dumps(DEFAULTS["prerender"]))
-    for path in draw(st.lists(st.sampled_from(_PRERENDER_LEAVES), min_size=1, max_size=3,
-                              unique=True)):
-        node = section
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = draw(_PRERENDER_VALUES.get(path[-1], _FLOAT_VALUES))
-    return section
+def _ints(lo, hi, *refused):
+    """An integer in [lo, hi] half the time; else a wrong type, a float, or one of `refused`."""
+    return st.integers(lo, hi) | st.sampled_from(
+        [None, "x", "", [], {}, [1], float("nan"), 0.5, 1e308, *refused])
 
 
-@example(section={**DEFAULTS["prerender"], "width": 10**6, "height": 1, "steps": 20_000})
-@example(section={**DEFAULTS["prerender"], "width": 1, "height": 1, "diagonal": True})
-@example(section={**DEFAULTS["prerender"], "encoding": {"base_i_size": 1e308}})  # sums overflow
-@example(section={**DEFAULTS["prerender"], "timing": {"t_request": 1e308}})
-@hyp_settings(max_examples=40, deadline=None)
-@given(section=prerender_sections())
-def test_any_prerender_section_exits_cleanly(tmp_path_factory, section):
-    """prerender-sim on a config whose prerender section has 1-3 leaves edited:
-    exit 0 with strict JSON and one CSV row per step, or exit 2 or 3 with one
-    stderr line; no traceback, in bounded time and memory."""
-    base = tmp_path_factory.mktemp("prerender-fuzz")
-    (base / "config.json").write_text(json.dumps({"prerender": section}))
-    proc = _run_cli("prerender-sim", "--config", str(base / "config.json"),
-                    "--out-dir", str(base / "out"), timeout=60, memory_cap=2 << 30)
-    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
-    if proc.returncode != EXIT_OK:
-        assert proc.stderr.startswith("prerender-sim: ") and proc.stderr.count("\n") == 1, \
-            proc.stderr
-        return
-    assert proc.stderr == ""
-
-    def reject(constant):
-        raise ValueError(f"{constant} in a JSON artifact")
-
-    summary = json.loads((base / "out" / "walk_summary.json").read_text(),
-                         parse_constant=reject)
-    assert summary["steps"] == section["steps"]
-    with open(base / "out" / "walk_steps.csv", newline="") as fh:
-        assert sum(1 for _ in fh) == 1 + section["steps"]
-
-
-# Values for each leaf of the pricing game: the cloud, the solver and each default
-# node. Iteration caps are drawn at most 10 (and as wrong types), so every solve
-# ends in seconds however the other values let it converge.
-_GAME_LEAVES = [path[1:] for path, value in _key_paths(DEFAULTS)
-                if path[0] == "game" and not isinstance(value, (dict, list))]
+_SIDE_VALUES = st.one_of(st.integers(-2, 10**6), _WRONG_TYPES, st.sampled_from([True, 0.5, 4.0]))
 _ITERS = st.one_of(st.integers(-2, 10), _WRONG_TYPES, st.sampled_from([0.5, 1e308, True]))
-_GAME_VALUES = {"br_max_iters": _ITERS, "price_max_iters": _ITERS,
-                "id": st.one_of(st.text(max_size=4), _WRONG_TYPES, st.sampled_from([0, 1e308]))}
+_EPOCHS = _ints(-2, 2)
+_USERS = _ints(-2, 64, 10_001, 10**12)
+_BATCH = _ints(-2, 100, 10**9)
+_SECTION_VALUES = {
+    "prerender": {
+        "steps": st.one_of(st.integers(-2, 20_000), _WRONG_TYPES, st.sampled_from(
+            [0.5, 1e308, MAX_WALK_STEPS + 1, 2**63, 10**400])),
+        "width": _SIDE_VALUES, "height": _SIDE_VALUES, "region_side": _SIDE_VALUES,
+        "diagonal": st.one_of(st.booleans(), _WRONG_TYPES, st.sampled_from([0, 1, "true"])),
+    },
+    "game": {"br_max_iters": _ITERS, "price_max_iters": _ITERS,
+             "id": st.one_of(st.text(max_size=4), _WRONG_TYPES, st.sampled_from([0, 1e308]))},
+    "diffusion": {
+        "steps": _ints(-2, 2_000, 100_001, 2**63), "d_model": _ints(-2, 64, 1_026, 10**6),
+        "heads": _ints(-2, 64), "batch_size": _BATCH, "epochs": _EPOCHS,
+        "patience": _ints(-2, 10), "seq_len": _ints(-2, 130, 10**12),
+        "dataset_users": _USERS, "stride": _ints(-2, 2_000),
+        "infer_noise_step": _ints(-2, 2_000),
+    },
+    "bench": {
+        "scenes": _ints(-2, 8, 10**12), "frames_per_scene": _ints(-2, 7_200),
+        "fps": _ints(-2, 120), "regions_per_scene": _ints(-2, 200, 10**12),
+        "ro_samples": _ints(-2, 50), "stride": _ints(-2, 700), "t_noise": _ints(-2, 700),
+        "users": _USERS, "epochs": _EPOCHS, "batch_size": _BATCH, "patience": _ints(-2, 10),
+        "focus_quantile": st.none() | _FLOAT_VALUES,
+    },
+}
+# each section's fuzz starts from the fuzz config's tree, defaults filled in
+_FUZZ_TREE = parse_config(json.dumps(FUZZ_CONFIG)).data
+_SECTION_LEAVES = {name: [path[1:] for path, value in _key_paths(_FUZZ_TREE)
+                          if path[0] == name and not isinstance(value, (dict, list))]
+                   for name in _SECTION_VALUES}
+# each command that reads the section; diffusion-infer scores with the fuzz checkpoint
+_SECTION_COMMANDS = {"prerender": ["prerender-sim"], "game": ["game-solve"],
+                     "diffusion": ["diffusion-train", "diffusion-infer", "bench-run"],
+                     "bench": ["bench-run"]}
 
 
 @st.composite
-def game_sections(draw):
-    """The default game section with 1-3 of its leaves set to other values."""
-    section = json.loads(json.dumps(DEFAULTS["game"]))
-    for path in draw(st.lists(st.sampled_from(_GAME_LEAVES), min_size=1, max_size=3,
+def section_edits(draw, name):
+    """The fuzz config's section `name` with 1-3 of its leaves set to other values."""
+    section = json.loads(json.dumps(_FUZZ_TREE[name]))
+    for path in draw(st.lists(st.sampled_from(_SECTION_LEAVES[name]), min_size=1, max_size=3,
                               unique=True)):
         node = section
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = draw(_GAME_VALUES.get(path[-1], _FLOAT_VALUES))
+        node[path[-1]] = draw(_SECTION_VALUES[name].get(path[-1], _FLOAT_VALUES))
     return section
 
 
-@hyp_settings(max_examples=40, deadline=None)
-@given(section=game_sections())
-def test_any_game_section_exits_cleanly(tmp_path_factory, section):
-    """game-solve on a config whose game section has 1-3 leaves edited: exit 0
-    with strict JSON (and a warning line at most), or exit 2 or 3 with one
+def _check_section_runs(fuzz_inputs, base: Path, name: str, section: dict) -> None:
+    """Each command that reads section `name`, on the fuzz config with that
+    section replaced: exit 0 with strict JSON (and a warning line at most; none
+    from a walk, whose steps are all in its CSV), or exit 2 or 3 with one
     stderr line; no traceback, in bounded time and memory."""
-    base = tmp_path_factory.mktemp("game-fuzz")
-    (base / "config.json").write_text(json.dumps({"game": section}))
-    proc = _run_cli("game-solve", "--config", str(base / "config.json"),
-                    "--out-dir", str(base / "out"), timeout=60, memory_cap=2 << 30)
-    assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
-    if proc.returncode != EXIT_OK:
-        assert proc.stderr.startswith("game-solve: ") and proc.stderr.count("\n") == 1, \
-            proc.stderr
-        return
-    assert proc.stderr.count("\n") <= 1, proc.stderr         # a convergence warning at most
+    _, checkpoint = fuzz_inputs
+    config = base / "config.json"
+    config.write_text(json.dumps({**_FUZZ_TREE, name: section}))
 
     def reject(constant):
         raise ValueError(f"{constant} in a JSON artifact")
 
-    record = json.loads((base / "out" / "equilibrium.json").read_text(), parse_constant=reject)
-    assert record["price"] > 0
+    for command in _SECTION_COMMANDS[name]:
+        out = base / command
+        flags = ["--checkpoint", checkpoint] if command == "diffusion-infer" else []
+        proc = _run_cli(command, "--config", str(config), *flags, "--out-dir", str(out),
+                        timeout=60, memory_cap=2 << 30)
+        assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        if proc.returncode != EXIT_OK:
+            assert proc.stderr.startswith(f"{command}: ") and proc.stderr.count("\n") == 1, \
+                proc.stderr
+            continue
+        warning_lines = 0 if command == "prerender-sim" else 1
+        assert proc.stderr.count("\n") <= warning_lines, proc.stderr
+        records = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                   for p in out.glob("*.json")}
+        if command == "prerender-sim":
+            assert records["walk_summary.json"]["steps"] == section["steps"]
+            with open(out / "walk_steps.csv", newline="") as fh:
+                assert sum(1 for _ in fh) == 1 + section["steps"]
+        elif command == "game-solve":
+            assert records["equilibrium.json"]["price"] > 0
+
+
+@pytest.mark.parametrize("name", _SECTION_COMMANDS)
+@hyp_settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_config_section_exits_cleanly(fuzz_inputs, tmp_path_factory, name, data):
+    """Every command that reads a section, on a config whose section has 1-3
+    leaves edited (see `_check_section_runs`)."""
+    section = data.draw(section_edits(name), label=name)
+    _check_section_runs(fuzz_inputs, tmp_path_factory.mktemp(f"{name}-fuzz"), name, section)
+
+
+# fixed edits of the prerender section from the defaults: the longest walk
+# drawn on the widest floor, a one-point floor, and sums that overflow
+SECTION_EXAMPLES = {
+    "prerender-long-walk": ("prerender", {"width": 10**6, "height": 1, "steps": 20_000}),
+    "prerender-one-point": ("prerender", {"width": 1, "height": 1, "diagonal": True}),
+    "prerender-huge-frame": ("prerender", {"encoding": {"base_i_size": 1e308}}),
+    "prerender-huge-request": ("prerender", {"timing": {"t_request": 1e308}}),
+}
+
+
+@pytest.mark.parametrize("name, edit", SECTION_EXAMPLES.values(), ids=SECTION_EXAMPLES)
+def test_config_section_example_exits_cleanly(fuzz_inputs, tmp_path, name, edit):
+    section = {**DEFAULTS[name], **edit}
+    _check_section_runs(fuzz_inputs, tmp_path, name, section)
 
 
 def _odd_solver_config(key):
@@ -1124,16 +1193,20 @@ def _odd_solver_config(key):
 
 
 # each ran game-solve past a minute or ended in a ZeroDivisionError traceback,
-# and a NUL in out_dir ended in a ValueError traceback from the clean-up
+# a NUL in out_dir ended in a ValueError traceback from the clean-up, and a
+# long value was repeated whole
 @example(payload=_odd_solver_config("br_tolerance"))
 @example(payload=_odd_solver_config("fd_epsilon_frac"))
 @example(payload=json.dumps({"out_dir": "a\0b"}).encode())
+@example(payload=json.dumps({"diffusion": {"heads": "x" * 10_000}}).encode())
+@example(payload=json.dumps({"out_dir": [0] * 10_000}).encode())
 @hyp_settings(max_examples=40, deadline=None)
 @given(payload=config_bytes())
 def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
     """game-solve, which validates every section, on an edited config file,
     writing where its `out_dir` says: exit 0, or exit 2 with one stderr line
-    and nothing made; no traceback, in bounded time."""
+    of at most 300 characters (a path is repeated whole) and nothing made; no
+    traceback, in bounded time."""
     base = tmp_path_factory.mktemp("config-fuzz")
     (base / "config.json").write_bytes(payload)
     proc = _run_cli("game-solve", "--config", "config.json", timeout=30, memory_cap=2 << 30,
@@ -1146,4 +1219,6 @@ def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.startswith("game-solve: ") and proc.stderr.count("\n") == 1, \
             proc.stderr
+        assert len(proc.stderr) <= 300 or proc.stderr.startswith(
+            "game-solve: config error: out_dir: cannot create directory "), proc.stderr[:300]
         assert [p.name for p in base.iterdir()] == ["config.json"]

@@ -211,7 +211,7 @@ class TestValidation:
                 assert parent and msg.startswith(parent + ".") and leaf in msg, msg
 
     def test_missing_file_reported(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/config.json")
 
 

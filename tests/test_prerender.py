@@ -400,7 +400,7 @@ class TestTraceIO:
         with pytest.raises(ValueError) as info:
             list(load_trace(path))
         assert str(info.value).endswith(f"bad.trace':2: expected 'step_index x y' integers, "
-                                        f"got '1 0 {'9' * 56}'...")
+                                        f"got '1 0 {'9' * 55}...")
 
     def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path):
         path = tmp_path / "long.trace"

@@ -9,7 +9,6 @@ Usage: python scripts/bench_multiseed.py [--seeds N] [--out CSV]
 """
 
 import argparse
-import csv
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from renderopt.bench import (POLICY_VARIANTS, RenderPolicy, generate_workload, r
                              summary)
 from renderopt.cli import _train_denoiser
 from renderopt.config import load_config
+from renderopt.errors import write_csv
 
 
 def main() -> None:
@@ -55,13 +55,8 @@ def main() -> None:
         f1s = [r.f1 for r in agg[policy]]
         print(f"  {policy:11s} time {np.mean(times):6.2f}s  f1 {np.mean(f1s):.3f}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "policy", "mean_render_time_s", "accuracy",
-                         "recall", "f1"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
-                             repr(row[4]), repr(row[5])])
+    write_csv(args.out, ("seed", "policy", "mean_render_time_s", "accuracy", "recall", "f1"),
+              rows)
     print(f"wrote {args.out}")
 
 

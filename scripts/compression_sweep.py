@@ -9,9 +9,9 @@ Usage: python scripts/compression_sweep.py [--steps N] [--seed S] [--out CSV]
 """
 
 import argparse
-import csv
 
 from renderopt.config import WalkSettings
+from renderopt.errors import write_csv
 from renderopt.prerender import EncodingSpec, GridWorld, TimingModel, simulate_walk
 
 
@@ -35,11 +35,7 @@ def main() -> None:
             print(f"region_side={region_side} decay={decay}: "
                   f"bytes ratio {ratio:.3f}, misses {result.deadline_misses}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_side", "decay", "bytes_ratio", "deadline_misses"])
-        for row in rows:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), row[3]])
+    write_csv(args.out, ("region_side", "decay", "bytes_ratio", "deadline_misses"), rows)
     print(f"wrote {args.out}")
 
 

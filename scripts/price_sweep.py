@@ -6,14 +6,13 @@ Usage: python scripts/price_sweep.py [--config CONFIG] [--points N] [--out CSV]
 """
 
 import argparse
-import csv
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from renderopt.config import load_config
-from renderopt.errors import ConvergenceWarning
+from renderopt.errors import ConvergenceWarning, write_csv
 from renderopt.game import cloud_utility, solve_stackelberg
 
 
@@ -38,11 +37,7 @@ def main() -> None:
     prices, utils = price_sweep(cfg.cloud, nodes, cfg.solver, n_points=args.points)
     eq = solve_stackelberg(cfg.cloud, nodes, cfg.solver)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["price", "cloud_utility"])
-        for p, u in zip(prices, utils):
-            writer.writerow([repr(float(p)), repr(float(u))])
+    write_csv(args.out, ("price", "cloud_utility"), zip(prices, utils))
 
     print(f"wrote {args.points}-point sweep to {Path(args.out).resolve()}")
     print(f"solver price {eq.price:.6f}, utility {eq.cloud_utility:.6f}, "

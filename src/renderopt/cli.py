@@ -83,12 +83,6 @@ def _reading(option: str, path):
         yield
 
 
-def _check_noise_step(key: str, t_noise: int, schedule) -> None:
-    """Refuse a noise step the schedule in use has no step for."""
-    check(1 <= t_noise <= schedule.steps, key,
-          f"in [1, {schedule.steps}] (steps of the schedule in use)", t_noise)
-
-
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str,
                     seed: int, outputs: list[Path], started: str) -> Path:
     manifest = {
@@ -170,7 +164,7 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
     with _reading("--checkpoint", args.checkpoint):
         model, schedule, standardizer = _cli.load_checkpoint(args.checkpoint)
     t_noise, stride = config.diffusion.infer_noise_step, config.diffusion.stride
-    _check_noise_step("diffusion.infer_noise_step", t_noise, schedule)
+    schedule.check_step("diffusion.infer_noise_step", t_noise)
     planted = PlantedConfig(n_users=args.users, seq_len=config.diffusion.seq_len)
     eval_users = _cli.make_population(planted, seed=seed + 1_000_003)
     rng = np.random.default_rng(seed)
@@ -223,7 +217,7 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
     if "proposed" in policies:
         if schedule is None:
             schedule = config.schedule
-        _check_noise_step("bench.t_noise", config.policy.t_noise, schedule)
+        schedule.check_step("bench.t_noise", config.policy.t_noise)
         if model is None:
             result, standardizer = _train_denoiser(
                 config, config.bench_train, config.bench_train.users, seed + 7_777, seed)
@@ -320,8 +314,8 @@ def main(argv: list[str] | None = None) -> int:
                 option, out_dir = "--out-dir", Path(args.out_dir)
             else:
                 option, out_dir = "out_dir", Path(config.run.out_dir)
-            created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
             with _path_from(option, out_dir, "create directory"):
+                created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
                 out_dir.mkdir(parents=True, exist_ok=True)
                 staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
             started = datetime.now(timezone.utc).isoformat()

@@ -50,7 +50,7 @@ def _check_users(name: str, users: int) -> None:
 
 def _check_strided_step(name: str, step: int, stride: int) -> None:
     """A noise step denoised in strides: at least 1, and `stride` divides it.
-    A command that denoises checks it against its schedule (`cli._check_noise_step`)."""
+    A command that denoises checks it against its schedule (`NoiseSchedule.check_step`)."""
     check(step >= 1, name, "an integer >= 1", step)
     check(stride >= 1 and step % stride == 0, "stride", f"a positive divisor of {name} ({step})",
           stride)
@@ -82,7 +82,8 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variances beta_t and their signal survival products.
+    """Per-step variances beta_t and their signal survival products; which steps
+    the schedule has (`check_step`) and the forward marginal at one (`perturb`).
 
     betas rise linearly from beta_start to beta_end over `steps` steps;
     alpha_bar[t-1] = prod_{s<=t} (1 - beta_s) is the remaining signal power
@@ -111,13 +112,35 @@ class NoiseSchedule:
         import numpy as np
         return np.cumprod(1.0 - self.betas)
 
+    def check_step(self, name: str, t: int) -> None:
+        """Refuse a step `t`, given as `name`, that this schedule has no step for."""
+        if not 1 <= t <= self.steps:   # formats only on a refusal; a reverse step calls it twice
+            check(False, name, f"in [1, {self.steps}] (steps of the schedule in use)", t)
+
     def signal_level(self, t: int) -> float:
         """alpha_bar at step t (1-indexed); t = 0 means the clean signal."""
         if t == 0:
             return 1.0
-        if not 1 <= t <= self.steps:
-            raise ValueError(f"step {t} outside [1, {self.steps}]")
+        self.check_step("t", t)
         return float(self.alpha_bar[t - 1])
+
+    def perturb(self, features: np.ndarray, t, noise: np.ndarray) -> np.ndarray:
+        """Closed-form marginal of t perturbation steps applied at once.
+
+        Returns sqrt(alpha_bar_t) * features + sqrt(1 - alpha_bar_t) * noise. `t`
+        is one step for all of `features`, or an array of per-sample steps
+        indexing its leading axes (one per sequence of a (B, L, F) batch).
+        """
+        import numpy as np
+        features = np.asarray(features, dtype=np.float64)
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != features.shape:
+            raise ValueError(f"noise shape {noise.shape} != features shape {features.shape}")
+        t = np.asarray(t)
+        self.check_step("t", int(t.min()))
+        self.check_step("t", int(t.max()))
+        ab = self.alpha_bar[t - 1].reshape(t.shape + (1,) * (features.ndim - t.ndim))
+        return np.sqrt(ab) * features + np.sqrt(1.0 - ab) * noise
 
 
 @dataclass(frozen=True)
@@ -338,7 +361,8 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         try:
             user = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:   # the latter: nesting too deep
+        # a JSONDecodeError or an integer past the digit limit; or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")

@@ -32,10 +32,10 @@ from typing import BinaryIO
 
 import numpy as np
 
+from ..config import NoiseSchedule
 from ..errors import _build, _merge, check, located, shown
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
-from .schedule import NoiseSchedule
 
 FORMAT_VERSION = 3
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
@@ -112,10 +112,12 @@ def load_checkpoint(path: str | Path | BinaryIO):
         try:
             entries = _read_entries(file)
         # numpy's .npy header parser lets its tokenizer's error through, and
-        # zipfile reports a feature it does not support as NotImplementedError
+        # zipfile reports a feature it does not support as NotImplementedError;
+        # their text may span lines or repeat a whole header, so one line of it is cut
         except (EOFError, OSError, zipfile.BadZipFile, ValueError, tokenize.TokenError,
                 NotImplementedError) as exc:
-            raise ValueError(f"{str(path)!r}: not a readable .npz archive ({exc})") from None
+            reason = shown(str(exc).partition("\n")[0], str)
+            raise ValueError(f"{str(path)!r}: not a readable .npz archive ({reason})") from None
 
     if "meta" not in entries:
         raise ValueError("checkpoint has no meta header")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import NoiseSchedule, _check_strided_step
 from .denoiser import AttentionGatedDenoiser
-from .schedule import NoiseSchedule, forward_diffuse
 
 
 def _reverse_step(model: AttentionGatedDenoiser, x: np.ndarray, t: int, t_next: int,
@@ -30,12 +30,8 @@ def skip_step_infer(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.nd
     reconstruction.
     """
     t_start = schedule.steps if t_start is None else t_start
-    if not 1 <= t_start <= schedule.steps:
-        raise ValueError(f"t_start {t_start} outside [1, {schedule.steps}]")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if t_start % stride != 0:
-        raise ValueError(f"stride {stride} does not divide t_start {t_start}")
+    schedule.check_step("t_start", t_start)
+    _check_strided_step("t_start", t_start, stride)
     x = np.asarray(m_start, dtype=np.float64)
     for t in range(t_start, 0, -stride):
         x = _reverse_step(model, x, t, max(t - stride, 0), s, schedule)
@@ -56,7 +52,7 @@ def reconstruct_preferences(model: AttentionGatedDenoiser, schedule: NoiseSchedu
     This is the online path: the perturbation explores preference shifts and
     the conditional reverse process settles them under the resource vector.
     """
-    m_t = forward_diffuse(features_std, t_noise, schedule, noise)
+    m_t = schedule.perturb(features_std, t_noise, noise)
     return skip_step_infer(model, m_t, condition, schedule, stride, t_start=t_noise)
 
 

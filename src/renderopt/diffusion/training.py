@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NumericalError, write_csv
-from ..config import TrainSettings
+from ..config import NoiseSchedule, TrainSettings
 from .denoiser import AttentionGatedDenoiser, loss_and_grads
-from .schedule import NoiseSchedule, forward_diffuse
 
 # sequences per predict call when scoring a split; one chunk holds the default
 # splits, and summing then dividing once matches np.mean there bit for bit
@@ -69,8 +68,7 @@ def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
     total = 0.0
     for start in range(0, len(m), _EVAL_CHUNK):
         part = slice(start, start + _EVAL_CHUNK)
-        pred = model.predict(forward_diffuse(m[part], t[part], schedule, noise[part]),
-                             t[part], s[part])
+        pred = model.predict(schedule.perturb(m[part], t[part], noise[part]), t[part], s[part])
         total += np.sum((pred - noise[part]) ** 2)
     return float(total / noise.size)
 
@@ -132,7 +130,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
             mb, sb = m_tr[idx], s_tr[idx]
             tb = rng.integers(1, schedule.steps + 1, size=len(idx))
             noise = rng.standard_normal(mb.shape)
-            m_t = forward_diffuse(mb, tb, schedule, noise)
+            m_t = schedule.perturb(mb, tb, noise)
             loss, grad = loss_and_grads(model.params, model.config, m_t,
                                         tb.astype(np.float64), sb, noise)
             if not math.isfinite(loss):

@@ -23,7 +23,7 @@ multiplier without the per-region reward pair the policy sums.
 For trace files: the writer `load_trace` must read back.
 
 For the diffusion forward process: the literal step-by-step perturbation
-chain whose marginal `schedule.forward_diffuse` gives in closed form.
+chain whose marginal `NoiseSchedule.perturb` gives in closed form.
 
 For the denoiser's activation: the exact GELU, x Phi(x), and its derivative,
 element by element with `math.erf`; the network uses the tanh form.
@@ -49,8 +49,8 @@ import numpy as np
 from renderopt import bench, game
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility)
+from renderopt.config import NoiseSchedule
 from renderopt.diffusion.denoiser import DenoiserConfig
-from renderopt.diffusion.schedule import NoiseSchedule
 from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
                                  step_latency)
@@ -412,8 +412,7 @@ def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,
                      rng: np.random.Generator) -> np.ndarray:
     """Apply x <- sqrt(1 - beta_s) x + sqrt(beta_s) eps_s for s = 1..t."""
     x = np.asarray(features, dtype=np.float64).copy()
-    if not 1 <= t <= schedule.steps:
-        raise ValueError(f"step {t} outside [1, {schedule.steps}]")
+    schedule.check_step("t", t)
     for s in range(t):
         beta = schedule.betas[s]
         x = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * rng.standard_normal(x.shape)

@@ -21,7 +21,8 @@ from oracles import save_trace
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS, parse_config
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
-                                 Standardizer, load_checkpoint, save_checkpoint)
+                                 Standardizer, load_checkpoint, save_checkpoint,
+                                 skip_step_infer)
 from renderopt.prerender import MAX_WALK_STEPS
 
 FAST_DIFFUSION = {
@@ -396,6 +397,16 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith(f"game-solve: config error: {key}: ")
 
+    def test_integer_past_the_digit_limit_is_a_config_parse_error(self, tmp_path, capsys):
+        # json refuses it with a ValueError that exited 2 as `error: Exceeds the limit…`
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"seed": ' + "1" * 5_000 + "}")
+        code = main(["game-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert err.startswith("game-solve: config error: config parse error: Exceeds the limit")
+
     # each of these died with a MemoryError traceback, or ran until killed (scenes),
     # before its size had an upper bound
     OVERSIZED = [
@@ -652,6 +663,40 @@ class TestErrorPaths:
         if command == "diffusion-infer":
             summary = json.loads((out / "infer_summary.json").read_text())
             assert (summary["t_noise"], summary["denoiser_calls"]) == (800, 4)
+
+    # step 140 against a 100-step schedule, given to each entry point that takes a
+    # noise step: (name it is given as, how it is given); library faults were
+    # worded `step N outside [1, S]` or `t_start N outside [1, S]`
+    STEP_ENTRIES = {
+        "diffusion-infer": ("diffusion.infer_noise_step",
+                            ("diffusion-infer", {"diffusion": {"infer_noise_step": 140}})),
+        "bench-run": ("bench.t_noise", ("bench-run", {"bench": {"t_noise": 140}})),
+        "skip_step_infer": ("t_start", lambda schedule: skip_step_infer(
+            AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)), np.zeros((16, 6)),
+            np.zeros(4), schedule, stride=35, t_start=140)),
+        "perturb": ("t", lambda schedule: schedule.perturb(
+            np.zeros((2, 16, 6)), np.array([1, 140]), np.zeros((2, 16, 6)))),
+        "signal_level": ("t", lambda schedule: schedule.signal_level(140)),
+    }
+
+    @pytest.mark.parametrize("name, entry", STEP_ENTRIES.values(), ids=STEP_ENTRIES)
+    def test_every_step_fault_has_one_wording(self, tmp_path, capsys, name, entry):
+        schedule = NoiseSchedule(steps=100)
+        if callable(entry):
+            with pytest.raises(ValueError) as info:
+                entry(schedule)
+            message = str(info.value)
+        else:
+            command, payload = entry
+            ckpt = tmp_path / "checkpoint.npz"
+            save_checkpoint(ckpt, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                            schedule, Standardizer(mean=np.zeros(6), std=np.ones(6)))
+            assert main([command, "--config", _write_config(tmp_path, payload),
+                         "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "x")]) \
+                == EXIT_CONFIG
+            message = capsys.readouterr().err.removeprefix(f"{command}: config error: ")
+            message = message.removesuffix("\n")
+        assert message == f"{name}: must be in [1, 100] (steps of the schedule in use), got 140"
 
     def test_failed_run_leaves_an_earlier_runs_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o2"
@@ -926,10 +971,13 @@ def checkpoint_edits(draw):
     """How to damage a checkpoint: (entry, edit). With no entry the edit is made
     to the archive's bytes. An edited entry is stored again under a matching
     CRC, so the damage reaches the .npy reader: cut at an offset, a span
-    overwritten, the bytes replaced, or the .npy header's shape or dtype set."""
+    overwritten, the bytes replaced, the .npy header's shape or dtype set, or
+    the header grown past the 10 000 bytes numpy reads."""
     entry = draw(st.sampled_from([None, *_NPY_ENTRIES]))
-    kinds = ["cut", "overwrite", "replace"] + (["shape", "descr"] if entry else [])
+    kinds = ["cut", "overwrite", "replace"] + (["shape", "descr", "grow"] if entry else [])
     kind = draw(st.sampled_from(kinds))
+    if kind == "grow":              # to this many bytes, as format 1.0's 2-byte length allows
+        return entry, (kind, draw(st.integers(10_001, 65_535)))
     if kind == "shape":
         return entry, (kind, tuple(draw(st.lists(st.integers(0, 2**62), max_size=3))))
     if kind == "descr":
@@ -951,6 +999,11 @@ def _edit_bytes(raw: bytes, edit) -> bytes:
         out = io.BytesIO()
         np.lib.format.write_array_header_1_0(out, header)
         return out.getvalue() + raw[fh.tell():]
+    if kind == "grow":              # the header, after magic and length, padded with spaces
+        length = int.from_bytes(raw[8:10], "little")
+        header = raw[10:10 + length].rstrip(b"\n")
+        header += b" " * (rest[0] - len(header) - 1) + b"\n"
+        return raw[:8] + len(header).to_bytes(2, "little") + header + raw[10 + length:]
     offset, data = rest
     offset = max(0, len(raw) + offset) if offset < 0 else min(offset, len(raw))
     if kind == "cut":
@@ -974,12 +1027,14 @@ def _damaged_checkpoint(path: Path, entry, edit) -> bytes:
 # each ended in a traceback: a member that is no .npy file (numpy returns its
 # bytes), a header declaring 8 TiB, a header its tokenizer cannot read, an
 # unsupported compression method in the central directory, and a directory
-# record flagging compressed patched data (zipfile's NotImplementedError)
+# record flagging compressed patched data (zipfile's NotImplementedError); a
+# header past numpy's size limit printed numpy's three-line refusal
 @example(damage=("meta.npy", ("cut", 0, b"\x00")))
 @example(damage=("params.npy", ("shape", (2**40,))))
 @example(damage=("standardizer.mean.npy", ("overwrite", 121, b";}\xae")))
 @example(damage=(None, ("overwrite", -144, b"\x1c|S\x88\t")))
 @example(damage=(None, ("overwrite", -258, b"\x00 ")))
+@example(damage=("params.npy", ("grow", 30_000)))
 @hyp_settings(max_examples=40, deadline=None)
 @given(damage=checkpoint_edits())
 def test_any_damaged_checkpoint_exits_cleanly(fuzz_inputs, tmp_path_factory, damage):
@@ -1193,13 +1248,15 @@ def _odd_solver_config(key):
 
 
 # each ran game-solve past a minute or ended in a ZeroDivisionError traceback,
-# a NUL in out_dir ended in a ValueError traceback from the clean-up, and a
-# long value was repeated whole
+# a NUL in out_dir ended in a ValueError traceback from the clean-up, a long
+# value was repeated whole, and a too-long out_dir name failed the check for
+# what exists as `error: [Errno 36] File name too long`, naming no key
 @example(payload=_odd_solver_config("br_tolerance"))
 @example(payload=_odd_solver_config("fd_epsilon_frac"))
 @example(payload=json.dumps({"out_dir": "a\0b"}).encode())
 @example(payload=json.dumps({"diffusion": {"heads": "x" * 10_000}}).encode())
 @example(payload=json.dumps({"out_dir": [0] * 10_000}).encode())
+@example(payload=json.dumps({"out_dir": "x" * 10_000}).encode())
 @hyp_settings(max_examples=40, deadline=None)
 @given(payload=config_bytes())
 def test_any_config_file_exits_cleanly(tmp_path_factory, payload):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oracles import stepwise_perturb
-from renderopt.diffusion import NoiseSchedule, forward_diffuse
+from renderopt.config import NoiseSchedule
 
 
 class TestScheduleInvariants:
@@ -66,13 +66,13 @@ class TestForwardDiffuse:
     def test_near_identity_at_tiny_first_step(self):
         s = NoiseSchedule(steps=10, beta_start=1e-12, beta_end=1e-11)
         m = np.ones((4, 3))
-        out = forward_diffuse(m, 1, s, np.full((4, 3), 5.0))
+        out = s.perturb(m, 1, np.full((4, 3), 5.0))
         assert np.allclose(out, m, atol=1e-5)
 
     def test_zero_signal_leaves_scaled_noise(self):
         s = NoiseSchedule()
         noise = np.random.default_rng(0).standard_normal((8, 6))
-        out = forward_diffuse(np.zeros((8, 6)), 350, s, noise)
+        out = s.perturb(np.zeros((8, 6)), 350, noise)
         assert np.array_equal(out, np.sqrt(1.0 - s.alpha_bar[349]) * noise)
 
     def test_terminal_output_statistically_standard_normal(self):
@@ -80,21 +80,21 @@ class TestForwardDiffuse:
         rng = np.random.default_rng(1)
         m = np.full(10_000, 0.8)
         noise = rng.standard_normal(10_000)
-        out = forward_diffuse(m, 700, s, noise)
+        out = s.perturb(m, 700, noise)
         n = out.size
         assert abs(out.mean()) < 3.0 / np.sqrt(n) + np.sqrt(s.alpha_bar[-1]) * 0.8
         assert abs(out.var() - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            forward_diffuse(np.zeros((4, 3)), 10, NoiseSchedule(), np.zeros((3, 4)))
+            NoiseSchedule().perturb(np.zeros((4, 3)), 10, np.zeros((3, 4)))
 
     def test_step_bounds(self):
         s = NoiseSchedule()
         with pytest.raises(ValueError):
-            forward_diffuse(np.zeros(3), 0, s, np.zeros(3))
+            s.perturb(np.zeros(3), 0, np.zeros(3))
         with pytest.raises(ValueError):
-            forward_diffuse(np.zeros(3), 701, s, np.zeros(3))
+            s.perturb(np.zeros(3), 701, np.zeros(3))
 
     def test_per_sample_steps_match_one_call_per_sample(self):
         s = NoiseSchedule()
@@ -102,13 +102,13 @@ class TestForwardDiffuse:
         m = rng.standard_normal((5, 16, 6))
         noise = rng.standard_normal(m.shape)
         t = np.array([1, 140, 350, 699, 700])
-        batch = forward_diffuse(m, t, s, noise)
+        batch = s.perturb(m, t, noise)
         for i, step in enumerate(t):
-            assert np.array_equal(batch[i], forward_diffuse(m[i], int(step), s, noise[i]))
+            assert np.array_equal(batch[i], s.perturb(m[i], int(step), noise[i]))
             ab = s.alpha_bar[step - 1]
             assert np.array_equal(batch[i], np.sqrt(ab) * m[i] + np.sqrt(1.0 - ab) * noise[i])
         with pytest.raises(ValueError):
-            forward_diffuse(m, np.array([1, 2, 3, 4, 701]), s, noise)
+            s.perturb(m, np.array([1, 2, 3, 4, 701]), noise)
 
 
 def test_stepwise_chain_matches_closed_form_marginal():

@@ -10,7 +10,6 @@ from renderopt.diffusion import (Adam, AttentionGatedDenoiser, DenoiserConfig,
                                  NoiseSchedule, TrainSettings, train, write_curve_csv)
 from renderopt.diffusion.denoiser import (forward, init_weights, loss_and_grads, param_shapes,
                                           split_params)
-from renderopt.diffusion.schedule import forward_diffuse
 from renderopt.errors import NumericalError
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
 
@@ -107,8 +106,7 @@ class TestTrainMechanics:
         t = rng.integers(1, schedule.steps + 1, size=1)
         noise = rng.standard_normal((1,) + m.shape[1:])
         untrained = AttentionGatedDenoiser(TINY, seed=5)
-        pred = untrained.predict(forward_diffuse(m[held_out], t, schedule, noise), t,
-                                 s[held_out])
+        pred = untrained.predict(schedule.perturb(m[held_out], t, noise), t, s[held_out])
         assert result.history[0].val_loss == float(np.sum((pred - noise) ** 2) / noise.size)
 
     def test_deterministic_given_seed(self):

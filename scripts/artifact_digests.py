@@ -6,7 +6,8 @@
 
 Each subcommand runs as `python -m renderopt.cli <command> --seed 3` in a
 fresh interpreter with OPENBLAS_NUM_THREADS=1, first under the default config,
-then under the config of acceptance criterion 7 (tests/test_acceptance.py).
+then under the config of acceptance criterion 7 (`CRITERION_7` in
+tests/conftest.py, which tests/test_tooling.py checks this copy against).
 diffusion-infer reads the checkpoint diffusion-train wrote under the same
 config; bench-run trains its own model and writes its plot data too. Each
 line is `<config> <command> <sha256>`, the digest made by

@@ -4,7 +4,7 @@ Subcommands: game-solve, prerender-sim, diffusion-train, diffusion-infer,
 bench-run. Every run writes its artifacts plus a manifest.json listing them.
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure, each
 failure in one stderr line worded as `errors` words it: `<option>: must be
-<rule>, got <value>`, a value cut to 60 characters (argparse's too), a path whole.
+<rule>, got <value>`, a value or path cut to 60 characters (argparse's too).
 
 A command imports only what it runs. The names in `_LAZY` come from the
 numpy-backed modules (bench, diffusion, synthetic): the module `__getattr__`
@@ -27,6 +27,7 @@ import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain, takewhile
 from pathlib import Path
 
 from . import __version__
@@ -71,7 +72,7 @@ def _path_from(option: str, path, action: str):
         yield
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"{option}: cannot {action} {str(path)!r}: {reason}") from None
+        raise ConfigError(f"{option}: cannot {action} {shown(str(path))}: {reason}") from None
 
 
 @contextmanager
@@ -315,8 +316,14 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 option, out_dir = "out_dir", Path(config.run.out_dir)
             with _path_from(option, out_dir, "create directory"):
-                created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
-                out_dir.mkdir(parents=True, exist_ok=True)
+                # walked up to the first that exists, and made top down one at a
+                # time: listing every parent of a deep path takes memory quadratic
+                # in its depth, and `mkdir(parents=True)` recurses once per level
+                created = list(takewhile(lambda p: not p.exists(),
+                                         chain((out_dir,), out_dir.parents)))
+                for path in reversed(created):
+                    path.mkdir()
+                out_dir.mkdir(exist_ok=True)     # a file there fails as `File exists`
                 staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
             started = datetime.now(timezone.utc).isoformat()
             outputs = _COMMANDS[args.command](config, seed, staging, args)
@@ -325,8 +332,8 @@ def main(argv: list[str] | None = None) -> int:
             names = os.listdir(staging)
             for name in names:
                 if (out_dir / name).is_dir():
-                    raise ConfigError(f"{option}: cannot write into {str(out_dir)!r}: "
-                                      f"{str(out_dir / name)!r} is a directory")
+                    raise ConfigError(f"{option}: cannot write into {shown(str(out_dir))}: "
+                                      f"{shown(str(out_dir / name))} is a directory")
             with _path_from(option, out_dir, "write into"):
                 for name in names:
                     os.replace(staging / name, out_dir / name)

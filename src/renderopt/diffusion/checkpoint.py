@@ -108,7 +108,7 @@ def load_checkpoint(path: str | Path | BinaryIO):
     """
     with open(path, "rb") if isinstance(path, (str, PathLike)) else nullcontext(path) as file:
         if file is not path and not Path(path).is_file():
-            raise ValueError(f"{str(path)!r}: not a regular file")
+            raise ValueError(f"{shown(str(path))}: not a regular file")
         try:
             entries = _read_entries(file)
         # numpy's .npy header parser lets its tokenizer's error through, and
@@ -117,7 +117,8 @@ def load_checkpoint(path: str | Path | BinaryIO):
         except (EOFError, OSError, zipfile.BadZipFile, ValueError, tokenize.TokenError,
                 NotImplementedError) as exc:
             reason = shown(str(exc).partition("\n")[0], str)
-            raise ValueError(f"{str(path)!r}: not a readable .npz archive ({reason})") from None
+            raise ValueError(f"{shown(str(path))}: not a readable .npz archive "
+                             f"({reason})") from None
 
     if "meta" not in entries:
         raise ValueError("checkpoint has no meta header")

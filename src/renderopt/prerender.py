@@ -5,20 +5,21 @@ adjacent points must be covered by the hop deadline T = spacing / speed, which
 bounds request + render + transmit for the entered point's panorama. Points
 are grouped into square regions; each region's central panorama is a
 self-contained I-frame, every other point a smaller P-frame decoded against
-that center. Devices hold all I-frames from session start, and keep any
-P-frame they have already fetched, so a frame crosses the downlink at most
-once per walk.
+that center. So a walk needs one fact per entered point, its region's
+center, and `segment_regions` gives it as a function of the point: the
+nearest center, the lower one on a tie. Devices hold all I-frames from
+session start, and keep any P-frame they have already fetched, so a frame
+crosses the downlink at most once per walk.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
-from operator import index
 from pathlib import Path
 
 from .errors import check, shown
@@ -153,74 +154,45 @@ def neighbors(world: GridWorld, point: Coord) -> list[Coord]:
     return out
 
 
-def _nearest_tile(pos: int, length: int, k: int) -> tuple[int, int]:
-    """Along one axis: the tile whose center is nearest to `pos` (the lower
-    tile on a tie), and that center.
+def _nearest_tile(pos: int, length: int, k: int) -> int:
+    """Along one axis: the center of the tile nearest to `pos`, the lower
+    tile's on a tie.
 
     Tiles are k wide from 0; a partial last tile uses its median point. The
     own tile's center is at most (k-1)/2 away and the previous tile's at
     least (k+1)/2, so only the next tile can win instead: a short last one.
     """
-    tile = pos // k
-    start = tile * k
+    start = pos - pos % k
     center = start + (min(k, length - start) - 1) // 2
     if pos > center and start + k < length:
         nxt = start + k + (min(k, length - start - k) - 1) // 2
         if nxt - pos < pos - center:
-            return tile + 1, nxt
-    return tile, center
+            return nxt
+    return center
 
 
-class RegionMap(Mapping):
-    """Read-only map from every grid point to (region id, center point).
+def segment_regions(world: GridWorld) -> Callable[[Coord], Coord]:
+    """The floor's regions, as a function from a grid point to its region's
+    center.
 
-    Iterates row-major, like a dict filled y-outer, x-inner; points off the
-    grid raise KeyError. Manhattan distance is a sum of per-axis distances
-    and region ids are row-major over the tile grid, so the nearest center
-    with the lowest id is the per-axis nearest tile column and tile row:
-    each lookup is O(1) and the map stores no per-point or per-tile data.
+    Centers come from the square tiling (partial border tiles use their
+    median point); a point belongs to its nearest center under Manhattan
+    distance, so border points next to a small partial tile join the closer
+    region. Manhattan distance is a sum of per-axis distances, so that
+    center is the nearest tile center along each axis, and on a tie the
+    lower one: each lookup is O(1), and nothing is stored per point or tile.
     """
+    width, height, side = world.width, world.height, world.region_side
 
-    def __init__(self, world: GridWorld):
-        self._width, self._height = world.width, world.height
-        self._side = world.region_side
-        self._tiles_per_row = -(-world.width // world.region_side)
+    def center_of(point: Coord) -> Coord:
+        return _nearest_tile(point[0], width, side), _nearest_tile(point[1], height, side)
 
-    def __getitem__(self, point: Coord) -> tuple[int, Coord]:
-        try:
-            x, y = map(index, point)
-            if 0 <= x < self._width and 0 <= y < self._height:
-                tx, cx = _nearest_tile(x, self._width, self._side)
-                ty, cy = _nearest_tile(y, self._height, self._side)
-                return ty * self._tiles_per_row + tx, (cx, cy)
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(point)
-
-    def __iter__(self) -> Iterator[Coord]:
-        return ((x, y) for y in range(self._height) for x in range(self._width))
-
-    def __len__(self) -> int:
-        return self._width * self._height
+    return center_of
 
 
-def segment_regions(world: GridWorld) -> RegionMap:
-    """Map every point to (region id, center point).
-
-    Centers come from the square tiling (row-major region ids; partial border
-    tiles use their median point); each point is assigned to its nearest
-    center under Manhattan distance with ties broken toward the lower region
-    id, so border points next to a small partial tile join the closer region.
-    Costs O(1); see `RegionMap`.
-    """
-    return RegionMap(world)
-
-
-def encode_frame(point: Coord, encoding: EncodingSpec,
-                 regions: Mapping[Coord, tuple[int, Coord]]) -> PanoramaFrame:
-    """Frame for one grid point: I at region centers, distance-ramped P
-    elsewhere; `regions` is the floor's `segment_regions`."""
-    _, center = regions[point]
+def encode_frame(point: Coord, encoding: EncodingSpec, center: Coord) -> PanoramaFrame:
+    """Frame for one grid point whose region's center is `center`: the
+    I-frame at the center itself, a distance-ramped P-frame elsewhere."""
     if point == center:
         return PanoramaFrame(grid_point=point, kind="I",
                              size=encoding.base_i_size, reference=None)
@@ -287,7 +259,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    regions = segment_regions(world)
+    center_of = segment_regions(world)
     deadline = hop_deadline(world, timing)
     # a hop's deadline scales with its length, so it is indexed by |dx| + |dy|:
     # a stay (on a 1x1 floor) and an axis hop get `deadline`, a diagonal hop more
@@ -347,7 +319,7 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
             hop = abs(nxt[0] - current[0]) + abs(nxt[1] - current[1])
             frame = frames.get(nxt)
             if frame is None:
-                frame = frames[nxt] = encode_frame(nxt, encoding, regions)
+                frame = frames[nxt] = encode_frame(nxt, encoding, center_of(nxt))
                 if frame.kind == "P":       # the entry that fetches it has its own outcome
                     bytes_tx += frame.size
                     oid = new_outcome(frame, False, hop)
@@ -378,7 +350,7 @@ _TRACE_LINE_CHARS = 16_384
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
     longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
         if len(line) > _TRACE_LINE_CHARS else ""
-    return ValueError(f"{str(path)!r}:{lineno}: expected 'step_index x y' integers, "
+    return ValueError(f"{shown(str(path))}:{lineno}: expected 'step_index x y' integers, "
                       f"got {shown(line.strip())}{longer}")
 
 
@@ -403,8 +375,8 @@ def load_trace(path: str | Path) -> Iterator[Coord]:
             except ValueError:          # longer than int's digit limit
                 raise _bad_trace_line(path, lineno, line) from None
             if last is not None and index <= last:
-                raise ValueError(f"{str(path)!r}:{lineno}: step index {shown(index)} does not "
-                                 f"follow {shown(last)}; indices must strictly increase")
+                raise ValueError(f"{shown(str(path))}:{lineno}: step index {shown(index)} "
+                                 f"does not follow {shown(last)}; indices must strictly increase")
             last = index
             yield x, y
 

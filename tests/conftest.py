@@ -21,6 +21,15 @@ SMOKE_WIDTH = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=64, heads=4)
 EVAL_USERS_SEED = 707
 T_NOISE = 140
 STRIDE = 35
+# the config of acceptance criterion 7; scripts/artifact_digests.py keeps a copy,
+# which tests/test_tooling.py checks against this one
+CRITERION_7 = {
+    "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
+                  "d_model": 16, "heads": 2},
+    "bench": {"scenes": 4,
+              "train": {"users": 48, "epochs": 3, "learning_rate": 0.003,
+                        "batch_size": 32, "patience": 5}},
+}
 
 
 @pytest.fixture(scope="session")

@@ -311,18 +311,18 @@ def _region_centers(world: GridWorld) -> list[Coord]:
     return centers
 
 
-def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, tuple[int, Coord]]:
-    """(region id, center) per point, row-major: the nearest center under
-    Manhattan distance over every center, the lowest region id on a tie."""
+def segment_regions_bruteforce(world: GridWorld) -> dict[Coord, Coord]:
+    """The center of each point's region: the nearest center under Manhattan
+    distance over every center, the first row-major one on a tie."""
     centers = _region_centers(world)
     cx = np.array([c[0] for c in centers])
     cy = np.array([c[1] for c in centers])
-    assignment: dict[Coord, tuple[int, Coord]] = {}
+    assignment: dict[Coord, Coord] = {}
     for y in range(world.height):
         for x in range(world.width):
             dist = np.abs(cx - x) + np.abs(cy - y)
-            rid = int(np.argmin(dist))      # argmin takes the lowest index on ties
-            assignment[(x, y)] = (rid, centers[rid])
+            # argmin takes the lowest index on ties
+            assignment[(x, y)] = centers[int(np.argmin(dist))]
     return assignment
 
 
@@ -333,8 +333,8 @@ def walk_eager(world: GridWorld, timing: TimingModel, horizon: int, seed: int,
     `simulate_walk`: every frame encoded up front from the brute-force
     segmentation, then the same path, caching and deadline rules, each
     recomputed at every step. A `trace` here holds exactly horizon + 1 points."""
-    regions = segment_regions_bruteforce(world)
-    frames = {p: encode_frame(p, encoding, regions) for p in regions}
+    frames = {p: encode_frame(p, encoding, center)
+              for p, center in segment_regions_bruteforce(world).items()}
     deadline = hop_deadline(world, timing)
     rng = np.random.default_rng(seed)
     current = trace[0] if trace else (world.width // 2, world.height // 2)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SMOKE_TRAIN, SMOKE_WIDTH, STRIDE, T_NOISE
+from conftest import CRITERION_7, SMOKE_TRAIN, SMOKE_WIDTH, STRIDE, T_NOISE
 from oracles import nash_grid, random_instance, sweep_argmax_price
 from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig, generate_workload, run_policy
 from renderopt.cli import EXIT_OK, main
@@ -190,13 +190,7 @@ def test_criterion_7_determinism(tmp_path):
     """Every subcommand rerun with the same config and seed writes
     byte-identical CSV/JSON artifacts (manifest compared without timestamps)."""
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
-                      "d_model": 16, "heads": 2},
-        "bench": {"scenes": 4,
-                  "train": {"users": 48, "epochs": 3, "learning_rate": 0.003,
-                            "batch_size": 32, "patience": 5}},
-    }))
+    config_path.write_text(json.dumps(CRITERION_7))
     checkpoints = {}
 
     def run_pair(command, extra=()):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from conftest import CRITERION_7
 from oracles import mdp_focus_value_iteration, random_opt_objective
 
 from renderopt.bench import (CostModel, MetricsReport, RenderPolicy, Scene,
@@ -214,21 +215,13 @@ class TestMdpBaseline:
                 "db7108cd774ab6eaaf7c4638ff9af321c528c13313f7e4702d1c7ea7a3ebc173",
         },
     }
-    # the config of acceptance criterion 7
-    CRITERION_7_CONFIG = {
-        "diffusion": {"dataset_users": 48, "epochs": 3, "learning_rate": 0.003,
-                      "d_model": 16, "heads": 2},
-        "bench": {"scenes": 4,
-                  "train": {"users": 48, "epochs": 3, "learning_rate": 0.003,
-                            "batch_size": 32, "patience": 5}},
-    }
 
     @pytest.mark.parametrize("config", ["default", "criterion-7"])
     def test_bench_run_artifacts_unchanged(self, tmp_path, config):
         argv = ["bench-run", "--seed", "3", "--plot-data", "--out-dir", str(tmp_path / "out")]
         if config == "criterion-7":
             path = tmp_path / "config.json"
-            path.write_text(json.dumps(self.CRITERION_7_CONFIG))
+            path.write_text(json.dumps(CRITERION_7))
             argv += ["--config", str(path)]
         assert main(argv) == EXIT_OK
         want = self.VALUE_ITERATION_DIGESTS[config]

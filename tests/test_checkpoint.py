@@ -365,8 +365,8 @@ def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
     argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"diffusion-infer: config error: --checkpoint: {str(path)!r}: "
-                          "not a readable .npz archive (")
+    assert err.startswith(f"diffusion-infer: config error: --checkpoint: "
+                          f"{errors.shown(str(path))}: not a readable .npz archive (")
     assert err.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 """Grid walks, region compression, and deadline accounting."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (save_trace, segment_regions_bruteforce, walk_eager, walk_st
                      write_walk_csv_rowwise)
 from renderopt import prerender
 from renderopt.config import WalkSettings
+from renderopt.errors import shown
 from renderopt.prerender import (EncodingSpec, GridWorld,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
@@ -56,92 +58,78 @@ class TestNeighbors:
         assert len(neighbors(diag, (10, 10))) == 8
 
 
+def _points(world):
+    return [(x, y) for y in range(world.height) for x in range(world.width)]
+
+
 class TestSegmentRegions:
     def test_exact_single_region(self):
-        regions = segment_regions(GridWorld(width=5, height=5))
-        assert {rid for rid, _ in regions.values()} == {0}
-        assert regions[(0, 0)][1] == (2, 2)
+        world = GridWorld(width=5, height=5)
+        center_of = segment_regions(world)
+        assert {center_of(p) for p in _points(world)} == {(2, 2)}
 
     def test_ten_by_ten_has_four_regions(self):
-        regions = segment_regions(GridWorld(width=10, height=10))
-        assert len({rid for rid, _ in regions.values()}) == 4
+        world = GridWorld(width=10, height=10)
+        center_of = segment_regions(world)
+        assert {center_of(p) for p in _points(world)} == {(2, 2), (7, 2), (2, 7), (7, 7)}
 
     def test_centers_map_to_themselves(self):
-        regions = segment_regions(WORLD)
-        for _, center in set(regions.values()):
-            assert regions[center][1] == center
+        center_of = segment_regions(WORLD)
+        for center in {center_of(p) for p in _points(WORLD)}:
+            assert center_of(center) == center
 
     @pytest.mark.parametrize("w,h,k", [(5, 5, 5), (6, 6, 5), (10, 10, 5),
                                        (13, 9, 3), (7, 7, 7), (1, 1, 1),
                                        (50, 50, 5), (23, 17, 5)])
     def test_nearest_center_under_manhattan(self, w, h, k):
         world = GridWorld(width=w, height=h, region_side=k)
-        regions = segment_regions(world)
-        centers = sorted(set(regions.values()))
-        assert len(regions) == w * h
-        for (x, y), (rid, assigned) in regions.items():
-            dists = [abs(cx - x) + abs(cy - y) for _, (cx, cy) in centers]
-            best = min(dists)
-            winners = [centers[i][0] for i, d in enumerate(dists) if d == best]
-            assert rid == min(winners)
-            assert abs(assigned[0] - x) + abs(assigned[1] - y) == best
-
-    def test_mapping_length_order_and_bounds(self):
-        world = GridWorld(width=7, height=4, region_side=3)
-        regions = segment_regions(world)
-        assert len(regions) == 28
-        assert list(regions) == [(x, y) for y in range(4) for x in range(7)]
-        for point in [(-1, 0), (7, 0), (0, 4), (0, -1), "x", (1, 2, 3)]:
-            with pytest.raises(KeyError):
-                regions[point]
-            assert point not in regions
-
-    def test_mapping_is_read_only(self):
-        regions = segment_regions(WORLD)
-        with pytest.raises(TypeError):
-            regions[(0, 0)] = (0, (2, 2))
+        center_of = segment_regions(world)
+        centers = {center_of(p) for p in _points(world)}
+        for x, y in _points(world):
+            dists = {(cx, cy): abs(cx - x) + abs(cy - y) for cx, cy in centers}
+            best = min(dists.values())
+            winners = [c for c, d in dists.items() if d == best]
+            # on a tie, the lower center along each axis: the first row-major
+            assert center_of((x, y)) == min(winners, key=lambda c: (c[1], c[0]))
 
 
 @hyp_settings(max_examples=150, deadline=None)
 @given(w=st.integers(1, 60), h=st.integers(1, 60), k=st.sampled_from([1, 3, 5, 7, 9]))
 def test_segmentation_matches_bruteforce(w, h, k):
     world = GridWorld(width=w, height=h, region_side=k)
-    regions = segment_regions(world)
+    center_of = segment_regions(world)
     expected = segment_regions_bruteforce(world)
-    assert dict(regions) == expected
-    assert list(regions) == list(expected)
+    assert {p: center_of(p) for p in _points(world)} == expected
 
 
 class TestEncodeFrame:
-    FIVE = GridWorld(width=5, height=5)
-
     def test_center_is_reference_frame(self):
-        frame = encode_frame((2, 2), ENCODING, segment_regions(self.FIVE))
+        frame = encode_frame((2, 2), ENCODING, (2, 2))
         assert frame.kind == "I"
         assert frame.size == ENCODING.base_i_size
         assert frame.reference is None
 
     def test_distance_ramp_value(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=4.0)
-        frame = encode_frame((0, 2), enc, segment_regions(self.FIVE))  # dist 2
+        frame = encode_frame((0, 2), enc, (2, 2))  # dist 2
         assert frame.kind == "P"
         assert frame.size == pytest.approx(550.0)
         assert frame.reference == (2, 2)
 
     def test_floor_reached_in_slow_decay_limit(self):
         enc = EncodingSpec(base_i_size=1000.0, ratio_floor=0.1, decay=1e9)
-        frame = encode_frame((1, 2), enc, segment_regions(self.FIVE))  # dist 1
+        frame = encode_frame((1, 2), enc, (2, 2))  # dist 1
         assert frame.size == pytest.approx(100.0, rel=1e-6)
 
     def test_never_inflates_and_respects_floor(self):
         world = GridWorld(width=23, height=17)
-        regions = segment_regions(world)
-        for point in regions:
-            frame = encode_frame(point, ENCODING, regions)
+        center_of = segment_regions(world)
+        for point in _points(world):
+            frame = encode_frame(point, ENCODING, center_of(point))
             assert frame.size <= ENCODING.base_i_size
             assert frame.size >= ENCODING.ratio_floor * ENCODING.base_i_size
             if frame.kind == "P":
-                assert frame.reference == regions[point][1]
+                assert frame.reference == center_of(point)
 
 
 class TestStepLatency:
@@ -183,8 +171,8 @@ class TestSimulateWalk:
         # oscillate between two non-center points: only two fresh fetches
         trace = tuple((0, 0) if i % 2 == 0 else (0, 1) for i in range(11))
         result = simulate_walk(WORLD, TIMING, 10, 0, ENCODING, WORK, trace=trace)
-        frames = {p: encode_frame(p, ENCODING, segment_regions(WORLD))
-                  for p in ((0, 0), (0, 1))}
+        center_of = segment_regions(WORLD)
+        frames = {p: encode_frame(p, ENCODING, center_of(p)) for p in ((0, 0), (0, 1))}
         assert result.bytes_transmitted == pytest.approx(
             frames[(0, 0)].size + frames[(0, 1)].size)
 
@@ -258,9 +246,9 @@ class TestSimulateWalk:
         calls = []
         real = prerender.encode_frame
 
-        def counting(point, encoding, regions):
+        def counting(point, encoding, center):
             calls.append(point)
-            return real(point, encoding, regions)
+            return real(point, encoding, center)
 
         monkeypatch.setattr(prerender, "encode_frame", counting)
         world = GridWorld(width=300, height=300)
@@ -385,13 +373,14 @@ class TestTraceIO:
     def test_non_increasing_step_index_rejected(self, tmp_path, text, lineno):
         path = tmp_path / "bad.trace"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"bad.trace':{lineno}: step index"):
+        echo = re.escape(f"{shown(str(path))}:{lineno}: step index")
+        with pytest.raises(ValueError, match=echo):
             list(load_trace(path))
 
     def test_non_integer_field_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0 0 0\n1 1.5 0\n")
-        with pytest.raises(ValueError, match="bad.trace':2: expected"):
+        with pytest.raises(ValueError, match=re.escape(f"{shown(str(path))}:2: expected")):
             list(load_trace(path))
 
     def test_long_bad_line_echo_is_capped(self, tmp_path):
@@ -399,14 +388,14 @@ class TestTraceIO:
         path.write_text("0 0 0\n1 0 " + "9" * 5000 + "\n")     # past int()'s digit limit
         with pytest.raises(ValueError) as info:
             list(load_trace(path))
-        assert str(info.value).endswith(f"bad.trace':2: expected 'step_index x y' integers, "
-                                        f"got '1 0 {'9' * 55}...")
+        assert str(info.value).endswith(f"{shown(str(path))}:2: expected 'step_index x y' "
+                                        f"integers, got '1 0 {'9' * 55}...")
 
     def test_trace_past_the_walk_cap_is_refused_while_reading(self, tmp_path):
         path = tmp_path / "long.trace"
         path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(6)) + "not a point\n")
         # a 5-step walk reads its 6 points, then the malformed line after them
-        with pytest.raises(ValueError, match="long.trace':7: expected"):
+        with pytest.raises(ValueError, match=re.escape(f"{shown(str(path))}:7: expected")):
             simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
         # a seventh point is refused before the malformed line after it is read
         path.write_text("".join(f"{i} {i % 2} 0\n" for i in range(7)) + "not a point\n")
@@ -461,9 +450,13 @@ class TestValidation:
 @hyp_settings(max_examples=40, deadline=None)
 @given(w=st.integers(1, 30), h=st.integers(1, 30), k=st.sampled_from([1, 3, 5, 7]))
 def test_every_point_assigned_exactly_once(w, h, k):
+    # each point's center is one grid point, and that center's own center
     world = GridWorld(width=w, height=h, region_side=k)
-    regions = segment_regions(world)
-    assert set(regions) == {(x, y) for x in range(w) for y in range(h)}
+    center_of = segment_regions(world)
+    for point in _points(world):
+        center = center_of(point)
+        assert world.contains(center)
+        assert center_of(center) == center
 
 
 @hyp_settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CRITERION_7
 from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
 from renderopt.bench import POLICY_VARIANTS
 from renderopt.cli import main
@@ -234,3 +235,7 @@ def test_artifact_digests_prints_one_digest_per_run(tmp_path):
     out = tmp_path / "game"
     assert main(["game-solve", "--seed", "3", "--out-dir", str(out)]) == 0
     assert rows[0][2] == script.artifact_digest(out)
+
+
+def test_artifact_digests_runs_the_criterion_7_config():
+    assert _script_module("artifact_digests").CONFIGS["criterion-7"] == CRITERION_7

@@ -17,12 +17,15 @@ Everything is float64 numpy with hand-written backpropagation; gradients are
 validated against central finite differences (see analytic_gradient_check).
 The weights are one vector laid out by `param_shapes`: `init_weights` builds
 it, `split_params` views it tensor by tensor, and `loss_and_grads` returns the
-gradient as a vector in the same layout.
+gradient as a vector in the same layout. Each in-place kernel sequence replays
+Python's left-to-right evaluation of the expression it replaced (kept in
+`tests/oracles.py`), so results match to the bit: no edit may reassociate it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,29 +37,53 @@ _GELU_A = 0.044715
 _LN_EPS = 1e-5
 
 
+@lru_cache(maxsize=None)
+def _frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(-math.log(10_000.0) * np.arange(half, dtype=np.float64) / half)
+    freqs.flags.writeable = False          # one row, shared by every caller
+    return freqs
+
+
 def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Sinusoidal embedding of integer timesteps, shape (B, dim)."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
-    half = dim // 2
-    freqs = np.exp(-math.log(10_000.0) * np.arange(half, dtype=np.float64) / half)
-    args = t[:, None] * freqs[None, :]
+    args = t[:, None] * _frequencies(dim // 2)
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
 def _gelu(x: np.ndarray):
     """GELU(x) in tanh form (arXiv:1606.08415) and the 1 + tanh term its gradient reuses."""
-    term = 1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * term, term
+    term = _GELU_A * x                     # 1 + tanh(C (x + A x x x)), in place
+    term *= x
+    term *= x
+    term += x
+    term *= _GELU_C
+    np.tanh(term, out=term)
+    term += 1.0
+    act = 0.5 * x
+    act *= term
+    return act, term
 
 
 def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
-    # d tanh(u) / du = 1 - tanh(u)^2 = term (2 - term)
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return 0.5 * term + 0.5 * x * term * (2.0 - term) * du
+    # d tanh(u) / du = 1 - tanh(u)^2 = term (2 - term); 0.5 term + 0.5 x term (2 - term) du
+    out = 0.5 * x
+    out *= term
+    tmp = 2.0 - term
+    out *= tmp
+    np.multiply(3.0 * _GELU_A, x, out=tmp)
+    tmp *= x
+    tmp += 1.0
+    tmp *= _GELU_C
+    out *= tmp
+    out += np.multiply(0.5, term, out=tmp)
+    return out
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def _linear_back(x: np.ndarray, dy: np.ndarray, params: dict, grads: dict,
@@ -71,12 +98,16 @@ def _linear_back(x: np.ndarray, dy: np.ndarray, params: dict, grads: dict,
     return (dy2 @ params[w].T).reshape(x.shape)
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:   # x.mean(-1, keepdims=True), minus its wrapper
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
+    xhat = x - _mean_last(x)
+    inv = _mean_last(xhat * xhat)
+    inv += _LN_EPS
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    xhat *= inv
     return g * xhat + b, (xhat, inv)
 
 
@@ -84,12 +115,12 @@ def _layernorm_back(params: dict, prefix: str, dy: np.ndarray, cache: dict, grad
     xhat, inv = cache[prefix]
     grads[f"{prefix}.g"][...] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
     grads[f"{prefix}.b"][...] = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * params[f"{prefix}.g"]
-    return inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dxhat = dy * params[f"{prefix}.g"]        # inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
+    proj = dxhat * xhat
+    dxhat -= _mean_last(dxhat)
+    dxhat -= np.multiply(xhat, _mean_last(proj), out=proj)
+    dxhat *= inv
+    return dxhat
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -102,19 +133,22 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:   # in the buffer of `scores`
+    scores *= scale
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
 def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
                        cache: dict | None):
-    q = _linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = _linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = _linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
+    qh = _split_heads(_linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), heads)
+    kh = _split_heads(_linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
+    vh = _split_heads(_linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    ex = np.exp(scores)
-    probs = ex / ex.sum(axis=-1, keepdims=True)
-    ctx = probs @ vh
-    merged = _merge_heads(ctx)
+    probs = _softmax(qh @ kh.transpose(0, 1, 3, 2), scale)
+    merged = _merge_heads(probs @ vh)
     out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     if cache is not None:
         cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
@@ -145,6 +179,7 @@ def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None):
     # from it with one product, and the cache stays the size it was
     if cache is not None:
         cache[prefix] = (x, pre, term)
+    del pre, term                   # uncached, both are freed before the output is allocated
     return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
@@ -262,7 +297,7 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
 
     enc = _block_forward(params, "enc", h, heads, cache)
     down = 0.5 * (enc[:, 0::2, :] + enc[:, 1::2, :])
-    up = np.repeat(_block_forward(params, "bot", down, heads, cache), 2, axis=1)
+    up = _block_forward(params, "bot", down, heads, cache).repeat(2, axis=1)
 
     gpre = up @ params["gate.wg"] + enc @ params["gate.wx"] + params["gate.b"]
     gact = np.tanh(gpre)
@@ -345,16 +380,14 @@ class AttentionGatedDenoiser:
     def predict(self, m_t: np.ndarray, t, s) -> np.ndarray:
         """Noise prediction for one sequence (L, F) or a batch (B, L, F)."""
         m_t = np.asarray(m_t, dtype=np.float64)
-        single = m_t.ndim == 2
-        if single:
-            m_t = m_t[None]
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if t_arr.shape[0] == 1 and m_t.shape[0] > 1:
-            t_arr = np.full(m_t.shape[0], t_arr[0])
         s_arr = np.asarray(s, dtype=np.float64)
-        if s_arr.ndim == 1:
-            s_arr = np.broadcast_to(s_arr, (m_t.shape[0], s_arr.shape[0]))
-        out = forward(self.params, self.config, m_t, t_arr, s_arr)
+        single = m_t.ndim == 2
+        if single:                  # t is one step, s one condition vector
+            m_t, s_arr = m_t[None], s_arr.reshape(1, -1)
+        else:
+            t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), m_t.shape[:1])
+            s_arr = np.broadcast_to(s_arr, m_t.shape[:1] + s_arr.shape[-1:])
+        out = forward(self.params, self.config, m_t, t, s_arr)
         self.call_count += 1
         if not np.isfinite(out).all():
             raise NumericalError("denoiser produced non-finite activations")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..config import NoiseSchedule, _check_strided_step
@@ -12,12 +14,12 @@ def _reverse_step(model: AttentionGatedDenoiser, x: np.ndarray, t: int, t_next: 
                   s: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
     """One zero-noise reverse update from step t down to t_next (0 = clean)."""
     eps = model.predict(x, float(t), s)
-    ab_t = schedule.signal_level(t)
-    x0 = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
+    ab_t = schedule.signal_level(t)       # a Python float: math.sqrt rounds as np.sqrt does
+    x0 = (x - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
     if t_next == 0:
         return x0
     ab_n = schedule.signal_level(t_next)
-    return np.sqrt(ab_n) * x0 + np.sqrt(1.0 - ab_n) * eps
+    return math.sqrt(ab_n) * x0 + math.sqrt(1.0 - ab_n) * eps
 
 
 def skip_step_infer(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.ndarray,

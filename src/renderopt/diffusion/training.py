@@ -3,6 +3,9 @@
 Training works on the model's one weight vector: `loss_and_grads` returns the
 gradient in its layout, `Adam` keeps its moments as vectors of the same
 length, and the best epoch's weights are a copy of it, written back at the end.
+`Adam.update` works in place on two preallocated vectors. It replays Python's
+left-to-right evaluation of the update's expressions, so the weights match them
+to the bit, and no edit may reassociate one.
 """
 
 from __future__ import annotations
@@ -35,15 +38,22 @@ class Adam:
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a, self._b = np.empty(size), np.empty(size)     # scratch for `update`
 
     def update(self, weights: np.ndarray, grad: np.ndarray) -> None:
         self.step += 1
+        a, b = self._a, self._b
         # 1.0 - 0.9 rounds to another float64 than 0.1 does: keep the subtraction
-        self.m = 0.9 * self.m + (1.0 - 0.9) * grad
-        self.v = 0.999 * self.v + (1.0 - 0.999) * grad * grad
-        mhat = self.m / (1.0 - 0.9 ** self.step)
-        vhat = self.v / (1.0 - 0.999 ** self.step)
-        weights -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+        self.m *= 0.9                      # m = 0.9 m + (1 - 0.9) grad
+        self.m += np.multiply(1.0 - 0.9, grad, out=a)
+        self.v *= 0.999                    # v = 0.999 v + (1 - 0.999) grad grad
+        self.v += np.multiply(np.multiply(1.0 - 0.999, grad, out=a), grad, out=a)
+        np.divide(self.m, 1.0 - 0.9 ** self.step, out=a)   # lr mhat / (sqrt(vhat) + eps)
+        a *= self.lr
+        np.sqrt(np.divide(self.v, 1.0 - 0.999 ** self.step, out=b), out=b)
+        b += 1e-8
+        a /= b
+        weights -= a
 
 
 @dataclass

@@ -33,6 +33,11 @@ rule, a seeded init that builds each tensor apart, and Adam over a dict of
 tensors, one tensor at a time. The model keeps one weight vector instead; the
 two must agree bit for bit.
 
+For the denoiser's kernels: the layernorm, GELU, linear, softmax, timestep
+embedding and reverse-step bodies as they were written before they worked in
+place, each one numpy expression allocating its own result. The in-place
+kernels replay the same left-to-right evaluation, so the two agree bit for bit.
+
 For the config: every key's default written out as one literal tree, as the
 config module held it before it built the tree from its dataclasses' fields.
 """
@@ -510,6 +515,73 @@ class TensorAdam:
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
             params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+_LN_EPS = 1e-5
+
+
+def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    half = dim // 2
+    freqs = np.exp(-math.log(10_000.0) * np.arange(half, dtype=np.float64) / half)
+    args = t[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
+
+
+def gelu(x: np.ndarray):
+    term = 1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    return 0.5 * x * term, term
+
+
+def gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * term + 0.5 * x * term * (2.0 - term) * du
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w + b
+
+
+def layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv)
+
+
+def layernorm_back(params: dict, prefix: str, dy: np.ndarray, cache: dict, grads: dict):
+    xhat, inv = cache[prefix]
+    grads[f"{prefix}.g"][...] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    grads[f"{prefix}.b"][...] = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dxhat = dy * params[f"{prefix}.g"]
+    return inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def softmax(scores: np.ndarray, scale: float) -> np.ndarray:
+    """The attention's row softmax of the scaled scores."""
+    scores = scores * scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    ex = np.exp(scores)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def reverse_step(model, x: np.ndarray, t: int, t_next: int, s: np.ndarray,
+                 schedule: NoiseSchedule) -> np.ndarray:
+    eps = model.predict(x, float(t), s)
+    ab_t = schedule.signal_level(t)
+    x0 = (x - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
+    if t_next == 0:
+        return x0
+    ab_n = schedule.signal_level(t_next)
+    return np.sqrt(ab_n) * x0 + np.sqrt(1.0 - ab_n) * eps
 
 
 CONFIG_DEFAULTS: dict = {

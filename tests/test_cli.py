@@ -902,9 +902,10 @@ def _number(lo, hi):
 
 _OUT_NAMES = ["out", "a/b/out", "an empty dir", "a file", "blocked", "ö ü", "new\nline"]
 # a name longer than the OS takes for a path (4096 bytes): one long name, or many
-# short ones; under a fuzz directory it makes a path of at most 100 000 characters
+# short ones; under a fuzz directory it makes a path of at most 60 000 characters,
+# 120 000 bytes in UTF-8, under Linux's 128 KiB cap on one argument of a new process
 _LONG_NAME = st.builds(lambda unit, n: (unit * n)[:n], st.sampled_from(["x", "ö", "d/"]),
-                       st.integers(4097, 99_800))
+                       st.integers(4097, 60_000))
 
 
 @st.composite

@@ -4,12 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+import oracles
 from oracles import gelu_exact, gelu_exact_grad
+from renderopt.diffusion import NoiseSchedule
 from renderopt.diffusion.denoiser import (AttentionGatedDenoiser, DenoiserConfig, _gelu,
-                                          _gelu_grad, analytic_gradient_check, forward,
+                                          _gelu_grad, _layernorm, _layernorm_back, _linear,
+                                          _softmax, analytic_gradient_check, forward,
                                           loss_and_grads, split_params,
                                           timestep_embedding)
+from renderopt.diffusion.sampling import _reverse_step
 from renderopt.errors import NumericalError
 
 TINY = DenoiserConfig(feature_dim=3, cond_dim=4, d_model=8, heads=2)
@@ -132,6 +137,72 @@ def test_timestep_embedding_shape_and_bounds():
     assert emb.shape == (3, 16)
     assert np.all(np.abs(emb) <= 1.0)
     assert not np.array_equal(emb[0], emb[1])
+
+
+# tanh saturates at +-1e3; the rest are subnormal or signed zeros
+_SPECIAL_VALUES = [1e3, -1e3, 5e-324, -5e-324, 2.5e-310, -2.5e-310, -0.0, 0.0]
+
+
+def _drawn(rng, shape, specials, scale):
+    values = rng.standard_normal(shape) * scale
+    flat = values.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(specials))] = specials
+    return values
+
+
+def _same_bytes(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(batch=st.integers(1, 33), half_length=st.integers(1, 16), width=st.integers(1, 130),
+       specials=st.lists(st.sampled_from(_SPECIAL_VALUES), min_size=1, max_size=6),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+def test_lean_kernels_equal_their_oracles_bit_for_bit(batch, half_length, width, specials,
+                                                      scale, seed):
+    rng = np.random.default_rng(seed)
+    length = 2 * half_length
+    x = _drawn(rng, (batch, length, width), specials, scale)
+    g, b = rng.standard_normal(width), rng.standard_normal(width)
+
+    act, term = _gelu(x)
+    old_act, old_term = oracles.gelu(x)
+    _same_bytes(act, old_act)
+    _same_bytes(term, old_term)
+    _same_bytes(_gelu_grad(x, term), oracles.gelu_grad(x, old_term))
+
+    w, bias = rng.standard_normal((width, 5)), rng.standard_normal(5)
+    _same_bytes(_linear(x, w, bias), oracles.linear(x, w, bias))
+    _same_bytes(_softmax(x.copy(), 0.25), oracles.softmax(x, 0.25))
+    t = x[:, 0, 0]
+    _same_bytes(timestep_embedding(t, width), oracles.timestep_embedding(t, width))
+
+    y, ctx = _layernorm(x, g, b)
+    old_y, old_ctx = oracles.layernorm(x, g, b)
+    _same_bytes(y, old_y)
+    for new, old in zip(ctx, old_ctx):
+        _same_bytes(new, old)
+    dy = _drawn(rng, x.shape, specials, 1.0)
+    params = {"ln.g": g, "ln.b": b}
+    grads = {name: np.zeros(width) for name in params}
+    old_grads = {name: np.zeros(width) for name in params}
+    _same_bytes(_layernorm_back(params, "ln", dy, {"ln": ctx}, grads),
+                oracles.layernorm_back(params, "ln", dy, {"ln": old_ctx}, old_grads))
+    for name in params:
+        _same_bytes(grads[name], old_grads[name])
+
+    # one sequence through the model: alone, as a batch of one, and a reverse step
+    model = AttentionGatedDenoiser(TINY, seed=seed % 7)
+    seq = _drawn(rng, (length, TINY.feature_dim), specials, scale)
+    cond = rng.standard_normal(TINY.cond_dim)
+    schedule = NoiseSchedule()
+    t = int(rng.integers(1, schedule.steps + 1))
+    _same_bytes(model.predict(seq, float(t), cond),
+                model.predict(seq[None], np.array([float(t)]), cond[None])[0])
+    t_next = int(rng.integers(0, t))
+    _same_bytes(_reverse_step(model, seq, t, t_next, cond, schedule),
+                oracles.reverse_step(model, seq, t, t_next, cond, schedule))
 
 
 class TestUncachedMemory:

@@ -203,6 +203,7 @@ def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
     if cache is not None:
         cache[f"{prefix}.ln1"] = ctx1
         cache[f"{prefix}.ln2"] = ctx2
+    del ln1, ctx1, ctx2             # uncached, they are freed before the MLP runs
     return h1 + _mlp_forward(params, f"{prefix}.mlp", ln2, cache)
 
 
@@ -386,7 +387,7 @@ class AttentionGatedDenoiser:
             m_t, s_arr = m_t[None], s_arr.reshape(1, -1)
         else:
             t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), m_t.shape[:1])
-            s_arr = np.broadcast_to(s_arr, m_t.shape[:1] + s_arr.shape[-1:])
+            s_arr = np.broadcast_to(s_arr, (len(m_t), s_arr.size)) if s_arr.ndim == 1 else s_arr
         out = forward(self.params, self.config, m_t, t, s_arr)
         self.call_count += 1
         if not np.isfinite(out).all():

@@ -3,9 +3,8 @@
 Training works on the model's one weight vector: `loss_and_grads` returns the
 gradient in its layout, `Adam` keeps its moments as vectors of the same
 length, and the best epoch's weights are a copy of it, written back at the end.
-`Adam.update` works in place on two preallocated vectors. It replays Python's
-left-to-right evaluation of the update's expressions, so the weights match them
-to the bit, and no edit may reassociate one.
+`Adam.update` works in place, replaying Python's left-to-right evaluation of the
+update's expressions so the weights match them to the bit: no edit may reassociate one.
 """
 
 from __future__ import annotations

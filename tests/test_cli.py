@@ -902,10 +902,11 @@ def _number(lo, hi):
 
 _OUT_NAMES = ["out", "a/b/out", "an empty dir", "a file", "blocked", "ö ü", "new\nline"]
 # a name longer than the OS takes for a path (4096 bytes): one long name, or many
-# short ones; under a fuzz directory it makes a path of at most 60 000 characters,
-# 120 000 bytes in UTF-8, under Linux's 128 KiB cap on one argument of a new process
-_LONG_NAME = st.builds(lambda unit, n: (unit * n)[:n], st.sampled_from(["x", "ö", "d/"]),
-                       st.integers(4097, 60_000))
+# short ones; under a fuzz directory it makes a path of at most 100 000 characters,
+# cut to 130 000 bytes in UTF-8 (65 000 'ö') to fit Linux's 128 KiB cap on one
+# argument of a new process
+_LONG_NAME = st.builds(lambda unit, n: (unit * n)[:n].encode()[:130_000].decode(),
+                       st.sampled_from(["x", "ö", "d/"]), st.integers(4097, 99_800))
 
 
 @st.composite
@@ -945,6 +946,8 @@ def cli_cases(draw):
 
 @hyp_settings(max_examples=40, deadline=None)
 @given(case=cli_cases())
+@example(case=(["game-solve"], "out", ("walk.trace", None), ("--out-dir", "d/" * 49_900)))
+@example(case=(["game-solve"], "out", ("walk.trace", None), ("--config", "ö" * 65_000)))
 def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
     """Exit 0, 2 or 3 with at most one stderr line, in bounded time; a failed
     run leaves everything as it was, a run that succeeds publishes a manifest

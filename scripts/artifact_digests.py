@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Print one digest per artifact directory of the five subcommands at --seed 3.
+"""Print one digest per artifact directory of six runs of the subcommands at --seed 3.
 
     python3 scripts/artifact_digests.py
     python3 scripts/artifact_digests.py --src ../parent/src
 
-Each subcommand runs as `python -m renderopt.cli <command> --seed 3` in a
-fresh interpreter with OPENBLAS_NUM_THREADS=1, first under the default config,
-then under the config of acceptance criterion 7 (`CRITERION_7` in
-tests/conftest.py, which tests/test_tooling.py checks this copy against).
-diffusion-infer reads the checkpoint diffusion-train wrote under the same
-config; bench-run trains its own model and writes its plot data too. Each
-line is `<config> <command> <sha256>`, the digest made by
-perfbench/worker.py's `artifact_digest` (manifest timestamps and zip headers
-left out), so two source trees whose runs write the same artifacts print the
-same lines.
+Each of the five subcommands runs as `python -m renderopt.cli <command>
+--seed 3` in a fresh interpreter with OPENBLAS_NUM_THREADS=1, first under the
+default config, then under the config of acceptance criterion 7
+(`CRITERION_7` in tests/conftest.py, which tests/test_tooling.py checks this
+copy against). diffusion-infer reads the checkpoint diffusion-train wrote
+under the same config; bench-run trains its own model and writes its plot
+data too; the run named prerender-replay is `prerender-sim --trace` on the
+trace `write_trace` writes. Each line is `<config> <run> <sha256>`, the
+digest made by perfbench/worker.py's `artifact_digest` (manifest timestamps
+and zip headers left out), so two source trees whose runs write the same
+artifacts print the same lines.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import artifact_digest  # noqa: E402
 
-COMMANDS = ("game-solve", "prerender-sim", "diffusion-train", "diffusion-infer", "bench-run")
+# run name -> the subcommand it runs
+RUNS = {"game-solve": "game-solve", "prerender-sim": "prerender-sim",
+        "prerender-replay": "prerender-sim", "diffusion-train": "diffusion-train",
+        "diffusion-infer": "diffusion-infer", "bench-run": "bench-run"}
 SEED = 3
 # config name -> the config file's contents; None runs without --config
 CONFIGS = {
@@ -43,6 +47,29 @@ CONFIGS = {
                             "batch_size": 32, "patience": 5}},
     },
 }
+
+
+def write_trace(path: Path) -> None:
+    """An 8000-step replay on the default 20 x 20 floor, back and forth along
+    a serpentine through every point, in the spellings the trace grammar
+    allows: a comment line every 100 points and a blank line every 250,
+    signed fields and tabs on every seventh point line, and CRLF ends on
+    every third line. Read, it is 83 322 characters: more than one of the
+    blocks prerender reads a trace in, with point lines across block ends
+    (tests/test_tooling.py checks both)."""
+    serpentine = [(x if y % 2 == 0 else 19 - x, y) for y in range(20) for x in range(20)]
+    lap = serpentine + serpentine[-2:0:-1]
+    lines = []
+    for k in range(8001):
+        x, y = lap[k % len(lap)]
+        if k % 100 == 0:
+            lines.append(f"# step {k}")
+        if k % 250 == 0:
+            lines.append("")
+        lines.append(f"+{k}\t+{x}\t+{y}" if k % 7 == 0 else f"{k} {x} {y}")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"{line}\r\n" if i % 3 == 0 else f"{line}\n"
+                      for i, line in enumerate(lines))
 
 
 def run(argv: list[str], env: dict) -> None:
@@ -63,20 +90,22 @@ def main() -> int:
            "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         work = Path(tmp)
+        write_trace(work / "replay.trace")
         for name, payload in CONFIGS.items():
             config = []
             if payload is not None:
                 path = work / f"{name}.json"
                 path.write_text(json.dumps(payload))
                 config = ["--config", str(path)]
-            extra = {"diffusion-infer": ["--checkpoint",
+            extra = {"prerender-replay": ["--trace", str(work / "replay.trace")],
+                     "diffusion-infer": ["--checkpoint",
                                          str(work / name / "diffusion-train" / "checkpoint.npz")],
                      "bench-run": ["--plot-data"]}
-            for command in COMMANDS:
-                out = work / name / command
+            for label, command in RUNS.items():
+                out = work / name / label
                 run([command, *config, "--seed", str(SEED), "--out-dir", str(out),
-                     *extra.get(command, [])], env)
-                print(f"{name:12s} {command:16s} {artifact_digest(out)}", flush=True)
+                     *extra.get(label, [])], env)
+                print(f"{name:12s} {label:16s} {artifact_digest(out)}", flush=True)
     return 0
 
 

@@ -9,8 +9,11 @@ process with OPENBLAS_NUM_THREADS=1, so it counts interpreter start, imports,
 config validation, the command and its writes. Wall time spans the child's
 whole life; CPU time (user + system) and peak resident set size come from
 `os.wait4` on that child alone. diffusion-infer reads the checkpoint of one
-untimed diffusion-train run made first. Prints one row per command: runs,
-median wall seconds, median CPU seconds, and the largest peak RSS of its runs.
+untimed diffusion-train run made first. prerender-replay is `prerender-sim
+--trace` on a 100 000-step trace written first: back and forth along a
+serpentine through every point of the default 20 x 20 floor. Prints one row
+per command: runs, median wall seconds, median CPU seconds, and the largest
+peak RSS of its runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,17 @@ import tempfile
 import time
 from pathlib import Path
 
-COMMANDS = ("game-solve", "prerender-sim", "diffusion-train", "diffusion-infer", "bench-run")
+COMMANDS = ("game-solve", "prerender-sim", "prerender-replay", "diffusion-train",
+            "diffusion-infer", "bench-run")
+REPLAY_STEPS = 100_000
+
+
+def write_trace(path: Path, steps: int) -> None:
+    """A `steps`-step trace on the default floor: one `index x y` line a point."""
+    serpentine = [(x if y % 2 == 0 else 19 - x, y) for y in range(20) for x in range(20)]
+    lap = serpentine + serpentine[-2:0:-1]
+    with open(path, "w") as fh:
+        fh.writelines("%d %d %d\n" % (k, *lap[k % len(lap)]) for k in range(steps + 1))
 
 
 def run_once(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, float]:
@@ -59,12 +72,16 @@ def main() -> int:
     print(f"{'command':16s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} {'peak_rss_mb':>11s}")
     with tempfile.TemporaryDirectory(prefix="cli-wall-") as tmp:
         work = Path(tmp)
-        extra = {name: [] for name in COMMANDS}
+        argv = {name: [name] for name in COMMANDS}
         if "diffusion-infer" in args.commands:
             run_once(["diffusion-train"], env, work / "checkpoint")
-            extra["diffusion-infer"] = ["--checkpoint", str(work / "checkpoint" / "checkpoint.npz")]
+            argv["diffusion-infer"].extend(["--checkpoint",
+                                            str(work / "checkpoint" / "checkpoint.npz")])
+        if "prerender-replay" in args.commands:
+            write_trace(work / "replay.trace", REPLAY_STEPS)
+            argv["prerender-replay"] = ["prerender-sim", "--trace", str(work / "replay.trace")]
         for name in args.commands:
-            runs = [run_once([name, *extra[name]], env, work / f"{name}-{i}")
+            runs = [run_once(argv[name], env, work / f"{name}-{i}")
                     for i in range(args.repeats)]
             walls, cpus, rss = zip(*runs)
             print(f"{name:16s} {len(runs):4d} {statistics.median(walls):8.3f} "

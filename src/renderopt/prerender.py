@@ -14,12 +14,14 @@ crosses the downlink at most once per walk.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
+from operator import lt
 from pathlib import Path
 
 from .errors import check, shown
@@ -340,11 +342,28 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
 
 
 # one trace line: blank, a comment, or three ASCII integers
-_TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]+))?\s*",
-                         re.ASCII)
+_TRACE_FIELD = r"[+-]?[0-9]+"
+_TRACE_COMMENT = "#.*"                 # `.` stops at the newline
+_TRACE_LINE = re.compile(rf"\s*(?:{_TRACE_COMMENT}|({_TRACE_FIELD})\s+({_TRACE_FIELD})"
+                         rf"\s+({_TRACE_FIELD}))?\s*", re.ASCII)
 # the longest trace line, newline included; three fields at int()'s
 # 4300-digit limit fit in it, and a longer line is malformed
 _TRACE_LINE_CHARS = 16_384
+# characters a replay reads at a time, and then the rest of the last line; the
+# block regex holds ~0.8 KB of backtracking state a line until its match ends,
+# so a block of short lines peaks at ~0.7 MB while it is parsed (5.2 MB at 64 KiB)
+_TRACE_BLOCK_CHARS = 8_192
+
+
+# whole trace lines, each of _TRACE_LINE's grammar, with whitespace that stays
+# on its line (ASCII `\s` but the newline), and at most _TRACE_LINE_CHARS
+# characters, its newline included; a line matches one way, so a failed match
+# backtracks in time linear in the block. Compiled by the first replay, and
+# then found in re's cache.
+_TRACE_BLOCK_LINE = "{s}*(?:{c}|{f}{s}+{f}{s}+{f}{s}*|)".format(
+    s=r"[ \t\r\f\v]", c=_TRACE_COMMENT, f=_TRACE_FIELD)
+_TRACE_BLOCK = (rf"(?:(?=.{{0,{_TRACE_LINE_CHARS - 1}}}\n){_TRACE_BLOCK_LINE}\n)*"
+                rf"(?=.{{0,{_TRACE_LINE_CHARS}}}\Z){_TRACE_BLOCK_LINE}")
 
 
 def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
@@ -354,31 +373,82 @@ def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
                       f"got {shown(line.strip())}{longer}")
 
 
+def _block_points(block: str, last: float) -> tuple[float, Iterator[Coord]] | None:
+    """The last step index of a block of whole trace lines and an iterator of
+    its points, parsed in C: one regex match, one split, `int` over the
+    fields and one pass over the indices, which must strictly increase from
+    `last`. None if any check fails: a line off the grammar or past the cap,
+    a field past int's digit limit, or an index out of order."""
+    if re.fullmatch(_TRACE_BLOCK, block, re.ASCII) is None:
+        return None
+    if "#" in block:
+        block = re.sub(_TRACE_COMMENT, "", block)
+    try:
+        values = list(map(int, block.split()))
+    except ValueError:                  # longer than int's digit limit
+        return None
+    indices = values[0::3]
+    if not all(map(lt, chain((last,), indices), indices)):
+        return None
+    return (indices[-1] if indices else last), zip(values[1::3], values[2::3])
+
+
+def _line_points(path: str | Path, block: str, lineno: int,
+                 last: float) -> Iterator[tuple[int, Coord]]:
+    """Each (step index, point) of a block's lines, numbered after `lineno`,
+    with indices strictly increasing from `last`: read a capped line at a
+    time and checked line by line, so the first fault is raised, worded and
+    numbered as it is found, after every point before it."""
+    lines = iter(partial(io.StringIO(block).readline, _TRACE_LINE_CHARS + 1), "")
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        match = _TRACE_LINE.fullmatch(line) if len(line) <= _TRACE_LINE_CHARS else None
+        if match is None:
+            raise _bad_trace_line(path, lineno, line)
+        index, x, y = match.groups()
+        if index is None:           # blank or a comment
+            continue
+        try:
+            index, x, y = int(index), int(x), int(y)
+        except ValueError:          # longer than int's digit limit
+            raise _bad_trace_line(path, lineno, line) from None
+        if index <= last:
+            raise ValueError(f"{shown(str(path))}:{lineno}: step index {shown(index)} "
+                             f"does not follow {shown(last)}; indices must strictly increase")
+        last = index
+        yield index, (x, y)
+
+
+def _trace_blocks(path: str | Path) -> Iterator[Iterable[Coord]]:
+    """The points of a trace file, an iterable per block read: the points
+    `_block_points` parses, or, for a block that fails its checks, one point
+    at a time from `_line_points`, up to the fault."""
+    last: float = -math.inf            # the step index before the first
+    lineno = 0                         # lines in the blocks before
+    with open(path, encoding="utf-8") as fh:
+        while block := fh.read(_TRACE_BLOCK_CHARS):
+            if not block.endswith("\n"):
+                block += fh.readline(_TRACE_LINE_CHARS + 1)
+            parsed = _block_points(block, last)
+            if parsed is None:
+                for last, point in _line_points(path, block, lineno, last):
+                    yield point,
+            else:
+                last, points = parsed
+                yield points
+            lineno += block.count("\n")
+
+
 def load_trace(path: str | Path) -> Iterator[Coord]:
     """Each point of a mobility trace, read as it is asked for: one
     `step_index x y` line per point, with step indices strictly increasing in
-    file order. Fields are ASCII integers; blank lines and lines starting with
-    `#` are skipped. A line is read at most _TRACE_LINE_CHARS + 1 characters
-    at a time, and a longer one is malformed."""
-    last: int | None = None
-    with open(path) as fh:
-        lines = iter(partial(fh.readline, _TRACE_LINE_CHARS + 1), "")
-        for lineno, line in enumerate(lines, start=1):
-            match = _TRACE_LINE.fullmatch(line) if len(line) <= _TRACE_LINE_CHARS else None
-            if match is None:
-                raise _bad_trace_line(path, lineno, line)
-            index, x, y = match.groups()
-            if index is None:           # blank or a comment
-                continue
-            try:
-                index, x, y = int(index), int(x), int(y)
-            except ValueError:          # longer than int's digit limit
-                raise _bad_trace_line(path, lineno, line) from None
-            if last is not None and index <= last:
-                raise ValueError(f"{shown(str(path))}:{lineno}: step index {shown(index)} "
-                                 f"does not follow {shown(last)}; indices must strictly increase")
-            last = index
-            yield x, y
+    file order. The file is UTF-8, fields are ASCII integers, and blank lines
+    and lines starting with `#` are skipped; a line longer than
+    _TRACE_LINE_CHARS characters, its newline included, is malformed. The
+    file is read _TRACE_BLOCK_CHARS characters at a time, and then the rest of
+    the block's last line, at most _TRACE_LINE_CHARS + 1 characters, so
+    reading runs at most one block past the last point asked for. A fault is
+    raised after every point before it, with its line's number."""
+    return chain.from_iterable(_trace_blocks(path))
 
 
 class _Reprs(dict):

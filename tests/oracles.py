@@ -20,7 +20,9 @@ transition tensor and solved by value iteration. For `random_opt`: one
 configuration's objective, computed from popularity, quality, work and LOD
 multiplier without the per-region reward pair the policy sums.
 
-For trace files: the writer `load_trace` must read back.
+For trace files: the writer `load_trace` must read back, and the reader as it
+was before it read blocks: a regex match and three `int` calls per line, read
+a capped line at a time. The one edit is the explicit UTF-8 encoding.
 
 For the diffusion forward process: the literal step-by-step perturbation
 chain whose marginal `NoiseSchedule.perturb` gives in closed form.
@@ -46,7 +48,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from contextlib import contextmanager
+from functools import partial
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +61,7 @@ from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, Solv
                             cloud_utility)
 from renderopt.config import NoiseSchedule
 from renderopt.diffusion.denoiser import DenoiserConfig
+from renderopt.errors import shown
 from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
                                  step_latency)
@@ -387,6 +393,48 @@ def write_walk_csv_rowwise(result: WalkResult, path: str | Path) -> None:
 def save_trace(path: str | Path, points: list[Coord]) -> None:
     """A trace file `load_trace` reads back as `points`: one `index x y` line each."""
     Path(path).write_text("".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(points)))
+
+
+# one trace line: blank, a comment, or three ASCII integers
+_TRACE_LINE = re.compile(r"\s*(?:#.*|([+-]?[0-9]+)\s+([+-]?[0-9]+)\s+([+-]?[0-9]+))?\s*",
+                         re.ASCII)
+# the longest trace line, newline included; three fields at int()'s
+# 4300-digit limit fit in it, and a longer line is malformed
+_TRACE_LINE_CHARS = 16_384
+
+
+def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
+    longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
+        if len(line) > _TRACE_LINE_CHARS else ""
+    return ValueError(f"{shown(str(path))}:{lineno}: expected 'step_index x y' integers, "
+                      f"got {shown(line.strip())}{longer}")
+
+
+def load_trace_linewise(path: str | Path) -> Iterator[Coord]:
+    """Each point of a mobility trace, read as it is asked for: one
+    `step_index x y` line per point, with step indices strictly increasing in
+    file order. Fields are ASCII integers; blank lines and lines starting with
+    `#` are skipped. A line is read at most _TRACE_LINE_CHARS + 1 characters
+    at a time, and a longer one is malformed."""
+    last: int | None = None
+    with open(path, encoding="utf-8") as fh:
+        lines = iter(partial(fh.readline, _TRACE_LINE_CHARS + 1), "")
+        for lineno, line in enumerate(lines, start=1):
+            match = _TRACE_LINE.fullmatch(line) if len(line) <= _TRACE_LINE_CHARS else None
+            if match is None:
+                raise _bad_trace_line(path, lineno, line)
+            index, x, y = match.groups()
+            if index is None:           # blank or a comment
+                continue
+            try:
+                index, x, y = int(index), int(x), int(y)
+            except ValueError:          # longer than int's digit limit
+                raise _bad_trace_line(path, lineno, line) from None
+            if last is not None and index <= last:
+                raise ValueError(f"{shown(str(path))}:{lineno}: step index {shown(index)} "
+                                 f"does not follow {shown(last)}; indices must strictly increase")
+            last = index
+            yield x, y
 
 
 def mdp_focus_value_iteration(scene: bench.Scene, policy: bench.RenderPolicy,

@@ -46,13 +46,13 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
-def _run_cli(*argv, timeout=60, memory_cap=None, cwd=None):
+def _run_cli(*argv, timeout=60, memory_cap=None, cwd=None, env=None):
     """`python -m renderopt.cli argv` in a fresh interpreter, in `cwd` if given,
     so warnings reach stderr as they would for a user; `memory_cap` bytes of
     address space, if given, make a blow-up fail the run instead of exhausting
-    the host."""
+    the host, and `env` is added to the child's environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **(env or {})}
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
@@ -581,6 +581,25 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and len(err) < 200
         assert err.startswith("prerender-sim: config error: --trace: ") and problem in err
         assert not (tmp_path / "x").exists()
+
+    # a trace was decoded with the locale's encoding: under the POSIX locale,
+    # with UTF-8 mode off, the bad byte was reported by the 'ascii' codec and a
+    # UTF-8 comment could not be read
+    @pytest.mark.parametrize("text, problem", [TRACES["non-utf-8"],
+                                               ("# caf\u00e9\n0 0 0\n1 1 0\n", None)],
+                             ids=["non-utf-8", "utf-8-comment"])
+    def test_trace_is_read_as_utf8_under_any_locale(self, tmp_path, text, problem):
+        trace = tmp_path / "path.trace"
+        trace.write_bytes(text if isinstance(text, bytes) else text.encode())
+        proc = _run_cli("prerender-sim", "--trace", "path.trace", "--out-dir", "x",
+                        cwd=tmp_path, env={"LC_ALL": "POSIX", "PYTHONUTF8": "0"})
+        if problem is None:
+            assert proc.returncode == EXIT_OK, proc.stderr
+            return
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("prerender-sim: config error: --trace: ")
+        assert problem in proc.stderr
 
     # int() reads both as integers, so such a trace used to walk and exit 0
     @hyp_settings(max_examples=60, deadline=None)

@@ -2,17 +2,18 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import (save_trace, segment_regions_bruteforce, walk_eager, walk_steps,
-                     write_walk_csv_rowwise)
+from oracles import (load_trace_linewise, save_trace, segment_regions_bruteforce, walk_eager,
+                     walk_steps, write_walk_csv_rowwise)
 from renderopt import prerender
 from renderopt.config import WalkSettings
 from renderopt.errors import shown
-from renderopt.prerender import (EncodingSpec, GridWorld,
+from renderopt.prerender import (MAX_WALK_STEPS, EncodingSpec, GridWorld,
                                  PanoramaFrame, TimingModel, encode_frame,
                                  hop_deadline, load_trace, neighbors,
                                  segment_regions, simulate_walk,
@@ -403,6 +404,20 @@ class TestTraceIO:
                                              "from 1 to 5$"):
             simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
 
+    def test_decoding_runs_a_block_and_a_line_ahead(self, tmp_path):
+        # the walk stops at the seventh point: a byte that is not UTF-8 in the
+        # block read ahead is reported, and one past that block, the rest of
+        # its last line and the 8192-byte chunk the text reader decodes at a
+        # time is never read
+        path = tmp_path / "ahead.trace"
+        points = "".join(f"{i} {i % 2} 0\n" for i in range(7)).encode()
+        reach = prerender._TRACE_BLOCK_CHARS + prerender._TRACE_LINE_CHARS + 1 + 8192
+        for pad, problem in [(0, "'utf-8' codec can't decode byte 0xff"),
+                             (reach, "trace has more than 5 steps")]:
+            path.write_bytes(points + b"#" * pad + b"\n\xff\n")
+            with pytest.raises(ValueError, match=f"^{problem}"):
+                simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
+
     def test_csv_export_schema(self, tmp_path):
         result = simulate_walk(WORLD, TIMING, 10, 0, ENCODING, WORK)
         path = tmp_path / "steps.csv"
@@ -469,3 +484,138 @@ def test_trace_loads_iff_indices_strictly_increase(tmp_path_factory, indices):
     else:
         with pytest.raises(ValueError, match="indices must strictly increase"):
             list(load_trace(path))
+
+
+_CAP = prerender._TRACE_LINE_CHARS
+_BLOCK = prerender._TRACE_BLOCK_CHARS
+_ODD_LINES = ["1_0 0 0", "\u0661 0 0", "0 0", "0 0 0 0", "1.5 0 0", "0x1 0 0", "- 1 0 0",
+              "0 0 0 # note", "\x00", "\u00a00 0 0", "0\x1c0 0"]
+
+
+def _points_text(count: int, first: int = 0) -> str:
+    """Canonical lines of the points (i % 2, 0), indices from `first`: a walk
+    back and forth along row 0."""
+    return "".join(f"{i} {i % 2} 0\n" for i in range(first, first + count))
+
+
+def _filled(chars: int) -> str:
+    """Exactly `chars` characters of whole lines: points 0 to chars // 16 - 1,
+    then one comment line."""
+    text = _points_text(chars // 16)
+    return text + "#" * (chars - len(text) - 1) + "\n"
+
+
+def _padded(chars: int) -> str:
+    """One point line of exactly `chars` characters, its newline included."""
+    return "1000000 1 0".ljust(chars - 1) + "\n"
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text: point lines written canonically or with signs,
+    leading zeros, tabs and padding; runs of canonical lines long enough to
+    span several blocks; comments, blanks, fields at and past int's digit
+    limit, lines around the cap, indices that do not increase, and junk;
+    each line ended by LF, CRLF or CR, the last one maybe by nothing. The
+    points go back and forth along row 0, so the text walks on WORLD up to
+    its first fault."""
+    index, n, lines = draw(st.integers(-3, 3)), 0, []
+    for kind in draw(st.lists(st.sampled_from(["point", "point", "point", "run", "comment",
+                                               "blank", "back", "huge", "cap", "odd", "junk"]),
+                              max_size=12)):
+        if kind == "run":
+            k = draw(st.integers(1, 7000))
+            lines.append("".join(f"{index + i} {(n + i) % 2} 0\n" for i in range(k)))
+            index, n = index + k, n + k
+            continue
+        space = draw(st.sampled_from([" ", "\t", " \t ", "\f", "\v", "  "]))
+        lead, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\t"]))
+        if kind in ("point", "back", "huge", "cap"):
+            if kind == "back":
+                index -= draw(st.integers(1, 3))
+            x = "9" * draw(st.sampled_from([4299, 4300, 4301, 5000])) if kind == "huge" \
+                else draw(st.sampled_from(["", "+", "0", "+00"])) + str(n % 2)
+            y = draw(st.sampled_from(["0", "-0", "+0", "00"]))
+            sign = "+" if index >= 0 and draw(st.booleans()) else ""
+            line = lead + space.join([f"{sign}{index}", x, y]) + tail
+            if kind == "cap":           # CAP - 2 to CAP + 2 characters, the newline included
+                line += " " * max(0, _CAP + draw(st.integers(-2, 2)) - 1 - len(line))
+            index, n = index + draw(st.integers(1, 3)), n + 1
+        elif kind == "comment":
+            line = lead + "#" + draw(st.text(max_size=12))
+        elif kind == "blank":
+            line = lead + tail
+        elif kind == "odd":
+            line = draw(st.sampled_from(_ODD_LINES))
+        else:
+            line = draw(st.text(max_size=8))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _read(points) -> tuple[list, str | None]:
+    """The points an iterator yields up to its first fault, and that fault's message."""
+    seen = []
+    try:
+        for point in points:
+            seen.append(point)
+    except ValueError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+def _replay(points, horizon: int):
+    """A replay's summary and step outcomes on WORLD, or its fault's message."""
+    try:
+        result = simulate_walk(WORLD, TIMING, horizon, 0, ENCODING, WORK, trace=points)
+    except ValueError as exc:
+        return str(exc)
+    return result.summary(), result.step_outcomes
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(text=trace_texts(), block=st.one_of(st.just(_BLOCK), st.integers(1, 40)),
+       horizon=st.one_of(st.integers(1, 8), st.just(MAX_WALK_STEPS)))
+# a line straddling a block boundary
+@example(text=_filled(_BLOCK - 5) + _points_text(3, 10**6), block=_BLOCK, horizon=MAX_WALK_STEPS)
+# lines of _CAP and _CAP + 1 characters, newline included, at a block's end
+# (the rest read by the capped readline) and from a block's start
+@example(text=_filled(_BLOCK - 10) + _padded(_CAP) + _points_text(2, 2 * 10**6), block=_BLOCK,
+         horizon=MAX_WALK_STEPS)
+@example(text=_filled(_BLOCK - 10) + _padded(_CAP + 1) + _points_text(2, 2 * 10**6),
+         block=_BLOCK, horizon=MAX_WALK_STEPS)
+@example(text=_filled(_BLOCK) + _padded(_CAP) + _points_text(2, 2 * 10**6), block=_BLOCK,
+         horizon=MAX_WALK_STEPS)
+@example(text=_filled(_BLOCK) + _padded(_CAP + 1), block=_BLOCK, horizon=MAX_WALK_STEPS)
+# a line longer than the block and the capped readline together
+@example(text=_filled(_BLOCK - 10) + _padded(_BLOCK + 3 * _CAP), block=_BLOCK,
+         horizon=MAX_WALK_STEPS)
+# the last line, with no newline, of _CAP and _CAP + 1 characters
+@example(text=_points_text(3) + _padded(_CAP + 1)[:-1], block=_BLOCK, horizon=MAX_WALK_STEPS)
+@example(text=_points_text(3) + _padded(_CAP + 2)[:-1], block=_BLOCK, horizon=MAX_WALK_STEPS)
+# a 5 000-digit field inside an otherwise valid block
+@example(text=_points_text(5) + "5 " + "9" * 5000 + " 0\n" + _points_text(3, 6), block=_BLOCK,
+         horizon=MAX_WALK_STEPS)
+# a block of comments only, between blocks of points
+@example(text=_points_text(2) + "# " + "c" * (_BLOCK - 3) + "\n" + _points_text(2, 2),
+         block=_BLOCK, horizon=MAX_WALK_STEPS)
+@example(text="0 0 0\n#\n# only a comment\n1 1 0\n", block=6, horizon=MAX_WALK_STEPS)
+# a malformed line in the block of the point past the walk's cap: the walk
+# refuses the point before the line is read
+@example(text=_points_text(7) + "not a point\n", block=_BLOCK, horizon=5)
+# an index that does not follow the last one of the block before
+@example(text=_filled(_BLOCK) + f"{_BLOCK // 16 - 1} 1 0\n", block=_BLOCK,
+         horizon=MAX_WALK_STEPS)
+def test_block_reader_matches_line_reader(tmp_path_factory, text, block, horizon):
+    # the same points in the same order, and the same fault after as many
+    # points, as the reader of one line at a time; so the same replay
+    path = tmp_path_factory.mktemp("trace") / "walk.trace"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _read(load_trace_linewise(path))
+    with mock.patch.object(prerender, "_TRACE_BLOCK_CHARS", block), \
+            mock.patch.object(prerender, "_line_points", wraps=prerender._line_points) as lines:
+        assert _read(load_trace(path)) == want
+        # only a block that holds a fault is read a line at a time
+        assert lines.called == (want[1] is not None)
+        assert _replay(load_trace(path), horizon) == _replay(load_trace_linewise(path), horizon)

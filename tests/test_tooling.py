@@ -14,6 +14,7 @@ import pytest
 
 from conftest import CRITERION_7
 from oracles import best_responses_per_price, counted_game_calls, solve_stackelberg_uncached
+from renderopt import prerender
 from renderopt.bench import POLICY_VARIANTS
 from renderopt.cli import main
 from renderopt.config import DEFAULTS, load_config
@@ -228,13 +229,35 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
 def test_artifact_digests_prints_one_digest_per_run(tmp_path):
     script = _script_module("artifact_digests")
     rows = [line.split() for line in _run_script("artifact_digests.py").stdout.splitlines()]
-    assert [row[:2] for row in rows] == [[config, command] for config in script.CONFIGS
-                                         for command in script.COMMANDS]
+    assert [row[:2] for row in rows] == [[config, run] for config in script.CONFIGS
+                                         for run in script.RUNS]
     assert all(re.fullmatch("[0-9a-f]{64}", row[2]) for row in rows)
     # the digest of the same run made here, by perfbench's own function
     out = tmp_path / "game"
     assert main(["game-solve", "--seed", "3", "--out-dir", str(out)]) == 0
     assert rows[0][2] == script.artifact_digest(out)
+
+
+def test_artifact_digests_replays_a_trace_across_blocks(tmp_path):
+    # the replay row's trace holds every spelling the grammar allows, and the
+    # block reader reads it in several blocks, point lines across their ends
+    path = tmp_path / "replay.trace"
+    _script_module("artifact_digests").write_trace(path)
+    raw, text = path.read_bytes(), path.read_text()
+    assert b"\r\n" in raw and b"\n\n" in raw and b"\n# " in raw and b"\t+" in raw
+    crossing, start, block = [], 0, prerender._TRACE_BLOCK_CHARS
+    while start + block < len(text):      # a block ends at the end of the line it reads into
+        end = text.index("\n", start + block - 1) + 1
+        if end > start + block:
+            crossing.append(text[text.rfind("\n", 0, start + block) + 1:end])
+        start = end
+    assert crossing and all(re.fullmatch(r"\d+ \d+ \d+\n", line) for line in crossing)
+    points = list(prerender.load_trace(path))
+    assert len(points) == 8001
+    result = prerender.simulate_walk(prerender.GridWorld(), prerender.TimingModel(), 8000, 0,
+                                     prerender.EncodingSpec(), 1.0, trace=points)
+    assert {frame.grid_point for frame, _, _ in result.outcomes} == {
+        (x, y) for x in range(20) for y in range(20)}
 
 
 def test_artifact_digests_runs_the_criterion_7_config():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one digest per artifact directory of six runs of the subcommands at --seed 3.
+"""Print the artifact digest of six subcommand runs at --seed 3, and seven trace faults.
 
     python3 scripts/artifact_digests.py
     python3 scripts/artifact_digests.py --src ../parent/src
@@ -15,6 +15,11 @@ trace `write_trace` writes. Each line is `<config> <run> <sha256>`, the
 digest made by perfbench/worker.py's `artifact_digest` (manifest timestamps
 and zip headers left out), so two source trees whose runs write the same
 artifacts print the same lines.
+
+Then each trace in `FAULTS` is replayed from the work directory with relative
+paths, as `prerender-sim --trace <name>.trace`, and printed as `faults <name>
+<exit code> <stderr line>`; so the rows are the same on every machine, and
+two trees that word every trace fault alike print the same rows.
 """
 
 from __future__ import annotations
@@ -49,6 +54,18 @@ CONFIGS = {
 }
 
 
+# fault name -> a trace holding that fault
+FAULTS = {
+    "malformed-field": b"0 0 0\n1 1.5 0\n",
+    "index-order": b"0 0 0\n1 1 0\n1 2 0\n",
+    "line-past-cap": b"0 0 0\n1 1 0" + b" " * 16_384 + b"\n",
+    "byte-in-field": b"0 0 0\n1 \xff 0\n",
+    "byte-in-comment": b"0 0 0\n# caf\xe9\n1 1 0\n",
+    "hop": b"0 0 0\n1 5 5\n",
+    "one-point": b"0 3 3\n",
+}
+
+
 def write_trace(path: Path) -> None:
     """An 8000-step replay on the default 20 x 20 floor, back and forth along
     a serpentine through every point, in the spellings the trace grammar
@@ -72,12 +89,10 @@ def write_trace(path: Path) -> None:
                       for i, line in enumerate(lines))
 
 
-def run(argv: list[str], env: dict) -> None:
-    """One CLI command in a fresh interpreter; exit naming it if it fails."""
-    proc = subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], env=env,
+def run(argv: list[str], env: dict, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """One CLI command in a fresh interpreter, in `cwd` if given."""
+    return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], env=env, cwd=cwd,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
 
 
 def main() -> int:
@@ -103,9 +118,19 @@ def main() -> int:
                      "bench-run": ["--plot-data"]}
             for label, command in RUNS.items():
                 out = work / name / label
-                run([command, *config, "--seed", str(SEED), "--out-dir", str(out),
-                     *extra.get(label, [])], env)
+                argv = [command, *config, "--seed", str(SEED), "--out-dir", str(out),
+                        *extra.get(label, [])]
+                proc = run(argv, env)
+                if proc.returncode != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: "
+                                     f"{proc.stderr.strip()}")
                 print(f"{name:12s} {label:16s} {artifact_digest(out)}", flush=True)
+        for name, trace in FAULTS.items():
+            (work / f"{name}.trace").write_bytes(trace)
+            proc = run(["prerender-sim", "--trace", f"{name}.trace", "--out-dir", name], env,
+                       cwd=work)
+            print(f"{'faults':12s} {name:16s} {proc.returncode} {proc.stderr.rstrip()}",
+                  flush=True)
     return 0
 
 

@@ -72,12 +72,9 @@ def check(ok: bool, field: str, requirement: str, value) -> None:
 
 @contextmanager
 def located(where: str):
-    """Re-raise a ValueError from the block as a ConfigError prefixed by `where`;
-    a UnicodeDecodeError passes, for the reader of the file to report."""
+    """Re-raise a ValueError from the block as a ConfigError prefixed by `where`."""
     try:
         yield
-    except UnicodeDecodeError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
 

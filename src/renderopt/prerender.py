@@ -116,10 +116,6 @@ class WalkResult:
                    self.step_outcomes)
 
     @property
-    def per_step_latency(self) -> list[float]:
-        return list(self._each_step(1))
-
-    @property
     def deadline_misses(self) -> int:
         return sum(self._each_step(2))
 
@@ -341,11 +337,12 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
                       outcomes=outcomes, step_outcomes=step_outcomes)
 
 
-# one trace line: blank, a comment, or three ASCII integers
+# a trace line: blank, a comment, or three ASCII integers. The file is decoded
+# with errors="surrogateescape" (PEP 383), so a byte that is not UTF-8 reads as
+# a lone surrogate in _TRACE_UNDECODED, which no line may hold
 _TRACE_FIELD = r"[+-]?[0-9]+"
-_TRACE_COMMENT = "#.*"                 # `.` stops at the newline
-_TRACE_LINE = re.compile(rf"\s*(?:{_TRACE_COMMENT}|({_TRACE_FIELD})\s+({_TRACE_FIELD})"
-                         rf"\s+({_TRACE_FIELD}))?\s*", re.ASCII)
+_TRACE_UNDECODED = r"\udc80-\udcff"
+_TRACE_COMMENT = rf"#[^\n{_TRACE_UNDECODED}]*"
 # the longest trace line, newline included; three fields at int()'s
 # 4300-digit limit fit in it, and a longer line is malformed
 _TRACE_LINE_CHARS = 16_384
@@ -355,7 +352,7 @@ _TRACE_LINE_CHARS = 16_384
 _TRACE_BLOCK_CHARS = 8_192
 
 
-# whole trace lines, each of _TRACE_LINE's grammar, with whitespace that stays
+# whole trace lines, each of the grammar above, with whitespace that stays
 # on its line (ASCII `\s` but the newline), and at most _TRACE_LINE_CHARS
 # characters, its newline included; a line matches one way, so a failed match
 # backtracks in time linear in the block. Compiled by the first replay, and
@@ -364,13 +361,6 @@ _TRACE_BLOCK_LINE = "{s}*(?:{c}|{f}{s}+{f}{s}+{f}{s}*|)".format(
     s=r"[ \t\r\f\v]", c=_TRACE_COMMENT, f=_TRACE_FIELD)
 _TRACE_BLOCK = (rf"(?:(?=.{{0,{_TRACE_LINE_CHARS - 1}}}\n){_TRACE_BLOCK_LINE}\n)*"
                 rf"(?=.{{0,{_TRACE_LINE_CHARS}}}\Z){_TRACE_BLOCK_LINE}")
-
-
-def _bad_trace_line(path: str | Path, lineno: int, line: str) -> ValueError:
-    longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
-        if len(line) > _TRACE_LINE_CHARS else ""
-    return ValueError(f"{shown(str(path))}:{lineno}: expected 'step_index x y' integers, "
-                      f"got {shown(line.strip())}{longer}")
 
 
 def _block_points(block: str, last: float) -> tuple[float, Iterator[Coord]] | None:
@@ -393,45 +383,52 @@ def _block_points(block: str, last: float) -> tuple[float, Iterator[Coord]] | No
     return (indices[-1] if indices else last), zip(values[1::3], values[2::3])
 
 
+def _line_fault(path: str | Path, lineno: int, line: str, last: float) -> ValueError:
+    """The fault of a trace line `_block_points` refuses after step index
+    `last`: its index, if the line passes on its own; else the first byte
+    that is not UTF-8 in it; else the line, as malformed."""
+    where = f"{shown(str(path))}:{lineno}: "
+    if (alone := _block_points(line, -math.inf)) is not None:
+        return ValueError(f"{where}step index {shown(alone[0])} does not follow "
+                          f"{shown(last)}; indices must strictly increase")
+    if undecoded := re.search(f"[{_TRACE_UNDECODED}]", line):
+        return ValueError(f"{where}byte {ord(undecoded[0]) - 0xDC00:#04x} is not UTF-8, in "
+                          f"{shown(line.strip().encode('utf-8', 'surrogateescape'))}")
+    longer = f" in a line longer than {_TRACE_LINE_CHARS} characters" \
+        if len(line) > _TRACE_LINE_CHARS else ""
+    return ValueError(f"{where}expected 'step_index x y' integers, "
+                      f"got {shown(line.strip())}{longer}")
+
+
 def _line_points(path: str | Path, block: str, lineno: int,
-                 last: float) -> Iterator[tuple[int, Coord]]:
-    """Each (step index, point) of a block's lines, numbered after `lineno`,
-    with indices strictly increasing from `last`: read a capped line at a
-    time and checked line by line, so the first fault is raised, worded and
-    numbered as it is found, after every point before it."""
+                 last: float) -> Iterator[Iterator[Coord]]:
+    """The points of a block `_block_points` refuses, an iterator per line:
+    each line, numbered after `lineno` and read at most _TRACE_LINE_CHARS + 1
+    characters at a time, is checked by `_block_points` as a block of its
+    own, indices following `last`. The block holds a line it refuses, so
+    this raises that line's fault, after every point before it."""
     lines = iter(partial(io.StringIO(block).readline, _TRACE_LINE_CHARS + 1), "")
     for lineno, line in enumerate(lines, start=lineno + 1):
-        match = _TRACE_LINE.fullmatch(line) if len(line) <= _TRACE_LINE_CHARS else None
-        if match is None:
-            raise _bad_trace_line(path, lineno, line)
-        index, x, y = match.groups()
-        if index is None:           # blank or a comment
-            continue
-        try:
-            index, x, y = int(index), int(x), int(y)
-        except ValueError:          # longer than int's digit limit
-            raise _bad_trace_line(path, lineno, line) from None
-        if index <= last:
-            raise ValueError(f"{shown(str(path))}:{lineno}: step index {shown(index)} "
-                             f"does not follow {shown(last)}; indices must strictly increase")
-        last = index
-        yield index, (x, y)
+        parsed = _block_points(line, last)
+        if parsed is None:
+            raise _line_fault(path, lineno, line, last)
+        last, points = parsed
+        yield points
 
 
-def _trace_blocks(path: str | Path) -> Iterator[Iterable[Coord]]:
-    """The points of a trace file, an iterable per block read: the points
-    `_block_points` parses, or, for a block that fails its checks, one point
-    at a time from `_line_points`, up to the fault."""
+def _trace_blocks(path: str | Path) -> Iterator[Iterator[Coord]]:
+    """The points of a trace file, an iterator per block read: the points
+    `_block_points` parses, or, for a block that fails its checks, an
+    iterator per line from `_line_points`, up to the fault it raises."""
     last: float = -math.inf            # the step index before the first
     lineno = 0                         # lines in the blocks before
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         while block := fh.read(_TRACE_BLOCK_CHARS):
             if not block.endswith("\n"):
                 block += fh.readline(_TRACE_LINE_CHARS + 1)
             parsed = _block_points(block, last)
-            if parsed is None:
-                for last, point in _line_points(path, block, lineno, last):
-                    yield point,
+            if parsed is None:          # it holds a line it refuses, where this raises
+                yield from _line_points(path, block, lineno, last)
             else:
                 last, points = parsed
                 yield points
@@ -443,11 +440,12 @@ def load_trace(path: str | Path) -> Iterator[Coord]:
     `step_index x y` line per point, with step indices strictly increasing in
     file order. The file is UTF-8, fields are ASCII integers, and blank lines
     and lines starting with `#` are skipped; a line longer than
-    _TRACE_LINE_CHARS characters, its newline included, is malformed. The
-    file is read _TRACE_BLOCK_CHARS characters at a time, and then the rest of
-    the block's last line, at most _TRACE_LINE_CHARS + 1 characters, so
-    reading runs at most one block past the last point asked for. A fault is
-    raised after every point before it, with its line's number."""
+    _TRACE_LINE_CHARS characters, its newline included, or holding a byte that
+    is not UTF-8, comments included, is a fault. The file is read
+    _TRACE_BLOCK_CHARS characters at a time, and then the rest of the block's
+    last line, at most _TRACE_LINE_CHARS + 1 characters, so reading runs at
+    most one block past the last point asked for. Every fault is raised as
+    the walk reaches it, after every point before it, with its line's number."""
     return chain.from_iterable(_trace_blocks(path))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -546,8 +547,14 @@ class TestErrorPaths:
     TRACES = {
         "missing": (None, "cannot read 'path.trace': No such file or directory"),
         "directory": ("<dir>", "cannot read 'path.trace': Is a directory"),
-        "non-utf-8": (b"0 0 0\n1 \xff 0\n", "cannot read 'path.trace': 'utf-8' codec can't "
-                                            "decode byte 0xff"),
+        "non-utf-8": (b"0 0 0\n1 \xff 0\n",
+                      "'path.trace':2: byte 0xff is not UTF-8, in b'1 \\xff 0'"),
+        "non-utf-8-comment": (b"0 0 0\n# caf\xe9\n1 1 0\n",
+                              "'path.trace':2: byte 0xe9 is not UTF-8, in b'# caf\\xe9'"),
+        # a UTF-8 comment is read past: the fault is the index after it
+        "utf-8-comment": ("# caf\u00e9\n0 0 0\n0 1 0\n", "'path.trace':3: step index 0 does "
+                                                      "not follow 0; indices must strictly "
+                                                      "increase"),
         "malformed": ("0 0 0\n1 1.5 0\n", "'path.trace':2: expected 'step_index x y' "
                                           "integers, got '1 1.5 0'"),
         "duplicate-index": ("0 0 0\n1 1 0\n1 2 0\n", "'path.trace':3: step index 1 does not "
@@ -581,6 +588,29 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and len(err) < 200
         assert err.startswith("prerender-sim: config error: --trace: ") and problem in err
         assert not (tmp_path / "x").exists()
+
+    # each --trace fault the README quotes, from a trace that makes it
+    README_TRACES = [b"0 0 0\n1 1 0\n1 2 0\n",
+                     "".join(f"{i} {i % 2} 0\n" for i in range(3000)).encode()
+                     + b"3000 \xff 0\n",
+                     b"0 1 0\n1 0 0\n2 1 0\n3 2 0\n4 5 5\n",
+                     MAX_WALK_STEPS + 2]
+
+    def test_readme_trace_examples(self, tmp_path, monkeypatch, capsys):
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        quoted = re.findall(r"`(prerender-sim: config error: --trace: [^`]*)`", readme)
+        monkeypatch.chdir(tmp_path)
+        errors = []
+        for text in self.README_TRACES:
+            if isinstance(text, int):
+                with open("walk.trace", "w") as fh:
+                    fh.writelines(f"{i} {i % 2} 0\n" for i in range(text))
+            else:
+                (tmp_path / "walk.trace").write_bytes(text)
+            assert main(["prerender-sim", "--trace", "walk.trace", "--out-dir", "x"]) == \
+                EXIT_CONFIG
+            errors.append(capsys.readouterr().err.removesuffix("\n"))
+        assert errors == quoted
 
     # a trace was decoded with the locale's encoding: under the POSIX locale,
     # with UTF-8 mode off, the bad byte was reported by the 'ascii' codec and a

@@ -1,7 +1,10 @@
 """Grid walks, region compression, and deadline accounting."""
 
+import io
+import math
 import re
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -154,7 +157,7 @@ class TestSimulateWalk:
     def test_default_walk_never_misses(self):
         result = simulate_walk(WORLD, TIMING, 1000, 3, ENCODING, WORK)
         assert result.deadline_misses == 0
-        assert max(result.per_step_latency) <= hop_deadline(WORLD, TIMING)
+        assert max(walk_steps(result)[1]) <= hop_deadline(WORLD, TIMING)
 
     def test_tiny_bandwidth_misses_every_fresh_delta_step(self):
         starved = TimingModel(t_request=1.0, render_throughput=20.0, bandwidth=0.001)
@@ -279,7 +282,6 @@ def _assert_walk_matches_eager(out, world, timing, seed, trace_seed):
         frames, latencies, missed, bytes_tx = walk_eager(world, timing, 600, seed, ENCODING,
                                                          WORK, trace)
         assert walk_steps(result) == (frames, latencies, missed)
-        assert result.per_step_latency == latencies
         assert result.bytes_transmitted == bytes_tx
         assert result.deadline_misses == sum(missed)
         write_walk_csv(result, out / "steps.csv")
@@ -404,19 +406,25 @@ class TestTraceIO:
                                              "from 1 to 5$"):
             simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
 
-    def test_decoding_runs_a_block_and_a_line_ahead(self, tmp_path):
-        # the walk stops at the seventh point: a byte that is not UTF-8 in the
-        # block read ahead is reported, and one past that block, the rest of
-        # its last line and the 8192-byte chunk the text reader decodes at a
-        # time is never read
+    def test_a_byte_that_is_not_utf8_is_reported_when_the_walk_reaches_it(self, tmp_path):
+        # a byte that is not UTF-8 is a fault of its line: a 5-step walk that
+        # stops before that line refuses its seventh point, though the byte
+        # is in the block read; one that reaches the line names it
         path = tmp_path / "ahead.trace"
-        points = "".join(f"{i} {i % 2} 0\n" for i in range(7)).encode()
-        reach = prerender._TRACE_BLOCK_CHARS + prerender._TRACE_LINE_CHARS + 1 + 8192
-        for pad, problem in [(0, "'utf-8' codec can't decode byte 0xff"),
-                             (reach, "trace has more than 5 steps")]:
-            path.write_bytes(points + b"#" * pad + b"\n\xff\n")
-            with pytest.raises(ValueError, match=f"^{problem}"):
+        for points, problem in [(7, "trace has more than 5 steps; a walk takes from 1 to 5"),
+                                (6, f"{shown(str(path))}:7: byte 0xff is not UTF-8, in b'\\xff'")]:
+            path.write_bytes(_points_text(points).encode() + b"\xff\n")
+            with pytest.raises(ValueError) as info:
                 simulate_walk(WORLD, TIMING, 5, 0, ENCODING, WORK, trace=load_trace(path))
+            assert str(info.value) == problem
+        # a byte past the text reader's first 8192-byte chunks is named with
+        # its line, not with its place in a chunk
+        path.write_bytes(_points_text(3000).encode() + b"3000 \xff 0\n")
+        assert path.read_bytes().index(b"\xff") == 25_895
+        with pytest.raises(ValueError) as info:
+            list(load_trace(path))
+        assert str(info.value) == (f"{shown(str(path))}:3001: byte 0xff is not UTF-8, "
+                                   f"in b'3000 \\xff 0'")
 
     def test_csv_export_schema(self, tmp_path):
         result = simulate_walk(WORLD, TIMING, 10, 0, ENCODING, WORK)
@@ -619,3 +627,75 @@ def test_block_reader_matches_line_reader(tmp_path_factory, text, block, horizon
         # only a block that holds a fault is read a line at a time
         assert lines.called == (want[1] is not None)
         assert _replay(load_trace(path), horizon) == _replay(load_trace_linewise(path), horizon)
+
+
+# a text's lines with their ends, split where universal newlines split them
+_LINES = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+
+
+@st.composite
+def undecodable_traces(draw):
+    """(a trace_texts text as bytes, with one byte that is not UTF-8 put into a
+    drawn line: into the line itself, a comment made of it, a blank line put
+    in its place, or before a CRLF; the text with that line malformed
+    instead; the line's number; the line as bytes, end left out; the byte)."""
+    lines = _LINES.findall(draw(trace_texts())) or [""]
+    at_line = draw(st.integers(0, len(lines) - 1))
+    text = lines[at_line].rstrip("\r\n")
+    end = lines[at_line][len(text):]
+    byte = bytes([draw(st.integers(0x80, 0xFF))])
+    at = draw(st.integers(0, min(len(text), 100)))     # inside the line's first read
+    where = draw(st.sampled_from(["line", "comment", "blank", "crlf"]))
+    if where == "line":
+        line = text[:at].encode() + byte + text[at:].encode()
+    elif where == "comment":
+        line = b"#" + text[:at].encode() + byte + text[at:].encode()
+    elif where == "blank":
+        line = draw(st.sampled_from([b"", b" ", b"\t "])) + byte
+    else:                               # cut to end within the cap
+        line, end = text[:_CAP - 2].encode() + byte, "\r\n"
+    before, after = "".join(lines[:at_line]), "".join(lines[at_line + 1:])
+    return (before.encode() + line + end.encode() + after.encode(),
+            before + "not a point" + end + after, at_line + 1, line, byte[0])
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(case=undecodable_traces(), block=st.one_of(st.just(_BLOCK), st.integers(1, 40)))
+# a byte in a comment, and a lone continuation byte before a CRLF
+@example(case=(b"0 0 0\n# caf\xe9\n1 1 0\n", "0 0 0\nnot a point\n1 1 0\n", 2, b"# caf\xe9",
+               0xE9), block=_BLOCK)
+@example(case=(b"0 0 0\r\n1 1 0\x80\r\n", "0 0 0\r\nnot a point\r\n", 2, b"1 1 0\x80",
+               0x80), block=3)
+def test_a_byte_that_is_not_utf8_is_a_fault_of_its_line(tmp_path_factory, case, block):
+    # the points the line reader yields with that line malformed, and then,
+    # unless a fault before it comes first, that line's fault: its first byte
+    # that is not UTF-8, and the line's bytes
+    raw, malformed, lineno, line, byte = case
+    path = tmp_path_factory.mktemp("trace") / "walk.trace"
+    path.write_text(malformed, encoding="utf-8", newline="")
+    points, fault = _read(load_trace_linewise(path))
+    where = f"{shown(str(path))}:{lineno}: "
+    if fault == f"{where}expected 'step_index x y' integers, got 'not a point'":
+        echo = line.decode(errors="surrogateescape").strip().encode(errors="surrogateescape")
+        fault = f"{where}byte {byte:#04x} is not UTF-8, in {shown(echo)}"
+    path.write_bytes(raw)
+    with mock.patch.object(prerender, "_TRACE_BLOCK_CHARS", block):
+        assert _read(load_trace(path)) == (points, fault)
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(raw=st.one_of(trace_texts().map(str.encode), undecodable_traces().map(lambda c: c[0])),
+       last=st.one_of(st.just(-math.inf), st.integers(-5, 5)))
+@example(raw=b"0 0 0\n1 \xff 0\n", last=-math.inf)
+@example(raw=b"5 0 0\n# c\n4 1 0\n", last=-math.inf)
+def test_line_points_raises_on_every_block_that_block_points_refuses(raw, last):
+    # a text read as one block: refused, it holds a line refused on its own,
+    # so the line-by-line check raises; passed, it yields the same points
+    block = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape").read()
+    lines = prerender._line_points("walk.trace", block, 0, last)
+    parsed = prerender._block_points(block, last)
+    if parsed is None:
+        with pytest.raises(ValueError, match="^'walk.trace':[0-9]+: "):
+            list(lines)
+    else:
+        assert list(chain.from_iterable(lines)) == list(parsed[1])

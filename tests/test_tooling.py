@@ -228,10 +228,19 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
 
 def test_artifact_digests_prints_one_digest_per_run(tmp_path):
     script = _script_module("artifact_digests")
-    rows = [line.split() for line in _run_script("artifact_digests.py").stdout.splitlines()]
+    rows = [line.split(maxsplit=3) for line in
+            _run_script("artifact_digests.py").stdout.splitlines()]
     assert [row[:2] for row in rows] == [[config, run] for config in script.CONFIGS
-                                         for run in script.RUNS]
-    assert all(re.fullmatch("[0-9a-f]{64}", row[2]) for row in rows)
+                                         for run in script.RUNS] + [
+                                            ["faults", name] for name in script.FAULTS]
+    digests, faults = rows[:-len(script.FAULTS)], rows[-len(script.FAULTS):]
+    assert all(len(row) == 3 and re.fullmatch("[0-9a-f]{64}", row[2]) for row in digests)
+    # each fault exits 2 with one short line naming --trace; a line fault
+    # names its trace by the relative path it was given
+    for _, name, code, line in faults:
+        assert code == "2" and line.startswith("prerender-sim: config error: --trace: ")
+        assert len(line) < 200
+        assert f"'{name}.trace':" in line or name in ("hop", "one-point")
     # the digest of the same run made here, by perfbench's own function
     out = tmp_path / "game"
     assert main(["game-solve", "--seed", "3", "--out-dir", str(out)]) == 0

@@ -20,6 +20,10 @@ Then each trace in `FAULTS` is replayed from the work directory with relative
 paths, as `prerender-sim --trace <name>.trace`, and printed as `faults <name>
 <exit code> <stderr line>`; so the rows are the same on every machine, and
 two trees that word every trace fault alike print the same rows.
+
+Before the rows, one line goes to stderr: the kernels the digests were made
+with (numpy's version, the SIMD extensions it found on this CPU, and its
+BLAS), since the diffusion rows move with them. stdout holds the rows alone.
 """
 
 from __future__ import annotations
@@ -89,6 +93,24 @@ def write_trace(path: Path) -> None:
                       for i, line in enumerate(lines))
 
 
+def kernel_fingerprint() -> str:
+    """`kernels numpy=<version> simd=<found,...> blas=<name> <version>` for this
+    interpreter's numpy, which the runs import. Where `show_config` has no
+    dicts mode (older numpy), the SIMD list is read from numpy's CPU dispatch
+    table and the BLAS reads `unknown`."""
+    import numpy as np
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        config = {"SIMD Extensions": {"found": [name for name in __cpu_dispatch__
+                                                if __cpu_features__.get(name)]}}
+    simd = config.get("SIMD Extensions", {}).get("found") or ["unknown"]
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return (f"kernels numpy={np.__version__} simd={','.join(simd)} "
+            f"blas={blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")
+
+
 def run(argv: list[str], env: dict, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """One CLI command in a fresh interpreter, in `cwd` if given."""
     return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], env=env, cwd=cwd,
@@ -103,6 +125,7 @@ def main() -> int:
 
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
            "OPENBLAS_NUM_THREADS": "1"}
+    print(kernel_fingerprint(), file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         work = Path(tmp)
         write_trace(work / "replay.trace")

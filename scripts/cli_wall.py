@@ -7,13 +7,15 @@
 Each run is `python -m renderopt.cli <command> --out-dir <new dir>` in a child
 process with OPENBLAS_NUM_THREADS=1, so it counts interpreter start, imports,
 config validation, the command and its writes. Wall time spans the child's
-whole life; CPU time (user + system) and peak resident set size come from
-`os.wait4` on that child alone. diffusion-infer reads the checkpoint of one
+whole life; CPU time (user + system), system CPU time, minor page faults
+and peak resident set size come from `os.wait4` on that child alone. System
+time and minor faults show allocation churn: pages the allocator hands back to
+the kernel and faults in again. diffusion-infer reads the checkpoint of one
 untimed diffusion-train run made first. prerender-replay is `prerender-sim
 --trace` on a 100 000-step trace written first: back and forth along a
 serpentine through every point of the default 20 x 20 floor. Prints one row
-per command: runs, median wall seconds, median CPU seconds, and the largest
-peak RSS of its runs.
+per command: runs, median wall seconds, median CPU seconds, median system CPU
+seconds, median minor page faults, and the largest peak RSS of its runs.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ def write_trace(path: Path, steps: int) -> None:
         fh.writelines("%d %d %d\n" % (k, *lap[k % len(lap)]) for k in range(steps + 1))
 
 
-def run_once(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, float]:
-    """Run one CLI command in a child; its wall seconds, CPU seconds and peak RSS in MB."""
+def run_once(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, float, int, float]:
+    """Run one CLI command in a child; its wall seconds, CPU seconds, system CPU
+    seconds, minor page faults and peak RSS in MB."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "renderopt.cli", *argv,
@@ -54,7 +57,8 @@ def run_once(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, f
             err.seek(0)
             message = err.read().decode(errors="replace").strip()
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {message}")
-    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+    return (wall, usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt,
+            usage.ru_maxrss / 1024.0)
 
 
 def main() -> int:
@@ -69,7 +73,8 @@ def main() -> int:
 
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
            "OPENBLAS_NUM_THREADS": "1"}
-    print(f"{'command':16s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} {'peak_rss_mb':>11s}")
+    print(f"{'command':16s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} {'sys_s':>8s} "
+          f"{'minflt':>8s} {'peak_rss_mb':>11s}")
     with tempfile.TemporaryDirectory(prefix="cli-wall-") as tmp:
         work = Path(tmp)
         argv = {name: [name] for name in COMMANDS}
@@ -83,9 +88,10 @@ def main() -> int:
         for name in args.commands:
             runs = [run_once(argv[name], env, work / f"{name}-{i}")
                     for i in range(args.repeats)]
-            walls, cpus, rss = zip(*runs)
+            walls, cpus, syss, faults, rss = zip(*runs)
             print(f"{name:16s} {len(runs):4d} {statistics.median(walls):8.3f} "
-                  f"{statistics.median(cpus):8.3f} {max(rss):11.1f}", flush=True)
+                  f"{statistics.median(cpus):8.3f} {statistics.median(syss):8.3f} "
+                  f"{statistics.median(faults):8.0f} {max(rss):11.1f}", flush=True)
     return 0
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import ConfigError, _build, _merge, check
+from .errors import ConfigError, _build, _merge, check, read_json
 from .game import DEFAULT_NODES, CloudParams, EdgeNodeParams, SolverSettings
 from .prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
@@ -360,7 +360,9 @@ def parse_config(text: str) -> ExperimentConfig:
         user: dict = {}
     else:
         try:
-            user = json.loads(text)
+            user = read_json(text, "config")
+        except ConfigError:                 # a key given twice
+            raise
         # a JSONDecodeError or an integer past the digit limit; or nesting too deep
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config parse error: {exc}") from exc

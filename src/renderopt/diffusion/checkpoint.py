@@ -33,7 +33,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ..config import NoiseSchedule
-from ..errors import _build, _merge, check, located, shown
+from ..errors import ConfigError, _build, _merge, check, located, read_json, shown
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 
@@ -128,7 +128,9 @@ def load_checkpoint(path: str | Path | BinaryIO):
     if raw.dtype != np.uint8 or raw.ndim != 1:
         raise ValueError(not_json)
     try:
-        meta = json.loads(raw.tobytes().decode())
+        meta = read_json(raw.tobytes().decode(), "checkpoint header")
+    except ConfigError:                     # a key given twice
+        raise
     except (ValueError, RecursionError):
         raise ValueError(not_json) from None
     if not isinstance(meta, dict):

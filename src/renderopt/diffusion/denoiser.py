@@ -20,6 +20,12 @@ it, `split_params` views it tensor by tensor, and `loss_and_grads` returns the
 gradient as a vector in the same layout. Each in-place kernel sequence replays
 Python's left-to-right evaluation of the expression it replaced (kept in
 `tests/oracles.py`), so results match to the bit: no edit may reassociate it.
+
+Training runs in a `Workspace`: the kernels write into its buffers through
+`out=` (None, their default, makes a new array), and the backward pass writes
+most gradients over the activation its layer read. A row's result does not
+depend on how many rows share the call, except that a batch of one sequence
+takes another BLAS path in the (1, d) products of the embeddings.
 """
 
 from __future__ import annotations
@@ -51,25 +57,27 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=-1)
 
 
-def _gelu(x: np.ndarray):
-    """GELU(x) in tanh form (arXiv:1606.08415) and the 1 + tanh term its gradient reuses."""
-    term = _GELU_A * x                     # 1 + tanh(C (x + A x x x)), in place
+def _gelu(x: np.ndarray, act: np.ndarray | None = None, term: np.ndarray | None = None):
+    """GELU(x) in tanh form (arXiv:1606.08415) and the 1 + tanh term its gradient
+    reuses; into `act` and `term` when given."""
+    term = np.multiply(_GELU_A, x, out=term)   # 1 + tanh(C (x + A x x x)), in place
     term *= x
     term *= x
     term += x
     term *= _GELU_C
     np.tanh(term, out=term)
     term += 1.0
-    act = 0.5 * x
+    act = np.multiply(0.5, x, out=act)
     act *= term
     return act, term
 
 
-def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, term: np.ndarray, out: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> np.ndarray:
     # d tanh(u) / du = 1 - tanh(u)^2 = term (2 - term); 0.5 term + 0.5 x term (2 - term) du
-    out = 0.5 * x
+    out = np.multiply(0.5, x, out=out)
     out *= term
-    tmp = 2.0 - term
+    tmp = np.subtract(2.0, term, out=tmp)
     out *= tmp
     np.multiply(3.0 * _GELU_A, x, out=tmp)
     tmp *= x
@@ -80,43 +88,56 @@ def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = x @ w
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    y = x @ w if out is None else np.matmul(x, w, out=out)
     y += b
     return y
 
 
 def _linear_back(x: np.ndarray, dy: np.ndarray, params: dict, grads: dict,
-                 w: str, b: str) -> np.ndarray:
-    """dx for y = x @ params[w] + params[b] with arbitrary leading axes;
-    writes the weight and bias gradients into grads[w] and grads[b]."""
+                 w: str, b: str, out: np.ndarray | None = None) -> np.ndarray:
+    """dx for y = x @ params[w] + params[b] with arbitrary leading axes, into
+    `out` (shaped as x, and x itself if x is not needed after) when given;
+    writes the weight and bias gradients into grads[w] and grads[b] first."""
     din, dout = params[w].shape
     x2 = x.reshape(-1, din)
     dy2 = dy.reshape(-1, dout)
-    grads[w][...] = x2.T @ dy2
+    np.matmul(x2.T, dy2, out=grads[w])
     grads[b][...] = dy2.sum(axis=0)
-    return (dy2 @ params[w].T).reshape(x.shape)
+    dx2 = np.matmul(dy2, params[w].T, out=None if out is None else out.reshape(-1, din))
+    return dx2.reshape(x.shape)
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:   # x.mean(-1, keepdims=True), minus its wrapper
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    xhat = x - _mean_last(x)
-    inv = _mean_last(xhat * xhat)
+def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray,
+               xhat: np.ndarray | None = None, out: np.ndarray | None = None):
+    """g xhat + b for xhat = x normalised over its last axis, into `out`, and the
+    context (xhat, 1 / std) its backward pass needs, xhat into `xhat`, when given."""
+    xhat = np.subtract(x, _mean_last(x), out=xhat)
+    inv = _mean_last(np.multiply(xhat, xhat, out=out))     # `out` is scratch until the end
     inv += _LN_EPS
     np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
     xhat *= inv
-    return g * xhat + b, (xhat, inv)
+    out = np.multiply(g, xhat, out=out)
+    out += b
+    return out, (xhat, inv)
 
 
-def _layernorm_back(params: dict, prefix: str, dy: np.ndarray, cache: dict, grads: dict):
+def _layernorm_back(params: dict, prefix: str, dy: np.ndarray, cache: dict, grads: dict,
+                    out: np.ndarray | None = None, tmp: np.ndarray | None = None):
+    """dx of `_layernorm`, into `out` (dy itself if dy is not needed after)
+    when given, with `tmp` as scratch."""
     xhat, inv = cache[prefix]
-    grads[f"{prefix}.g"][...] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    grads[f"{prefix}.b"][...] = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * params[f"{prefix}.g"]        # inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
-    proj = dxhat * xhat
+    d = xhat.shape[-1]
+    grads[f"{prefix}.g"][...] = np.multiply(dy, xhat, out=tmp).reshape(-1, d).sum(axis=0)
+    grads[f"{prefix}.b"][...] = dy.reshape(-1, d).sum(axis=0)
+    # inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
+    dxhat = np.multiply(dy, params[f"{prefix}.g"], out=out)
+    proj = np.multiply(dxhat, xhat, out=tmp)
     dxhat -= _mean_last(dxhat)
     dxhat -= np.multiply(xhat, _mean_last(proj), out=proj)
     dxhat *= inv
@@ -133,6 +154,15 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _merged_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """a @ b per head, (B, H, L, dh), with its heads merged to (B, L, H dh);
+    written through a per-head view of `out` when given."""
+    if out is None:
+        return _merge_heads(a @ b)
+    np.matmul(a, b, out=_split_heads(out, a.shape[1]))
+    return out
+
+
 def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:   # in the buffer of `scores`
     scores *= scale
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
@@ -141,78 +171,160 @@ def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:   # in the buffer 
     return scores
 
 
+class Workspace:
+    """Float64 buffers for batches of up to `rows` sequences, made on first use
+    and reused by every later call: `buffers` holds one per role and per-row
+    shape, and a batch of fewer rows works in a view of their leading rows.
+    Also the gradient vector and its per-tensor views (`grads`), which
+    `loss_and_grads` overwrites and returns on every call."""
+
+    def __init__(self, config: DenoiserConfig, rows: int):
+        self.rows = rows
+        self.buffers: dict[tuple, np.ndarray] = {}
+        self.grad = np.zeros(param_count(config))
+        self.grads = split_params(config, self.grad)
+        self._loose: list[tuple] = []      # buffers made since the last `pack`
+
+    def take(self, role: str, b: int, *shape: int) -> np.ndarray:
+        """The leading `b` rows of the (rows, *shape) buffer of `role`."""
+        buf = self.buffers.get((role, shape))
+        if buf is None:
+            buf = self.buffers[role, shape] = np.empty((self.rows, *shape))
+            self._loose.append((role, shape))
+        return buf[:b]
+
+    def pack(self) -> None:
+        """Move the buffers made since the last call into one block, their
+        contents dropped; call it when no view of a buffer is in use. After a
+        run's first step its buffers are then one allocation, freed at once
+        when the run ends: glibc raises its mmap threshold to the largest
+        block freed, so a process that goes on to make large arrays, such as
+        a loaded checkpoint's weights, takes them from the heap instead of
+        faulting in fresh pages for each."""
+        shapes = {key: self.buffers.pop(key).shape for key in self._loose}
+        self._loose = []
+        if shapes:
+            block = np.empty(sum(map(math.prod, shapes.values())))
+            start = 0
+            for key, shape in shapes.items():
+                size = math.prod(shape)
+                self.buffers[key] = block[start:start + size].reshape(shape)
+                start += size
+
+
 def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
-                       cache: dict | None):
-    qh = _split_heads(_linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), heads)
-    kh = _split_heads(_linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]), heads)
-    vh = _split_heads(_linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads)
+                       cache: dict | None, ws: Workspace | None):
+    b, l, d = x.shape
+    q = _linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
+                ws and ws.take(f"{prefix}.q", b, l, d))
+    k = _linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"],
+                ws and ws.take(f"{prefix}.k", b, l, d))
+    v = _linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"],
+                ws and ws.take(f"{prefix}.v", b, l, d))
+    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    probs = _softmax(qh @ kh.transpose(0, 1, 3, 2), scale)
-    merged = _merge_heads(probs @ vh)
-    out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    probs = _softmax(np.matmul(qh, kh.transpose(0, 1, 3, 2),
+                               out=ws and ws.take(f"{prefix}.probs", b, heads, l, l)), scale)
+    merged = _merged_matmul(probs, vh, ws and ws.take(f"{prefix}.merged", b, l, d))
+    out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
+                  ws and ws.take(f"{prefix}.out", b, l, d))
     if cache is not None:
         cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
     return out
 
 
 def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
-                        cache: dict, grads: dict):
+                        cache: dict, grads: dict, ws: Workspace):
     x, qh, kh, vh, probs, merged, scale = cache[prefix]
-    dmerged = _linear_back(merged, dout, params, grads, f"{prefix}.wo", f"{prefix}.bo")
+    b, l, d = x.shape
+    dmerged = _linear_back(merged, dout, params, grads, f"{prefix}.wo", f"{prefix}.bo", merged)
     dctx = _split_heads(dmerged, heads)
-    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dqh = (dscores @ kh) * scale
-    dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
-    dx = np.zeros_like(x)
-    for name, dh in (("q", dqh), ("k", dkh), ("v", dvh)):
-        dx += _linear_back(x, _merge_heads(dh), params, grads,
-                           f"{prefix}.w{name}", f"{prefix}.b{name}")
+    # dscores = probs (dprobs - sum(dprobs probs)), in the buffer of dprobs
+    dscores = np.matmul(dctx, vh.transpose(0, 1, 3, 2),
+                        out=ws.take("attn.dscores", b, heads, l, l))
+    dscores -= np.multiply(dscores, probs, out=ws.take("tmp", b, heads, l, l)).sum(
+        axis=-1, keepdims=True)
+    dscores *= probs
+    dx = ws.take("attn.dx", b, l, d)
+    dx.fill(0.0)                       # 0.0 + a turns a's -0.0 into 0.0, as np.zeros_like did
+    dheads = _merge_heads(vh)          # the buffer of v, which only dscores needed
+    for name, a, c, scaled in (("q", dscores, kh, True),
+                               ("k", dscores.transpose(0, 1, 3, 2), qh, True),
+                               ("v", probs.transpose(0, 1, 3, 2), dctx, False)):
+        _merged_matmul(a, c, dheads)
+        if scaled:
+            dheads *= scale
+        dx += _linear_back(x, dheads, params, grads, f"{prefix}.w{name}", f"{prefix}.b{name}",
+                           ws.take("tmp", b, l, d))
     return dx
 
 
-def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None):
-    pre = _linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    act, term = _gelu(pre)
+def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
+                 ws: Workspace | None):
+    b, l, d = x.shape
+    mf = params[f"{prefix}.b1"].shape[0]
+    pre = _linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"],
+                  ws and ws.take(f"{prefix}.pre", b, l, mf))
+    act, term = _gelu(pre, ws and ws.take("act", b, l, mf),
+                      ws and ws.take(f"{prefix}.term", b, l, mf))
     # the tanh term replaces `act` in the cache: the backward pass rebuilds act
     # from it with one product, and the cache stays the size it was
     if cache is not None:
         cache[prefix] = (x, pre, term)
     del pre, term                   # uncached, both are freed before the output is allocated
-    return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"],
+                   ws and ws.take(f"{prefix}.out", b, l, d))
 
 
-def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict):
+def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict,
+                  ws: Workspace):
     x, pre, term = cache[prefix]
-    act = 0.5 * pre * term
-    dact = _linear_back(act, dout, params, grads, f"{prefix}.w2", f"{prefix}.b2")
-    dpre = dact * _gelu_grad(pre, term)
-    return _linear_back(x, dpre, params, grads, f"{prefix}.w1", f"{prefix}.b1")
+    b, l, mf = pre.shape
+    act = np.multiply(0.5, pre, out=ws.take("act", b, l, mf))
+    act *= term
+    dact = _linear_back(act, dout, params, grads, f"{prefix}.w2", f"{prefix}.b2", act)
+    dact *= _gelu_grad(pre, term, ws.take("mlp.dgelu", b, l, mf), ws.take("tmp", b, l, mf))
+    return _linear_back(x, dact, params, grads, f"{prefix}.w1", f"{prefix}.b1", x)
 
 
 def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
-                   cache: dict | None):
+                   cache: dict | None, ws: Workspace | None):
     """Pre-norm transformer block: x + attn(LN(x)), then + mlp(LN(.)).
 
     Stores what the backward pass needs in `cache`; None keeps nothing alive.
     """
-    ln1, ctx1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    h1 = x + _attention_forward(params, f"{prefix}.attn", ln1, heads, cache)
-    ln2, ctx2 = _layernorm(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    b, l, d = x.shape
+    ln1, ctx1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
+                           ws and ws.take(f"{prefix}.ln1.xhat", b, l, d),
+                           ws and ws.take(f"{prefix}.ln1.y", b, l, d))
+    h1 = _attention_forward(params, f"{prefix}.attn", ln1, heads, cache, ws)
+    h1 += x
+    ln2, ctx2 = _layernorm(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"],
+                           ws and ws.take(f"{prefix}.ln2.xhat", b, l, d),
+                           ws and ws.take(f"{prefix}.ln2.y", b, l, d))
     if cache is not None:
         cache[f"{prefix}.ln1"] = ctx1
         cache[f"{prefix}.ln2"] = ctx2
     del ln1, ctx1, ctx2             # uncached, they are freed before the MLP runs
-    return h1 + _mlp_forward(params, f"{prefix}.mlp", ln2, cache)
+    out = _mlp_forward(params, f"{prefix}.mlp", ln2, cache, ws)
+    out += h1
+    return out
 
 
 def _block_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
-                    cache: dict, grads: dict):
-    dln2 = _mlp_backward(params, f"{prefix}.mlp", dout, cache, grads)
-    dh1 = _layernorm_back(params, f"{prefix}.ln2", dln2, cache, grads) + dout
-    dln1 = _attention_backward(params, f"{prefix}.attn", dh1, heads, cache, grads)
-    return _layernorm_back(params, f"{prefix}.ln1", dln1, cache, grads) + dh1
+                    cache: dict, grads: dict, ws: Workspace):
+    b, l, d = dout.shape
+    # each gradient is written over the input activation of its layer, which
+    # the backward pass no longer needs
+    dln2 = _mlp_backward(params, f"{prefix}.mlp", dout, cache, grads, ws)
+    dh1 = _layernorm_back(params, f"{prefix}.ln2", dln2, cache, grads, dln2,
+                          ws.take("tmp", b, l, d))
+    dh1 += dout
+    dln1 = _attention_backward(params, f"{prefix}.attn", dh1, heads, cache, grads, ws)
+    dx = _layernorm_back(params, f"{prefix}.ln1", dln1, cache, grads, dln1,
+                         ws.take("tmp", b, l, d))
+    dx += dh1
+    return dx
 
 
 def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
@@ -276,11 +388,14 @@ def init_weights(config: DenoiserConfig, seed: int) -> np.ndarray:
 
 
 def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray,
-            s: np.ndarray, cache: dict | None = None) -> np.ndarray:
+            s: np.ndarray, cache: dict | None = None,
+            workspace: Workspace | None = None) -> np.ndarray:
     """Predict the injected noise. m_t: (B, L, F); t: (B,); s: (B, C).
 
     Fills `cache` with what `loss_and_grads` needs; without one, each
-    intermediate is freed as soon as the next layer has used it.
+    intermediate is freed as soon as the next layer has used it. With a
+    `workspace`, each activation the size of the sequences or larger goes
+    into its buffers, and the next call overwrites it.
     """
     b, l, f = m_t.shape
     if l % 2 != 0 or l < 2:
@@ -289,31 +404,48 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
         raise ValueError(f"expected {config.feature_dim} features, got {f}")
     if s.shape != (b, config.cond_dim):
         raise ValueError(f"condition shape {s.shape} != ({b}, {config.cond_dim})")
-    heads = config.heads
+    ws = workspace            # without one, each `ws and ws.take(...)` below is None
+    if ws is not None and b > ws.rows:
+        raise ValueError(f"batch of {b} sequences > the workspace's {ws.rows} rows")
+    heads, d, a = config.heads, config.d_model, config.gate_dim
 
-    sin_emb = timestep_embedding(t, config.d_model)
+    sin_emb = timestep_embedding(t, d)
     temb = _linear(sin_emb, params["time.w"], params["time.b"])
     semb = _linear(s, params["cond.w"], params["cond.b"])
-    h = _linear(m_t, params["in.w"], params["in.b"]) + temb[:, None, :] + semb[:, None, :]
+    h = _linear(m_t, params["in.w"], params["in.b"], ws and ws.take("h", b, l, d))
+    h += temb[:, None, :]
+    h += semb[:, None, :]
 
-    enc = _block_forward(params, "enc", h, heads, cache)
-    down = 0.5 * (enc[:, 0::2, :] + enc[:, 1::2, :])
-    up = _block_forward(params, "bot", down, heads, cache).repeat(2, axis=1)
+    enc = _block_forward(params, "enc", h, heads, cache, ws)
+    down = np.add(enc[:, 0::2, :], enc[:, 1::2, :], out=ws and ws.take("down", b, l // 2, d))
+    down *= 0.5
+    bot = _block_forward(params, "bot", down, heads, cache, ws)
+    up = ws and ws.take("up", b, l, d)
+    up = np.empty((b, l, d)) if up is None else up
+    up.reshape(b, l // 2, 2, d)[...] = bot[:, :, None, :]         # each row twice
 
-    gpre = up @ params["gate.wg"] + enc @ params["gate.wx"] + params["gate.b"]
-    gact = np.tanh(gpre)
+    gpre = np.matmul(up, params["gate.wg"], out=ws and ws.take("gact", b, l, a))
+    gpre += np.matmul(enc, params["gate.wx"], out=ws and ws.take("tmp", b, l, a))
+    gpre += params["gate.b"]
+    gact = np.tanh(gpre, out=gpre)
     zpsi = gact @ params["gate.psi"] + params["gate.bpsi"]
     alpha = 1.0 / (1.0 + np.exp(-zpsi))
-    cat = np.concatenate([up, alpha * enc], axis=-1)
+    cat = ws and ws.take("cat", b, l, 2 * d)
+    cat = np.empty((b, l, 2 * d)) if cat is None else cat
+    cat[..., :d] = up
+    np.multiply(alpha, enc, out=cat[..., d:])
     if cache is not None:
         cache.update(m_t=m_t, sin_emb=sin_emb, s=s, enc=enc, up=up, gact=gact,
                      alpha=alpha, cat=cat)
     del enc, up, gpre, gact              # the cache, if any, holds what backward needs
 
-    mrg = _linear(cat, params["merge.w"], params["merge.b"])
+    mrg = _linear(cat, params["merge.w"], params["merge.b"], ws and ws.take("mrg", b, l, d))
     del cat
-    dln, dctx = _layernorm(mrg, params["dec.ln.g"], params["dec.ln.b"])
-    dec = mrg + _mlp_forward(params, "dec.mlp", dln, cache)
+    dln, dctx = _layernorm(mrg, params["dec.ln.g"], params["dec.ln.b"],
+                           ws and ws.take("dec.ln.xhat", b, l, d),
+                           ws and ws.take("dec.ln.y", b, l, d))
+    dec = _mlp_forward(params, "dec.mlp", dln, cache, ws)
+    dec += mrg
     if cache is not None:
         cache["dec"] = dec
         cache["dec.ln"] = dctx
@@ -321,49 +453,58 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
 
 
 def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
-                   t: np.ndarray, s: np.ndarray, target: np.ndarray):
+                   t: np.ndarray, s: np.ndarray, target: np.ndarray,
+                   workspace: Workspace | None = None):
     """Mean squared error against the true noise, and its gradient as one
-    vector in the weight vector's layout."""
+    vector in the weight vector's layout. With a `workspace`, the pass runs in
+    its buffers and the gradient returned is its `grad`, overwritten by the
+    next call; without one, in a workspace of its own."""
+    b, l, _ = m_t.shape
+    ws = Workspace(config, b) if workspace is None else workspace
     cache: dict = {}
-    out = forward(params, config, m_t, t, s, cache)
+    out = forward(params, config, m_t, t, s, cache, ws)
     diff = out - target
     loss = float(np.mean(diff * diff))
-    grad = np.zeros(param_count(config))
-    grads = split_params(config, grad)
+    grads = ws.grads
     dout = 2.0 * diff / diff.size
+    d, a_dim = config.d_model, config.gate_dim
 
-    ddec = _linear_back(cache["dec"], dout, params, grads, "out.w", "out.b")
-    ddln = _mlp_backward(params, "dec.mlp", ddec, cache, grads)
-    dmrg = _layernorm_back(params, "dec.ln", ddln, cache, grads) + ddec
-    dcat = _linear_back(cache["cat"], dmrg, params, grads, "merge.w", "merge.b")
-    d = config.d_model
-    dup = dcat[..., :d].copy()
+    # as in `_block_backward`, most gradients overwrite a layer's input activation
+    ddec = _linear_back(cache["dec"], dout, params, grads, "out.w", "out.b", cache["dec"])
+    ddln = _mlp_backward(params, "dec.mlp", ddec, cache, grads, ws)
+    dmrg = _layernorm_back(params, "dec.ln", ddln, cache, grads, ddln, ws.take("tmp", b, l, d))
+    dmrg += ddec
+    dcat = _linear_back(cache["cat"], dmrg, params, grads, "merge.w", "merge.b", cache["cat"])
+    dup = dcat[..., :d]
     dgated = dcat[..., d:]
 
     enc, up, gact, alpha = cache["enc"], cache["up"], cache["gact"], cache["alpha"]
-    dalpha = (dgated * enc).sum(axis=-1, keepdims=True)
-    denc = dgated * alpha
+    tmp = ws.take("tmp", b, l, d)
+    dalpha = np.multiply(dgated, enc, out=tmp).sum(axis=-1, keepdims=True)
+    denc = np.multiply(dgated, alpha, out=ws.take("denc", b, l, d))
     dzpsi = dalpha * alpha * (1.0 - alpha)
-    dgact = _linear_back(gact, dzpsi, params, grads, "gate.psi", "gate.bpsi")
-    dgpre = dgact * (1.0 - gact * gact)
-    dup += dgpre @ params["gate.wg"].T
-    denc = denc + dgpre @ params["gate.wx"].T
-    a_dim = params["gate.b"].shape[0]
-    grads["gate.wg"][...] = up.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
-    grads["gate.wx"][...] = enc.reshape(-1, d).T @ dgpre.reshape(-1, a_dim)
+    gtmp = np.multiply(gact, gact, out=ws.take("tmp", b, l, a_dim))
+    np.subtract(1.0, gtmp, out=gtmp)
+    dgpre = _linear_back(gact, dzpsi, params, grads, "gate.psi", "gate.bpsi", gact)
+    dgpre *= gtmp
+    dup += np.matmul(dgpre, params["gate.wg"].T, out=tmp)
+    denc += np.matmul(dgpre, params["gate.wx"].T, out=tmp)
+    np.matmul(up.reshape(-1, d).T, dgpre.reshape(-1, a_dim), out=grads["gate.wg"])
+    np.matmul(enc.reshape(-1, d).T, dgpre.reshape(-1, a_dim), out=grads["gate.wx"])
     grads["gate.b"][...] = dgpre.reshape(-1, a_dim).sum(axis=0)
 
-    dbot = dup[:, 0::2, :] + dup[:, 1::2, :]
-    ddown = _block_backward(params, "bot", dbot, config.heads, cache, grads)
-    denc[:, 0::2, :] += 0.5 * ddown
-    denc[:, 1::2, :] += 0.5 * ddown
-    dh = _block_backward(params, "enc", denc, config.heads, cache, grads)
+    dbot = np.add(dup[:, 0::2, :], dup[:, 1::2, :], out=ws.take("dbot", b, l // 2, d))
+    ddown = _block_backward(params, "bot", dbot, config.heads, cache, grads, ws)
+    ddown *= 0.5
+    denc[:, 0::2, :] += ddown
+    denc[:, 1::2, :] += ddown
+    dh = _block_backward(params, "enc", denc, config.heads, cache, grads, ws)
 
     dtemb = dh.sum(axis=1)
     _linear_back(cache["sin_emb"], dtemb, params, grads, "time.w", "time.b")
     _linear_back(cache["s"], dtemb, params, grads, "cond.w", "cond.b")
     _linear_back(cache["m_t"], dh, params, grads, "in.w", "in.b")
-    return loss, grad
+    return loss, ws.grad
 
 
 class AttentionGatedDenoiser:
@@ -378,8 +519,9 @@ class AttentionGatedDenoiser:
         self.step_count = 0
         self.call_count = 0
 
-    def predict(self, m_t: np.ndarray, t, s) -> np.ndarray:
-        """Noise prediction for one sequence (L, F) or a batch (B, L, F)."""
+    def predict(self, m_t: np.ndarray, t, s, workspace: Workspace | None = None) -> np.ndarray:
+        """Noise prediction for one sequence (L, F) or a batch (B, L, F), the
+        batch's activations in `workspace` if given (see `forward`)."""
         m_t = np.asarray(m_t, dtype=np.float64)
         s_arr = np.asarray(s, dtype=np.float64)
         single = m_t.ndim == 2
@@ -388,7 +530,7 @@ class AttentionGatedDenoiser:
         else:
             t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), m_t.shape[:1])
             s_arr = np.broadcast_to(s_arr, (len(m_t), s_arr.size)) if s_arr.ndim == 1 else s_arr
-        out = forward(self.params, self.config, m_t, t, s_arr)
+        out = forward(self.params, self.config, m_t, t, s_arr, workspace=workspace)
         self.call_count += 1
         if not np.isfinite(out).all():
             raise NumericalError("denoiser produced non-finite activations")

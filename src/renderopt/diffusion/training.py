@@ -5,6 +5,8 @@ gradient in its layout, `Adam` keeps its moments as vectors of the same
 length, and the best epoch's weights are a copy of it, written back at the end.
 `Adam.update` works in place, replaying Python's left-to-right evaluation of the
 update's expressions so the weights match them to the bit: no edit may reassociate one.
+A run trains and evaluates in one `Workspace`: after its first step, no step
+allocates an activation, a gradient or a weight vector again.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import numpy as np
 
 from ..errors import NumericalError, write_csv
 from ..config import NoiseSchedule, TrainSettings
-from .denoiser import AttentionGatedDenoiser, loss_and_grads
+from .denoiser import AttentionGatedDenoiser, Workspace, loss_and_grads
 
-# sequences per predict call when scoring a split; one chunk holds the default
-# splits, and summing then dividing once matches np.mean there bit for bit
-_EVAL_CHUNK = 256
+# sequences per sum of squared errors when scoring a split; one span holds the
+# default splits, and summing then dividing once matches np.mean there bit for bit
+_EVAL_SPAN = 256
 # equal-width timestep buckets the per-epoch loss is split into
 _TIME_BUCKETS = 7
 # share of the dataset held out for validation, which early stopping watches
@@ -70,15 +72,35 @@ class TrainResult:
     stopped_early: bool
 
 
+def _eval_chunks(n: int, rows: int):
+    """(start, stop) of each chunk of `_EVAL_SPAN`-row spans of n sequences cut
+    into chunks of at most `rows` >= 3 rows. A chunk of one sequence takes
+    another kernel path in a matrix product, so a span's lone last row joins
+    the chunk before it as a chunk of two."""
+    for start in range(0, n, _EVAL_SPAN):
+        stop = min(start + _EVAL_SPAN, n)
+        cuts = [*range(start, stop, rows), stop]
+        if len(cuts) > 2 and stop - cuts[-2] == 1:
+            cuts[-2] -= 1
+        yield from zip(cuts, cuts[1:])
+
+
 def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
-               t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule) -> float:
-    """Mean squared noise-prediction error over a split, `_EVAL_CHUNK`
-    sequences per `predict` so memory stays flat in the split's size."""
+               t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule,
+               workspace: Workspace) -> float:
+    """Mean squared noise-prediction error over a split, predicted a chunk of
+    `workspace.rows` sequences at a time in `workspace`. The squared errors of
+    each `_EVAL_SPAN`-row span are summed by one `np.sum`, so the loss does not
+    depend on the chunk size."""
+    sq = np.empty(noise.shape)
+    for start, stop in _eval_chunks(len(m), workspace.rows):
+        part = slice(start, stop)
+        pred = model.predict(schedule.perturb(m[part], t[part], noise[part]), t[part], s[part],
+                             workspace)
+        np.square(np.subtract(pred, noise[part], out=sq[part]), out=sq[part])
     total = 0.0
-    for start in range(0, len(m), _EVAL_CHUNK):
-        part = slice(start, start + _EVAL_CHUNK)
-        pred = model.predict(schedule.perturb(m[part], t[part], noise[part]), t[part], s[part])
-        total += np.sum((pred - noise[part]) ** 2)
+    for start in range(0, len(m), _EVAL_SPAN):
+        total += np.sum(sq[start:start + _EVAL_SPAN])
     return float(total / noise.size)
 
 
@@ -108,6 +130,8 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 
     opt = Adam(model.weights.size, settings.learning_rate)
+    # one batch at most; three rows at least, so that evaluation never needs a one-row chunk
+    workspace = Workspace(model.config, max(3, min(settings.batch_size, len(train_idx))))
 
     # fixed evaluation draws (validation and the epoch-0 reference on train)
     t_val = rng.integers(1, schedule.steps + 1, size=n_val)
@@ -116,11 +140,12 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     noise_ref = rng.standard_normal(m_tr.shape)
 
     def val_loss() -> float:
-        return _eval_loss(model, m_val, s_val, t_val, noise_val, schedule)
+        return _eval_loss(model, m_val, s_val, t_val, noise_val, schedule, workspace)
 
     history: list[EpochStats] = [
         EpochStats(epoch=0,
-                   train_loss=_eval_loss(model, m_tr, s_tr, t_ref, noise_ref, schedule),
+                   train_loss=_eval_loss(model, m_tr, s_tr, t_ref, noise_ref, schedule,
+                                         workspace),
                    val_loss=val_loss())
     ]
     best_val = history[0].val_loss
@@ -141,7 +166,8 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
             noise = rng.standard_normal(mb.shape)
             m_t = schedule.perturb(mb, tb, noise)
             loss, grad = loss_and_grads(model.params, model.config, m_t,
-                                        tb.astype(np.float64), sb, noise)
+                                        tb.astype(np.float64), sb, noise, workspace)
+            workspace.pack()              # one block from the first step on, then a no-op
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"training diverged at epoch {epoch}: loss={loss}"
@@ -166,7 +192,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
                                   bucket_losses=buckets))
         if vl < best_val:
             best_val = vl
-            best = model.weights.copy()
+            best[:] = model.weights
             stall = 0
         else:
             stall += 1

@@ -4,9 +4,10 @@ CSV with floats as their repr.
 
 A fault reads ``<where>: must be <rule>, got <value>`` (`check`), each value cut
 to 60 characters (`shown`); `located` prefixes where a ValueError came from. The
-config file and a checkpoint's ``meta`` header are both checked against a tree
-of defaults by `_merge` and built into dataclasses by `_build`. This module
-imports no other ``renderopt`` module, so any of them can import it.
+config file and a checkpoint's ``meta`` header are both read by `read_json`,
+checked against a tree of defaults by `_merge` and built into dataclasses by
+`_build`. This module imports no other ``renderopt`` module, so any of them can
+import it.
 """
 
 import csv
@@ -77,6 +78,23 @@ def located(where: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
+
+
+def read_json(text: str, where: str):
+    """`json.loads(text)`, refusing an object that gives one name twice, which
+    RFC 8259 section 4 leaves to the reader: ``<where>: key '<name>' given
+    twice``. Text that is no JSON raises json's own ValueError (or a
+    RecursionError, nested too deep)."""
+
+    def members(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{where}: key {shown(key)} given twice")
+            obj[key] = value
+        return obj
+
+    return json.loads(text, object_pairs_hook=members)
 
 
 def _finite_number(value) -> bool:

@@ -1044,11 +1044,16 @@ def checkpoint_edits(draw):
     """How to damage a checkpoint: (entry, edit). With no entry the edit is made
     to the archive's bytes. An edited entry is stored again under a matching
     CRC, so the damage reaches the .npy reader: cut at an offset, a span
-    overwritten, the bytes replaced, the .npy header's shape or dtype set, or
-    the header grown past the 10 000 bytes numpy reads."""
+    overwritten, the bytes replaced, the .npy header's shape or dtype set, the
+    header grown past the 10 000 bytes numpy reads, or, in the meta entry, one
+    key of the JSON header given twice."""
     entry = draw(st.sampled_from([None, *_NPY_ENTRIES]))
     kinds = ["cut", "overwrite", "replace"] + (["shape", "descr", "grow"] if entry else [])
+    if entry == "meta.npy":
+        kinds.append("twice")
     kind = draw(st.sampled_from(kinds))
+    if kind == "twice":             # the key at this index of the header, given again
+        return entry, (kind, draw(st.integers(0, 16)))
     if kind == "grow":              # to this many bytes, as format 1.0's 2-byte length allows
         return entry, (kind, draw(st.integers(10_001, 65_535)))
     if kind == "shape":
@@ -1072,6 +1077,13 @@ def _edit_bytes(raw: bytes, edit) -> bytes:
         out = io.BytesIO()
         np.lib.format.write_array_header_1_0(out, header)
         return out.getvalue() + raw[fh.tell():]
+    if kind == "twice":             # the JSON header ends with one of its keys again
+        meta = json.loads(np.load(io.BytesIO(raw)).tobytes())
+        key = list(meta)[rest[0] % len(meta)]
+        text = json.dumps(meta)[:-1] + f", {json.dumps(key)}: {json.dumps(meta[key])}}}"
+        out = io.BytesIO()
+        np.save(out, np.frombuffer(text.encode(), dtype=np.uint8))
+        return out.getvalue()
     if kind == "grow":              # the header, after magic and length, padded with spaces
         length = int.from_bytes(raw[8:10], "little")
         header = raw[10:10 + length].rstrip(b"\n")
@@ -1108,6 +1120,7 @@ def _damaged_checkpoint(path: Path, entry, edit) -> bytes:
 @example(damage=(None, ("overwrite", -144, b"\x1c|S\x88\t")))
 @example(damage=(None, ("overwrite", -258, b"\x00 ")))
 @example(damage=("params.npy", ("grow", 30_000)))
+@example(damage=("meta.npy", ("twice", 0)))
 @hyp_settings(max_examples=40, deadline=None)
 @given(damage=checkpoint_edits())
 def test_any_damaged_checkpoint_exits_cleanly(fuzz_inputs, tmp_path_factory, damage):
@@ -1122,6 +1135,8 @@ def test_any_damaged_checkpoint_exits_cleanly(fuzz_inputs, tmp_path_factory, dam
                     memory_cap=2 << 30)
     assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+    if damage[1][0] == "twice":
+        assert proc.returncode == EXIT_CONFIG and "given twice" in proc.stderr, proc.stderr
     if proc.returncode == EXIT_OK:
         assert proc.stderr.count("\n") <= 1, proc.stderr     # an overflow warning at most
     else:
@@ -1138,6 +1153,7 @@ def _key_paths(tree, path=()):
 
 
 _CONFIG_PATHS = [path for path, _ in _key_paths(DEFAULTS)]
+_MEMBER_PATHS = [path for path in _CONFIG_PATHS if isinstance(path[-1], str)]
 _OBJECT_PATHS = [()] + [path for path, value in _key_paths(DEFAULTS) if isinstance(value, dict)]
 # wrong JSON types, long values a message must cut, and numbers out of most
 # ranges: signs, extremes, non-finite
@@ -1148,10 +1164,22 @@ _ODD_VALUES = [None, True, "x", "", "x" * 10_000, [], {}, [1], [0] * 10_000, {"a
 
 @st.composite
 def config_bytes(draw):
-    """DEFAULTS with one key deleted, one unknown key added or one value
-    replaced, as JSON bytes; or bytes that are no JSON object or no UTF-8."""
+    """DEFAULTS with one key deleted, one unknown key added, one value replaced
+    or one key given twice, as JSON bytes; or bytes that are no JSON object or
+    no UTF-8."""
     tree = json.loads(json.dumps(DEFAULTS))
-    kind = draw(st.sampled_from(["delete", "unknown", "replace", "cut", "latin-1", "raw"]))
+    kind = draw(st.sampled_from(["delete", "unknown", "replace", "twice", "cut", "latin-1",
+                                 "raw"]))
+    if kind == "twice":             # the key with its value, then again with this one
+        *parents, key = draw(st.sampled_from(_MEMBER_PATHS))
+        node = tree
+        for parent in parents:
+            node = node[parent]
+        first, again = node[key], draw(st.sampled_from([node[key], *_ODD_VALUES]))
+        node[key] = "\0twice\0"           # a string that is no config value
+        return json.dumps(tree).replace(
+            json.dumps(node[key]),
+            f"{json.dumps(first)}, {json.dumps(key)}: {json.dumps(again)}").encode()
     if kind in ("delete", "replace"):
         *parents, key = draw(st.sampled_from(_CONFIG_PATHS))
         node = tree
@@ -1314,6 +1342,21 @@ def test_config_section_example_exits_cleanly(fuzz_inputs, tmp_path, name, edit)
     _check_section_runs(fuzz_inputs, tmp_path, name, section)
 
 
+def _gives_a_key_twice(payload: bytes) -> bool:
+    """Whether `payload` is JSON text with an object that gives one name twice."""
+    twice = []
+
+    def members(pairs):
+        twice.append(len(dict(pairs)) < len(pairs))
+        return dict(pairs)
+
+    try:
+        json.loads(payload, object_pairs_hook=members)
+    except (ValueError, RecursionError):
+        return False
+    return any(twice)
+
+
 def _odd_solver_config(key):
     tree = json.loads(json.dumps(DEFAULTS))
     tree["game"]["solver"][key] = 1e-300
@@ -1330,6 +1373,7 @@ def _odd_solver_config(key):
 @example(payload=json.dumps({"diffusion": {"heads": "x" * 10_000}}).encode())
 @example(payload=json.dumps({"out_dir": [0] * 10_000}).encode())
 @example(payload=json.dumps({"out_dir": "x" * 10_000}).encode())
+@example(payload=b'{"seed": 1, "seed": 2}')
 @hyp_settings(max_examples=40, deadline=None)
 @given(payload=config_bytes())
 def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
@@ -1341,6 +1385,8 @@ def test_any_config_file_exits_cleanly(tmp_path_factory, payload):
     proc = _run_cli("game-solve", "--config", "config.json", timeout=30, memory_cap=2 << 30,
                     cwd=base)
     assert "Traceback" not in proc.stderr, proc.stderr
+    if _gives_a_key_twice(payload):
+        assert proc.returncode == EXIT_CONFIG and "given twice" in proc.stderr, proc.stderr
     if proc.returncode == EXIT_OK:
         assert proc.stderr.count("\n") <= 1, proc.stderr     # a convergence warning at most
         assert len(list(base.rglob("equilibrium.json"))) == 1

@@ -13,7 +13,7 @@ from renderopt.bench import CostModel, RenderPolicy, WorkloadConfig, generate_wo
 from renderopt.config import (DEFAULTS, SECTIONS, BenchTrainSettings, DiffusionSettings,
                               RunSettings, WalkSettings, load_config, parse_config)
 from renderopt.diffusion import DenoiserConfig, NoiseSchedule, TrainSettings
-from renderopt.errors import ConfigError
+from renderopt.errors import ConfigError, shown
 from renderopt.game import CloudParams, SolverSettings
 from renderopt.prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
@@ -137,6 +137,18 @@ class TestValidation:
             parse_config(json.dumps({"diffusion": {"a\nb": 1}}))
         assert str(info.value) == "diffusion.'a\\nb': unknown key"
 
+    def test_key_given_twice_refused(self):
+        # refused where the text is read, before the tree is checked: a nested
+        # unknown key given twice is reported as given twice, its name cut
+        for text, key in (('{"seed": 1, "seed": 1}', "'seed'"),
+                          ('{"game": {"cloud": {"unit_cost": 0.3, "unit_cost": 0.5}}}',
+                           "'unit_cost'"),
+                          ('{"diffusion": {"%s": 1, "%s": 2}}' % ("k" * 99, "k" * 99),
+                           shown("k" * 99))):
+            with pytest.raises(ConfigError) as info:
+                parse_config(text)
+            assert str(info.value) == f"config: key {key} given twice"
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="prerender.spacing"):
             parse_config(json.dumps({"prerender": {"spacing": True}}))
@@ -178,6 +190,23 @@ class TestValidation:
         ({"bench": {"train": {"learning_rate": 0.0}}},
          "bench.train.learning_rate: must be a positive number, got 0.0"),
     ]
+
+    # a value at the edge of each rule's range
+    EDGES_ACCEPTED = {"dataset_users": {"diffusion": {"dataset_users": 2}},
+                      "train.users": {"bench": {"train": {"users": 2}}},
+                      "ro_samples": {"bench": {"ro_samples": 1}},
+                      "beta_end": {"diffusion": {"beta_end": 0.9999}}}
+
+    @pytest.mark.parametrize("payload", EDGES_ACCEPTED.values(), ids=EDGES_ACCEPTED)
+    def test_edge_value_accepted(self, payload):
+        parse_config(json.dumps(payload))
+
+    @pytest.mark.parametrize("beta_end", [1, 1.0, 1.5, 1.9999])
+    def test_beta_end_of_one_or_more_refused(self, beta_end):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"diffusion": {"beta_end": beta_end}}))
+        assert str(info.value) == (
+            f"diffusion.beta_end: must be in (beta_start (0.0001), 1), got {beta_end}")
 
     @pytest.mark.parametrize("payload, message", SETTINGS_RULES,
                              ids=[m.split(":")[0] for _, m in SETTINGS_RULES])

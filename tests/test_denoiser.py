@@ -192,6 +192,28 @@ def test_lean_kernels_equal_their_oracles_bit_for_bit(batch, half_length, width,
     for name in params:
         _same_bytes(grads[name], old_grads[name])
 
+    # the same kernels writing into the leading rows of stale workspace
+    # buffers, and the layernorm's backward into its own dy
+    def stale(*shape):
+        return np.full((batch + 2, *shape), np.nan)[:batch]
+
+    for new, old in zip(_gelu(x, stale(length, width), stale(length, width)),
+                        (old_act, old_term)):
+        _same_bytes(new, old)
+    _same_bytes(_gelu_grad(x, term, stale(length, width), stale(length, width)),
+                oracles.gelu_grad(x, old_term))
+    _same_bytes(_linear(x, w, bias, stale(length, 5)), oracles.linear(x, w, bias))
+    y, ctx = _layernorm(x, g, b, stale(length, width), stale(length, width))
+    _same_bytes(y, old_y)
+    _same_bytes(ctx[0], old_ctx[0])
+    _same_bytes(_layernorm_back(params, "ln", dy.copy(), {"ln": ctx}, grads, None,
+                                stale(length, width)),
+                oracles.layernorm_back(params, "ln", dy, {"ln": old_ctx}, old_grads))
+    dy_in_place = dy.copy()
+    _same_bytes(_layernorm_back(params, "ln", dy_in_place, {"ln": ctx}, grads, dy_in_place,
+                                stale(length, width)),
+                oracles.layernorm_back(params, "ln", dy, {"ln": old_ctx}, old_grads))
+
     # one sequence through the model: alone, as a batch of one, and a reverse step
     model = AttentionGatedDenoiser(TINY, seed=seed % 7)
     seq = _drawn(rng, (length, TINY.feature_dim), specials, scale)

@@ -75,10 +75,12 @@ def test_bench_multiseed_scores_every_policy(tmp_path):
 def test_cli_wall_times_a_command():
     lines = _run_script("cli_wall.py", "--commands", "game-solve", "--repeats", "1").stdout
     header, row = lines.splitlines()
-    assert header.split() == ["command", "runs", "wall_s", "cpu_s", "peak_rss_mb"]
-    name, runs, *figures = row.split()
+    assert header.split() == ["command", "runs", "wall_s", "cpu_s", "sys_s", "minflt",
+                              "peak_rss_mb"]
+    name, runs, wall, cpu, sys_s, minflt, rss = row.split()
     assert (name, runs) == ("game-solve", "1")
-    assert all(float(x) > 0 for x in figures)
+    assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0
+    assert int(minflt) > 0
 
 
 def _modules_after(argv):

@@ -1,5 +1,8 @@
-"""Training loop: loss bounds, convergence, early stopping, determinism, and
-the weight vector that init, Adam and the checkpoint share."""
+"""Training loop: loss bounds, convergence, early stopping, determinism, the
+weight vector that init, Adam and the checkpoint share, and the workspace a run
+trains in."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +10,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oracles import TensorAdam, init_params
 from renderopt.diffusion import (Adam, AttentionGatedDenoiser, DenoiserConfig,
-                                 NoiseSchedule, TrainSettings, train, write_curve_csv)
-from renderopt.diffusion.denoiser import (forward, init_weights, loss_and_grads, param_shapes,
-                                          split_params)
+                                 NoiseSchedule, TrainSettings, train, training,
+                                 write_curve_csv)
+from renderopt.diffusion.denoiser import (Workspace, forward, init_weights, loss_and_grads,
+                                          param_shapes, split_params)
 from renderopt.errors import NumericalError
 from renderopt.synthetic import PlantedConfig, build_training_set, make_population
 
@@ -193,3 +197,83 @@ class TestWeightVector:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="weight vector shape"):
             split_params(TINY, np.zeros(3))
+
+
+def _run_digest(result) -> tuple:
+    return (result.model.weights.tobytes(),
+            [(row.train_loss, row.val_loss, row.bucket_losses) for row in result.history])
+
+
+class TestWorkspace:
+    """A run trains in one workspace: every call overwrites what it reads, and
+    after the first step no step allocates its activations again."""
+
+    def test_loss_and_grads_in_a_shared_workspace_match_a_fresh_one(self):
+        config = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=16, heads=2)
+        params = AttentionGatedDenoiser(config, seed=3).params
+        workspace = Workspace(config, rows=5)
+        rng = np.random.default_rng(4)
+        # full, then fewer rows in views of the same buffers, one row last
+        for b in (5, 2, 5, 3, 1):
+            m_t = rng.standard_normal((b, 8, 6))
+            t = rng.integers(1, 700, size=b).astype(np.float64)
+            s, target = rng.standard_normal((b, 4)), rng.standard_normal((b, 8, 6))
+            loss, grad = loss_and_grads(params, config, m_t, t, s, target, workspace)
+            fresh_loss, fresh_grad = loss_and_grads(params, config, m_t, t, s, target)
+            assert loss == fresh_loss and grad is workspace.grad
+            assert grad.tobytes() == fresh_grad.tobytes()
+            pred = forward(params, config, m_t, t, s, workspace=workspace)
+            assert pred.tobytes() == forward(params, config, m_t, t, s).tobytes()
+        with pytest.raises(ValueError, match="batch of 6 sequences > the workspace's 5 rows"):
+            forward(params, config, rng.standard_normal((6, 8, 6)), np.ones(6),
+                    np.ones((6, 4)), workspace=workspace)
+
+    def test_nothing_stale_is_read(self, monkeypatch):
+        # every buffer and the gradient vector filled with NaN before each step
+        # and each evaluation: the run still matches a fresh one bit for bit
+        dataset = _tiny_dataset(n=40)
+        schedule = NoiseSchedule(steps=50, beta_start=0.001, beta_end=0.1)
+        settings = TrainSettings(learning_rate=0.01, batch_size=8, epochs=3, seed=5)
+        config = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=16, heads=2)
+        fresh = train(dataset, schedule, settings, AttentionGatedDenoiser(config, seed=5))
+
+        def poisoning(real):
+            def call(*args):
+                workspace = args[-1]
+                for buf in workspace.buffers.values():
+                    buf.fill(np.nan)
+                workspace.grad.fill(np.nan)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(training, "loss_and_grads", poisoning(training.loss_and_grads))
+        monkeypatch.setattr(training, "_eval_loss", poisoning(training._eval_loss))
+        poisoned = train(dataset, schedule, settings, AttentionGatedDenoiser(config, seed=5))
+        assert _run_digest(poisoned) == _run_digest(fresh)
+
+    def test_steps_after_the_first_keep_a_fixed_footprint(self, monkeypatch):
+        # the default config's shapes and batch, over two epochs of 8 steps
+        cfg = PlantedConfig()
+        dataset, _ = build_training_set(make_population(cfg, seed=0), cfg)
+        marks = []                  # (traced now, peak since the previous mark) at each step
+
+        def marked(*args):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(training, "loss_and_grads", marked)
+        tracemalloc.start()
+        try:
+            train(dataset, NoiseSchedule(), TrainSettings(epochs=2),
+                  AttentionGatedDenoiser(DenoiserConfig(), seed=0))
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 2 * 8 + 1
+        # step k runs from mark k to mark k + 1: its batch, loss and gradient,
+        # Adam update, and at an epoch's end the validation loss
+        rises = [peak - start for (start, _), (_, peak) in zip(marks[1:], marks[2:])]
+        assert max(rises) < 1 << 20
+        # the first mark's peak is the set-up's, which the epoch-0 evaluation sets
+        assert marks[0][1] <= min(peak for _, peak in marks[2:])

@@ -21,9 +21,6 @@ from ..errors import NumericalError, write_csv
 from ..config import NoiseSchedule, TrainSettings
 from .denoiser import AttentionGatedDenoiser, Workspace, loss_and_grads
 
-# sequences per sum of squared errors when scoring a split; one span holds the
-# default splits, and summing then dividing once matches np.mean there bit for bit
-_EVAL_SPAN = 256
 # equal-width timestep buckets the per-epoch loss is split into
 _TIME_BUCKETS = 7
 # share of the dataset held out for validation, which early stopping watches
@@ -72,35 +69,18 @@ class TrainResult:
     stopped_early: bool
 
 
-def _eval_chunks(n: int, rows: int):
-    """(start, stop) of each chunk of `_EVAL_SPAN`-row spans of n sequences cut
-    into chunks of at most `rows` >= 3 rows. A chunk of one sequence takes
-    another kernel path in a matrix product, so a span's lone last row joins
-    the chunk before it as a chunk of two."""
-    for start in range(0, n, _EVAL_SPAN):
-        stop = min(start + _EVAL_SPAN, n)
-        cuts = [*range(start, stop, rows), stop]
-        if len(cuts) > 2 and stop - cuts[-2] == 1:
-            cuts[-2] -= 1
-        yield from zip(cuts, cuts[1:])
-
-
 def _eval_loss(model: AttentionGatedDenoiser, m: np.ndarray, s: np.ndarray,
                t: np.ndarray, noise: np.ndarray, schedule: NoiseSchedule,
                workspace: Workspace) -> float:
     """Mean squared noise-prediction error over a split, predicted a chunk of
-    `workspace.rows` sequences at a time in `workspace`. The squared errors of
-    each `_EVAL_SPAN`-row span are summed by one `np.sum`, so the loss does not
-    depend on the chunk size."""
-    sq = np.empty(noise.shape)
-    for start, stop in _eval_chunks(len(m), workspace.rows):
-        part = slice(start, stop)
+    `workspace.rows` sequences at a time in `workspace`, so memory is set by
+    the batch and not by the split's size."""
+    total = 0.0
+    for start in range(0, len(m), workspace.rows):
+        part = slice(start, start + workspace.rows)
         pred = model.predict(schedule.perturb(m[part], t[part], noise[part]), t[part], s[part],
                              workspace)
-        np.square(np.subtract(pred, noise[part], out=sq[part]), out=sq[part])
-    total = 0.0
-    for start in range(0, len(m), _EVAL_SPAN):
-        total += np.sum(sq[start:start + _EVAL_SPAN])
+        total += np.sum((pred - noise[part]) ** 2)
     return float(total / noise.size)
 
 
@@ -130,8 +110,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], schedule: NoiseSchedule,
     m_val, s_val = m_all[val_idx], s_all[val_idx]
 
     opt = Adam(model.weights.size, settings.learning_rate)
-    # one batch at most; three rows at least, so that evaluation never needs a one-row chunk
-    workspace = Workspace(model.config, max(3, min(settings.batch_size, len(train_idx))))
+    workspace = Workspace(model.config, min(settings.batch_size, len(train_idx)))
 
     # fixed evaluation draws (validation and the epoch-0 reference on train)
     t_val = rng.integers(1, schedule.steps + 1, size=n_val)

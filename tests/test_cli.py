@@ -401,6 +401,24 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith("game-solve: config error: config parse error: Exceeds the limit")
 
+    # foreign text: a UTF-8 byte-order mark, and the literals json reads as inf and nan
+    FOREIGN = {
+        "utf-8-bom": (b'\xef\xbb\xbf{"seed": 1}', "config parse error: Unexpected UTF-8 BOM"),
+        "1e400": (b'{"seed": 1e400}', "seed: must be an integer, got inf"),
+        "nan": (b'{"seed": NaN}', "seed: must be an integer, got nan"),
+    }
+
+    @pytest.mark.parametrize("raw, problem", FOREIGN.values(), ids=FOREIGN)
+    def test_foreign_config_text_exits_config_with_one_line(self, tmp_path, capsys, raw,
+                                                            problem):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(raw)
+        code = main(["game-solve", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and len(err.rstrip("\n")) <= 140
+        assert err.startswith(f"game-solve: config error: {problem}")
+
     # each of these died with a MemoryError traceback, or ran until killed (scenes),
     # before its size had an upper bound
     OVERSIZED = [

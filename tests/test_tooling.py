@@ -1,6 +1,7 @@
 """The experiment scripts run, and the benchmark's span tracer wraps package
 names; keep them where it looks."""
 
+import contextlib
 import csv
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import CRITERION_7
@@ -273,3 +275,30 @@ def test_artifact_digests_replays_a_trace_across_blocks(tmp_path):
 
 def test_artifact_digests_runs_the_criterion_7_config():
     assert _script_module("artifact_digests").CONFIGS["criterion-7"] == CRITERION_7
+
+
+def _fingerprint_line():
+    return re.compile(rf"kernels numpy={re.escape(np.__version__)} simd=[\w,]+ blas=\S+ \S+")
+
+
+def test_kernel_fingerprint_reads_show_config_dicts(monkeypatch):
+    fingerprint = _script_module("artifact_digests").kernel_fingerprint
+    assert _fingerprint_line().fullmatch(fingerprint())
+    config = {"SIMD Extensions": {"found": ["SSE42", "AVX2"]},
+              "Build Dependencies": {"blas": {"name": "openblas", "version": "0.3.21"}}}
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": config)
+    assert fingerprint() == f"kernels numpy={np.__version__} simd=SSE42,AVX2 blas=openblas 0.3.21"
+
+
+def test_kernel_fingerprint_without_dicts_reads_the_dispatch_table(monkeypatch):
+    # numpy 1.24's show_config has no mode; numpy 2 warns that numpy.core, where
+    # the fallback reads its CPU dispatch table, is deprecated
+    def no_dicts(mode="stdout"):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", no_dicts)
+    fingerprint = _script_module("artifact_digests").kernel_fingerprint
+    numpy_2 = int(np.__version__.split(".")[0]) >= 2
+    with pytest.warns(DeprecationWarning) if numpy_2 else contextlib.nullcontext():
+        line = fingerprint()
+    assert _fingerprint_line().fullmatch(line) and line.endswith(" blas=unknown unknown")

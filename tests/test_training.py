@@ -228,6 +228,35 @@ class TestWorkspace:
             forward(params, config, rng.standard_normal((6, 8, 6)), np.ones(6),
                     np.ones((6, 4)), workspace=workspace)
 
+    def test_evaluation_in_chunks_matches_the_mean_over_the_split(self):
+        # chunks of 1, 2, 3, 5 and all 11 rows; at 2 and 5 rows the last chunk is one row
+        config = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=16, heads=2)
+        model = AttentionGatedDenoiser(config, seed=3)
+        schedule = NoiseSchedule(steps=50, beta_start=0.001, beta_end=0.1)
+        rng = np.random.default_rng(6)
+        n = 11
+        m, s = rng.standard_normal((n, 8, 6)), rng.standard_normal((n, 4))
+        t, noise = rng.integers(1, schedule.steps + 1, size=n), rng.standard_normal((n, 8, 6))
+        pred = forward(model.params, config, schedule.perturb(m, t, noise),
+                       t.astype(np.float64), s)
+        whole = np.mean((pred - noise) ** 2)
+        for rows in (1, 2, 3, 5, n):
+            loss = training._eval_loss(model, m, s, t, noise, schedule, Workspace(config, rows))
+            assert loss == pytest.approx(whole, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_batches_of_one_and_two_rerun_alike(self, batch_size):
+        # the workspace and every evaluation chunk is then one or two rows
+        dataset = _tiny_dataset(n=12)
+        schedule = NoiseSchedule(steps=50, beta_start=0.001, beta_end=0.1)
+        settings = TrainSettings(learning_rate=0.01, batch_size=batch_size, epochs=2, seed=5)
+        config = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=16, heads=2)
+        first, second = (train(dataset, schedule, settings, AttentionGatedDenoiser(config, seed=5))
+                         for _ in range(2))
+        assert len(first.history) == 3
+        assert all(np.isfinite([row.train_loss, row.val_loss]).all() for row in first.history)
+        assert _run_digest(first) == _run_digest(second)
+
     def test_nothing_stale_is_read(self, monkeypatch):
         # every buffer and the gradient vector filled with NaN before each step
         # and each evaluation: the run still matches a fresh one bit for bit

@@ -13,7 +13,9 @@ time and minor faults show allocation churn: pages the allocator hands back to
 the kernel and faults in again. diffusion-infer reads the checkpoint of one
 untimed diffusion-train run made first. prerender-replay is `prerender-sim
 --trace` on a 100 000-step trace written first: back and forth along a
-serpentine through every point of the default 20 x 20 floor. Prints one row
+serpentine through every point of the default 20 x 20 floor. game-solve-8 is
+`game-solve --config` on an 8-node market written first, where the default
+2-node solve is mostly interpreter start. Prints one row
 per command: runs, median wall seconds, median CPU seconds, median system CPU
 seconds, median minor page faults, and the largest peak RSS of its runs.
 """
@@ -21,6 +23,7 @@ seconds, median minor page faults, and the largest peak RSS of its runs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
@@ -29,9 +32,20 @@ import tempfile
 import time
 from pathlib import Path
 
-COMMANDS = ("game-solve", "prerender-sim", "prerender-replay", "diffusion-train",
-            "diffusion-infer", "bench-run")
+COMMANDS = ("game-solve", "game-solve-8", "prerender-sim", "prerender-replay",
+            "diffusion-train", "diffusion-infer", "bench-run")
 REPLAY_STEPS = 100_000
+MARKET_NODES = 8
+
+
+def write_market(path: Path, nodes: int) -> None:
+    """A config of one `nodes`-node market, its weights, congestion and caps
+    spread over the ranges the benchmark's `market` pools draw from; every
+    fifth node is congestion-free."""
+    market = [{"id": f"edge-{j}", "alpha": 1.4 + 0.7 * j / nodes,
+               "beta": 0.0 if j % 5 == 0 else 0.25 + 0.3 * j / nodes,
+               "demand_max": 1.8 + 0.4 * j / nodes} for j in range(nodes)]
+    path.write_text(json.dumps({"game": {"nodes": market}}))
 
 
 def write_trace(path: Path, steps: int) -> None:
@@ -85,6 +99,9 @@ def main() -> int:
         if "prerender-replay" in args.commands:
             write_trace(work / "replay.trace", REPLAY_STEPS)
             argv["prerender-replay"] = ["prerender-sim", "--trace", str(work / "replay.trace")]
+        if "game-solve-8" in args.commands:
+            write_market(work / "market.json", MARKET_NODES)
+            argv["game-solve-8"] = ["game-solve", "--config", str(work / "market.json")]
         for name in args.commands:
             runs = [run_once(argv[name], env, work / f"{name}-{i}")
                     for i in range(args.repeats)]

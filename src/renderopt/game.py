@@ -17,8 +17,11 @@ which is strictly concave in d. Cloud utility is (p - cost) * total demand.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConvergenceWarning, check
@@ -133,11 +136,32 @@ def edge_utility(node: EdgeNodeParams, d: float, d_others_sum: float,
             - price * d)
 
 
-def _edge_marginal(node: EdgeNodeParams, d: float, d_others_sum: float,
-                   price: float, capacity: float) -> float:
-    return (node.alpha / (1.0 + d)
-            - node.beta * (2.0 * d + d_others_sum) / capacity
-            - price)
+@functools.lru_cache(maxsize=16)
+def _golden_plan(width: float, tolerance: float) -> tuple[tuple[float, float],
+                                                          tuple[tuple[float, float], ...],
+                                                          float]:
+    """Probe offsets of a golden-section search over [0, width] to `tolerance`.
+
+    They depend on nothing but the bracket width, which every search of one
+    node starts from, so they are made once per (width, tolerance): the first
+    two probes', a (left, right) pair for each of the search's steps, and the
+    bracket width after the last step. The cache is bounded, as a market may
+    give each node its own width.
+    """
+    n = max(1, math.ceil(math.log(tolerance / width) / math.log(_INVPHI)))
+    steps, h = [], width
+    for _ in range(n):
+        h *= _INVPHI
+        steps.append((_INVPHI2 * h, _INVPHI * h))
+    return (_INVPHI2 * width, _INVPHI * width), tuple(steps), h
+
+
+def _probe_offsets(h: float) -> Iterator[tuple[float, float]]:
+    """(left, right) probe offsets of each bracket that golden-section steps
+    leave from one of width h, without end."""
+    while True:
+        h *= _INVPHI
+        yield _INVPHI2 * h, _INVPHI * h
 
 
 def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
@@ -150,38 +174,40 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
     """
     if price <= 0:
         raise ValueError(f"price must be > 0, got {price}")
-    if _edge_marginal(node, 0.0, d_others_sum, price, capacity) <= 0:
-        return 0.0
-    if _edge_marginal(node, node.demand_max, d_others_sum, price, capacity) >= 0:
-        return node.demand_max
-
     alpha, beta, cap, log1p = node.alpha, node.beta, capacity, math.log1p
-    # the utility alpha*ln(1+d) - beta*d*(d+D)/C - p*d, written out at each probe
+    # the marginal utility alpha/(1+d) - beta*(2d+D)/C - p, at d = 0 and at the cap
+    if alpha - beta * d_others_sum / cap - price <= 0:
+        return 0.0
+    b = node.demand_max
+    if alpha / (1.0 + b) - beta * (2.0 * b + d_others_sum) / cap - price >= 0:
+        return b
 
-    a, b = 0.0, node.demand_max
-    h = b - a
-    n = max(1, math.ceil(math.log(settings.br_tolerance / h) / math.log(_INVPHI)))
-    c = a + _INVPHI2 * h
-    dd = a + _INVPHI * h
+    # the utility alpha*ln(1+d) - beta*d*(d+D)/C - p*d, written out at each probe
+    (c, dd), steps, h_end = _golden_plan(b, settings.br_tolerance)
+    a = 0.0
     yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
     yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
-    # the utility overflows to -inf only on a tail of the bracket, past the
-    # optimum: shrink from the right until the right probe is finite
-    while yd == -math.inf:
-        b, dd, yd = dd, c, yc
-        h *= _INVPHI
-        c = a + _INVPHI2 * h
-        yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
-    for _ in range(n):
+    if yd == -math.inf:
+        # the utility overflows to -inf only on a tail of the bracket, past the
+        # optimum: shrink from the right until the right probe is finite. Each
+        # shrink takes the next step's offsets, so the search starts further
+        # along the same sequence and runs past the plan's end
+        offsets = itertools.chain(steps, _probe_offsets(h_end))
+        for c_off, _ in offsets:
+            b, dd, yd = dd, c, yc
+            c = a + c_off
+            yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
+            if yd != -math.inf:
+                break
+        steps = itertools.islice(offsets, len(steps))
+    for c_off, d_off in steps:
         if yc > yd:
             b, dd, yd = dd, c, yc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
+            c = a + c_off
             yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
         else:
             a, c, yc = c, dd, yd
-            h *= _INVPHI
-            dd = a + _INVPHI * h
+            dd = a + d_off
             yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
     # halved before adding, as c + b overflows near the largest float; the cap bounds
     # a search that NaN utilities (inf - inf) walked past it
@@ -208,11 +234,9 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
     iterations = 0
     total = 0.0
     for iterations in range(1, settings.br_max_iters + 1):
-        new = [
-            edge_best_response(node, total - demands[i], price, settings, capacity)
-            for i, node in enumerate(nodes)
-        ]
-        delta = max(abs(a - b) for a, b in zip(new, demands))
+        new = [edge_best_response(node, total - d, price, settings, capacity)
+               for node, d in zip(nodes, demands)]
+        delta = max([abs(a - b) for a, b in zip(new, demands)])
         demands = new
         total = sum(demands)
         if delta < settings.br_tolerance:

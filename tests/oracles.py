@@ -6,6 +6,10 @@ agreement between the two is meaningful evidence. The equilibrium oracle does
 nested grid refinement (each stage is an exhaustive scan of a shrinking box)
 and audits its answer with full-range scans at the end.
 
+For the follower: the golden-section best response as it was before its probe
+offsets were made once per bracket width, each step multiplying the width by
+1/phi and the offsets out of it. The planned search must agree bit for bit.
+
 For the leader: the Stackelberg solve without its per-solve equilibrium memo,
 re-solving the follower game at every price the ascent evaluates, repeats
 included, plus counters of the follower work a solve does.
@@ -174,6 +178,65 @@ def sweep_argmax_price(cloud: CloudParams, nodes: list[EdgeNodeParams],
             if u > best_u:
                 best_p, best_u = float(p), u
     return best_p, best_u
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _edge_marginal(node: EdgeNodeParams, d: float, d_others_sum: float,
+                   price: float, capacity: float) -> float:
+    return (node.alpha / (1.0 + d)
+            - node.beta * (2.0 * d + d_others_sum) / capacity
+            - price)
+
+
+def edge_best_response_unplanned(node: EdgeNodeParams, d_others_sum: float, price: float,
+                                 settings: SolverSettings, capacity: float) -> float:
+    """Maximize the node's utility over [0, demand_max] at fixed opponents.
+
+    The objective is strictly concave, so a marginal-utility sign check
+    resolves boundary optima exactly and golden-section search handles the
+    interior to within br_tolerance.
+    """
+    if price <= 0:
+        raise ValueError(f"price must be > 0, got {price}")
+    if _edge_marginal(node, 0.0, d_others_sum, price, capacity) <= 0:
+        return 0.0
+    if _edge_marginal(node, node.demand_max, d_others_sum, price, capacity) >= 0:
+        return node.demand_max
+
+    alpha, beta, cap, log1p = node.alpha, node.beta, capacity, math.log1p
+    # the utility alpha*ln(1+d) - beta*d*(d+D)/C - p*d, written out at each probe
+
+    a, b = 0.0, node.demand_max
+    h = b - a
+    n = max(1, math.ceil(math.log(settings.br_tolerance / h) / math.log(_INVPHI)))
+    c = a + _INVPHI2 * h
+    dd = a + _INVPHI * h
+    yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
+    yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
+    # the utility overflows to -inf only on a tail of the bracket, past the
+    # optimum: shrink from the right until the right probe is finite
+    while yd == -math.inf:
+        b, dd, yd = dd, c, yc
+        h *= _INVPHI
+        c = a + _INVPHI2 * h
+        yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
+    for _ in range(n):
+        if yc > yd:
+            b, dd, yd = dd, c, yc
+            h *= _INVPHI
+            c = a + _INVPHI2 * h
+            yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
+        else:
+            a, c, yc = c, dd, yd
+            h *= _INVPHI
+            dd = a + _INVPHI * h
+            yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
+    # halved before adding, as c + b overflows near the largest float; the cap bounds
+    # a search that NaN utilities (inf - inf) walked past it
+    return min(0.5 * a + 0.5 * dd if yc > yd else 0.5 * c + 0.5 * b, node.demand_max)
 
 
 def _ascend_from_uncached(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],

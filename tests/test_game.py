@@ -6,10 +6,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import (best_responses_per_price, br_grid, counted_game_calls, nash_grid,
-                     random_instance, solve_stackelberg_uncached, sweep_argmax_price)
+from oracles import (best_responses_per_price, br_grid, counted_game_calls,
+                     edge_best_response_unplanned, nash_grid, random_instance,
+                     solve_stackelberg_uncached, sweep_argmax_price)
+from renderopt import game
 from renderopt.errors import ConvergenceWarning
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
                             cloud_utility, edge_best_response, edge_utility,
@@ -88,6 +90,63 @@ class TestBestResponse:
         cap = node(alpha=alpha, beta=0.5, demand_max=1e308)
         for price in (0.35, 1.8):
             assert 0.0 <= edge_best_response(cap, others, price, SETTINGS, 8.0) <= 1e308
+
+
+def _outcome(best_response, *args):
+    """A best response's value in hex, or the exception it raised."""
+    try:
+        return best_response(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+_POSITIVE = st.floats(0.0, 1e308, exclude_min=True)
+
+
+class TestPlannedSearch:
+    """The golden-section search takes its probe offsets from a plan made once
+    per bracket width, and answers bit for bit as the search that multiplied
+    them out at every step did."""
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(alpha=_POSITIVE, beta=st.one_of(st.just(0.0), st.floats(0.0, 1e308)),
+           demand_max=_POSITIVE, others=st.floats(0.0, 1e308), price=_POSITIVE,
+           capacity=_POSITIVE, tolerance=st.floats(1e-8, 1.0))
+    # the utility overflows to -inf at the first probes: the search shrinks first
+    @example(alpha=2.0, beta=0.5, demand_max=1e308, others=1.0, price=0.5,
+             capacity=8.0, tolerance=1e-6)
+    # 2190 shrinks, past the end of the plan's 1474 steps
+    @example(alpha=10.0, beta=1e308, demand_max=1e308, others=0.0, price=1.0,
+             capacity=1e-300, tolerance=1.0)
+    # every probe's utility is NaN (inf - inf)
+    @example(alpha=1e308, beta=0.5, demand_max=1e308, others=0.0, price=1.0,
+             capacity=8.0, tolerance=1e-6)
+    # a weight whose utility stays finite wherever the congestion term does
+    @example(alpha=1e154, beta=0.5, demand_max=1e308, others=0.0, price=1.0,
+             capacity=8.0, tolerance=1e-6)
+    # the two boundary returns: no demand, and the cap
+    @example(alpha=2.0, beta=0.0, demand_max=10.0, others=0.0, price=3.0,
+             capacity=10.0, tolerance=1e-6)
+    @example(alpha=50.0, beta=0.0, demand_max=1.0, others=0.0, price=1.0,
+             capacity=10.0, tolerance=1e-6)
+    def test_matches_the_unplanned_search_bit_for_bit(self, alpha, beta, demand_max, others,
+                                                      price, capacity, tolerance):
+        args = (node(alpha=alpha, beta=beta, demand_max=demand_max), others, price,
+                SolverSettings(br_tolerance=tolerance), capacity)
+        assert _outcome(edge_best_response, *args) == _outcome(edge_best_response_unplanned,
+                                                               *args)
+
+    def test_plan_cache_stays_bounded(self):
+        # 100 markets of three nodes, each node with a width of its own
+        plan = game._golden_plan
+        maxsize = plan.cache_parameters()["maxsize"]
+        misses = plan.cache_info().misses
+        for k in range(100):
+            nodes = [node(alpha=2.0, beta=0.5, demand_max=1.5 + (3 * k + j) / 97, nid=str(j))
+                     for j in range(3)]
+            nash_equilibrium(nodes, 0.5, SETTINGS, 8.0)
+        assert plan.cache_info().misses - misses >= 300
+        assert maxsize is not None and plan.cache_info().currsize <= maxsize
 
 
 class TestNashEquilibrium:

@@ -75,14 +75,24 @@ def test_bench_multiseed_scores_every_policy(tmp_path):
 
 
 def test_cli_wall_times_a_command():
-    lines = _run_script("cli_wall.py", "--commands", "game-solve", "--repeats", "1").stdout
-    header, row = lines.splitlines()
+    # game-solve-8 solves the 8-node market the script writes
+    lines = _run_script("cli_wall.py", "--commands", "game-solve", "game-solve-8",
+                        "--repeats", "1").stdout
+    header, *rows = lines.splitlines()
     assert header.split() == ["command", "runs", "wall_s", "cpu_s", "sys_s", "minflt",
                               "peak_rss_mb"]
-    name, runs, wall, cpu, sys_s, minflt, rss = row.split()
-    assert (name, runs) == ("game-solve", "1")
-    assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0
-    assert int(minflt) > 0
+    assert [row.split()[:2] for row in rows] == [["game-solve", "1"], ["game-solve-8", "1"]]
+    for row in rows:
+        _, _, wall, cpu, sys_s, minflt, rss = row.split()
+        assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0
+        assert int(minflt) > 0
+
+
+def test_cli_wall_market_has_eight_nodes(tmp_path):
+    path = tmp_path / "market.json"
+    _script_module("cli_wall").write_market(path, 8)
+    config = load_config(path)
+    assert len(config.nodes) == 8 and len({n.demand_max for n in config.nodes}) == 8
 
 
 def _modules_after(argv):

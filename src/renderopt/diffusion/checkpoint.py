@@ -20,7 +20,6 @@ failed, e.g. ``checkpoint header config.heads: missing``.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import tokenize
@@ -40,9 +39,6 @@ from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 
 FORMAT_VERSION = 3
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
-# bytes read into an entry's array at a time: a read makes temporaries of about
-# this size, below the allocator's default threshold for a fresh mapping
-_READ_CHUNK = 1 << 16
 
 
 def _header(config: DenoiserConfig, schedule: NoiseSchedule, step_count: int) -> dict:
@@ -75,17 +71,15 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
                          f"{shape} implied by the header config")
     if not np.isfinite(arr).all():
         raise ValueError(f"checkpoint tensor {key}: holds non-finite values")
-    return arr.astype(np.float64, copy=False)
+    return np.array(arr, dtype=np.float64)               # a writable copy
 
 
 def _read_entries(file) -> dict[str, np.ndarray]:
     """Each member of the .npz archive in the open `file`, by its name less `.npy`. Each
     must be stored as `np.savez` stores it: uncompressed, unencrypted, a .npy
     file of format 1.0 whose header declares exactly the data it holds, so a
-    damaged shape is refused before anything is allocated for it. A member's
-    data is read straight into its own writable array, a chunk at a time."""
+    damaged shape is refused before anything is allocated for it."""
     entries = {}
-    archive_size = file.seek(0, io.SEEK_END)
     with zipfile.ZipFile(file) as archive:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
@@ -96,20 +90,11 @@ def _read_entries(file) -> dict[str, np.ndarray]:
                     raise ValueError(f"entry {shown(key)}: not a .npy file of format 1.0")
                 # every entry must be 1-D, where Fortran and C order agree
                 shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-                # a stored member's bytes lie in the archive, whatever its record says
-                size = min(info.file_size, archive_size) - fh.tell()
-                if math.prod(shape) * dtype.itemsize != size:
-                    raise ValueError(f"entry {shown(key)}: header declares shape {shown(shape)} "
-                                     f"of {shown(dtype, str)}, but {size} data bytes follow")
-                if dtype.hasobject:
-                    raise ValueError(f"entry {shown(key)}: holds Python objects")
-                arr = np.empty(shape, dtype)
-                data = arr.reshape(-1).view(np.uint8)
-                for start in range(0, size, _READ_CHUNK):
-                    chunk = data[start:start + _READ_CHUNK]
-                    if fh.readinto(chunk) != chunk.size:
-                        raise ValueError(f"entry {shown(key)}: ends before its {size} data bytes")
-            entries[key] = arr
+                data = fh.read()
+            if math.prod(shape) * dtype.itemsize != len(data):
+                raise ValueError(f"entry {shown(key)}: header declares shape {shown(shape)} "
+                                 f"of {shown(dtype, str)}, but {len(data)} data bytes follow")
+            entries[key] = np.frombuffer(data, dtype=dtype).reshape(shape)
     return entries
 
 

@@ -17,7 +17,6 @@ which is strictly concave in d. Cloud utility is (p - cost) * total demand.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -28,6 +27,8 @@ from .errors import ConvergenceWarning, check
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# the (left, right) probe offsets of each step of one golden-section search
+_Steps = tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -136,41 +137,33 @@ def edge_utility(node: EdgeNodeParams, d: float, d_others_sum: float,
             - price * d)
 
 
-@functools.lru_cache(maxsize=16)
-def _golden_plan(width: float, tolerance: float) -> tuple[tuple[float, float],
-                                                          tuple[tuple[float, float], ...],
-                                                          float]:
-    """Probe offsets of a golden-section search over [0, width] to `tolerance`.
-
-    They depend on nothing but the bracket width, which every search of one
-    node starts from, so they are made once per (width, tolerance): the first
-    two probes', a (left, right) pair for each of the search's steps, and the
-    bracket width after the last step. The cache is bounded, as a market may
-    give each node its own width.
-    """
-    n = max(1, math.ceil(math.log(tolerance / width) / math.log(_INVPHI)))
-    steps, h = [], width
-    for _ in range(n):
-        h *= _INVPHI
-        steps.append((_INVPHI2 * h, _INVPHI * h))
-    return (_INVPHI2 * width, _INVPHI * width), tuple(steps), h
-
-
 def _probe_offsets(h: float) -> Iterator[tuple[float, float]]:
-    """(left, right) probe offsets of each bracket that golden-section steps
-    leave from one of width h, without end."""
+    """(left, right) probe offsets of a golden-section bracket of width h and
+    of each bracket that steps leave from it, without end. A bracket's right
+    offset is the width of the next."""
     while True:
-        h *= _INVPHI
-        yield _INVPHI2 * h, _INVPHI * h
+        left, h = _INVPHI2 * h, _INVPHI * h
+        yield left, h
+
+
+def _golden_steps(width: float, tolerance: float) -> _Steps:
+    """The probe offsets of each step of a golden-section search over
+    [0, width] to `tolerance`. They depend on nothing else, and every search
+    of one node starts from its demand cap, so a solve makes them once a node."""
+    n = max(1, math.ceil(math.log(tolerance / width) / math.log(_INVPHI)))
+    return tuple(itertools.islice(_probe_offsets(width), 1, n + 1))
 
 
 def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
-                       settings: SolverSettings, capacity: float) -> float:
+                       settings: SolverSettings, capacity: float,
+                       steps: _Steps | None = None) -> float:
     """Maximize the node's utility over [0, demand_max] at fixed opponents.
 
     The objective is strictly concave, so a marginal-utility sign check
     resolves boundary optima exactly and golden-section search handles the
-    interior to within br_tolerance.
+    interior to within br_tolerance. `steps` is the search's probe offsets,
+    `_golden_steps(node.demand_max, settings.br_tolerance)`, made here when
+    not given.
     """
     if price <= 0:
         raise ValueError(f"price must be > 0, got {price}")
@@ -183,16 +176,17 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
         return b
 
     # the utility alpha*ln(1+d) - beta*d*(d+D)/C - p*d, written out at each probe
-    (c, dd), steps, h_end = _golden_plan(b, settings.br_tolerance)
-    a = 0.0
+    if steps is None:
+        steps = _golden_steps(b, settings.br_tolerance)
+    a, c, dd = 0.0, _INVPHI2 * b, _INVPHI * b
     yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c
     yd = alpha * log1p(dd) - beta * dd * (dd + d_others_sum) / cap - price * dd
     if yd == -math.inf:
         # the utility overflows to -inf only on a tail of the bracket, past the
         # optimum: shrink from the right until the right probe is finite. Each
-        # shrink takes the next step's offsets, so the search starts further
-        # along the same sequence and runs past the plan's end
-        offsets = itertools.chain(steps, _probe_offsets(h_end))
+        # shrink takes the next step's offsets, so the search's steps start
+        # further along the same sequence, past the last step's if need be
+        offsets = itertools.chain(steps, _probe_offsets(steps[-1][1]))
         for c_off, _ in offsets:
             b, dd, yd = dd, c, yc
             c = a + c_off
@@ -216,26 +210,31 @@ def edge_best_response(node: EdgeNodeParams, d_others_sum: float, price: float,
 
 def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
                      settings: SolverSettings, capacity: float,
-                     memo: dict[float, NashResult] | None = None) -> NashResult:
+                     memo: dict[float, NashResult] | None = None,
+                     steps: list[_Steps] | None = None) -> NashResult:
     """Synchronous best-response sweeps from all-zero demands.
 
     Stops when the max per-node change falls below br_tolerance; hitting the
     iteration cap is reported through the converged flag and one
     ConvergenceWarning, not an exception. `memo` maps price to result for one
     fixed (nodes, settings, capacity); a price found there is returned without
-    sweeping or warning again, a new one is stored.
+    sweeping or warning again, a new one is stored. `steps` holds each node's
+    search offsets, `_golden_steps(node.demand_max, settings.br_tolerance)`,
+    made here when not given.
     """
     if memo is not None and price in memo:
         return memo[price]
     if not nodes:
         raise ValueError("need at least one edge node")
+    if steps is None:
+        steps = [_golden_steps(node.demand_max, settings.br_tolerance) for node in nodes]
     demands = [0.0] * len(nodes)
     converged = False
     iterations = 0
     total = 0.0
     for iterations in range(1, settings.br_max_iters + 1):
-        new = [edge_best_response(node, total - d, price, settings, capacity)
-               for node, d in zip(nodes, demands)]
+        new = [edge_best_response(node, total - d, price, settings, capacity, node_steps)
+               for node, d, node_steps in zip(nodes, demands, steps)]
         delta = max([abs(a - b) for a, b in zip(new, demands)])
         demands = new
         total = sum(demands)
@@ -257,23 +256,26 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
 
 def cloud_utility(cloud: CloudParams, nodes: list[EdgeNodeParams], price: float,
                   settings: SolverSettings,
-                  memo: dict[float, NashResult] | None = None) -> float:
+                  memo: dict[float, NashResult] | None = None,
+                  steps: list[_Steps] | None = None) -> float:
     """Leader margin times induced total demand, (price - cost) * sum d_i*(price).
 
     A non-converged follower game warns once, when `nash_equilibrium` solves
-    it; a price that `memo` already holds does not warn again.
+    it; a price that `memo` already holds does not warn again. `memo` and
+    `steps` are passed on to `nash_equilibrium`.
     """
     if not cloud.price_min <= price <= cloud.price_max:
         raise ValueError(
             f"price {price} outside [{cloud.price_min}, {cloud.price_max}]"
         )
-    nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo)
+    nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo, steps)
     return (price - cloud.unit_cost) * sum(nash.demands)
 
 
 def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
                  settings: SolverSettings,
-                 memo: dict[float, NashResult]) -> tuple[float, float, int, bool]:
+                 memo: dict[float, NashResult],
+                 steps: list[_Steps]) -> tuple[float, float, int, bool]:
     """Sign-guided ascent with step halving from one starting price."""
     lo, hi = cloud.price_min, cloud.price_max
     band = hi - lo
@@ -282,7 +284,7 @@ def _ascend_from(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],
     min_step = 1e-8 * band
 
     def u(p: float) -> float:
-        return cloud_utility(cloud, nodes, p, settings, memo)
+        return cloud_utility(cloud, nodes, p, settings, memo, steps)
 
     p = p0
     up = u(p)
@@ -322,14 +324,16 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
     The follower game is solved once per distinct price: a step that does
     not move re-probes p +- eps at the same p, and the final equilibrium is
     at a price already probed. Results are memoized by exact price for this
-    call only, so the outcome is the same as re-solving.
+    call only, so the outcome is the same as re-solving. Each node's search
+    offsets are made once for the whole solve.
     """
     lo, hi = cloud.price_min, cloud.price_max
     memo: dict[float, NashResult] = {}
+    steps = [_golden_steps(node.demand_max, settings.br_tolerance) for node in nodes]
     best: tuple[float, float, int, bool] | None = None
     total_iters = 0
     for p0 in (lo, 0.5 * (lo + hi), hi):
-        p, up, iters, conv = _ascend_from(p0, cloud, nodes, settings, memo)
+        p, up, iters, conv = _ascend_from(p0, cloud, nodes, settings, memo, steps)
         total_iters += iters
         if best is None or up > best[1]:
             best = (p, up, iters, conv)

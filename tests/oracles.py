@@ -7,8 +7,8 @@ nested grid refinement (each stage is an exhaustive scan of a shrinking box)
 and audits its answer with full-range scans at the end.
 
 For the follower: the golden-section best response as it was before its probe
-offsets were made once per bracket width, each step multiplying the width by
-1/phi and the offsets out of it. The planned search must agree bit for bit.
+offsets were made once per node and solve, each step multiplying the width by
+1/phi and the offsets out of it. The search as it stands must agree bit for bit.
 
 For the leader: the Stackelberg solve without its per-solve equilibrium memo,
 re-solving the follower game at every price the ascent evaluates, repeats

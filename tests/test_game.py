@@ -104,8 +104,8 @@ _POSITIVE = st.floats(0.0, 1e308, exclude_min=True)
 
 
 class TestPlannedSearch:
-    """The golden-section search takes its probe offsets from a plan made once
-    per bracket width, and answers bit for bit as the search that multiplied
+    """The golden-section search takes its probe offsets from steps made once
+    per node and solve, and answers bit for bit as the search that multiplied
     them out at every step did."""
 
     @hyp_settings(max_examples=300, deadline=None)
@@ -115,7 +115,7 @@ class TestPlannedSearch:
     # the utility overflows to -inf at the first probes: the search shrinks first
     @example(alpha=2.0, beta=0.5, demand_max=1e308, others=1.0, price=0.5,
              capacity=8.0, tolerance=1e-6)
-    # 2190 shrinks, past the end of the plan's 1474 steps
+    # 2190 shrinks, more than the search's 1474 steps
     @example(alpha=10.0, beta=1e308, demand_max=1e308, others=0.0, price=1.0,
              capacity=1e-300, tolerance=1.0)
     # every probe's utility is NaN (inf - inf)
@@ -136,17 +136,19 @@ class TestPlannedSearch:
         assert _outcome(edge_best_response, *args) == _outcome(edge_best_response_unplanned,
                                                                *args)
 
-    def test_plan_cache_stays_bounded(self):
-        # 100 markets of three nodes, each node with a width of its own
-        plan = game._golden_plan
-        maxsize = plan.cache_parameters()["maxsize"]
-        misses = plan.cache_info().misses
-        for k in range(100):
-            nodes = [node(alpha=2.0, beta=0.5, demand_max=1.5 + (3 * k + j) / 97, nid=str(j))
-                     for j in range(3)]
-            nash_equilibrium(nodes, 0.5, SETTINGS, 8.0)
-        assert plan.cache_info().misses - misses >= 300
-        assert maxsize is not None and plan.cache_info().currsize <= maxsize
+    def test_a_solve_makes_each_nodes_steps_once(self, monkeypatch):
+        # five nodes, each with a width of its own
+        made = []
+        golden_steps = game._golden_steps
+        monkeypatch.setattr(game, "_golden_steps",
+                            lambda width, tol: made.append(width) or golden_steps(width, tol))
+        nodes = [node(alpha=2.0, beta=0.5, demand_max=1.5 + j / 5, nid=str(j))
+                 for j in range(5)]
+        with counted_game_calls() as calls:
+            eq = solve_stackelberg(CloudParams(), nodes, SETTINGS)
+        assert made == [n.demand_max for n in nodes]
+        assert calls["br"] > 100 * len(nodes)
+        assert eq == solve_stackelberg_uncached(CloudParams(), nodes, SETTINGS)
 
 
 class TestNashEquilibrium:

@@ -186,9 +186,7 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
     q = (policy.focus_quantile if policy.focus_quantile is not None
          else workload.config.interest_fraction)
 
-    tp = fp = fn = tn = 0
     rows = []
-    times = []
     calls_before = model.call_count if model is not None else 0
     for scene in workload.scenes:
         rng = np.random.default_rng(scene.noise_seed)
@@ -202,22 +200,19 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
             focus = top_fraction(preference_probabilities(
                 model, schedule, standardizer, scene.user, policy.t_noise, policy.stride, rng), q)
         flags = scene.user.interest_flags
-        s_tp = int(np.sum(focus & flags))
-        s_fp = int(np.sum(focus & ~flags))
-        s_fn = int(np.sum(~focus & flags))
-        s_tn = int(np.sum(~focus & ~flags))
-        tp, fp, fn, tn = tp + s_tp, fp + s_fp, fn + s_fn, tn + s_tn
         mult = np.where(focus, cost.lod_high, cost.lod_low)
-        time_s = float(np.sum(scene.region_work * mult) / cost.throughput)
-        times.append(time_s)
         rows.append({
-            "scene": scene.index, "time_s": time_s, "n_high": int(focus.sum()),
-            "tp": s_tp, "fp": s_fp, "fn": s_fn, "tn": s_tn,
+            "scene": scene.index,
+            "time_s": float(np.sum(scene.region_work * mult) / cost.throughput),
+            "n_high": int(focus.sum()),
+            "tp": int(np.sum(focus & flags)), "fp": int(np.sum(focus & ~flags)),
+            "fn": int(np.sum(~focus & flags)), "tn": int(np.sum(~focus & ~flags)),
         })
+    totals = {k: sum(row[k] for row in rows) for k in ("tp", "fp", "fn", "tn")}
     return MetricsReport(
         policy=policy.variant,
-        **confusion_metrics(tp, fp, fn, tn),
-        mean_render_time_s=float(np.mean(times)),
+        **confusion_metrics(**totals),
+        mean_render_time_s=float(np.mean([row["time_s"] for row in rows])),
         scene_rows=rows,
         # only the proposed policy calls the denoiser
         inference_denoiser_calls=model.call_count - calls_before if model is not None else 0,

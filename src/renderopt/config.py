@@ -173,6 +173,8 @@ class PlantedConfig:
 
 @dataclass(frozen=True)
 class WorkloadConfig:
+    """bench-run's scenes. `fps` and `frames_per_scene` (fps * 60) are validated
+    and hashed into the config digest, but nothing reads them."""
     scenes: int = 20
     frames_per_scene: int = 3600
     fps: int = 60

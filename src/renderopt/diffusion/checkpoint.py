@@ -14,14 +14,16 @@ validator (no key missing or unknown, each of its JSON type and range), a
 ``params`` vector exactly as long as that network's tensors, both standardizer
 tensors with one entry per feature and a positive ``std``, and every stored
 number finite. A path is read only if it names a regular file, not a device
-such as ``/dev/zero``. A failed check raises one ``ValueError`` naming what
-failed, e.g. ``checkpoint header config.heads: missing``.
+such as ``/dev/zero`` or a FIFO. A failed check raises one ``ValueError``
+naming what failed, e.g. ``checkpoint header config.heads: missing``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import tokenize
 import zipfile
 from contextlib import nullcontext
@@ -106,8 +108,11 @@ def load_checkpoint(path: str | Path | BinaryIO):
     A path that cannot be opened raises OSError; an OSError once it is open
     is damage, such as a directory record that sends a seek before the start.
     """
-    with open(path, "rb") if isinstance(path, (str, PathLike)) else nullcontext(path) as file:
-        if file is not path and not Path(path).is_file():
+    # opened without blocking, so a FIFO is refused below, not waited on for a writer
+    opened = (open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+              if isinstance(path, (str, PathLike)) else nullcontext(path))
+    with opened as file:
+        if file is not path and not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
             raise ValueError(f"{shown(str(path))}: not a regular file")
         try:
             entries = _read_entries(file)

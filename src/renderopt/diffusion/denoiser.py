@@ -10,8 +10,11 @@ condition vector to the noise it believes was injected. Layout:
     -> nearest upsample
     -> additive attention gate on the encoder skip
     -> concat(up, gated skip) -> merge projection
-    -> MLP block -> output projection
+    -> MLP block (decoder) -> output projection
 
+Each transformer block is two pre-norm residual sub-layers, x + attn(LN(x))
+then x + mlp(LN(x)) (Xiong et al., ICML 2020), and the decoder's MLP block is
+a fifth: `_residual` and `_residual_back` run that rule for all five.
 Every MLP uses the tanh-form GELU (Hendrycks & Gimpel), which needs only numpy.
 Everything is float64 numpy with hand-written backpropagation; gradients are
 validated against central finite differences (see analytic_gradient_check).
@@ -217,8 +220,8 @@ class Workspace:
                 start += size
 
 
-def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
-                       cache: dict | None, ws: Workspace | None):
+def _attention_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
+                       ws: Workspace | None, heads: int):
     b, l, d = x.shape
     q = _linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
                 ws and ws.take(f"{prefix}.q", b, l, d))
@@ -238,8 +241,8 @@ def _attention_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
     return out
 
 
-def _attention_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
-                        cache: dict, grads: dict, ws: Workspace):
+def _attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict,
+                        grads: dict, ws: Workspace, heads: int):
     x, qh, kh, vh, probs, merged, scale = cache[prefix]
     b, l, d = x.shape
     dmerged = _linear_back(merged, dout, params, grads, f"{prefix}.wo", f"{prefix}.bo", merged)
@@ -292,43 +295,33 @@ def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grad
     return _linear_back(x, dact, params, grads, f"{prefix}.w1", f"{prefix}.b1", x)
 
 
-def _block_forward(params: dict, prefix: str, x: np.ndarray, heads: int,
-                   cache: dict | None, ws: Workspace | None):
-    """Pre-norm transformer block: x + attn(LN(x)), then + mlp(LN(.)).
+def _residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
+              cache: dict | None, ws: Workspace | None, *extra):
+    """Pre-norm residual sub-layer x + layer(LN(x)), `layer` being
+    `_attention_forward` or `_mlp_forward` (with `extra` after its workspace).
 
     Stores what the backward pass needs in `cache`; None keeps nothing alive.
     """
     b, l, d = x.shape
-    ln1, ctx1 = _layernorm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
-                           ws and ws.take(f"{prefix}.ln1.xhat", b, l, d),
-                           ws and ws.take(f"{prefix}.ln1.y", b, l, d))
-    h1 = _attention_forward(params, f"{prefix}.attn", ln1, heads, cache, ws)
-    h1 += x
-    ln2, ctx2 = _layernorm(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"],
-                           ws and ws.take(f"{prefix}.ln2.xhat", b, l, d),
-                           ws and ws.take(f"{prefix}.ln2.y", b, l, d))
+    y, ctx = _layernorm(x, params[f"{ln}.g"], params[f"{ln}.b"],
+                        ws and ws.take(f"{ln}.xhat", b, l, d), ws and ws.take(f"{ln}.y", b, l, d))
     if cache is not None:
-        cache[f"{prefix}.ln1"] = ctx1
-        cache[f"{prefix}.ln2"] = ctx2
-    del ln1, ctx1, ctx2             # uncached, they are freed before the MLP runs
-    out = _mlp_forward(params, f"{prefix}.mlp", ln2, cache, ws)
-    out += h1
+        cache[ln] = ctx
+    del ctx                         # uncached, it is freed before the layer runs
+    out = layer(params, prefix, y, cache, ws, *extra)
+    out += x
     return out
 
 
-def _block_backward(params: dict, prefix: str, dout: np.ndarray, heads: int,
-                    cache: dict, grads: dict, ws: Workspace):
+def _residual_back(params: dict, ln: str, layer_back, prefix: str, dout: np.ndarray,
+                   cache: dict, grads: dict, ws: Workspace, *extra):
+    """dx of `_residual`, `layer_back` being the backward of its layer. Each
+    gradient is written over the input activation of its layer, which the
+    backward pass no longer needs."""
     b, l, d = dout.shape
-    # each gradient is written over the input activation of its layer, which
-    # the backward pass no longer needs
-    dln2 = _mlp_backward(params, f"{prefix}.mlp", dout, cache, grads, ws)
-    dh1 = _layernorm_back(params, f"{prefix}.ln2", dln2, cache, grads, dln2,
-                          ws.take("tmp", b, l, d))
-    dh1 += dout
-    dln1 = _attention_backward(params, f"{prefix}.attn", dh1, heads, cache, grads, ws)
-    dx = _layernorm_back(params, f"{prefix}.ln1", dln1, cache, grads, dln1,
-                         ws.take("tmp", b, l, d))
-    dx += dh1
+    dy = layer_back(params, prefix, dout, cache, grads, ws, *extra)
+    dx = _layernorm_back(params, ln, dy, cache, grads, dy, ws.take("tmp", b, l, d))
+    dx += dout
     return dx
 
 
@@ -421,10 +414,12 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
     h += temb[:, None, :]
     h += semb[:, None, :]
 
-    enc = _block_forward(params, "enc", h, heads, cache, ws)
+    enc = _residual(params, "enc.ln1", _attention_forward, "enc.attn", h, cache, ws, heads)
+    enc = _residual(params, "enc.ln2", _mlp_forward, "enc.mlp", enc, cache, ws)
     down = np.add(enc[:, 0::2, :], enc[:, 1::2, :], out=ws and ws.take("down", b, l // 2, d))
     down *= 0.5
-    bot = _block_forward(params, "bot", down, heads, cache, ws)
+    bot = _residual(params, "bot.ln1", _attention_forward, "bot.attn", down, cache, ws, heads)
+    bot = _residual(params, "bot.ln2", _mlp_forward, "bot.mlp", bot, cache, ws)
     up = ws and ws.take("up", b, l, d)
     up = np.empty((b, l, d)) if up is None else up
     up.reshape(b, l // 2, 2, d)[...] = bot[:, :, None, :]         # each row twice
@@ -446,14 +441,9 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
 
     mrg = _linear(cat, params["merge.w"], params["merge.b"], ws and ws.take("mrg", b, l, d))
     del cat
-    dln, dctx = _layernorm(mrg, params["dec.ln.g"], params["dec.ln.b"],
-                           ws and ws.take("dec.ln.xhat", b, l, d),
-                           ws and ws.take("dec.ln.y", b, l, d))
-    dec = _mlp_forward(params, "dec.mlp", dln, cache, ws)
-    dec += mrg
+    dec = _residual(params, "dec.ln", _mlp_forward, "dec.mlp", mrg, cache, ws)
     if cache is not None:
         cache["dec"] = dec
-        cache["dec.ln"] = dctx
     return _linear(dec, params["out.w"], params["out.b"])
 
 
@@ -472,13 +462,11 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     loss = float(np.mean(diff * diff))
     grads = ws.grads
     dout = 2.0 * diff / diff.size
-    d, a_dim = config.d_model, config.gate_dim
+    heads, d, a_dim = config.heads, config.d_model, config.gate_dim
 
-    # as in `_block_backward`, most gradients overwrite a layer's input activation
+    # as in `_residual_back`, most gradients overwrite a layer's input activation
     ddec = _linear_back(cache["dec"], dout, params, grads, "out.w", "out.b", cache["dec"])
-    ddln = _mlp_backward(params, "dec.mlp", ddec, cache, grads, ws)
-    dmrg = _layernorm_back(params, "dec.ln", ddln, cache, grads, ddln, ws.take("tmp", b, l, d))
-    dmrg += ddec
+    dmrg = _residual_back(params, "dec.ln", _mlp_backward, "dec.mlp", ddec, cache, grads, ws)
     dcat = _linear_back(cache["cat"], dmrg, params, grads, "merge.w", "merge.b", cache["cat"])
     dup = dcat[..., :d]
     dgated = dcat[..., d:]
@@ -499,11 +487,15 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     grads["gate.b"][...] = dgpre.reshape(-1, a_dim).sum(axis=0)
 
     dbot = np.add(dup[:, 0::2, :], dup[:, 1::2, :], out=ws.take("dbot", b, l // 2, d))
-    ddown = _block_backward(params, "bot", dbot, config.heads, cache, grads, ws)
+    dbot = _residual_back(params, "bot.ln2", _mlp_backward, "bot.mlp", dbot, cache, grads, ws)
+    ddown = _residual_back(params, "bot.ln1", _attention_backward, "bot.attn", dbot, cache,
+                           grads, ws, heads)
     ddown *= 0.5
     denc[:, 0::2, :] += ddown
     denc[:, 1::2, :] += ddown
-    dh = _block_backward(params, "enc", denc, config.heads, cache, grads, ws)
+    denc = _residual_back(params, "enc.ln2", _mlp_backward, "enc.mlp", denc, cache, grads, ws)
+    dh = _residual_back(params, "enc.ln1", _attention_backward, "enc.attn", denc, cache,
+                        grads, ws, heads)
 
     dtemb = dh.sum(axis=1)
     _linear_back(cache["sin_emb"], dtemb, params, grads, "time.w", "time.b")

@@ -337,7 +337,7 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
         total_iters += iters
         if best is None or up > best[1]:
             best = (p, up, iters, conv)
-    price, _, _, price_converged = best
+    price, leader_utility, _, price_converged = best
     nash = nash_equilibrium(nodes, price, settings, cloud.capacity, memo)
     utils = tuple(
         edge_utility(node, d, sum(nash.demands) - d, price, cloud.capacity)
@@ -347,7 +347,7 @@ def solve_stackelberg(cloud: CloudParams, nodes: list[EdgeNodeParams],
         price=price,
         demands=nash.demands,
         edge_utilities=utils,
-        cloud_utility=(price - cloud.unit_cost) * sum(nash.demands),
+        cloud_utility=leader_utility,   # the ascent's `cloud_utility` of this same `nash`
         iterations=total_iters,
         converged=price_converged and nash.converged,
     )

@@ -455,7 +455,8 @@ class TestErrorPaths:
 
     # each was read whole: /dev/zero died with a MemoryError traceback (for a
     # checkpoint in zipfile's end-record scan, or was killed for memory), and
-    # the whitespace line and the padded config walked and solved with exit 0
+    # the whitespace line and the padded config walked and solved with exit 0;
+    # a FIFO ("mkfifo", made in tmp_path) with no writer blocked the checkpoint's open
     UNBOUNDED = [
         ("prerender-sim", "--trace", "/dev/zero",
          "'/dev/zero':1: expected 'step_index x y' integers, got '\\x00"),
@@ -470,14 +471,22 @@ class TestErrorPaths:
          "--checkpoint: '/dev/zero': not a regular file"),
         ("bench-run", "--checkpoint", "/dev/zero",
          "--checkpoint: '/dev/zero': not a regular file"),
+        ("diffusion-infer", "--checkpoint", "mkfifo",
+         "--checkpoint: {path}: not a regular file"),
     ]
 
     @pytest.mark.parametrize("command, option, source, problem", UNBOUNDED,
                              ids=["trace-zero", "config-zero", "trace-line", "config-size",
-                                  "infer-checkpoint-zero", "bench-checkpoint-zero"])
+                                  "infer-checkpoint-zero", "bench-checkpoint-zero",
+                                  "infer-checkpoint-fifo"])
     def test_unbounded_input_exits_config_with_one_line(self, tmp_path, command, option,
                                                         source, problem):
-        if not source.startswith("/dev/"):
+        if source == "mkfifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no os.mkfifo on this system")
+            source = str(tmp_path / "checkpoint.fifo")
+            os.mkfifo(source)
+        elif not source.startswith("/dev/"):
             (tmp_path / "long.input").write_text(source)
             source = str(tmp_path / "long.input")
         elif not Path(source).exists():

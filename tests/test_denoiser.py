@@ -1,6 +1,7 @@
 """Noise-predictor network: shapes, determinism, gradient correctness, memory."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import oracles
 from oracles import gelu_exact, gelu_exact_grad
-from renderopt.diffusion import NoiseSchedule
+from renderopt.diffusion import NoiseSchedule, denoiser
 from renderopt.diffusion.denoiser import (AttentionGatedDenoiser, DenoiserConfig, _gelu,
                                           _gelu_grad, _layernorm, _layernorm_back, _linear,
                                           _softmax, analytic_gradient_check, forward,
@@ -253,3 +254,28 @@ class TestUncachedMemory:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 <= 0.5 * self.PEAK_KEEPING_INTERMEDIATES_MIB
+
+    def test_each_layernorm_context_is_freed_before_its_layer_runs(self, monkeypatch):
+        # uncached, no layernorm context (xhat, 1 / std) may outlive its
+        # sub-layer's normalisation: one record per sub-layer, in forward order
+        contexts, dead = [], []
+        layernorm = denoiser._layernorm
+
+        def keeping_refs(*args, **kwargs):
+            out, ctx = layernorm(*args, **kwargs)
+            contexts.extend(weakref.ref(a) for a in ctx)
+            return out, ctx
+
+        def recording(layer):
+            def wrapped(*args, **kwargs):
+                dead.append(all(ref() is None for ref in contexts))
+                return layer(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(denoiser, "_layernorm", keeping_refs)
+        for name in ("_attention_forward", "_mlp_forward"):
+            monkeypatch.setattr(denoiser, name, recording(getattr(denoiser, name)))
+        model, m_t, s = self._batch()
+        model.predict(m_t[:2], 140.0, s[:2])
+        assert len(contexts) == 10
+        assert dead == [True] * 5

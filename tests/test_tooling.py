@@ -75,13 +75,15 @@ def test_bench_multiseed_scores_every_policy(tmp_path):
 
 
 def test_cli_wall_times_a_command():
-    # game-solve-8 solves the 8-node market the script writes
-    lines = _run_script("cli_wall.py", "--commands", "game-solve", "game-solve-8",
-                        "--repeats", "1").stdout
+    # game-solve-8 solves the 8-node market the script writes, diffusion-infer
+    # reads the checkpoint of an untimed training run, and prerender-replay
+    # replays the 100 000-step trace the script writes
+    commands = ["game-solve", "game-solve-8", "diffusion-infer", "prerender-replay"]
+    lines = _run_script("cli_wall.py", "--commands", *commands, "--repeats", "1").stdout
     header, *rows = lines.splitlines()
     assert header.split() == ["command", "runs", "wall_s", "cpu_s", "sys_s", "minflt",
                               "peak_rss_mb"]
-    assert [row.split()[:2] for row in rows] == [["game-solve", "1"], ["game-solve-8", "1"]]
+    assert [row.split()[:2] for row in rows] == [[name, "1"] for name in commands]
     for row in rows:
         _, _, wall, cpu, sys_s, minflt, rss = row.split()
         assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0

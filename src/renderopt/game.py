@@ -7,6 +7,8 @@ for the followers, projected gradient ascent with finite-difference gradients
 for the leader. Within one leader solve the follower game is solved once per
 distinct price: the equilibrium depends on nothing else the solve varies, so
 repeated prices are answered from a memo that lives only as long as the solve.
+A congestion-free node (beta == 0) answers the same at every opponent total, so
+each Nash solve searches it once, in its first sweep, and reuses that answer.
 
 Edge utility of node i demanding d against opponent total D and price p:
 
@@ -221,6 +223,11 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
     sweeping or warning again, a new one is stored. `steps` holds each node's
     search offsets, `_golden_steps(node.demand_max, settings.br_tolerance)`,
     made here when not given.
+
+    A congestion-free node (beta == 0) is searched in the first sweep only,
+    and its answer reused in every later one: the same bits its search would
+    return there, as its opponent total enters the search only through terms
+    that are exactly zero while the sums they are formed from stay finite.
     """
     if memo is not None and price in memo:
         return memo[price]
@@ -228,13 +235,24 @@ def nash_equilibrium(nodes: list[EdgeNodeParams], price: float,
         raise ValueError("need at least one edge node")
     if steps is None:
         steps = [_golden_steps(node.demand_max, settings.br_tolerance) for node in nodes]
+    # At beta == 0 (or -0.0) the opponent total D enters a search only through
+    # beta*D, beta*(2b + D) and beta*c*(c + D), probes c <= cap b. Each is a
+    # signed zero, the same at every D, while 2b + D and c + D are finite. A
+    # demand never exceeds its cap, so D and b are each at most the summed caps
+    # S, up to the sums' rounding, and 2b + D at most 3S: 4S finite keeps them
+    # finite. Otherwise every node is searched in every sweep.
+    reuse = math.isfinite(4.0 * sum(node.demand_max for node in nodes))
+    again = [not (reuse and node.beta == 0) for node in nodes]
+    search = [True] * len(nodes)
     demands = [0.0] * len(nodes)
     converged = False
     iterations = 0
     total = 0.0
     for iterations in range(1, settings.br_max_iters + 1):
         new = [edge_best_response(node, total - d, price, settings, capacity, node_steps)
-               for node, d, node_steps in zip(nodes, demands, steps)]
+               if fresh else d
+               for node, d, node_steps, fresh in zip(nodes, demands, steps, search)]
+        search = again
         delta = max([abs(a - b) for a, b in zip(new, demands)])
         demands = new
         total = sum(demands)

@@ -10,6 +10,10 @@ For the follower: the golden-section best response as it was before its probe
 offsets were made once per node and solve, each step multiplying the width by
 1/phi and the offsets out of it. The search as it stands must agree bit for bit.
 
+For the follower game: the Nash solve as it was before a congestion-free
+node's answer was reused across sweeps, searching every node in every sweep.
+The solve as it stands must agree bit for bit, warnings included.
+
 For the leader: the Stackelberg solve without its per-solve equilibrium memo,
 re-solving the follower game at every price the ascent evaluates, repeats
 included, plus counters of the follower work a solve does.
@@ -53,6 +57,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from collections.abc import Iterator
@@ -61,11 +66,11 @@ from pathlib import Path
 import numpy as np
 
 from renderopt import bench, game
-from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
-                            cloud_utility)
+from renderopt.errors import ConvergenceWarning, shown
+from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, NashResult,
+                            SolverSettings, cloud_utility)
 from renderopt.config import NoiseSchedule
 from renderopt.diffusion.denoiser import DenoiserConfig
-from renderopt.errors import shown
 from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
                                  step_latency)
@@ -165,10 +170,6 @@ def nash_grid(nodes: list[EdgeNodeParams], price: float, capacity: float,
 def sweep_argmax_price(cloud: CloudParams, nodes: list[EdgeNodeParams],
                        settings: SolverSettings, n_points: int = 1000) -> tuple[float, float]:
     """Leader price by dense sweep of the (equilibrium-substituted) utility."""
-    import warnings
-
-    from renderopt.errors import ConvergenceWarning
-
     prices = np.linspace(cloud.price_min, cloud.price_max, n_points)
     best_p, best_u = prices[0], -np.inf
     with warnings.catch_warnings():
@@ -237,6 +238,36 @@ def edge_best_response_unplanned(node: EdgeNodeParams, d_others_sum: float, pric
     # halved before adding, as c + b overflows near the largest float; the cap bounds
     # a search that NaN utilities (inf - inf) walked past it
     return min(0.5 * a + 0.5 * dd if yc > yd else 0.5 * c + 0.5 * b, node.demand_max)
+
+
+def nash_equilibrium_every_sweep(nodes: list[EdgeNodeParams], price: float,
+                                 settings: SolverSettings, capacity: float) -> NashResult:
+    """Synchronous best-response sweeps from all-zero demands, every node
+    searched in every sweep; stops, caps and warns as `game.nash_equilibrium`."""
+    if not nodes:
+        raise ValueError("need at least one edge node")
+    steps = [game._golden_steps(node.demand_max, settings.br_tolerance) for node in nodes]
+    demands = [0.0] * len(nodes)
+    converged = False
+    iterations = 0
+    total = 0.0
+    for iterations in range(1, settings.br_max_iters + 1):
+        new = [game.edge_best_response(node, total - d, price, settings, capacity, node_steps)
+               for node, d, node_steps in zip(nodes, demands, steps)]
+        delta = max([abs(a - b) for a, b in zip(new, demands)])
+        demands = new
+        total = sum(demands)
+        if delta < settings.br_tolerance:
+            converged = True
+            break
+    if not converged:
+        warnings.warn(
+            f"follower game did not converge at price {price:.6g} "
+            f"({iterations} sweeps)",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
+    return NashResult(demands=tuple(demands), iterations=iterations, converged=converged)
 
 
 def _ascend_from_uncached(p0: float, cloud: CloudParams, nodes: list[EdgeNodeParams],

@@ -6,11 +6,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
 from oracles import (best_responses_per_price, br_grid, counted_game_calls,
-                     edge_best_response_unplanned, nash_grid, random_instance,
-                     solve_stackelberg_uncached, sweep_argmax_price)
+                     edge_best_response_unplanned, nash_equilibrium_every_sweep, nash_grid,
+                     random_instance, solve_stackelberg_uncached, sweep_argmax_price)
 from renderopt import game
 from renderopt.errors import ConvergenceWarning
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, SolverSettings,
@@ -369,6 +369,86 @@ class TestPerSolveMemo:
             assert cloud_utility(cloud, nodes, 0.9, tight, memo) == first
         assert len(caught) == 1
         assert [n > 0 for _, n in log["nash"]] == [True, False]
+
+
+def _nash_outcome(solve, nodes, price, settings, capacity):
+    """A Nash solve's demands by repr, sweeps, convergence flag and warning count."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        res = solve(nodes, price, settings, capacity)
+    return ([repr(d) for d in res.demands], res.iterations, res.converged,
+            sum(issubclass(w.category, ConvergenceWarning) for w in caught))
+
+
+# two congestion-free nodes and three congested ones
+MIXED = [node(alpha=1.4 + 0.1 * j, beta=0.0 if j % 3 == 0 else 0.25 + 0.05 * j,
+              demand_max=1.8 + 0.1 * j, nid=f"e{j}") for j in range(5)]
+
+
+class TestCongestionFreeReuse:
+    """A congestion-free node is searched once per Nash solve and its answer
+    reused in every sweep, with the bits of searching it in every sweep."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(market=markets(), where=st.floats(0.0, 1.0))
+    @example(market=(CloudParams(), [node(beta=-0.0, demand_max=2.0, nid="a"),
+                                      node(alpha=1.5, beta=0.3, demand_max=2.0, nid="b")],
+                     SETTINGS), where=0.3)
+    @example(market=(CloudParams(), [node(alpha=1.4 + 0.3 * j, demand_max=2.0, nid=str(j))
+                                      for j in range(3)], SETTINGS), where=0.2)
+    @example(market=(CloudParams(), MIXED, SolverSettings(br_max_iters=1)), where=0.1)
+    # node a's 2b + D overflows at node b's demand, though not at D = 0: there its
+    # marginal check yields the cap, at b's demand a search ends just below it
+    @example(market=(CloudParams(unit_cost=1e-4, price_min=1e-3, price_max=2e-3),
+                     [node(alpha=1e305, demand_max=0.85e308, nid="a"),
+                      node(alpha=1e305, demand_max=0.9e308, nid="b")], SETTINGS), where=0.0)
+    def test_matches_searching_every_node_every_sweep(self, market, where):
+        cloud, nodes, settings = market
+        price = min(cloud.price_max, cloud.price_min + where * (cloud.price_max - cloud.price_min))
+        assert (_nash_outcome(nash_equilibrium, nodes, price, settings, cloud.capacity)
+                == _nash_outcome(nash_equilibrium_every_sweep, nodes, price, settings,
+                                 cloud.capacity))
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(alpha=_POSITIVE, beta=st.sampled_from([0.0, -0.0]), demand_max=_POSITIVE,
+           others=st.floats(0.0, 1e308), price=_POSITIVE, capacity=_POSITIVE,
+           tolerance=st.floats(1e-8, 1.0))
+    # near the guard's edge, where the marginal check at the cap decides
+    @example(alpha=1e305, beta=0.0, demand_max=0.3e308, others=0.14e308, price=1e-3,
+             capacity=8.0, tolerance=1e-6)
+    def test_a_congestion_free_search_ignores_the_opponents(self, alpha, beta, demand_max,
+                                                          others, price, capacity, tolerance):
+        # inside the guard: four times the caps that bound b and D is finite
+        assume(math.isfinite(4.0 * (demand_max + others)))
+        n = node(alpha=alpha, beta=beta, demand_max=demand_max)
+        settings = SolverSettings(br_tolerance=tolerance)
+        assert (_outcome(edge_best_response, n, others, price, settings, capacity)
+                == _outcome(edge_best_response, n, 0.0, price, settings, capacity))
+
+    def test_counts_one_search_per_free_node_and_price(self):
+        free = sum(n.beta == 0 for n in MIXED)
+        assert free == 2
+        with counted_game_calls() as log:
+            res = nash_equilibrium(MIXED, 0.9, SETTINGS, 8.0)
+        assert res.converged and res.iterations > 2
+        assert log["br"] == free + (len(MIXED) - free) * res.iterations
+        with counted_game_calls() as log:
+            solve_stackelberg(CloudParams(), MIXED, SETTINGS)
+        swept = [(p, n) for p, n in log["nash"] if n > 0]
+        assert len({p for p, _ in swept}) == len(swept) > 10
+        for p, n in swept:
+            sweeps = nash_equilibrium(MIXED, p, SETTINGS, 8.0).iterations
+            assert n == free + (len(MIXED) - free) * sweeps, p
+        assert log["br"] == sum(n for _, n in swept)
+
+    def test_three_nodes_one_free_match_grid_oracle(self):
+        nodes = [node(alpha=2.0, beta=0.0, demand_max=2.0, nid="a"),
+                 node(alpha=1.6, beta=0.5, demand_max=2.0, nid="b"),
+                 node(alpha=1.2, beta=0.3, demand_max=2.5, nid="c")]
+        res = nash_equilibrium(nodes, 0.9, SETTINGS, 8.0)
+        assert res.converged
+        oracle = nash_grid(nodes, 0.9, 8.0, target_res=1e-3)
+        assert np.max(np.abs(np.array(res.demands) - oracle)) < 2e-3
 
 
 class TestValidation:

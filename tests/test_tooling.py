@@ -199,8 +199,8 @@ def _run_summary(work, p50, correct=True):
                                             "request_p50_ref": {"value": p50, "unit": "ref"}}}
 
 
-PAIR_METRICS = [{"name": "work_per_ref", "unit": "work/ref", "better": "higher"},
-                {"name": "request_p50_ref", "unit": "ref", "better": "lower"}]
+PAIR_METRICS = [{"name": "work_per_ref", "unit": "work/ref", "better": "higher", "bound": 0.25},
+                {"name": "request_p50_ref", "unit": "ref", "better": "lower", "bound": 0.05}]
 
 
 def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
@@ -218,10 +218,23 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
     assert work["ratios"] == [1.2, 1.15, 1.2, 121 / 105, 1.2]
     assert work["median_ratio"] == 1.2 and work["parent_spread"] == pytest.approx(0.15)
     assert work["claimable"] is True
+    assert work["bound"] == 0.25 and work["bound_verdict"] == "within"
     # every pair is faster, but the median ratio 1 / 1.1 is not below 1 - spread
     p50 = got["request_p50_ref"]
     assert all(r < 1 for r in p50["ratios"]) and p50["median_ratio"] == 1.0 / 1.1
     assert p50["parent_spread"] == pytest.approx(0.1) and p50["claimable"] is False
+    # the parent's spread 0.1 exceeds the bound 0.05, and change run 1.0 does not
+    # beat parent run 0.9: the bound cannot tell; when every change run beats
+    # every parent run, it can
+    assert p50["bound_verdict"] == "unresolved"
+    faster = [dict(p, change=_run_summary(p["change"]["metrics"]["work_per_ref"]["value"], 0.85))
+              for p in pairs]
+    assert summarize(faster, PAIR_METRICS)["request_p50_ref"]["bound_verdict"] == "within"
+    # work 30% below the parent's median is worse than the bound 0.25; 20% is not
+    for scale, verdict in ((0.7, "worse"), (0.8, "within")):
+        slower = [dict(p, change=_run_summary(scale * p["parent"]["metrics"]["work_per_ref"]
+                                              ["value"], 0.5)) for p in pairs]
+        assert summarize(slower, PAIR_METRICS)["work_per_ref"]["bound_verdict"] == verdict
     # one pair no better, or one incorrect run, and nothing is claimable
     worse = [dict(pairs[0], change=_run_summary(100, 0.8)), *pairs[1:]]
     assert summarize(worse, PAIR_METRICS)["work_per_ref"]["claimable"] is False
@@ -240,6 +253,14 @@ def test_bench_pairs_summary_claims_only_a_gain_outside_the_spread():
     work = summarize(tie, PAIR_METRICS)["work_per_ref"]
     assert work["wins"] == 8 and work["median_ratio"] == pytest.approx(1.2)
     assert work["claimable"] is False
+
+
+def test_bench_pairs_names_a_record_per_workload():
+    names = _script_module("bench_pairs").record_names
+    assert names("35", ["market"]) == {"market": "BENCH_35.json"}
+    assert names("35", ["market", "floor", "score"]) == {
+        "market": "BENCH_35.json", "floor": "BENCH_35_floor.json",
+        "score": "BENCH_35_score.json"}
 
 
 def test_artifact_digests_prints_one_digest_per_run(tmp_path):

@@ -35,7 +35,8 @@ from typing import BinaryIO
 import numpy as np
 
 from ..config import NoiseSchedule
-from ..errors import ConfigError, _build, _merge, check, located, read_json, shown
+from ..errors import (ConfigError, _build, _merge, check, located, read_json, shown,
+                      writing)
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 
@@ -55,10 +56,12 @@ _HEADER = _header(DenoiserConfig(), NoiseSchedule(), 0)
 def save_checkpoint(path: str | Path, model: AttentionGatedDenoiser,
                     schedule: NoiseSchedule, standardizer: Standardizer) -> None:
     meta = _header(model.config, schedule, model.step_count)
-    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-             params=np.asarray(model.weights, dtype="<f8"),
-             **{"standardizer.mean": np.ascontiguousarray(standardizer.mean, dtype="<f8"),
-                "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
+    with writing(path):
+        np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                          dtype=np.uint8),
+                 params=np.asarray(model.weights, dtype="<f8"),
+                 **{"standardizer.mean": np.ascontiguousarray(standardizer.mean, dtype="<f8"),
+                    "standardizer.std": np.ascontiguousarray(standardizer.std, dtype="<f8")})
 
 
 def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:

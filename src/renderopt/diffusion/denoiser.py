@@ -25,8 +25,14 @@ Python's left-to-right evaluation of the expression it replaced (kept in
 `tests/oracles.py`), so results match to the bit: no edit may reassociate it.
 
 Training runs in a `Workspace`: the kernels write into its buffers through
-`out=` (None, their default, makes a new array), and the backward pass writes
-most gradients over the activation its layer read. A row's result does not
+`out=` (None, their default, makes a new array), and a buffer takes a new value
+once its old one is dead. Each sub-layer's last linear writes into the shared
+`tmp` role, and `_residual` adds that into the stream's own buffer, so one
+buffer carries the stream through a block. The backward pass writes most
+gradients over the activation their layer read; `denc` over `enc` once the
+gate's weight gradients have read it, `dbot` into the bottleneck stream,
+dead once `up` has copied it, and the attention's dx into k's buffer once dq's
+product has read k. A row's result does not
 depend on how many rows share the call, except that a batch of one sequence
 takes another BLAS path in the (1, d) products of the embeddings.
 A one-sequence `predict`, as inference makes, passes no workspace: the
@@ -235,7 +241,7 @@ def _attention_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | N
                                out=ws and ws.take(f"{prefix}.probs", b, heads, l, l)), scale)
     merged = _merged_matmul(probs, vh, ws and ws.take(f"{prefix}.merged", b, l, d))
     out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
-                  ws and ws.take(f"{prefix}.out", b, l, d))
+                  ws and ws.take("tmp", b, l, d))
     if cache is not None:
         cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
     return out
@@ -253,15 +259,16 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict
     dscores -= np.multiply(dscores, probs, out=ws.take("tmp", b, heads, l, l)).sum(
         axis=-1, keepdims=True)
     dscores *= probs
-    dx = ws.take("attn.dx", b, l, d)
-    dx.fill(0.0)                       # 0.0 + a turns a's -0.0 into 0.0, as np.zeros_like did
     dheads = _merge_heads(vh)          # the buffer of v, which only dscores needed
+    dx = _merge_heads(kh)              # the buffer of k, which only dq's product needs
     for name, a, c, scaled in (("q", dscores, kh, True),
                                ("k", dscores.transpose(0, 1, 3, 2), qh, True),
                                ("v", probs.transpose(0, 1, 3, 2), dctx, False)):
         _merged_matmul(a, c, dheads)
         if scaled:
             dheads *= scale
+        if name == "q":
+            dx.fill(0.0)               # 0.0 + a turns a's -0.0 into 0.0, as np.zeros_like did
         dx += _linear_back(x, dheads, params, grads, f"{prefix}.w{name}", f"{prefix}.b{name}",
                            ws.take("tmp", b, l, d))
     return dx
@@ -281,7 +288,7 @@ def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
         cache[prefix] = (x, pre, term)
     del pre, term                   # uncached, both are freed before the output is allocated
     return _linear(act, params[f"{prefix}.w2"], params[f"{prefix}.b2"],
-                   ws and ws.take(f"{prefix}.out", b, l, d))
+                   ws and ws.take("tmp", b, l, d))
 
 
 def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grads: dict,
@@ -298,7 +305,8 @@ def _mlp_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict, grad
 def _residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
               cache: dict | None, ws: Workspace | None, *extra):
     """Pre-norm residual sub-layer x + layer(LN(x)), `layer` being
-    `_attention_forward` or `_mlp_forward` (with `extra` after its workspace).
+    `_attention_forward` or `_mlp_forward` (with `extra` after its workspace),
+    written over x, whose value nothing reads after.
 
     Stores what the backward pass needs in `cache`; None keeps nothing alive.
     """
@@ -308,9 +316,8 @@ def _residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
     if cache is not None:
         cache[ln] = ctx
     del ctx                         # uncached, it is freed before the layer runs
-    out = layer(params, prefix, y, cache, ws, *extra)
-    out += x
-    return out
+    x += layer(params, prefix, y, cache, ws, *extra)   # a + b == b + a, bit for bit
+    return x
 
 
 def _residual_back(params: dict, ln: str, layer_back, prefix: str, dout: np.ndarray,
@@ -474,19 +481,20 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     enc, up, gact, alpha = cache["enc"], cache["up"], cache["gact"], cache["alpha"]
     tmp = ws.take("tmp", b, l, d)
     dalpha = np.multiply(dgated, enc, out=tmp).sum(axis=-1, keepdims=True)
-    denc = np.multiply(dgated, alpha, out=ws.take("denc", b, l, d))
     dzpsi = dalpha * alpha * (1.0 - alpha)
     gtmp = np.multiply(gact, gact, out=ws.take("tmp", b, l, a_dim))
     np.subtract(1.0, gtmp, out=gtmp)
     dgpre = _linear_back(gact, dzpsi, params, grads, "gate.psi", "gate.bpsi", gact)
     dgpre *= gtmp
-    dup += np.matmul(dgpre, params["gate.wg"].T, out=tmp)
-    denc += np.matmul(dgpre, params["gate.wx"].T, out=tmp)
     np.matmul(up.reshape(-1, d).T, dgpre.reshape(-1, a_dim), out=grads["gate.wg"])
     np.matmul(enc.reshape(-1, d).T, dgpre.reshape(-1, a_dim), out=grads["gate.wx"])
     grads["gate.b"][...] = dgpre.reshape(-1, a_dim).sum(axis=0)
+    denc = np.multiply(dgated, alpha, out=enc)      # enc's last read was gate.wx's
+    dup += np.matmul(dgpre, params["gate.wg"].T, out=tmp)
+    denc += np.matmul(dgpre, params["gate.wx"].T, out=tmp)
 
-    dbot = np.add(dup[:, 0::2, :], dup[:, 1::2, :], out=ws.take("dbot", b, l // 2, d))
+    # into the bottleneck stream's buffer, dead since `up` copied it
+    dbot = np.add(dup[:, 0::2, :], dup[:, 1::2, :], out=ws.take("down", b, l // 2, d))
     dbot = _residual_back(params, "bot.ln2", _mlp_backward, "bot.mlp", dbot, cache, grads, ws)
     ddown = _residual_back(params, "bot.ln1", _attention_backward, "bot.attn", dbot, cache,
                            grads, ws, heads)

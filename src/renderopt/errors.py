@@ -3,7 +3,8 @@ validator for JSON input, and the one writer of each artifact format: JSON, and
 CSV with floats as their repr.
 
 A fault reads ``<where>: must be <rule>, got <value>`` (`check`), each value cut
-to 60 characters (`shown`); `located` prefixes where a ValueError came from. The
+to 60 characters (`shown`); `located` prefixes where a ValueError came from, and
+`writing` names the file an OSError that names none was writing. The
 config file and a checkpoint's ``meta`` header are both read by `read_json`,
 checked against a tree of defaults by `_merge` and built into dataclasses by
 `_build`. This module imports no other ``renderopt`` module, so any of them can
@@ -42,13 +43,14 @@ def write_json(path: str | Path, payload) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalError(f"{path.name}: non-finite value, not written as JSON") from None
-    path.write_text(text)
+    with writing(path):
+        path.write_text(text)
 
 
 def write_csv(path: str | Path, header, rows) -> None:
     """`header`, then each of `rows` (any iterable, consumed as written); a
     float is written as its repr, which reads back as the same float."""
-    with open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
@@ -78,6 +80,19 @@ def located(where: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from None
+
+
+@contextmanager
+def writing(path: str | Path):
+    """Give an OSError from the block that names no file, as one past a
+    file-size limit does, the name of the file at `path`, so that it reads
+    e.g. ``[Errno 27] File too large: 'walk_steps.csv'``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = Path(path).name
+        raise
 
 
 def read_json(text: str, where: str):

@@ -24,7 +24,7 @@ from itertools import chain, count, islice
 from operator import lt
 from pathlib import Path
 
-from .errors import check, shown
+from .errors import check, shown, writing
 
 Coord = tuple[int, int]
 
@@ -470,7 +470,7 @@ def write_walk_csv(result: WalkResult, path: str | Path) -> None:
              f"{text[frame.size]},{text[latency]},{missed:d}\r\n"
              for frame, latency, missed in result.outcomes]
     steps = zip(count(1), map(tails.__getitem__, result.step_outcomes))
-    with open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", newline="") as fh:
         fh.write("step,x,y,kind,size,latency_ms,missed\r\n")
         while lines := [f"{step},{tail}" for step, tail in islice(steps, 8192)]:
             fh.write("".join(lines))

@@ -48,6 +48,12 @@ embedding and reverse-step bodies as they were written before they worked in
 place, each one numpy expression allocating its own result. The in-place
 kernels replay the same left-to-right evaluation, so the two agree bit for bit.
 
+For the denoiser's buffers: a pre-norm residual sub-layer that writes its
+layer's output into a buffer of its own and adds the stream into it, and the
+attention's backward summing dx from a buffer of its own filled with zeros.
+The network adds each output into the stream's buffer and sums dx in k's
+buffer; patched in with `monkeypatch`, the two must agree bit for bit.
+
 For the config: every key's default written out as one literal tree, as the
 config module held it before it built the tree from its dataclasses' fields.
 """
@@ -70,6 +76,7 @@ from renderopt.errors import ConvergenceWarning, shown
 from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, NashResult,
                             SolverSettings, cloud_utility)
 from renderopt.config import NoiseSchedule
+from renderopt.diffusion import denoiser
 from renderopt.diffusion.denoiser import DenoiserConfig
 from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
@@ -713,6 +720,46 @@ def softmax(scores: np.ndarray, scale: float) -> np.ndarray:
     scores -= scores.max(axis=-1, keepdims=True)
     ex = np.exp(scores)
     return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
+             cache: dict | None, ws, *extra):
+    """`denoiser._residual` with the sum in a buffer apart from x: the layer's
+    output copied out of the workspace's shared `tmp`, then x added into it."""
+    y, ctx = denoiser._layernorm(x, params[f"{ln}.g"], params[f"{ln}.b"])
+    if cache is not None:
+        cache[ln] = ctx
+    out = layer(params, prefix, y, cache, ws, *extra).copy()
+    out += x
+    return out
+
+
+def attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict,
+                       grads: dict, ws, heads: int):
+    """`denoiser._attention_backward` summing dx in a zero-filled buffer of its
+    own, the `attn.dx` role, instead of the buffer of k."""
+    x, qh, kh, vh, probs, merged, scale = cache[prefix]
+    b, l, d = x.shape
+    dmerged = denoiser._linear_back(merged, dout, params, grads, f"{prefix}.wo",
+                                    f"{prefix}.bo", merged)
+    dctx = denoiser._split_heads(dmerged, heads)
+    dscores = np.matmul(dctx, vh.transpose(0, 1, 3, 2),
+                        out=ws.take("attn.dscores", b, heads, l, l))
+    dscores -= np.multiply(dscores, probs, out=ws.take("tmp", b, heads, l, l)).sum(
+        axis=-1, keepdims=True)
+    dscores *= probs
+    dx = ws.take("attn.dx", b, l, d)
+    dx.fill(0.0)
+    dheads = denoiser._merge_heads(vh)
+    for name, a, c, scaled in (("q", dscores, kh, True),
+                               ("k", dscores.transpose(0, 1, 3, 2), qh, True),
+                               ("v", probs.transpose(0, 1, 3, 2), dctx, False)):
+        denoiser._merged_matmul(a, c, dheads)
+        if scaled:
+            dheads *= scale
+        dx += denoiser._linear_back(x, dheads, params, grads, f"{prefix}.w{name}",
+                                    f"{prefix}.b{name}", ws.take("tmp", b, l, d))
+    return dx
 
 
 def reverse_step(model, x: np.ndarray, t: int, t_next: int, s: np.ndarray,

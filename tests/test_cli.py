@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
+import errno
 import hashlib
 import io
 import json
@@ -47,20 +48,24 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
-def _run_cli(*argv, timeout=60, memory_cap=None, cwd=None, env=None):
+def _run_cli(*argv, timeout=60, memory_cap=None, file_cap=None, cwd=None, env=None):
     """`python -m renderopt.cli argv` in a fresh interpreter, in `cwd` if given,
     so warnings reach stderr as they would for a user; `memory_cap` bytes of
     address space, if given, make a blow-up fail the run instead of exhausting
-    the host, and `env` is added to the child's environment."""
+    the host, `file_cap` bytes cap each file the child writes, and `env` is
+    added to the child's environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **(env or {})}
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+        if memory_cap:
+            resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+        if file_cap:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (file_cap, file_cap))
 
     return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], capture_output=True,
                           text=True, timeout=timeout, env=env, cwd=cwd,
-                          preexec_fn=cap if memory_cap else None)
+                          preexec_fn=cap if memory_cap or file_cap else None)
 
 
 class TestGameSolve:
@@ -791,6 +796,22 @@ class TestErrorPaths:
             f"{shown(str(blocker))} is a directory\n")
         assert [p.name for p in out.iterdir()] == ["walk_summary.json"]
         assert not any(blocker.iterdir())
+
+    # printed `error: [Errno 27] File too large`, naming no file; game-solve's
+    # equilibrium.json fits in 300 bytes, its manifest does not
+    @pytest.mark.parametrize("command, artifact", [("game-solve", "manifest.json"),
+                                                   ("prerender-sim", "walk_steps.csv")])
+    def test_write_past_the_file_size_limit_names_the_artifact(self, tmp_path, command,
+                                                               artifact):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "walk_steps.csv").write_text("an earlier run's\n")
+        proc = _run_cli(command, "--out-dir", str(out), file_cap=300)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (f"{command}: error: [Errno {errno.EFBIG}] "
+                               f"{os.strerror(errno.EFBIG)}: {artifact!r}\n")
+        assert [p.name for p in out.iterdir()] == ["walk_steps.csv"]
+        assert (out / "walk_steps.csv").read_text() == "an earlier run's\n"
 
     # each repeated the command name, or named the option last and not the value
     USAGE = {

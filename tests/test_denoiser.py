@@ -10,11 +10,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 import oracles
 from oracles import gelu_exact, gelu_exact_grad
 from renderopt.diffusion import NoiseSchedule, denoiser
-from renderopt.diffusion.denoiser import (AttentionGatedDenoiser, DenoiserConfig, _gelu,
-                                          _gelu_grad, _layernorm, _layernorm_back, _linear,
-                                          _softmax, analytic_gradient_check, forward,
-                                          loss_and_grads, split_params,
-                                          timestep_embedding)
+from renderopt.diffusion.denoiser import (AttentionGatedDenoiser, DenoiserConfig, Workspace,
+                                          _gelu, _gelu_grad, _layernorm, _layernorm_back,
+                                          _linear, _softmax, analytic_gradient_check, forward,
+                                          loss_and_grads, split_params, timestep_embedding)
 from renderopt.diffusion.sampling import _reverse_step
 from renderopt.errors import NumericalError
 
@@ -226,6 +225,46 @@ def test_lean_kernels_equal_their_oracles_bit_for_bit(batch, half_length, width,
     t_next = int(rng.integers(0, t))
     _same_bytes(_reverse_step(model, seq, t, t_next, cond, schedule),
                 oracles.reverse_step(model, seq, t, t_next, cond, schedule))
+
+
+class TestBuffersSharedByLiveness:
+    """The residual stream takes each sub-layer's sum in its own buffer, and
+    the backward pass writes denc, dbot and the attention's dx into buffers
+    whose values are dead: the results equal the oracles', which keep a
+    buffer apart for each, bit for bit."""
+
+    @staticmethod
+    def _oracle(monkeypatch, fn, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(denoiser, "_residual", oracles.residual)
+            patched.setattr(denoiser, "_attention_backward", oracles.attention_backward)
+            return fn(*args)
+
+    def test_forward_and_gradients_equal_the_oracles_in_one_poisoned_workspace(
+            self, monkeypatch):
+        config = DenoiserConfig()
+        params = AttentionGatedDenoiser(config, seed=3).params
+        workspace = Workspace(config, rows=32)     # every batch and length below
+
+        def poison():
+            for buf in workspace.buffers.values():
+                buf.fill(np.nan)
+            workspace.grad.fill(np.nan)
+
+        for length in (2, 16):
+            for batch in (1, 2, 3, 32):
+                m_t, t, s, target = _probe(config, batch, length, seed=batch + length)
+                pred = self._oracle(monkeypatch, forward, params, config, m_t, t, s)
+                loss, grad = self._oracle(monkeypatch, loss_and_grads, params, config,
+                                          m_t, t, s, target)
+                poison()
+                new_loss, new_grad = loss_and_grads(params, config, m_t, t, s, target,
+                                                    workspace)
+                assert new_loss == loss
+                _same_bytes(new_grad, grad)
+                poison()
+                _same_bytes(forward(params, config, m_t, t, s, workspace=workspace), pred)
+                _same_bytes(forward(params, config, m_t, t, s), pred)
 
 
 class TestUncachedMemory:

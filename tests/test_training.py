@@ -280,6 +280,27 @@ class TestWorkspace:
         poisoned = train(dataset, schedule, settings, AttentionGatedDenoiser(config, seed=5))
         assert _run_digest(poisoned) == _run_digest(fresh)
 
+    # 12.94 MiB when each sub-layer's output, denc, dbot and the attention's dx
+    # had buffers of their own
+    DROPPED_ROLES = {"enc.attn.out", "enc.mlp.out", "bot.attn.out", "bot.mlp.out",
+                     "dec.mlp.out", "denc", "dbot", "attn.dx"}
+
+    def test_the_default_workspace_shares_dead_buffers(self, monkeypatch):
+        cfg = PlantedConfig()
+        dataset, _ = build_training_set(make_population(cfg, seed=0), cfg)
+        workspaces = []
+
+        def recorded(*args):
+            workspaces.append(args[-1])
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(training, "loss_and_grads", recorded)
+        train(dataset, NoiseSchedule(), TrainSettings(epochs=1),
+              AttentionGatedDenoiser(DenoiserConfig(), seed=0))
+        workspace = workspaces[0]
+        assert sum(buf.nbytes for buf in workspace.buffers.values()) <= 11.2 * 2**20
+        assert not {role for role, _ in workspace.buffers} & self.DROPPED_ROLES
+
     def test_steps_after_the_first_keep_a_fixed_footprint(self, monkeypatch):
         # the default config's shapes and batch, over two epochs of 8 steps
         cfg = PlantedConfig()

@@ -40,6 +40,7 @@ import numpy as np
 
 from .diffusion.data import INTERACTION_COLUMNS, Standardizer
 from .diffusion.denoiser import AttentionGatedDenoiser
+from .diffusion.elementary import logistic
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .errors import write_csv, write_json
 from .config import POLICY_VARIANTS, CostModel, NoiseSchedule, RenderPolicy, WorkloadConfig
@@ -94,7 +95,7 @@ def generate_workload(config: WorkloadConfig, seed: int) -> SceneWorkload:
         user = make_user(planted, rng)
         work = rng.uniform(*REGION_WORK, config.regions_per_scene)
         pop_score = user.item_features @ pop_dir
-        popularity = 1.0 / (1.0 + np.exp(-1.2 * pop_score))
+        popularity = logistic(1.2 * pop_score)
         popularity = np.clip(popularity + 0.1 * rng.standard_normal(len(popularity)),
                              0.01, 0.99)
         scenes.append(Scene(index=i, user=user, region_work=work, popularity=popularity,

@@ -5,6 +5,9 @@ bench-run. Every run writes its artifacts plus a manifest.json listing them.
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure, each
 failure in one stderr line worded as `errors` words it: `<option>: must be
 <rule>, got <value>`, a value or path cut to 60 characters (argparse's too).
+The console entry point, `console_main`, adds 130 for SIGINT and 143 for
+SIGTERM, each printed as `<command>: interrupted`; `main` itself re-raises the
+interrupt, so a caller running it in process still stops.
 
 A command imports only what it runs. The names in `_LAZY` come from the
 numpy-backed modules (bench, diffusion, synthetic): the module `__getattr__`
@@ -21,6 +24,7 @@ import importlib
 import os
 import re
 import shutil
+import signal
 import sys
 import tempfile
 import warnings
@@ -297,6 +301,15 @@ def _warning_lines(caught: list[warnings.WarningMessage]) -> list[str]:
             for category, messages in by_category.items()]
 
 
+def _discard(staging: Path | None, created: list[Path]) -> None:
+    """Leave the out dir as a failed run found it, and no directory of its making."""
+    if staging is not None:
+        shutil.rmtree(staging, ignore_errors=True)
+    for path in created:
+        with suppress(OSError):         # not empty, or never made
+            os.rmdir(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     created: list[Path] = []          # output directories this run made, deepest first
@@ -344,19 +357,41 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except (ValueError, OSError) as exc:
         code, message = EXIT_CONFIG, f"error: {exc}"
+    except KeyboardInterrupt:
+        _discard(staging, created)
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        raise
     else:
         for line in _warning_lines(caught):
             print(f"{args.command}: warning: {line}", file=sys.stderr)
         return EXIT_OK
-    # a failed run leaves the out dir as it found it, and no directory of its making
-    if staging is not None:
-        shutil.rmtree(staging, ignore_errors=True)
-    for path in created:
-        with suppress(OSError):         # not empty, or never made
-            os.rmdir(path)
+    _discard(staging, created)
     print(f"{args.command}: {message}", file=sys.stderr)
     return code
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised wherever the run is, as Python raises SIGINT."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+def console_main() -> int:
+    """`main` on the command line's arguments. SIGINT or SIGTERM makes a
+    failed run that exits 128 + the signal's number, as a shell reports a run
+    the signal killed, and prints no traceback."""
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return main()
+    except _Terminated:
+        return 128 + signal.SIGTERM
+    except KeyboardInterrupt:
+        return 128 + signal.SIGINT
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

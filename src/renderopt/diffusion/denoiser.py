@@ -16,6 +16,8 @@ Each transformer block is two pre-norm residual sub-layers, x + attn(LN(x))
 then x + mlp(LN(x)) (Xiong et al., ICML 2020), and the decoder's MLP block is
 a fifth: `_residual` and `_residual_back` run that rule for all five.
 Every MLP uses the tanh-form GELU (Hendrycks & Gimpel), which needs only numpy.
+The network's exp, tanh and logistic come from `elementary`, the one module
+that picks the numpy kernels whose last bits vary with the CPU.
 Everything is float64 numpy with hand-written backpropagation; gradients are
 validated against central finite differences (see analytic_gradient_check).
 The weights are one vector laid out by `param_shapes`: `init_weights` builds
@@ -51,6 +53,7 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..config import DenoiserConfig
+from .elementary import exp, logistic, tanh
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -59,7 +62,7 @@ _LN_EPS = 1e-5
 
 @lru_cache(maxsize=None)
 def _frequencies(half: int) -> np.ndarray:
-    freqs = np.exp(-math.log(10_000.0) * np.arange(half, dtype=np.float64) / half)
+    freqs = exp(-math.log(10_000.0) * np.arange(half, dtype=np.float64) / half)
     freqs.flags.writeable = False          # one row, shared by every caller
     return freqs
 
@@ -79,7 +82,7 @@ def _gelu(x: np.ndarray, act: np.ndarray | None = None, term: np.ndarray | None 
     term *= x
     term += x
     term *= _GELU_C
-    np.tanh(term, out=term)
+    tanh(term, out=term)
     term += 1.0
     act = np.multiply(0.5, x, out=act)
     act *= term
@@ -180,7 +183,7 @@ def _merged_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.n
 def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:   # in the buffer of `scores`
     scores *= scale
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
+    exp(scores, out=scores)
     scores /= np.add.reduce(scores, axis=-1, keepdims=True)
     return scores
 
@@ -434,9 +437,9 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
     gpre = np.matmul(up, params["gate.wg"], out=ws and ws.take("gact", b, l, a))
     gpre += np.matmul(enc, params["gate.wx"], out=ws and ws.take("tmp", b, l, a))
     gpre += params["gate.b"]
-    gact = np.tanh(gpre, out=gpre)
+    gact = tanh(gpre, out=gpre)
     zpsi = gact @ params["gate.psi"] + params["gate.bpsi"]
-    alpha = 1.0 / (1.0 + np.exp(-zpsi))
+    alpha = logistic(zpsi)
     cat = ws and ws.take("cat", b, l, 2 * d)
     cat = np.empty((b, l, 2 * d)) if cat is None else cat
     cat[..., :d] = up

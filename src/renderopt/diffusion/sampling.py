@@ -8,6 +8,7 @@ import numpy as np
 
 from ..config import NoiseSchedule, _check_strided_step
 from .denoiser import AttentionGatedDenoiser
+from .elementary import logistic
 
 
 def _reverse_step(model: AttentionGatedDenoiser, x: np.ndarray, t: int, t_next: int,
@@ -78,7 +79,7 @@ def interaction_probabilities(m_hat: np.ndarray, item_features: np.ndarray,
     pooled = m_hat[:, list(interaction_cols)].mean(axis=0)
     logits = item_features @ pooled
     with np.errstate(over="ignore"):        # exp overflows to inf: probability 0
-        probs = 1.0 / (1.0 + np.exp(-logits))
+        probs = logistic(logits)
     # keep strictly inside (0, 1) even for extreme logits
     tiny = np.finfo(np.float64).tiny
     return np.arange(item_features.shape[0]), np.clip(probs, tiny, 1.0 - 1e-16)

@@ -7,9 +7,11 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import unicodedata
 import zipfile
 from contextlib import redirect_stderr
@@ -48,12 +50,13 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
-def _run_cli(*argv, timeout=60, memory_cap=None, file_cap=None, cwd=None, env=None):
-    """`python -m renderopt.cli argv` in a fresh interpreter, in `cwd` if given,
-    so warnings reach stderr as they would for a user; `memory_cap` bytes of
-    address space, if given, make a blow-up fail the run instead of exhausting
-    the host, `file_cap` bytes cap each file the child writes, and `env` is
-    added to the child's environment."""
+def _cli_child(*argv, memory_cap=None, file_cap=None, cwd=None, env=None):
+    """The command and the `subprocess` keywords of `python -m renderopt.cli
+    argv` in a fresh interpreter, in `cwd` if given, so warnings reach stderr
+    as they would for a user; `memory_cap` bytes of address space, if given,
+    make a blow-up fail the run instead of exhausting the host, `file_cap`
+    bytes cap each file the child writes, and `env` is added to the child's
+    environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **(env or {})}
 
@@ -63,9 +66,14 @@ def _run_cli(*argv, timeout=60, memory_cap=None, file_cap=None, cwd=None, env=No
         if file_cap:
             resource.setrlimit(resource.RLIMIT_FSIZE, (file_cap, file_cap))
 
-    return subprocess.run([sys.executable, "-m", "renderopt.cli", *argv], capture_output=True,
-                          text=True, timeout=timeout, env=env, cwd=cwd,
-                          preexec_fn=cap if memory_cap or file_cap else None)
+    return ([sys.executable, "-m", "renderopt.cli", *argv],
+            dict(env=env, cwd=cwd, preexec_fn=cap if memory_cap or file_cap else None))
+
+
+def _run_cli(*argv, timeout=60, **child):
+    """`_cli_child(*argv, **child)` run to its end, its output captured as text."""
+    command, keywords = _cli_child(*argv, **child)
+    return subprocess.run(command, capture_output=True, text=True, timeout=timeout, **keywords)
 
 
 class TestGameSolve:
@@ -812,6 +820,39 @@ class TestErrorPaths:
                                f"{os.strerror(errno.EFBIG)}: {artifact!r}\n")
         assert [p.name for p in out.iterdir()] == ["walk_steps.csv"]
         assert (out / "walk_steps.csv").read_text() == "an earlier run's\n"
+
+    # SIGINT printed a KeyboardInterrupt traceback and SIGTERM nothing; each
+    # killed the run, leaving its staging directory and the directories it made
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["int", "term"])
+    def test_interrupted_run_fails_in_one_line_and_leaves_the_out_dir(self, tmp_path, signum):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "training_curve.csv").write_text("an earlier run's\n")
+        found = _tree(out)
+        command, keywords = _cli_child("diffusion-train", "--out-dir", str(out / "new"),
+                                       memory_cap=2 << 30)
+        cap = keywords.pop("preexec_fn")
+
+        def child():
+            cap()
+            # Python raises KeyboardInterrupt only if it starts with SIGINT not
+            # ignored, and a shell may start the tests with it ignored
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+        with subprocess.Popen(command, stderr=subprocess.PIPE, text=True, preexec_fn=child,
+                              **keywords) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not any((out / "new").glob(".staging-*")):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                proc.send_signal(signum)
+                _, stderr = proc.communicate(timeout=60)
+            finally:
+                proc.kill()              # nothing, once the run has exited
+        assert proc.returncode == 128 + signum
+        assert stderr == "diffusion-train: interrupted\n"
+        assert _tree(out) == found
 
     # each repeated the command name, or named the option last and not the value
     USAGE = {

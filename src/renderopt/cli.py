@@ -24,7 +24,6 @@ import importlib
 import os
 import re
 import shutil
-import signal
 import sys
 import tempfile
 import warnings
@@ -382,6 +381,7 @@ def console_main() -> int:
     """`main` on the command line's arguments. SIGINT or SIGTERM makes a
     failed run that exits 128 + the signal's number, as a shell reports a run
     the signal killed, and prints no traceback."""
+    import signal      # ~1 ms of start-up (enums) that in-process callers of main skip
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return main()

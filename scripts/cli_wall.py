@@ -3,6 +3,7 @@
 
     python3 scripts/cli_wall.py --repeats 5
     python3 scripts/cli_wall.py --commands game-solve prerender-sim --repeats 9 --src ../parent/src
+    python3 scripts/cli_wall.py --commands diffusion-train bench-run --bytecode warm
 
 Each run is `python -m renderopt.cli <command> --out-dir <new dir>` in a child
 process with OPENBLAS_NUM_THREADS=1, so it counts interpreter start, imports,
@@ -15,9 +16,15 @@ untimed diffusion-train run made first. prerender-replay is `prerender-sim
 --trace` on a 100 000-step trace written first: back and forth along a
 serpentine through every point of the default 20 x 20 floor. game-solve-8 is
 `game-solve --config` on an 8-node market written first, where the default
-2-node solve is mostly interpreter start. Prints one row
-per command: runs, median wall seconds, median CPU seconds, median system CPU
-seconds, median minor page faults, and the largest peak RSS of its runs.
+2-node solve is mostly interpreter start.
+
+`--bytecode cold` (the default) runs each child in this environment as it is,
+so where PYTHONDONTWRITEBYTECODE is set every run compiles renderopt again.
+`--bytecode warm` runs them as an installed user's: PYTHONPYCACHEPREFIX in the
+script's temporary directory, PYTHONDONTWRITEBYTECODE unset, and one untimed
+warm-up run per command that fills the cache. Prints one row per command: the
+bytecode mode, runs, median wall seconds, median CPU seconds, median system
+CPU seconds, median minor page faults, and the largest peak RSS of its runs.
 """
 
 from __future__ import annotations
@@ -81,16 +88,22 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per command")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="renderopt source root to run (default: this checkout's)")
+    parser.add_argument("--bytecode", choices=("cold", "warm"), default="cold",
+                        help="run as this environment does, or from a bytecode cache "
+                             "filled by an untimed warm-up run")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
            "OPENBLAS_NUM_THREADS": "1"}
-    print(f"{'command':16s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} {'sys_s':>8s} "
-          f"{'minflt':>8s} {'peak_rss_mb':>11s}")
+    print(f"{'command':16s} {'bytecode':8s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} "
+          f"{'sys_s':>8s} {'minflt':>8s} {'peak_rss_mb':>11s}")
     with tempfile.TemporaryDirectory(prefix="cli-wall-") as tmp:
         work = Path(tmp)
+        if args.bytecode == "warm":
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
         argv = {name: [name] for name in COMMANDS}
         if "diffusion-infer" in args.commands:
             run_once(["diffusion-train"], env, work / "checkpoint")
@@ -103,10 +116,12 @@ def main() -> int:
             write_market(work / "market.json", MARKET_NODES)
             argv["game-solve-8"] = ["game-solve", "--config", str(work / "market.json")]
         for name in args.commands:
+            if args.bytecode == "warm":
+                run_once(argv[name], env, work / f"{name}-warm-up")
             runs = [run_once(argv[name], env, work / f"{name}-{i}")
                     for i in range(args.repeats)]
             walls, cpus, syss, faults, rss = zip(*runs)
-            print(f"{name:16s} {len(runs):4d} {statistics.median(walls):8.3f} "
+            print(f"{name:16s} {args.bytecode:8s} {len(runs):4d} {statistics.median(walls):8.3f} "
                   f"{statistics.median(cpus):8.3f} {statistics.median(syss):8.3f} "
                   f"{statistics.median(faults):8.0f} {max(rss):11.1f}", flush=True)
     return 0

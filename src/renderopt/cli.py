@@ -23,9 +23,9 @@ import argparse
 import importlib
 import os
 import re
+import secrets
 import shutil
 import sys
-import tempfile
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import replace
@@ -336,7 +336,9 @@ def main(argv: list[str] | None = None) -> int:
                 for path in reversed(created):
                     path.mkdir()
                 out_dir.mkdir(exist_ok=True)     # a file there fails as `File exists`
-                staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+                # named before it exists: an interrupt once it does still removes it
+                staging = out_dir / f".staging-{secrets.token_hex(16)}"
+                staging.mkdir(mode=0o700)
             started = datetime.now(timezone.utc).isoformat()
             outputs = _COMMANDS[args.command](config, seed, staging, args)
             _write_manifest(staging, config, args.command, seed, outputs, started)

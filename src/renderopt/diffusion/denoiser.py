@@ -28,13 +28,18 @@ Python's left-to-right evaluation of the expression it replaced (kept in
 
 Training runs in a `Workspace`: the kernels write into its buffers through
 `out=` (None, their default, makes a new array), and a buffer takes a new value
-once its old one is dead. Each sub-layer's last linear writes into the shared
-`tmp` role, and `_residual` adds that into the stream's own buffer, so one
-buffer carries the stream through a block. The backward pass writes most
-gradients over the activation their layer read; `denc` over `enc` once the
-gate's weight gradients have read it, `dbot` into the bottleneck stream,
-dead once `up` has copied it, and the attention's dx into k's buffer once dq's
-product has read k. A row's result does not
+once its old one is dead. A role is one buffer whatever shapes it takes, so
+`tmp`, `act` and the two backward scratch roles hold one each. Each
+sub-layer's last linear writes into `tmp`, and `_residual` adds that into the
+stream's own buffer, so one buffer carries the stream through a block. Each
+layernorm's output goes into `attn.y` or `mlp.y`, shared by the sub-layers of
+that kind, and the skip concat into `act`, dead from the bottleneck's MLP to
+the decoder's; the backward pass rebuilds each from what it was made of, with
+the forward's own operations, before it is read. The backward pass writes
+most gradients over the activation their layer read; `denc` over `enc` once
+the gate's weight gradients have read it, `dbot` into the bottleneck stream,
+dead once `up` has copied it, and the attention's dx into k's buffer once
+dq's product has read k. A row's result does not
 depend on how many rows share the call, except that a batch of one sequence
 takes another BLAS path in the (1, d) products of the embeddings.
 A one-sequence `predict`, as inference makes, passes no workspace: the
@@ -190,42 +195,44 @@ def _softmax(scores: np.ndarray, scale: float) -> np.ndarray:   # in the buffer 
 
 class Workspace:
     """Float64 buffers for batches of up to `rows` sequences, made on first use
-    and reused by every later call: `buffers` holds one per role and per-row
-    shape, and a batch of fewer rows works in a view of their leading rows.
-    Also the gradient vector and its per-tensor views (`grads`), which
-    `loss_and_grads` overwrites and returns on every call."""
+    and reused by every later call: `buffers` holds one flat vector per role,
+    `rows` times the largest per-row shape the role has taken, and a batch of
+    fewer rows works in a view of the leading rows. Also the gradient vector and
+    its per-tensor views (`grads`), which `loss_and_grads` overwrites and
+    returns on every call."""
 
     def __init__(self, config: DenoiserConfig, rows: int):
         self.rows = rows
-        self.buffers: dict[tuple, np.ndarray] = {}
+        self.buffers: dict[str, np.ndarray] = {}
         self.grad = np.zeros(param_count(config))
         self.grads = split_params(config, self.grad)
-        self._loose: list[tuple] = []      # buffers made since the last `pack`
+        self._loose: dict[str, None] = {}      # roles made or grown since the last `pack`
 
     def take(self, role: str, b: int, *shape: int) -> np.ndarray:
-        """The leading `b` rows of the (rows, *shape) buffer of `role`."""
-        buf = self.buffers.get((role, shape))
-        if buf is None:
-            buf = self.buffers[role, shape] = np.empty((self.rows, *shape))
-            self._loose.append((role, shape))
-        return buf[:b]
+        """The leading `b` rows of a (rows, *shape) view of the front of the
+        vector of `role`, made larger when the shape needs more."""
+        size = self.rows * math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+            self._loose[role] = None
+        return buf[:size].reshape(self.rows, *shape)[:b]
 
     def pack(self) -> None:
-        """Move the buffers made since the last call into one block, their
+        """Move the vectors made since the last call into one block, their
         contents dropped; call it when no view of a buffer is in use. After a
         run's first step its buffers are then one allocation, freed at once
         when the run ends: glibc raises its mmap threshold to the largest
         block freed, so a process that goes on to make large arrays, such as
         a loaded checkpoint's weights, takes them from the heap instead of
         faulting in fresh pages for each."""
-        shapes = {key: self.buffers.pop(key).shape for key in self._loose}
-        self._loose = []
-        if shapes:
-            block = np.empty(sum(map(math.prod, shapes.values())))
+        sizes = {role: self.buffers.pop(role).size for role in self._loose}   # freed first
+        self._loose = {}
+        if sizes:
+            block = np.empty(sum(sizes.values()))
             start = 0
-            for key, shape in shapes.items():
-                size = math.prod(shape)
-                self.buffers[key] = block[start:start + size].reshape(shape)
+            for role, size in sizes.items():
+                self.buffers[role] = block[start:start + size]
                 start += size
 
 
@@ -309,13 +316,16 @@ def _residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
               cache: dict | None, ws: Workspace | None, *extra):
     """Pre-norm residual sub-layer x + layer(LN(x)), `layer` being
     `_attention_forward` or `_mlp_forward` (with `extra` after its workspace),
-    written over x, whose value nothing reads after.
+    written over x, whose value nothing reads after. LN(x) goes into the role
+    `attn.y` or `mlp.y` that all attention or all MLP sub-layers share, and
+    `_residual_back` rebuilds it from the cached xhat.
 
     Stores what the backward pass needs in `cache`; None keeps nothing alive.
     """
     b, l, d = x.shape
     y, ctx = _layernorm(x, params[f"{ln}.g"], params[f"{ln}.b"],
-                        ws and ws.take(f"{ln}.xhat", b, l, d), ws and ws.take(f"{ln}.y", b, l, d))
+                        ws and ws.take(f"{ln}.xhat", b, l, d),
+                        ws and ws.take(prefix.rpartition(".")[2] + ".y", b, l, d))
     if cache is not None:
         cache[ln] = ctx
     del ctx                         # uncached, it is freed before the layer runs
@@ -327,12 +337,28 @@ def _residual_back(params: dict, ln: str, layer_back, prefix: str, dout: np.ndar
                    cache: dict, grads: dict, ws: Workspace, *extra):
     """dx of `_residual`, `layer_back` being the backward of its layer. Each
     gradient is written over the input activation of its layer, which the
-    backward pass no longer needs."""
+    backward pass no longer needs.
+
+    First rebuilds the layer's input LN(x), first in the layer's cache, which
+    a later sub-layer of its kind wrote over. Its role is never dout's: an MLP
+    sub-layer returns its dx in its `mlp.y`, an attention sub-layer in its k."""
     b, l, d = dout.shape
+    y = np.multiply(params[f"{ln}.g"], cache[ln][0], out=cache[prefix][0])   # as `_layernorm`
+    y += params[f"{ln}.b"]
     dy = layer_back(params, prefix, dout, cache, grads, ws, *extra)
     dx = _layernorm_back(params, ln, dy, cache, grads, dy, ws.take("tmp", b, l, d))
     dx += dout
     return dx
+
+
+def _concat(up: np.ndarray, alpha: np.ndarray, enc: np.ndarray,
+            out: np.ndarray | None) -> np.ndarray:
+    """concat(up, alpha enc) on the last axis, into `out` when given."""
+    b, l, d = up.shape
+    cat = np.empty((b, l, 2 * d)) if out is None else out
+    cat[..., :d] = up
+    np.multiply(alpha, enc, out=cat[..., d:])
+    return cat
 
 
 def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
@@ -440,13 +466,10 @@ def forward(params: dict, config: DenoiserConfig, m_t: np.ndarray, t: np.ndarray
     gact = tanh(gpre, out=gpre)
     zpsi = gact @ params["gate.psi"] + params["gate.bpsi"]
     alpha = logistic(zpsi)
-    cat = ws and ws.take("cat", b, l, 2 * d)
-    cat = np.empty((b, l, 2 * d)) if cat is None else cat
-    cat[..., :d] = up
-    np.multiply(alpha, enc, out=cat[..., d:])
+    # in the MLPs' `act`, dead from the bottleneck's MLP to the decoder's
+    cat = _concat(up, alpha, enc, ws and ws.take("act", b, l, 2 * d))
     if cache is not None:
-        cache.update(m_t=m_t, sin_emb=sin_emb, s=s, enc=enc, up=up, gact=gact,
-                     alpha=alpha, cat=cat)
+        cache.update(m_t=m_t, sin_emb=sin_emb, s=s, enc=enc, up=up, gact=gact, alpha=alpha)
     del enc, up, gpre, gact              # the cache, if any, holds what backward needs
 
     mrg = _linear(cat, params["merge.w"], params["merge.b"], ws and ws.take("mrg", b, l, d))
@@ -477,11 +500,12 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     # as in `_residual_back`, most gradients overwrite a layer's input activation
     ddec = _linear_back(cache["dec"], dout, params, grads, "out.w", "out.b", cache["dec"])
     dmrg = _residual_back(params, "dec.ln", _mlp_backward, "dec.mlp", ddec, cache, grads, ws)
-    dcat = _linear_back(cache["cat"], dmrg, params, grads, "merge.w", "merge.b", cache["cat"])
+    enc, up, gact, alpha = cache["enc"], cache["up"], cache["gact"], cache["alpha"]
+    cat = _concat(up, alpha, enc, ws.take("act", b, l, 2 * d))   # the decoder's MLP reused it
+    dcat = _linear_back(cat, dmrg, params, grads, "merge.w", "merge.b", cat)
     dup = dcat[..., :d]
     dgated = dcat[..., d:]
 
-    enc, up, gact, alpha = cache["enc"], cache["up"], cache["gact"], cache["alpha"]
     tmp = ws.take("tmp", b, l, d)
     dalpha = np.multiply(dgated, enc, out=tmp).sum(axis=-1, keepdims=True)
     dzpsi = dalpha * alpha * (1.0 - alpha)

@@ -36,11 +36,13 @@ class Adam:
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._a, self._b = np.empty(size), np.empty(size)     # scratch for `update`
+        self._a = np.empty(size)           # scratch for `update`
 
     def update(self, weights: np.ndarray, grad: np.ndarray) -> None:
+        """One step of `weights` down `grad`, which it uses up: once `v` has
+        read it, `grad` is the second scratch vector."""
         self.step += 1
-        a, b = self._a, self._b
+        a = self._a
         # 1.0 - 0.9 rounds to another float64 than 0.1 does: keep the subtraction
         self.m *= 0.9                      # m = 0.9 m + (1 - 0.9) grad
         self.m += np.multiply(1.0 - 0.9, grad, out=a)
@@ -48,9 +50,9 @@ class Adam:
         self.v += np.multiply(np.multiply(1.0 - 0.999, grad, out=a), grad, out=a)
         np.divide(self.m, 1.0 - 0.9 ** self.step, out=a)   # lr mhat / (sqrt(vhat) + eps)
         a *= self.lr
-        np.sqrt(np.divide(self.v, 1.0 - 0.999 ** self.step, out=b), out=b)
-        b += 1e-8
-        a /= b
+        np.sqrt(np.divide(self.v, 1.0 - 0.999 ** self.step, out=grad), out=grad)
+        grad += 1e-8
+        a /= grad
         weights -= a
 
 

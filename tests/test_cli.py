@@ -854,6 +854,27 @@ class TestErrorPaths:
         assert stderr == "diffusion-train: interrupted\n"
         assert _tree(out) == found
 
+    # interrupted just after mkdtemp made the staging directory, before main
+    # held its name, the run left that directory in the out dir
+    def test_interrupt_as_the_staging_directory_is_made_leaves_the_out_dir(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "equilibrium.json").write_text("an earlier run's\n")
+        found = _tree(tmp_path)
+        real_mkdir = os.mkdir
+
+        def mkdir_then_interrupt(path, *args, **kwargs):
+            real_mkdir(path, *args, **kwargs)
+            if os.path.basename(path).startswith(".staging-"):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "mkdir", mkdir_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["game-solve", "--out-dir", str(out / "new")])
+        assert capsys.readouterr().err == "game-solve: interrupted\n"
+        assert _tree(tmp_path) == found
+
     # each repeated the command name, or named the option last and not the value
     USAGE = {
         "no-checkpoint": (["diffusion-infer"],

@@ -266,6 +266,43 @@ class TestBuffersSharedByLiveness:
                 _same_bytes(forward(params, config, m_t, t, s, workspace=workspace), pred)
                 _same_bytes(forward(params, config, m_t, t, s), pred)
 
+    class Unshared(Workspace):
+        """A workspace that shares nothing: every `take` is a new buffer of NaN."""
+
+        def take(self, role, b, *shape):
+            return np.full((b, *shape), np.nan)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(config=st.sampled_from([(8, 1), (8, 2), (16, 2), (64, 4)]).flatmap(
+               lambda dh: st.builds(DenoiserConfig, feature_dim=st.integers(1, 6),
+                                    cond_dim=st.integers(1, 4), d_model=st.just(dh[0]),
+                                    heads=st.just(dh[1]), mlp_ratio=st.integers(1, 3))),
+           rows=st.integers(1, 4), data=st.data())
+    def test_roles_shared_at_any_shape_equal_a_workspace_that_shares_nothing(
+            self, config, rows, data):
+        # at mlp_ratio 1 the skip concat, 2 d wide, grows the MLPs' `act` mid-step;
+        # each call's batch and length differ, so the calls after the first work
+        # in the front of vectors made for other shapes
+        calls = data.draw(st.lists(st.tuples(st.integers(1, rows), st.integers(1, 8)),
+                                   min_size=1, max_size=3))
+        params = AttentionGatedDenoiser(config, seed=rows).params
+        workspace = Workspace(config, rows)
+        for i, (batch, half) in enumerate(calls):
+            m_t, t, s, target = _probe(config, batch, 2 * half, seed=i)
+            for buf in workspace.buffers.values():
+                buf.fill(np.nan)
+            workspace.grad.fill(np.nan)
+            loss, grad = loss_and_grads(params, config, m_t, t, s, target, workspace)
+            grad = grad.copy()
+            for other_loss, other_grad in (
+                    loss_and_grads(params, config, m_t, t, s, target),
+                    loss_and_grads(params, config, m_t, t, s, target,
+                                   self.Unshared(config, batch)),
+                    self._oracle(pytest.MonkeyPatch, loss_and_grads, params, config,
+                                 m_t, t, s, target)):
+                assert other_loss == loss
+                _same_bytes(other_grad, grad)
+
 
 class TestUncachedMemory:
     # tracemalloc peak of an uncached 800-sequence predict at the default width

@@ -74,20 +74,29 @@ def test_bench_multiseed_scores_every_policy(tmp_path):
     assert max(times.values()) == times["none"]
 
 
+def _cli_wall_rows(bytecode: str, commands: list[str]) -> None:
+    lines = _run_script("cli_wall.py", "--commands", *commands, "--repeats", "1",
+                        "--bytecode", bytecode).stdout
+    header, *rows = lines.splitlines()
+    assert header.split() == ["command", "bytecode", "runs", "wall_s", "cpu_s", "sys_s",
+                              "minflt", "peak_rss_mb"]
+    assert [row.split()[:3] for row in rows] == [[name, bytecode, "1"] for name in commands]
+    for row in rows:
+        _, _, _, wall, cpu, sys_s, minflt, rss = row.split()
+        assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0
+        assert int(minflt) > 0
+
+
 def test_cli_wall_times_a_command():
     # game-solve-8 solves the 8-node market the script writes, diffusion-infer
     # reads the checkpoint of an untimed training run, and prerender-replay
     # replays the 100 000-step trace the script writes
-    commands = ["game-solve", "game-solve-8", "diffusion-infer", "prerender-replay"]
-    lines = _run_script("cli_wall.py", "--commands", *commands, "--repeats", "1").stdout
-    header, *rows = lines.splitlines()
-    assert header.split() == ["command", "runs", "wall_s", "cpu_s", "sys_s", "minflt",
-                              "peak_rss_mb"]
-    assert [row.split()[:2] for row in rows] == [[name, "1"] for name in commands]
-    for row in rows:
-        _, _, wall, cpu, sys_s, minflt, rss = row.split()
-        assert all(float(x) > 0 for x in (wall, cpu, rss)) and float(sys_s) >= 0
-        assert int(minflt) > 0
+    _cli_wall_rows("cold", ["game-solve", "game-solve-8", "diffusion-infer",
+                            "prerender-replay"])
+
+
+def test_cli_wall_warm_runs_after_filling_its_own_bytecode_cache():
+    _cli_wall_rows("warm", ["game-solve"])
 
 
 def test_cli_wall_market_has_eight_nodes(tmp_path):

@@ -4,6 +4,7 @@
     python3 scripts/cli_wall.py --repeats 5
     python3 scripts/cli_wall.py --commands game-solve prerender-sim --repeats 9 --src ../parent/src
     python3 scripts/cli_wall.py --commands diffusion-train bench-run --bytecode warm
+    python3 scripts/cli_wall.py --commands diffusion-train --src ../parent/src --src src
 
 Each run is `python -m renderopt.cli <command> --out-dir <new dir>` in a child
 process with OPENBLAS_NUM_THREADS=1, so it counts interpreter start, imports,
@@ -25,6 +26,14 @@ script's temporary directory, PYTHONDONTWRITEBYTECODE unset, and one untimed
 warm-up run per command that fills the cache. Prints one row per command: the
 bytecode mode, runs, median wall seconds, median CPU seconds, median system
 CPU seconds, median minor page faults, and the largest peak RSS of its runs.
+
+`--src` given twice compares two source trees. Each command's runs go in
+pairs, one run of each tree, and the pairs alternate which tree runs first,
+so drift of the machine over a command's runs falls on both trees alike.
+Each tree gets its own untimed set-up runs and one row per command, `tree`
+1 or 2 in `--src` order; the second tree's row adds `wall_ratio`, the median
+over pairs of its wall time over the first tree's, and `wins`, the pairs in
+which it ran faster.
 """
 
 from __future__ import annotations
@@ -86,44 +95,67 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--commands", nargs="+", choices=COMMANDS, default=list(COMMANDS))
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per command")
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                        help="renderopt source root to run (default: this checkout's)")
+    parser.add_argument("--src", action="append",
+                        help="renderopt source root to run (default: this checkout's); "
+                             "given twice, the two trees run in alternating pairs")
     parser.add_argument("--bytecode", choices=("cold", "warm"), default="cold",
                         help="run as this environment does, or from a bytecode cache "
                              "filled by an untimed warm-up run")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    srcs = args.src or [str(Path(__file__).resolve().parents[1] / "src")]
+    if len(srcs) > 2:
+        parser.error("--src may be given at most twice")
+    paired = len(srcs) == 2
 
-    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
-           "OPENBLAS_NUM_THREADS": "1"}
-    print(f"{'command':16s} {'bytecode':8s} {'runs':>4s} {'wall_s':>8s} {'cpu_s':>8s} "
-          f"{'sys_s':>8s} {'minflt':>8s} {'peak_rss_mb':>11s}")
+    print(f"{'command':16s} {'tree ' if paired else ''}{'bytecode':8s} {'runs':>4s} "
+          f"{'wall_s':>8s} {'cpu_s':>8s} {'sys_s':>8s} {'minflt':>8s} {'peak_rss_mb':>11s}"
+          + (f" {'wall_ratio':>10s} {'wins':>5s}" if paired else ""))
     with tempfile.TemporaryDirectory(prefix="cli-wall-") as tmp:
         work = Path(tmp)
-        if args.bytecode == "warm":
-            env.pop("PYTHONDONTWRITEBYTECODE", None)
-            env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
         argv = {name: [name] for name in COMMANDS}
-        if "diffusion-infer" in args.commands:
-            run_once(["diffusion-train"], env, work / "checkpoint")
-            argv["diffusion-infer"].extend(["--checkpoint",
-                                            str(work / "checkpoint" / "checkpoint.npz")])
         if "prerender-replay" in args.commands:
             write_trace(work / "replay.trace", REPLAY_STEPS)
             argv["prerender-replay"] = ["prerender-sim", "--trace", str(work / "replay.trace")]
         if "game-solve-8" in args.commands:
             write_market(work / "market.json", MARKET_NODES)
             argv["game-solve-8"] = ["game-solve", "--config", str(work / "market.json")]
-        for name in args.commands:
+        envs, argvs = [], []
+        for tree, src in enumerate(srcs, 1):
+            env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
+                   "OPENBLAS_NUM_THREADS": "1"}
             if args.bytecode == "warm":
-                run_once(argv[name], env, work / f"{name}-warm-up")
-            runs = [run_once(argv[name], env, work / f"{name}-{i}")
-                    for i in range(args.repeats)]
-            walls, cpus, syss, faults, rss = zip(*runs)
-            print(f"{name:16s} {args.bytecode:8s} {len(runs):4d} {statistics.median(walls):8.3f} "
-                  f"{statistics.median(cpus):8.3f} {statistics.median(syss):8.3f} "
-                  f"{statistics.median(faults):8.0f} {max(rss):11.1f}", flush=True)
+                env.pop("PYTHONDONTWRITEBYTECODE", None)
+                env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
+            checkpoint = work / f"checkpoint-{tree}"
+            if "diffusion-infer" in args.commands:
+                run_once(["diffusion-train"], env, checkpoint)
+            envs.append(env)
+            argvs.append({**argv, "diffusion-infer": ["diffusion-infer", "--checkpoint",
+                                                      str(checkpoint / "checkpoint.npz")]})
+        for name in args.commands:
+            trees = range(len(srcs))
+            if args.bytecode == "warm":
+                for t in trees:
+                    run_once(argvs[t][name], envs[t], work / f"{name}-{t + 1}-warm-up")
+            runs: list[list] = [[] for _ in trees]
+            for i in range(args.repeats):
+                for t in (trees if i % 2 == 0 else reversed(trees)):
+                    runs[t].append(run_once(argvs[t][name], envs[t],
+                                            work / f"{name}-{t + 1}-{i}"))
+            ratios = [b[0] / a[0] for a, b in zip(*runs)] if paired else []
+            for t, tree_runs in enumerate(runs):
+                walls, cpus, syss, faults, rss = zip(*tree_runs)
+                row = (f"{name:16s} {f'{t + 1:<4d} ' if paired else ''}{args.bytecode:8s} "
+                       f"{len(tree_runs):4d} {statistics.median(walls):8.3f} "
+                       f"{statistics.median(cpus):8.3f} {statistics.median(syss):8.3f} "
+                       f"{statistics.median(faults):8.0f} {max(rss):11.1f}")
+                if paired:
+                    wins = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+                    row += (f" {'-':>10s} {'-':>5s}" if t == 0 else
+                            f" {statistics.median(ratios):10.3f} {wins:>5s}")
+                print(row, flush=True)
     return 0
 
 

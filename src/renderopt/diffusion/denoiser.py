@@ -36,12 +36,11 @@ layernorm's output goes into `attn.y` or `mlp.y`, shared by the sub-layers of
 that kind, and the skip concat into `act`, dead from the bottleneck's MLP to
 the decoder's; the backward pass rebuilds each from what it was made of, with
 the forward's own operations, before it is read. The backward pass writes
-most gradients over the activation their layer read; `denc` over `enc` once
-the gate's weight gradients have read it, `dbot` into the bottleneck stream,
-dead once `up` has copied it, and the attention's dx into k's buffer once
-dq's product has read k. A row's result does not
-depend on how many rows share the call, except that a batch of one sequence
-takes another BLAS path in the (1, d) products of the embeddings.
+most gradients over the activation their layer read, each sub-layer's dx over
+its input; `denc` over `enc` once the gate's weight gradients have read it,
+and `dbot` into the bottleneck stream, dead once `up` has copied it. A row's
+result does not depend on how many rows share the call, except that a batch
+of one sequence takes another BLAS path in the (1, d) products of the embeddings.
 A one-sequence `predict`, as inference makes, passes no workspace: the
 lookups of `take` and the `out=` calls cost more than its small arrays do.
 At the default config, 208 µs a call allocating against 223 µs in a kept
@@ -239,13 +238,10 @@ class Workspace:
 def _attention_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
                        ws: Workspace | None, heads: int):
     b, l, d = x.shape
-    q = _linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"],
-                ws and ws.take(f"{prefix}.q", b, l, d))
-    k = _linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"],
-                ws and ws.take(f"{prefix}.k", b, l, d))
-    v = _linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"],
-                ws and ws.take(f"{prefix}.v", b, l, d))
-    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
+    # (l, d) per sequence, as three products were: at l = 1, (b l, d) takes another BLAS path
+    qkv = _linear(x, params[f"{prefix}.wqkv"][:, None], params[f"{prefix}.bqkv"][:, None, None],
+                  ws and ws.take(f"{prefix}.qkv", b, 3 * l * d).reshape(3, b, l, d))
+    qh, kh, vh = (_split_heads(p, heads) for p in qkv)
     scale = 1.0 / math.sqrt(qh.shape[-1])
     probs = _softmax(np.matmul(qh, kh.transpose(0, 1, 3, 2),
                                out=ws and ws.take(f"{prefix}.probs", b, heads, l, l)), scale)
@@ -253,13 +249,13 @@ def _attention_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | N
     out = _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
                   ws and ws.take("tmp", b, l, d))
     if cache is not None:
-        cache[prefix] = (x, qh, kh, vh, probs, merged, scale)
+        cache[prefix] = (x, qkv, qh, kh, vh, probs, merged, scale)
     return out
 
 
 def _attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict,
                         grads: dict, ws: Workspace, heads: int):
-    x, qh, kh, vh, probs, merged, scale = cache[prefix]
+    x, qkv, qh, kh, vh, probs, merged, scale = cache[prefix]
     b, l, d = x.shape
     dmerged = _linear_back(merged, dout, params, grads, f"{prefix}.wo", f"{prefix}.bo", merged)
     dctx = _split_heads(dmerged, heads)
@@ -269,19 +265,19 @@ def _attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict
     dscores -= np.multiply(dscores, probs, out=ws.take("tmp", b, heads, l, l)).sum(
         axis=-1, keepdims=True)
     dscores *= probs
-    dheads = _merge_heads(vh)          # the buffer of v, which only dscores needed
-    dx = _merge_heads(kh)              # the buffer of k, which only dq's product needs
-    for name, a, c, scaled in (("q", dscores, kh, True),
-                               ("k", dscores.transpose(0, 1, 3, 2), qh, True),
-                               ("v", probs.transpose(0, 1, 3, 2), dctx, False)):
-        _merged_matmul(a, c, dheads)
-        if scaled:
-            dheads *= scale
-        if name == "q":
-            dx.fill(0.0)               # 0.0 + a turns a's -0.0 into 0.0, as np.zeros_like did
-        dx += _linear_back(x, dheads, params, grads, f"{prefix}.w{name}", f"{prefix}.b{name}",
-                           ws.take("tmp", b, l, d))
-    return dx
+    # dq, dk and dv over q, k and v, each once its last product has read it
+    dq = _merged_matmul(dscores, kh, ws.take("tmp", b, l, d))
+    _merged_matmul(dscores.transpose(0, 1, 3, 2), qh, qkv[1])
+    qkv[0] = dq
+    _merged_matmul(probs.transpose(0, 1, 3, 2), dctx, qkv[2])
+    qkv[:2] *= scale
+    x2, dqkv = x.reshape(-1, d), qkv.reshape(3, -1, d)
+    np.matmul(x2.T, dqkv, out=grads[f"{prefix}.wqkv"])
+    grads[f"{prefix}.bqkv"][...] = dqkv.sum(axis=1)
+    x2.fill(0.0)                       # 0.0 + a turns a's -0.0 into 0.0, as np.zeros_like did
+    for dp, w in zip(dqkv, params[f"{prefix}.wqkv"]):
+        x2 += np.matmul(dp, w.T, out=dq.reshape(-1, d))
+    return x
 
 
 def _mlp_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
@@ -340,8 +336,10 @@ def _residual_back(params: dict, ln: str, layer_back, prefix: str, dout: np.ndar
     backward pass no longer needs.
 
     First rebuilds the layer's input LN(x), first in the layer's cache, which
-    a later sub-layer of its kind wrote over. Its role is never dout's: an MLP
-    sub-layer returns its dx in its `mlp.y`, an attention sub-layer in its k."""
+    a later sub-layer of its kind wrote over. Its role is never dout's: every
+    sub-layer returns its dx in its input's role, `attn.y` or `mlp.y`, and
+    dout arrives in the stream's buffer or, for an attention sub-layer, in the
+    `mlp.y` of the MLP after it."""
     b, l, d = dout.shape
     y = np.multiply(params[f"{ln}.g"], cache[ln][0], out=cache[prefix][0])   # as `_layernorm`
     y += params[f"{ln}.b"]
@@ -382,10 +380,8 @@ def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
     for prefix in ("enc", "bot"):
         for ln in ("ln1", "ln2"):
             shapes[f"{prefix}.{ln}.g"] = shapes[f"{prefix}.{ln}.b"] = (d,)
-        for name in ("wq", "wk", "wv", "wo"):
-            shapes[f"{prefix}.attn.{name}"] = (d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            shapes[f"{prefix}.attn.{name}"] = (d,)
+        shapes[f"{prefix}.attn.wqkv"], shapes[f"{prefix}.attn.wo"] = (3, d, d), (d, d)
+        shapes[f"{prefix}.attn.bqkv"], shapes[f"{prefix}.attn.bo"] = (3, d), (d,)
         shapes[f"{prefix}.mlp.w1"], shapes[f"{prefix}.mlp.b1"] = (d, mf), (mf,)
         shapes[f"{prefix}.mlp.w2"], shapes[f"{prefix}.mlp.b2"] = (mf, d), (d,)
     return shapes
@@ -409,15 +405,17 @@ def split_params(config: DenoiserConfig, weights: np.ndarray) -> dict[str, np.nd
 
 
 def init_weights(config: DenoiserConfig, seed: int) -> np.ndarray:
-    """Seeded weight vector: each matrix standard normal over sqrt(fan-in),
-    drawn in layout order; layernorm gains (".g") one; biases zero."""
+    """Seeded weight vector, by each tensor's name: a layernorm gain (".g…")
+    one, a bias (".b…") zero, and any other tensor standard normal over
+    sqrt(fan-in), its shape[-2], drawn in layout order."""
     rng = np.random.default_rng(seed)
     weights = np.zeros(param_count(config))
     for name, tensor in split_params(config, weights).items():
-        if tensor.ndim == 2:
-            tensor[...] = rng.standard_normal(tensor.shape) / math.sqrt(tensor.shape[0])
-        elif name.endswith(".g"):
+        kind = name.rpartition(".")[2][0]
+        if kind == "g":
             tensor[...] = 1.0
+        elif kind != "b":
+            tensor[...] = rng.standard_normal(tensor.shape) / math.sqrt(tensor.shape[-2])
     return weights
 
 

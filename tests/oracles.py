@@ -49,10 +49,13 @@ place, each one numpy expression allocating its own result. The in-place
 kernels replay the same left-to-right evaluation, so the two agree bit for bit.
 
 For the denoiser's buffers: a pre-norm residual sub-layer that writes its
-layer's output into a buffer of its own and adds the stream into it, and the
-attention's backward summing dx from a buffer of its own filled with zeros.
-The network adds each output into the stream's buffer and sums dx in k's
-buffer; patched in with `monkeypatch`, the two must agree bit for bit.
+layer's output into a buffer of its own and adds the stream into it, and an
+attention whose q, k and v are three products, one per slice of `wqkv`, and
+whose backward differentiates them apart and sums dx from a buffer of its own
+filled with zeros. The network adds each output into the stream's buffer,
+makes q, k and v with one stacked product, writes dq, dk and dv over them and
+sums dx over the attention's input; patched in with `monkeypatch`, the two
+must agree bit for bit.
 
 For the config: every key's default written out as one literal tree, as the
 config module held it before it built the tree from its dataclasses' fields.
@@ -734,11 +737,29 @@ def residual(params: dict, ln: str, layer, prefix: str, x: np.ndarray,
     return out
 
 
+def attention_forward(params: dict, prefix: str, x: np.ndarray, cache: dict | None,
+                      ws, heads: int):
+    """`denoiser._attention_forward` with q, k and v made apart, one product
+    each from its slice of `wqkv` and `bqkv`, into arrays of their own; cached
+    as the network caches them, stacked as `qkv`."""
+    q, k, v = (linear(x, w, bias) for w, bias in zip(params[f"{prefix}.wqkv"],
+                                                     params[f"{prefix}.bqkv"]))
+    qh, kh, vh = (denoiser._split_heads(p, heads) for p in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    probs = denoiser._softmax(qh @ kh.transpose(0, 1, 3, 2), scale)
+    merged = denoiser._merge_heads(probs @ vh)
+    if cache is not None:
+        cache[prefix] = (x, np.stack([q, k, v]), qh, kh, vh, probs, merged, scale)
+    return linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+
+
 def attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict,
                        grads: dict, ws, heads: int):
-    """`denoiser._attention_backward` summing dx in a zero-filled buffer of its
-    own, the `attn.dx` role, instead of the buffer of k."""
-    x, qh, kh, vh, probs, merged, scale = cache[prefix]
+    """`denoiser._attention_backward` with q, k and v differentiated apart, each
+    from its slice of `wqkv` into a buffer of its own, the `attn.dheads` role,
+    and dx summed in a zero-filled buffer of its own, the `attn.dx` role,
+    instead of over q, k, v and the input."""
+    x, _, qh, kh, vh, probs, merged, scale = cache[prefix]
     b, l, d = x.shape
     dmerged = denoiser._linear_back(merged, dout, params, grads, f"{prefix}.wo",
                                     f"{prefix}.bo", merged)
@@ -750,15 +771,18 @@ def attention_backward(params: dict, prefix: str, dout: np.ndarray, cache: dict,
     dscores *= probs
     dx = ws.take("attn.dx", b, l, d)
     dx.fill(0.0)
-    dheads = denoiser._merge_heads(vh)
-    for name, a, c, scaled in (("q", dscores, kh, True),
-                               ("k", dscores.transpose(0, 1, 3, 2), qh, True),
-                               ("v", probs.transpose(0, 1, 3, 2), dctx, False)):
-        denoiser._merged_matmul(a, c, dheads)
+    x2 = x.reshape(-1, d)
+    w, dw, db = params[f"{prefix}.wqkv"], grads[f"{prefix}.wqkv"], grads[f"{prefix}.bqkv"]
+    for i, (a, c, scaled) in enumerate(((dscores, kh, True),
+                                        (dscores.transpose(0, 1, 3, 2), qh, True),
+                                        (probs.transpose(0, 1, 3, 2), dctx, False))):
+        dheads = denoiser._merged_matmul(a, c, ws.take("attn.dheads", b, l, d))
         if scaled:
             dheads *= scale
-        dx += denoiser._linear_back(x, dheads, params, grads, f"{prefix}.w{name}",
-                                    f"{prefix}.b{name}", ws.take("tmp", b, l, d))
+        dy2 = dheads.reshape(-1, d)
+        np.matmul(x2.T, dy2, out=dw[i])
+        db[i] = dy2.sum(axis=0)
+        dx += (dy2 @ w[i].T).reshape(b, l, d)
     return dx
 
 

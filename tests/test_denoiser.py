@@ -228,15 +228,17 @@ def test_lean_kernels_equal_their_oracles_bit_for_bit(batch, half_length, width,
 
 
 class TestBuffersSharedByLiveness:
-    """The residual stream takes each sub-layer's sum in its own buffer, and
-    the backward pass writes denc, dbot and the attention's dx into buffers
-    whose values are dead: the results equal the oracles', which keep a
-    buffer apart for each, bit for bit."""
+    """The residual stream takes each sub-layer's sum in its own buffer, the
+    attention makes q, k and v with one stacked product, and the backward pass
+    writes denc, dbot, dq, dk, dv and the attention's dx into buffers whose
+    values are dead: the results equal the oracles', which make q, k and v
+    apart and keep a buffer apart for each, bit for bit."""
 
     @staticmethod
     def _oracle(monkeypatch, fn, *args):
         with monkeypatch.context() as patched:
             patched.setattr(denoiser, "_residual", oracles.residual)
+            patched.setattr(denoiser, "_attention_forward", oracles.attention_forward)
             patched.setattr(denoiser, "_attention_backward", oracles.attention_backward)
             return fn(*args)
 

@@ -99,6 +99,20 @@ def test_cli_wall_warm_runs_after_filling_its_own_bytecode_cache():
     _cli_wall_rows("warm", ["game-solve"])
 
 
+def test_cli_wall_compares_two_trees_in_pairs():
+    src = str(ROOT / "src")
+    lines = _run_script("cli_wall.py", "--commands", "game-solve", "--repeats", "3",
+                        "--src", src, "--src", src).stdout
+    header, *rows = lines.splitlines()
+    assert header.split() == ["command", "tree", "bytecode", "runs", "wall_s", "cpu_s",
+                              "sys_s", "minflt", "peak_rss_mb", "wall_ratio", "wins"]
+    assert [row.split()[:4] for row in rows] == [["game-solve", tree, "cold", "3"]
+                                                 for tree in ("1", "2")]
+    assert rows[0].split()[-2:] == ["-", "-"]
+    ratio, wins = rows[1].split()[-2:]
+    assert float(ratio) > 0 and re.fullmatch(r"[0-3]/3", wins)
+
+
 def test_cli_wall_market_has_eight_nodes(tmp_path):
     path = tmp_path / "market.json"
     _script_module("cli_wall").write_market(path, 8)

@@ -15,8 +15,9 @@ Prediction metrics score each policy's high-detail set against the interest
 flags; simulated render time is work x LOD multiplier / throughput.
 
 `preference_probabilities` is the one copy of the diffusion scoring pipeline,
-run by `proposed` and by `diffusion-infer`. It lives here so that its two
-stages are this module's globals, where the benchmark's tracer wraps them.
+run by `proposed` on all its scenes at once and by `diffusion-infer` one user
+at a time. It lives here so that its two stages are this module's globals,
+where the benchmark's tracer wraps them.
 
 The `mdp` baseline is a region-hop MDP: one state per region, actions low and
 high detail, reward popularity x quality - mdp_cost_weight x work x LOD
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion.data import INTERACTION_COLUMNS, Standardizer
-from .diffusion.denoiser import AttentionGatedDenoiser
+from .diffusion.denoiser import AttentionGatedDenoiser, inference_rows
 from .diffusion.elementary import logistic
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .errors import write_csv, write_json
@@ -148,22 +149,37 @@ def random_opt_select(rewards: tuple[np.ndarray, np.ndarray], policy: RenderPoli
     """Sample LOD configurations and keep the one whose regions' rewards sum highest."""
     low, high = rewards
     configs = rng.random((policy.ro_samples, len(low))) < 0.5
-    scores = np.array([np.sum(np.where(c, high, low)) for c in configs])
+    scores = np.where(configs, high, low).sum(axis=1)
     best = int(np.argmax(scores))
     return configs[best], configs, scores
 
 
 def preference_probabilities(model: AttentionGatedDenoiser, schedule: NoiseSchedule,
-                             standardizer: Standardizer, user: PlantedUser, t_noise: int,
-                             stride: int, rng: np.random.Generator) -> np.ndarray:
-    """Interaction probability of each of the user's items: the history is
-    standardized, perturbed to step t_noise by one noise block drawn from `rng`,
-    denoised back in steps of `stride`, unstandardized and read out by a logistic."""
-    feats = standardizer.transform(user.sequence_raw)
-    noise = rng.standard_normal(feats.shape)
-    m_hat = standardizer.inverse(reconstruct_preferences(
-        model, schedule, feats, user.condition, t_noise, stride, noise))
-    return interaction_probabilities(m_hat, user.item_features, INTERACTION_COLUMNS)[1]
+                             standardizer: Standardizer, users: list[PlantedUser],
+                             t_noise: int, stride: int,
+                             rngs: list[np.random.Generator]) -> list[np.ndarray]:
+    """Interaction probability of each item of each user: each history is
+    standardized, perturbed to step t_noise by one noise block drawn from its
+    user's generator in `rngs`, denoised back in steps of `stride`,
+    unstandardized and read out by a logistic.
+
+    The histories are denoised as one stack, split into as few equal chunks
+    as `inference_rows` allows, so each reverse step is one `predict` per
+    chunk. A row's result is the same in any chunk of two or more; a chunk of
+    one takes other BLAS kernels and may differ in the last bits.
+    """
+    feats = standardizer.transform(np.array([user.sequence_raw for user in users]))
+    noise = np.array([rng.standard_normal(feats.shape[1:]) for rng in rngs])
+    conditions = np.array([user.condition for user in users])
+    m_hat = np.empty_like(feats)
+    n = len(users)
+    parts = -(-n // inference_rows(model.config, feats.shape[1]))
+    for i in range(parts):
+        rows = slice(i * n // parts, (i + 1) * n // parts)
+        m_hat[rows] = reconstruct_preferences(model, schedule, feats[rows], conditions[rows],
+                                              t_noise, stride, noise[rows])
+    return [interaction_probabilities(m, user.item_features, INTERACTION_COLUMNS)[1]
+            for m, user in zip(standardizer.inverse(m_hat), users)]
 
 
 def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
@@ -184,22 +200,25 @@ def run_policy(workload: SceneWorkload, policy: RenderPolicy, cost: CostModel,
     if policy.variant == "proposed" and (model is None or schedule is None
                                          or standardizer is None):
         raise ValueError("proposed policy needs a trained model, schedule, and standardizer")
-    q = (policy.focus_quantile if policy.focus_quantile is not None
-         else workload.config.interest_fraction)
+    scenes = workload.scenes
+    calls_before = model.call_count if model is not None else 0
+    if policy.variant == "proposed":
+        q = (policy.focus_quantile if policy.focus_quantile is not None
+             else workload.config.interest_fraction)
+        focus_sets = [top_fraction(p, q) for p in preference_probabilities(
+            model, schedule, standardizer, [scene.user for scene in scenes], policy.t_noise,
+            policy.stride, [np.random.default_rng(scene.noise_seed) for scene in scenes])]
+    elif policy.variant == "mdp":
+        focus_sets = [_mdp_focus(region_rewards(scene, policy, cost)) for scene in scenes]
+    elif policy.variant == "random_opt":
+        focus_sets = [random_opt_select(region_rewards(scene, policy, cost), policy,
+                                        np.random.default_rng(scene.noise_seed))[0]
+                      for scene in scenes]
+    else:
+        focus_sets = [np.ones(len(scene.region_work), dtype=bool) for scene in scenes]
 
     rows = []
-    calls_before = model.call_count if model is not None else 0
-    for scene in workload.scenes:
-        rng = np.random.default_rng(scene.noise_seed)
-        if policy.variant == "none":
-            focus = np.ones(len(scene.region_work), dtype=bool)
-        elif policy.variant == "mdp":
-            focus = _mdp_focus(region_rewards(scene, policy, cost))
-        elif policy.variant == "random_opt":
-            focus, _, _ = random_opt_select(region_rewards(scene, policy, cost), policy, rng)
-        else:
-            focus = top_fraction(preference_probabilities(
-                model, schedule, standardizer, scene.user, policy.t_noise, policy.stride, rng), q)
+    for scene, focus in zip(scenes, focus_sets):
         flags = scene.user.interest_flags
         mult = np.where(focus, cost.lod_high, cost.lod_low)
         rows.append({

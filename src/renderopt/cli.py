@@ -179,8 +179,8 @@ def cmd_diffusion_infer(config: ExperimentConfig, seed: int, out_dir: Path,
         """Each user's rows, scored as the file is written."""
         nonlocal ranked_ok
         for uid, user in enumerate(eval_users):
-            probs = _cli.preference_probabilities(model, schedule, standardizer, user,
-                                                  t_noise, stride, rng)
+            probs, = _cli.preference_probabilities(model, schedule, standardizer, [user],
+                                                   t_noise, stride, [rng])
             flags = user.interest_flags
             if flags.any() and (~flags).any() and probs[flags].mean() > probs[~flags].mean():
                 ranked_ok += 1

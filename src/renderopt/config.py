@@ -39,6 +39,7 @@ POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
 # each bound alone keeps a run within 2 GB
 MAX_USERS = 10_000
 MAX_SEQ_LEN = 128
+MAX_D_MODEL = 1024
 # regions in a whole workload; each scene also holds a planted user (~5 KB)
 MAX_REGIONS = 100_000
 MAX_CONFIG_BYTES = 1 << 20             # a config file is read up to this size, no further
@@ -59,7 +60,7 @@ def _check_strided_step(name: str, step: int, stride: int) -> None:
 @dataclass(frozen=True)
 class DenoiserConfig:
     """Shapes of the network. d_model must be even, divisible by heads and at
-    most 1024, where the weights take ~200 MB (four times that in training)."""
+    most MAX_D_MODEL, where the weights take ~200 MB (four times that in training)."""
 
     feature_dim: int = 6
     cond_dim: int = 4
@@ -70,7 +71,7 @@ class DenoiserConfig:
     def __post_init__(self):
         for name in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio"):
             check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(self.d_model <= 1024, "d_model", "at most 1024", self.d_model)
+        check(self.d_model <= MAX_D_MODEL, "d_model", f"at most {MAX_D_MODEL}", self.d_model)
         check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
         check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
               self.d_model)

@@ -41,11 +41,12 @@ its input; `denc` over `enc` once the gate's weight gradients have read it,
 and `dbot` into the bottleneck stream, dead once `up` has copied it. A row's
 result does not depend on how many rows share the call, except that a batch
 of one sequence takes another BLAS path in the (1, d) products of the embeddings.
-A one-sequence `predict`, as inference makes, passes no workspace: the
-lookups of `take` and the `out=` calls cost more than its small arrays do.
-At the default config, 208 µs a call allocating against 223 µs in a kept
-one-row workspace and 224 µs when `take` allocates each time (2 Intel Xeon
-cores, one BLAS thread), so keep the two paths apart.
+Inference passes no workspace: it calls `predict` on batches of at most
+`inference_rows` sequences, whose activations cost less to allocate than the
+lookups of `take` and the `out=` calls would (at the default config, a
+one-sequence call took 208 µs allocating against 223 µs in a kept one-row
+workspace, on 2 Intel Xeon cores with one BLAS thread), so keep the two paths
+apart. `call_count` counts sequences, one per row of each `predict`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import NumericalError
-from ..config import DenoiserConfig
+from ..config import MAX_D_MODEL, MAX_SEQ_LEN, DenoiserConfig
 from .elementary import exp, logistic, tanh
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -537,9 +538,21 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     return loss, ws.grad
 
 
+def inference_rows(config: DenoiserConfig, seq_len: int) -> int:
+    """Sequences of length `seq_len` one inference `forward` takes at most: as
+    many as hold no more activation than one sequence at the config caps
+    (MAX_SEQ_LEN positions, MAX_D_MODEL wide, this config's heads and
+    mlp_ratio), and at least one. A sequence's activation is counted as its
+    widest arrays per position: the MLP's hidden pair (2 mlp_ratio d_model),
+    the q/k/v stack (3 d_model) and the attention scores (heads seq_len)."""
+    def floats(length: int, width: int) -> int:
+        return length * ((2 * config.mlp_ratio + 3) * width + config.heads * length)
+    return max(1, floats(MAX_SEQ_LEN, MAX_D_MODEL) // floats(seq_len, config.d_model))
+
+
 class AttentionGatedDenoiser:
     """Stateful wrapper: config, one weight vector, its per-tensor views
-    (`params`), and a denoiser-call counter."""
+    (`params`), and a counter of the sequences `predict` has denoised."""
 
     def __init__(self, config: DenoiserConfig, seed: int = 0,
                  weights: np.ndarray | None = None):
@@ -558,10 +571,10 @@ class AttentionGatedDenoiser:
         if single:                  # t is one step, s one condition vector
             m_t, s_arr = m_t[None], s_arr.reshape(1, -1)
         else:
-            t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), m_t.shape[:1])
+            t = np.full(len(m_t), t, dtype=np.float64)
             s_arr = np.broadcast_to(s_arr, (len(m_t), s_arr.size)) if s_arr.ndim == 1 else s_arr
         out = forward(self.params, self.config, m_t, t, s_arr, workspace=workspace)
-        self.call_count += 1
+        self.call_count += len(m_t)
         if not np.isfinite(out).all():
             raise NumericalError("denoiser produced non-finite activations")
         return out[0] if single else out

@@ -50,7 +50,9 @@ def reverse_denoise(model: AttentionGatedDenoiser, m_start: np.ndarray, s: np.nd
 def reconstruct_preferences(model: AttentionGatedDenoiser, schedule: NoiseSchedule,
                             features_std: np.ndarray, condition: np.ndarray,
                             t_noise: int, stride: int, noise: np.ndarray) -> np.ndarray:
-    """Perturb a standardized sequence to step t_noise, then denoise it back.
+    """Perturb a standardized sequence (L, F) under its condition (C,), or a
+    stack (B, L, F) under one condition a row (B, C), to step t_noise, then
+    denoise it back.
 
     This is the online path: the perturbation explores preference shifts and
     the conditional reverse process settles them under the resource vector.

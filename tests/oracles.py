@@ -26,7 +26,11 @@ neighbours, latency and deadline; and the step CSV written row by row with
 For the benchmark's `mdp` policy: the region-hop MDP built as a full
 transition tensor and solved by value iteration. For `random_opt`: one
 configuration's objective, computed from popularity, quality, work and LOD
-multiplier without the per-region reward pair the policy sums.
+multiplier without the per-region reward pair the policy sums, and the
+configurations' scores summed one configuration at a time. For `proposed`:
+the policy as it was before its scenes were denoised as one stack, each
+scene scored alone with one-sequence `predict` calls; the stack's focus sets
+and rows must agree byte for byte, its probabilities within 1e-12.
 
 For trace files: the writer `load_trace` must read back, and the reader as it
 was before it read blocks: a regex match and three `int` calls per line, read
@@ -80,10 +84,13 @@ from renderopt.game import (CloudParams, EdgeNodeParams, EquilibriumResult, Nash
                             SolverSettings, cloud_utility)
 from renderopt.config import NoiseSchedule
 from renderopt.diffusion import denoiser
+from renderopt.diffusion.data import INTERACTION_COLUMNS
 from renderopt.diffusion.denoiser import DenoiserConfig
+from renderopt.diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from renderopt.prerender import (Coord, EncodingSpec, GridWorld, TimingModel,
                                  WalkResult, encode_frame, hop_deadline, neighbors,
                                  step_latency)
+from renderopt.synthetic import top_fraction
 
 
 def utility_curve(node: EdgeNodeParams, d: np.ndarray, d_others_sum: float,
@@ -563,6 +570,59 @@ def random_opt_objective(high: np.ndarray, scene: bench.Scene, cost: bench.CostM
     quality = np.where(high, cost.quality_high, cost.quality_low)
     mult = np.where(high, cost.lod_high, cost.lod_low)
     return float(np.sum(scene.popularity * quality - cost_weight * scene.region_work * mult))
+
+
+def random_opt_scores_rowwise(rewards: tuple[np.ndarray, np.ndarray],
+                              configs: np.ndarray) -> np.ndarray:
+    """Each configuration's summed rewards, one `np.sum` per configuration."""
+    low, high = rewards
+    return np.array([np.sum(np.where(c, high, low)) for c in configs])
+
+
+def preference_probabilities_alone(model, schedule: NoiseSchedule, standardizer,
+                                   user, t_noise: int, stride: int,
+                                   rng: np.random.Generator) -> np.ndarray:
+    """One user's interaction probabilities, its history denoised by itself."""
+    feats = standardizer.transform(user.sequence_raw)
+    noise = rng.standard_normal(feats.shape)
+    m_hat = standardizer.inverse(reconstruct_preferences(
+        model, schedule, feats, user.condition, t_noise, stride, noise))
+    return interaction_probabilities(m_hat, user.item_features, INTERACTION_COLUMNS)[1]
+
+
+def proposed_per_scene(workload: bench.SceneWorkload, policy: bench.RenderPolicy,
+                       cost: bench.CostModel, model, schedule: NoiseSchedule, standardizer
+                       ) -> tuple[bench.MetricsReport, list[np.ndarray]]:
+    """The `proposed` policy's report, scoring one scene at a time, and each
+    scene's probabilities."""
+    q = (policy.focus_quantile if policy.focus_quantile is not None
+         else workload.config.interest_fraction)
+    rows, probabilities = [], []
+    calls_before = model.call_count
+    for scene in workload.scenes:
+        rng = np.random.default_rng(scene.noise_seed)
+        probs = preference_probabilities_alone(model, schedule, standardizer, scene.user,
+                                               policy.t_noise, policy.stride, rng)
+        probabilities.append(probs)
+        focus = top_fraction(probs, q)
+        flags = scene.user.interest_flags
+        mult = np.where(focus, cost.lod_high, cost.lod_low)
+        rows.append({
+            "scene": scene.index,
+            "time_s": float(np.sum(scene.region_work * mult) / cost.throughput),
+            "n_high": int(focus.sum()),
+            "tp": int(np.sum(focus & flags)), "fp": int(np.sum(focus & ~flags)),
+            "fn": int(np.sum(~focus & flags)), "tn": int(np.sum(~focus & ~flags)),
+        })
+    totals = {k: sum(row[k] for row in rows) for k in ("tp", "fp", "fn", "tn")}
+    report = bench.MetricsReport(
+        policy=policy.variant,
+        **bench.confusion_metrics(**totals),
+        mean_render_time_s=float(np.mean([row["time_s"] for row in rows])),
+        scene_rows=rows,
+        inference_denoiser_calls=model.call_count - calls_before,
+    )
+    return report, probabilities
 
 
 def stepwise_perturb(features: np.ndarray, t: int, schedule: NoiseSchedule,

@@ -2,20 +2,27 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from conftest import CRITERION_7
-from oracles import mdp_focus_value_iteration, random_opt_objective
+from oracles import (mdp_focus_value_iteration, proposed_per_scene, random_opt_objective,
+                     random_opt_scores_rowwise)
 
+from renderopt import bench
 from renderopt.bench import (CostModel, MetricsReport, RenderPolicy, Scene,
                              WorkloadConfig, _mdp_focus, confusion_metrics,
-                             generate_workload, random_opt_select, region_rewards,
-                             run_policy, summary, value_iteration)
+                             generate_workload, preference_probabilities, random_opt_select,
+                             region_rewards, run_policy, summary, value_iteration)
 from renderopt.cli import EXIT_OK, main
-from renderopt.synthetic import LATENT_DIM, PlantedUser
+from renderopt.config import MAX_D_MODEL, MAX_SEQ_LEN
+from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
+                                 Standardizer, load_checkpoint, save_checkpoint)
+from renderopt.diffusion.denoiser import inference_rows
+from renderopt.synthetic import LATENT_DIM, PlantedConfig, PlantedUser, make_population
 
 WCONFIG = WorkloadConfig()
 COST = CostModel()
@@ -271,6 +278,16 @@ class TestPolicies:
         scene, policy, cost = case
         self._assert_ro_scores_match_objective(scene, replace(policy, ro_samples=40), cost)
 
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 1000), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_ro_scores_equal_rowwise_sums_bit_for_bit(self, n, samples, seed):
+        rng = np.random.default_rng(seed)
+        rewards = (rng.standard_normal(n), rng.standard_normal(n))
+        _, configs, scores = random_opt_select(
+            rewards, RenderPolicy(variant="random_opt", ro_samples=samples),
+            np.random.default_rng(seed))
+        assert scores.tobytes() == random_opt_scores_rowwise(rewards, configs).tobytes()
+
     def test_ro_scores_equal_objective_on_workload_seeds(self):
         policy = RenderPolicy(variant="random_opt")
         for seed in range(20):
@@ -311,6 +328,124 @@ class TestPolicies:
                        standardizer=standardizer)
         assert a.scene_rows == b.scene_rows
         assert a.f1 == b.f1
+
+
+def _scorer(d_model: int, users: list[PlantedUser], seed: int = 0):
+    """A random-weight model of width `d_model` and a standardizer fitted on `users`."""
+    config = DenoiserConfig(feature_dim=6, cond_dim=4, d_model=d_model, heads=2)
+    return (AttentionGatedDenoiser(config, seed=seed),
+            Standardizer.fit(np.stack([u.sequence_raw for u in users])))
+
+
+def _probabilities(model, standardizer, users, seeds):
+    return preference_probabilities(model, NoiseSchedule(), standardizer, users, 140, 35,
+                                    [np.random.default_rng(s) for s in seeds])
+
+
+class TestBatchedScoring:
+    """`proposed` denoises all its scenes as one stack, in chunks of at most
+    `inference_rows` sequences; the per-scene loop it replaced is the oracle."""
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(scenes=st.integers(1, 25), regions=st.integers(2, 40),
+           half_length=st.integers(1, 8), stride=st.sampled_from([35, 70, 140]),
+           seed=st.integers(0, 2**16))
+    def test_proposed_equals_per_scene_oracle(self, scenes, regions, half_length, stride,
+                                              seed):
+        workload = generate_workload(WorkloadConfig(scenes=scenes, regions_per_scene=regions,
+                                                    seq_len=2 * half_length), seed=seed)
+        model, standardizer = _scorer(8, [s.user for s in workload.scenes], seed)
+        policy = RenderPolicy(variant="proposed", stride=stride)
+        schedule = NoiseSchedule()
+        report = run_policy(workload, policy, COST, model=model, schedule=schedule,
+                            standardizer=standardizer)
+        want, want_probs = proposed_per_scene(workload, policy, COST, model, schedule,
+                                              standardizer)
+        assert repr(vars(report)) == repr(vars(want))
+        assert report.inference_denoiser_calls == scenes * 140 // stride
+        probs = preference_probabilities(
+            model, schedule, standardizer, [s.user for s in workload.scenes], 140, stride,
+            [np.random.default_rng(s.noise_seed) for s in workload.scenes])
+        for got, expected in zip(probs, want_probs, strict=True):
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @hyp_settings(max_examples=20, deadline=None)
+    @given(shape=st.sampled_from([(8, 4), (16, 2), (64, 16)]), data=st.data())
+    def test_rows_equal_in_any_batch_of_two_or_more(self, shape, data):
+        d_model, seq_len = shape
+        n = data.draw(st.integers(3, 8), label="users")
+        users = make_population(PlantedConfig(n_users=n, seq_len=seq_len),
+                                seed=data.draw(st.integers(0, 2**16), label="population"))
+        model, standardizer = _scorer(d_model, users)
+        whole = _probabilities(model, standardizer, users, range(n))
+        part = data.draw(st.permutations(range(n)), label="order")[
+            :data.draw(st.integers(2, n - 1), label="size")]
+        got = _probabilities(model, standardizer, [users[i] for i in part], part)
+        for i, probs in zip(part, got):
+            assert probs.tobytes() == whole[i].tobytes()
+
+    def test_chunks_are_equal_and_within_the_cap(self, monkeypatch):
+        users = make_population(PlantedConfig(n_users=12, seq_len=4), seed=0)
+        model, standardizer = _scorer(8, users)
+        rows = []
+        predict = model.predict
+
+        def recording(m_t, t, s):
+            rows.append(len(m_t))
+            return predict(m_t, t, s)
+
+        for n in range(1, 13):
+            whole = _probabilities(model, standardizer, users[:n], range(n))
+            model.predict = recording
+            for cap in range(1, 13):
+                rows.clear()
+                monkeypatch.setattr(bench, "inference_rows", lambda config, seq_len: cap)
+                chunked = _probabilities(model, standardizer, users[:n], range(n))
+                parts = -(-n // cap)
+                assert len(rows) == 4 * parts, (n, cap)       # 4 reverse steps per chunk
+                assert sum(rows) == 4 * n, (n, cap)
+                assert max(rows) <= cap, (n, cap)
+                assert max(rows) - min(rows) <= 1, (n, cap)
+                if min(rows) >= 2 or parts == 1:
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, whole))
+            monkeypatch.undo()
+            model.predict = predict
+
+    def test_inference_rows_rule(self):
+        config = DenoiserConfig()
+        assert inference_rows(replace(config, d_model=MAX_D_MODEL), MAX_SEQ_LEN) == 1
+        # bench-run's default scenes run as one batch
+        assert inference_rows(config, WCONFIG.seq_len) >= WCONFIG.scenes
+        for length in range(2, MAX_SEQ_LEN, 2):
+            assert inference_rows(config, length + 2) <= inference_rows(config, length)
+        for width in (8, 64, 256):
+            assert (inference_rows(replace(config, d_model=2 * width), 16)
+                    <= inference_rows(replace(config, d_model=width), 16))
+
+    def test_scoring_peak_stops_growing_past_the_cap(self, tmp_path):
+        # at d_model 256 and 128 steps a sequence's activations run to MiBs,
+        # where its inputs are a few KiB: past the cap, more scenes mean more
+        # chunks, not a larger forward
+        config, seq_len = DenoiserConfig(d_model=256, heads=4), 128
+        cap = inference_rows(config, seq_len)
+        assert 2 <= cap < 8
+        users = make_population(PlantedConfig(n_users=4 * cap, seq_len=seq_len), seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, AttentionGatedDenoiser(config, seed=0), NoiseSchedule(),
+                        Standardizer.fit(np.stack([u.sequence_raw for u in users])))
+        model, schedule, standardizer = load_checkpoint(path)
+        peaks = {}
+        for n in (1, cap, 2 * cap, 4 * cap):
+            tracemalloc.start()
+            try:
+                preference_probabilities(model, schedule, standardizer, users[:n], 140, 140,
+                                         [np.random.default_rng(i) for i in range(n)])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[cap] > (cap - 0.5) * peaks[1]          # the activations dominate
+        assert peaks[4 * cap] < peaks[cap] + 0.25 * peaks[1]
+        assert peaks[2 * cap] < peaks[cap] + 0.25 * peaks[1]
 
 
 class TestCompare:

@@ -77,11 +77,14 @@ class TestForwardContract:
             model.predict(m_t, t, s)
 
     def test_call_counter(self):
+        # one per sequence: a 2-row batch counts 2, a single sequence 1
         model = AttentionGatedDenoiser(TINY, seed=1)
         m_t, t, s, _ = _probe(TINY)
         model.predict(m_t, t, s)
         model.predict(m_t, t, s)
-        assert model.call_count == 2
+        assert model.call_count == 4
+        model.predict(m_t[0], float(t[0]), s[0])
+        assert model.call_count == 5
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

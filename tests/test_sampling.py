@@ -133,8 +133,8 @@ class TestInteractionProbabilities:
         rng = np.random.default_rng(42)        # eval_noise's stream, one block per user
         margins = []
         for user in eval_users:
-            probs = preference_probabilities(result.model, schedule, standardizer, user,
-                                             T_NOISE, STRIDE, rng)
+            probs, = preference_probabilities(result.model, schedule, standardizer, [user],
+                                              T_NOISE, STRIDE, [rng])
             flags = user.interest_flags
             margins.append(probs[flags].mean() - probs[~flags].mean())
         assert np.mean(margins) > 0

@@ -27,7 +27,7 @@ def main() -> None:
 
     # bench-run's training settings and users, on population seed 101, seed 0
     config = load_config(None)
-    result, standardizer = _train_denoiser(config, config.bench_train,
+    result, standardizer = _train_denoiser(config, config.bench_train, "bench.train.batch_size",
                                            config.bench_train.users, 101, 0)
     model, schedule = result.model, config.schedule
     print("model trained; running workloads")

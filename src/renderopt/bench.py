@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion.data import INTERACTION_COLUMNS, Standardizer
-from .diffusion.denoiser import AttentionGatedDenoiser, inference_rows
+from .diffusion.denoiser import AttentionGatedDenoiser
 from .diffusion.elementary import logistic
 from .diffusion.sampling import interaction_probabilities, reconstruct_preferences
 from .errors import write_csv, write_json
@@ -164,16 +164,16 @@ def preference_probabilities(model: AttentionGatedDenoiser, schedule: NoiseSched
     unstandardized and read out by a logistic.
 
     The histories are denoised as one stack, split into as few equal chunks
-    as `inference_rows` allows, so each reverse step is one `predict` per
-    chunk. A row's result is the same in any chunk of two or more; a chunk of
-    one takes other BLAS kernels and may differ in the last bits.
+    of at most `DenoiserConfig.training_rows` (one at least), so each reverse step
+    is one `predict` per chunk. A row's result is the same in any chunk of two
+    or more; a chunk of one takes other BLAS kernels and may differ in the last bits.
     """
     feats = standardizer.transform(np.array([user.sequence_raw for user in users]))
     noise = np.array([rng.standard_normal(feats.shape[1:]) for rng in rngs])
     conditions = np.array([user.condition for user in users])
     m_hat = np.empty_like(feats)
     n = len(users)
-    parts = -(-n // inference_rows(model.config, feats.shape[1]))
+    parts = -(-n // max(1, model.config.training_rows(feats.shape[1])))
     for i in range(parts):
         rows = slice(i * n // parts, (i + 1) * n // parts)
         m_hat[rows] = reconstruct_preferences(model, schedule, feats[rows], conditions[rows],

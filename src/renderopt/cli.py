@@ -34,8 +34,8 @@ from itertools import chain, takewhile
 from pathlib import Path
 
 from . import __version__
-from .config import (MAX_USERS, POLICY_VARIANTS, ExperimentConfig, PlantedConfig,
-                     TrainSettings, load_config)
+from .config import (MAX_USERS, MEMORY_BUDGET, POLICY_VARIANTS, ExperimentConfig,
+                     PlantedConfig, TrainSettings, load_config)
 from .errors import ConfigError, NumericalError, check, located, shown, write_csv
 from .errors import write_json as _write_json     # the name the benchmark's tracer wraps
 from .game import solve_stackelberg
@@ -128,9 +128,12 @@ def cmd_prerender_sim(config: ExperimentConfig, seed: int, out_dir: Path,
     return [steps_path, summary_path]
 
 
-def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: int,
+def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, key: str, users: int,
                     population_seed: int, seed: int):
     """Train config's denoiser on `users` planted users; returns (result, standardizer)."""
+    rows = config.denoiser.training_rows(config.diffusion.seq_len)
+    check(min(settings.batch_size, users) <= rows, key, f"at most {rows} (training rows that "
+          f"fit in {MEMORY_BUDGET >> 20} MiB with six weight copies)", settings.batch_size)
     planted = PlantedConfig(n_users=users, seq_len=config.diffusion.seq_len)
     dataset, standardizer = _cli.build_training_set(
         _cli.make_population(planted, seed=population_seed), planted)
@@ -142,7 +145,7 @@ def _train_denoiser(config: ExperimentConfig, settings: TrainSettings, users: in
 def cmd_diffusion_train(config: ExperimentConfig, seed: int, out_dir: Path,
                         args) -> list[Path]:
     result, standardizer = _train_denoiser(
-        config, config.train, config.diffusion.dataset_users, seed, seed)
+        config, config.train, "diffusion.batch_size", config.diffusion.dataset_users, seed, seed)
     ckpt_path = out_dir / "checkpoint.npz"
     _cli.save_checkpoint(ckpt_path, result.model, config.schedule, standardizer)
     curve_path = out_dir / "training_curve.csv"
@@ -224,7 +227,8 @@ def cmd_bench_run(config: ExperimentConfig, seed: int, out_dir: Path,
         schedule.check_step("bench.t_noise", config.policy.t_noise)
         if model is None:
             result, standardizer = _train_denoiser(
-                config, config.bench_train, config.bench_train.users, seed + 7_777, seed)
+                config, config.bench_train, "bench.train.batch_size", config.bench_train.users,
+                seed + 7_777, seed)
             model = result.model
 
     workload = _cli.generate_workload(config.workload, seed=seed)

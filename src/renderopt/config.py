@@ -23,8 +23,9 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
@@ -36,10 +37,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 POLICY_VARIANTS = ("proposed", "mdp", "random_opt", "none")
-# each bound alone keeps a run within 2 GB
+# data sizes, and the denoiser's training budget: 2 GiB less 768 MiB measured (see README)
 MAX_USERS = 10_000
 MAX_SEQ_LEN = 128
-MAX_D_MODEL = 1024
+MEMORY_BUDGET = 1280 << 20
 # regions in a whole workload; each scene also holds a planted user (~5 KB)
 MAX_REGIONS = 100_000
 MAX_CONFIG_BYTES = 1 << 20             # a config file is read up to this size, no further
@@ -59,8 +60,8 @@ def _check_strided_step(name: str, step: int, stride: int) -> None:
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    """Shapes of the network. d_model must be even, divisible by heads and at
-    most MAX_D_MODEL, where the weights take ~200 MB (four times that in training)."""
+    """Shapes of the network. d_model must be even, divisible by heads and small
+    enough that six copies of the weights (192.4 MiB at 1024) fit in MEMORY_BUDGET."""
 
     feature_dim: int = 6
     cond_dim: int = 4
@@ -71,7 +72,8 @@ class DenoiserConfig:
     def __post_init__(self):
         for name in ("feature_dim", "cond_dim", "d_model", "heads", "mlp_ratio"):
             check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
-        check(self.d_model <= MAX_D_MODEL, "d_model", f"at most {MAX_D_MODEL}", self.d_model)
+        check(6 * 8 * param_count(self) <= MEMORY_BUDGET, "d_model", "small enough that six "
+              f"weight copies fit in {MEMORY_BUDGET >> 20} MiB", self.d_model)
         check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
         check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
               self.d_model)
@@ -79,6 +81,52 @@ class DenoiserConfig:
     @property
     def gate_dim(self) -> int:
         return max(1, self.d_model // 2)
+
+    def row_floats(self, seq_len: int) -> int:
+        """Floats a sequence of `seq_len` steps holds in a training `Workspace`
+        after `loss_and_grads`: each role once, at the widest shape it takes."""
+        l, h, d, mf = seq_len, self.heads, self.d_model, self.d_model * self.mlp_ratio
+        full = l * (12 * d + self.gate_dim + 5 * mf + max(mf, 2 * d) + max(mf, h * l))
+        return full + 2 * h * l * l + l // 2 * (7 * d + 2 * mf) + h * (l // 2) ** 2
+
+    def training_rows(self, seq_len: int) -> int:
+        """Sequences whose `row_floats` fit in MEMORY_BUDGET beside six copies of
+        the weights: the weights, their gradient, Adam's m, v and scratch, and the best."""
+        return (MEMORY_BUDGET // 8 - 6 * param_count(self)) // self.row_floats(seq_len)
+
+
+def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor the network with this config holds, in the order
+    the tensors sit in its weight vector."""
+    d, f, c = config.d_model, config.feature_dim, config.cond_dim
+    mf = config.d_model * config.mlp_ratio
+    a = config.gate_dim
+    shapes = {
+        "in.w": (f, d), "in.b": (d,),
+        "time.w": (d, d), "time.b": (d,),
+        "cond.w": (c, d), "cond.b": (d,),
+        "gate.wg": (d, a), "gate.wx": (d, a), "gate.b": (a,),
+        "gate.psi": (a, 1), "gate.bpsi": (1,),
+        "merge.w": (2 * d, d), "merge.b": (d,),
+        "dec.ln.g": (d,), "dec.ln.b": (d,),
+        "dec.mlp.w1": (d, mf), "dec.mlp.b1": (mf,),
+        "dec.mlp.w2": (mf, d), "dec.mlp.b2": (d,),
+        "out.w": (d, f), "out.b": (f,),
+    }
+    for prefix in ("enc", "bot"):
+        for ln in ("ln1", "ln2"):
+            shapes[f"{prefix}.{ln}.g"] = shapes[f"{prefix}.{ln}.b"] = (d,)
+        shapes[f"{prefix}.attn.wqkv"], shapes[f"{prefix}.attn.wo"] = (3, d, d), (d, d)
+        shapes[f"{prefix}.attn.bqkv"], shapes[f"{prefix}.attn.bo"] = (3, d), (d,)
+        shapes[f"{prefix}.mlp.w1"], shapes[f"{prefix}.mlp.b1"] = (d, mf), (mf,)
+        shapes[f"{prefix}.mlp.w2"], shapes[f"{prefix}.mlp.b2"] = (mf, d), (d,)
+    return shapes
+
+
+@lru_cache(maxsize=None)
+def param_count(config: DenoiserConfig) -> int:
+    """Length of the weight vector of the network with this config."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 @dataclass(frozen=True)

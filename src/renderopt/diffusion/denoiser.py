@@ -41,12 +41,10 @@ its input; `denc` over `enc` once the gate's weight gradients have read it,
 and `dbot` into the bottleneck stream, dead once `up` has copied it. A row's
 result does not depend on how many rows share the call, except that a batch
 of one sequence takes another BLAS path in the (1, d) products of the embeddings.
-Inference passes no workspace: it calls `predict` on batches of at most
-`inference_rows` sequences, whose activations cost less to allocate than the
-lookups of `take` and the `out=` calls would (at the default config, a
-one-sequence call took 208 µs allocating against 223 µs in a kept one-row
-workspace, on 2 Intel Xeon cores with one BLAS thread), so keep the two paths
-apart. `call_count` counts sequences, one per row of each `predict`.
+Inference passes no workspace: `predict` runs batches of at most
+`DenoiserConfig.training_rows`. Allocating is faster for one sequence, a kept
+workspace for more (1.17, 0.94 and 0.83 times the allocating time at 1, 20 and
+120 rows; default config, 2 Intel Xeon cores). `call_count` counts sequences.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import NumericalError
-from ..config import MAX_D_MODEL, MAX_SEQ_LEN, DenoiserConfig
+from ..config import DenoiserConfig, param_count, param_shapes
 from .elementary import exp, logistic, tanh
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -360,39 +358,6 @@ def _concat(up: np.ndarray, alpha: np.ndarray, enc: np.ndarray,
     return cat
 
 
-def param_shapes(config: DenoiserConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor the network with this config holds, in the order
-    the tensors sit in its weight vector."""
-    d, f, c = config.d_model, config.feature_dim, config.cond_dim
-    mf = config.d_model * config.mlp_ratio
-    a = config.gate_dim
-    shapes = {
-        "in.w": (f, d), "in.b": (d,),
-        "time.w": (d, d), "time.b": (d,),
-        "cond.w": (c, d), "cond.b": (d,),
-        "gate.wg": (d, a), "gate.wx": (d, a), "gate.b": (a,),
-        "gate.psi": (a, 1), "gate.bpsi": (1,),
-        "merge.w": (2 * d, d), "merge.b": (d,),
-        "dec.ln.g": (d,), "dec.ln.b": (d,),
-        "dec.mlp.w1": (d, mf), "dec.mlp.b1": (mf,),
-        "dec.mlp.w2": (mf, d), "dec.mlp.b2": (d,),
-        "out.w": (d, f), "out.b": (f,),
-    }
-    for prefix in ("enc", "bot"):
-        for ln in ("ln1", "ln2"):
-            shapes[f"{prefix}.{ln}.g"] = shapes[f"{prefix}.{ln}.b"] = (d,)
-        shapes[f"{prefix}.attn.wqkv"], shapes[f"{prefix}.attn.wo"] = (3, d, d), (d, d)
-        shapes[f"{prefix}.attn.bqkv"], shapes[f"{prefix}.attn.bo"] = (3, d), (d,)
-        shapes[f"{prefix}.mlp.w1"], shapes[f"{prefix}.mlp.b1"] = (d, mf), (mf,)
-        shapes[f"{prefix}.mlp.w2"], shapes[f"{prefix}.mlp.b2"] = (mf, d), (d,)
-    return shapes
-
-
-def param_count(config: DenoiserConfig) -> int:
-    """Length of the weight vector of the network with this config."""
-    return sum(math.prod(shape) for shape in param_shapes(config).values())
-
-
 def split_params(config: DenoiserConfig, weights: np.ndarray) -> dict[str, np.ndarray]:
     """Every tensor as a view into `weights`, in `param_shapes` order."""
     if weights.shape != (param_count(config),):
@@ -536,18 +501,6 @@ def loss_and_grads(params: dict, config: DenoiserConfig, m_t: np.ndarray,
     _linear_back(cache["s"], dtemb, params, grads, "cond.w", "cond.b")
     _linear_back(cache["m_t"], dh, params, grads, "in.w", "in.b")
     return loss, ws.grad
-
-
-def inference_rows(config: DenoiserConfig, seq_len: int) -> int:
-    """Sequences of length `seq_len` one inference `forward` takes at most: as
-    many as hold no more activation than one sequence at the config caps
-    (MAX_SEQ_LEN positions, MAX_D_MODEL wide, this config's heads and
-    mlp_ratio), and at least one. A sequence's activation is counted as its
-    widest arrays per position: the MLP's hidden pair (2 mlp_ratio d_model),
-    the q/k/v stack (3 d_model) and the attention scores (heads seq_len)."""
-    def floats(length: int, width: int) -> int:
-        return length * ((2 * config.mlp_ratio + 3) * width + config.heads * length)
-    return max(1, floats(MAX_SEQ_LEN, MAX_D_MODEL) // floats(seq_len, config.d_model))
 
 
 class AttentionGatedDenoiser:

@@ -12,16 +12,14 @@ from conftest import CRITERION_7
 from oracles import (mdp_focus_value_iteration, proposed_per_scene, random_opt_objective,
                      random_opt_scores_rowwise)
 
-from renderopt import bench
 from renderopt.bench import (CostModel, MetricsReport, RenderPolicy, Scene,
                              WorkloadConfig, _mdp_focus, confusion_metrics,
                              generate_workload, preference_probabilities, random_opt_select,
                              region_rewards, run_policy, summary, value_iteration)
 from renderopt.cli import EXIT_OK, main
-from renderopt.config import MAX_D_MODEL, MAX_SEQ_LEN
+from renderopt.config import MAX_SEQ_LEN, parse_config
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
-from renderopt.diffusion.denoiser import inference_rows
 from renderopt.synthetic import LATENT_DIM, PlantedConfig, PlantedUser, make_population
 
 WCONFIG = WorkloadConfig()
@@ -344,7 +342,7 @@ def _probabilities(model, standardizer, users, seeds):
 
 class TestBatchedScoring:
     """`proposed` denoises all its scenes as one stack, in chunks of at most
-    `inference_rows` sequences; the per-scene loop it replaced is the oracle."""
+    `DenoiserConfig.training_rows`; the per-scene loop it replaced is the oracle."""
 
     @hyp_settings(max_examples=25, deadline=None)
     @given(scenes=st.integers(1, 25), regions=st.integers(2, 40),
@@ -399,7 +397,7 @@ class TestBatchedScoring:
             model.predict = recording
             for cap in range(1, 13):
                 rows.clear()
-                monkeypatch.setattr(bench, "inference_rows", lambda config, seq_len: cap)
+                monkeypatch.setattr(DenoiserConfig, "training_rows", lambda config, seq_len: cap)
                 chunked = _probabilities(model, standardizer, users[:n], range(n))
                 parts = -(-n // cap)
                 assert len(rows) == 4 * parts, (n, cap)       # 4 reverse steps per chunk
@@ -412,23 +410,41 @@ class TestBatchedScoring:
             model.predict = predict
 
     def test_inference_rows_rule(self):
+        # a chunk holds as many sequences as training fits: fewer as the
+        # sequences or the network grow, at least 20 at the default config
         config = DenoiserConfig()
-        assert inference_rows(replace(config, d_model=MAX_D_MODEL), MAX_SEQ_LEN) == 1
-        # bench-run's default scenes run as one batch
-        assert inference_rows(config, WCONFIG.seq_len) >= WCONFIG.scenes
+        assert config.training_rows(WCONFIG.seq_len) >= max(20, WCONFIG.scenes)
         for length in range(2, MAX_SEQ_LEN, 2):
-            assert inference_rows(config, length + 2) <= inference_rows(config, length)
+            assert config.training_rows(length + 2) <= config.training_rows(length)
         for width in (8, 64, 256):
-            assert (inference_rows(replace(config, d_model=2 * width), 16)
-                    <= inference_rows(replace(config, d_model=width), 16))
+            assert (replace(config, d_model=2 * width).training_rows(16)
+                    <= replace(config, d_model=width).training_rows(16))
+        # the criterion-7 config's scenes are one chunk, so no chunk is one row
+        c7 = parse_config(json.dumps(CRITERION_7))
+        assert c7.denoiser.training_rows(c7.diffusion.seq_len) >= c7.workload.scenes >= 2
 
-    def test_scoring_peak_stops_growing_past_the_cap(self, tmp_path):
+    @pytest.mark.parametrize("d_model, seq_len, rows", [(64, 16, 120), (64, 128, 8),
+                                                        (16, 4, 200)])
+    def test_uncached_predict_peaks_below_the_training_rows(self, d_model, seq_len, rows):
+        # so the training rule bounds inference's chunks too (about 0.3 of a row here)
+        config = DenoiserConfig(d_model=d_model)
+        model = AttentionGatedDenoiser(config, seed=0)
+        rng = np.random.default_rng(0)
+        m_t, s = rng.standard_normal((rows, seq_len, 6)), rng.standard_normal((rows, 4))
+        tracemalloc.start()
+        try:
+            model.predict(m_t, 140, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * 8 * config.row_floats(seq_len)
+
+    def test_scoring_peak_stops_growing_past_the_cap(self, tmp_path, monkeypatch):
         # at d_model 256 and 128 steps a sequence's activations run to MiBs,
-        # where its inputs are a few KiB: past the cap, more scenes mean more
-        # chunks, not a larger forward
-        config, seq_len = DenoiserConfig(d_model=256, heads=4), 128
-        cap = inference_rows(config, seq_len)
-        assert 2 <= cap < 8
+        # where its inputs are a few KiB: past the cap, here 4 rows, more
+        # scenes mean more chunks, not a larger forward
+        config, seq_len, cap = DenoiserConfig(d_model=256, heads=4), 128, 4
+        monkeypatch.setattr(DenoiserConfig, "training_rows", lambda config, seq_len: cap)
         users = make_population(PlantedConfig(n_users=4 * cap, seq_len=seq_len), seed=0)
         path = tmp_path / "model.npz"
         save_checkpoint(path, AttentionGatedDenoiser(config, seed=0), NoiseSchedule(),

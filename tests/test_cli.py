@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -16,6 +17,7 @@ import unicodedata
 import zipfile
 from contextlib import redirect_stderr
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,12 +25,13 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from conftest import CRITERION_7
 from oracles import save_trace
+from renderopt import cli
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from renderopt.config import DEFAULTS, parse_config
+from renderopt.config import DEFAULTS, MEMORY_BUDGET, param_shapes, parse_config
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint,
                                  skip_step_infer)
-from renderopt.errors import shown
+from renderopt.errors import ConfigError, shown
 from renderopt.prerender import MAX_WALK_STEPS
 
 FAST_DIFFUSION = {"diffusion": CRITERION_7["diffusion"]}
@@ -486,12 +489,24 @@ class TestErrorPaths:
          "--checkpoint: '/dev/zero': not a regular file"),
         ("diffusion-infer", "--checkpoint", "mkfifo",
          "--checkpoint: {path}: not a regular file"),
+        # sizes each within its own bound, that exited 1 with an ArrayMemoryError
+        # traceback of 34-40 lines before one rule counted them together
+        ("diffusion-train", "--config", json.dumps({"diffusion": {"d_model": 1024,
+                                                                  "seq_len": 128}}),
+         "config error: diffusion.batch_size: must be at most 3 "),
+        ("diffusion-train", "--config", json.dumps({"diffusion": {
+            "d_model": 256, "seq_len": 128, "batch_size": 256}}),
+         "config error: diffusion.batch_size: must be at most 132 "),
+        ("diffusion-train", "--config", json.dumps({"diffusion": {
+            "d_model": 64, "seq_len": 128, "dataset_users": 10_000, "batch_size": 10_000}}),
+         "config error: diffusion.batch_size: must be at most 364 "),
     ]
 
     @pytest.mark.parametrize("command, option, source, problem", UNBOUNDED,
                              ids=["trace-zero", "config-zero", "trace-line", "config-size",
                                   "infer-checkpoint-zero", "bench-checkpoint-zero",
-                                  "infer-checkpoint-fifo"])
+                                  "infer-checkpoint-fifo", "joint-width-length",
+                                  "joint-batch", "joint-users-batch"])
     def test_unbounded_input_exits_config_with_one_line(self, tmp_path, command, option,
                                                         source, problem):
         if source == "mkfifo":
@@ -510,6 +525,72 @@ class TestErrorPaths:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: ")
         assert problem.format(path=shown(source)) in proc.stderr
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(section=st.sampled_from(["diffusion", "bench.train"]),
+           heads=st.sampled_from([1, 2, 4]), data=st.data(),
+           half_length=st.integers(1, 64), batch_size=st.integers(1, 20_000),
+           users=st.integers(2, 10_000))
+    def test_joint_sizes_exit_config_or_train(self, tmp_path_factory, section, heads, data,
+                                              half_length, batch_size, users):
+        # the rule's verdict, read in bytes: six weight copies, then min(batch_size,
+        # users) workspace rows, must fit; a config that fits reaches training
+        d_model = 2 * heads * data.draw(st.integers(1, 640 // heads), label="width")
+        net = SimpleNamespace(d_model=d_model, heads=heads, mlp_ratio=2, feature_dim=6,
+                              cond_dim=4, gate_dim=d_model // 2)
+        weights = 6 * 8 * sum(map(math.prod, param_shapes(net).values()))
+        rows = 8 * min(batch_size, users) * DenoiserConfig.row_floats(net, 2 * half_length)
+        refused = ("diffusion.d_model" if weights > MEMORY_BUDGET else
+                   f"{section}.batch_size" if weights + rows > MEMORY_BUDGET else None)
+        tree = {"diffusion": {"d_model": d_model, "heads": heads, "seq_len": 2 * half_length}}
+        if section == "diffusion":
+            command = "diffusion-train"
+            tree["diffusion"].update(batch_size=batch_size, dataset_users=users)
+        else:
+            command = "bench-run"
+            tree["bench"] = {"train": {"batch_size": batch_size, "users": users}}
+        base = tmp_path_factory.mktemp("joint")
+
+        class Reached(Exception):
+            """Raised where training would build its population."""
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
+            mp.setattr(cli, "make_population", reached, raising=False)
+            try:
+                code = main([command, "--config", _write_config(base, tree),
+                             "--out-dir", str(base / "out")])
+            except Reached:
+                code = None
+        if refused is None:
+            assert code is None, err.getvalue()
+        else:
+            assert code == EXIT_CONFIG
+            assert err.getvalue().startswith(f"{command}: config error: {refused}: must be ")
+
+    @pytest.mark.parametrize("seq_len, users", [(16, 4), (128, 2)])
+    def test_widest_network_the_rule_admits_trains(self, tmp_path, seq_len, users):
+        # the widest network with 4 heads whose six weight copies and `users`
+        # rows fit, for one epoch under the 2 GiB cap; 4 wider is refused
+        def fits(d_model):
+            try:
+                return DenoiserConfig(d_model=d_model).training_rows(seq_len) >= users
+            except ConfigError:
+                return False
+
+        d_model = max(d for d in range(4, 2048, 4) if fits(d))
+        tree = {"diffusion": {"d_model": d_model, "seq_len": seq_len, "dataset_users": users,
+                              "epochs": 1}}
+        proc = _run_cli("diffusion-train", "--config", _write_config(tmp_path, tree),
+                        "--out-dir", str(tmp_path / "out"), timeout=120, memory_cap=2 << 30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        tree["diffusion"]["d_model"] += 4
+        with redirect_stderr(io.StringIO()):
+            assert main(["diffusion-train", "--config", _write_config(tmp_path, tree),
+                         "--out-dir", str(tmp_path / "refused")]) == EXIT_CONFIG
 
     # each repeated the whole value, in a line of 4 000 to 500 000 characters;
     # ("member", name) is a trained checkpoint with one more member of that name

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from oracles import TensorAdam, init_params
 from renderopt.diffusion import (Adam, AttentionGatedDenoiser, DenoiserConfig,
@@ -287,6 +287,33 @@ class TestWorkspace:
         monkeypatch.setattr(training, "_eval_loss", poisoning(training._eval_loss))
         poisoned = train(dataset, schedule, settings, AttentionGatedDenoiser(config, seed=5))
         assert _run_digest(poisoned) == _run_digest(fresh)
+
+    # the first eight are the shapes measured when the count was written, by
+    # (d_model, heads, mlp_ratio, L): (64, 4, 2, 16) ... (64, 4, 2, 128); at L
+    # 128 `tmp` takes its size from the attention scores, not from L mlp_ratio d
+    @example(heads=4, head_width=8, mlp_ratio=2, half_length=8, rows=2, batch=2)
+    @example(heads=4, head_width=8, mlp_ratio=2, half_length=16, rows=2, batch=1)
+    @example(heads=4, head_width=4, mlp_ratio=2, half_length=8, rows=1, batch=1)
+    @example(heads=2, head_width=16, mlp_ratio=2, half_length=8, rows=3, batch=2)
+    @example(heads=4, head_width=8, mlp_ratio=4, half_length=8, rows=1, batch=1)
+    @example(heads=2, head_width=4, mlp_ratio=2, half_length=2, rows=2, batch=2)
+    @example(heads=8, head_width=8, mlp_ratio=2, half_length=4, rows=1, batch=1)
+    @example(heads=4, head_width=8, mlp_ratio=2, half_length=64, rows=1, batch=1)
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(heads=st.integers(1, 4), head_width=st.integers(1, 3), mlp_ratio=st.integers(1, 4),
+           half_length=st.integers(1, 12), rows=st.integers(1, 3), batch=st.integers(1, 3))
+    def test_row_floats_are_the_workspace_after_one_step(self, heads, head_width, mlp_ratio,
+                                                         half_length, rows, batch):
+        config = DenoiserConfig(d_model=2 * heads * head_width, heads=heads,
+                                mlp_ratio=mlp_ratio)
+        seq_len, batch = 2 * half_length, min(batch, rows)
+        workspace = Workspace(config, rows)
+        rng = np.random.default_rng(0)
+        m_t = rng.standard_normal((batch, seq_len, 6))
+        loss_and_grads(AttentionGatedDenoiser(config, seed=0).params, config, m_t,
+                       np.ones(batch), rng.standard_normal((batch, 4)), m_t, workspace)
+        assert (sum(buf.size for buf in workspace.buffers.values())
+                == rows * config.row_floats(seq_len))
 
     # 12.94 MiB when each sub-layer's output, denc, dbot and the attention's dx
     # had buffers of their own; 11.19 MiB when each role kept a buffer per

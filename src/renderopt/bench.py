@@ -163,23 +163,23 @@ def preference_probabilities(model: AttentionGatedDenoiser, schedule: NoiseSched
     user's generator in `rngs`, denoised back in steps of `stride`,
     unstandardized and read out by a logistic.
 
-    The histories are denoised as one stack, split into as few equal chunks
-    of at most `DenoiserConfig.training_rows` (one at least), so each reverse step
-    is one `predict` per chunk. A row's result is the same in any chunk of two
+    The histories are stacked and denoised a chunk at a time, in as few equal
+    chunks of at most `DenoiserConfig.training_rows` (one at least), so each
+    reverse step is one `predict` per chunk. A row's result is the same in any chunk of two
     or more; a chunk of one takes other BLAS kernels and may differ in the last bits.
     """
-    feats = standardizer.transform(np.array([user.sequence_raw for user in users]))
-    noise = np.array([rng.standard_normal(feats.shape[1:]) for rng in rngs])
-    conditions = np.array([user.condition for user in users])
-    m_hat = np.empty_like(feats)
-    n = len(users)
-    parts = -(-n // max(1, model.config.training_rows(feats.shape[1])))
+    n, probs = len(users), []
+    parts = -(-n // max(1, model.config.training_rows(len(users[0].sequence_raw))))
     for i in range(parts):
         rows = slice(i * n // parts, (i + 1) * n // parts)
-        m_hat[rows] = reconstruct_preferences(model, schedule, feats[rows], conditions[rows],
-                                              t_noise, stride, noise[rows])
-    return [interaction_probabilities(m, user.item_features, INTERACTION_COLUMNS)[1]
-            for m, user in zip(standardizer.inverse(m_hat), users)]
+        feats = standardizer.transform(np.array([user.sequence_raw for user in users[rows]]))
+        noise = np.array([rng.standard_normal(feats.shape[1:]) for rng in rngs[rows]])
+        conditions = np.array([user.condition for user in users[rows]])
+        m_hat = reconstruct_preferences(model, schedule, feats, conditions, t_noise, stride,
+                                        noise)
+        probs += [interaction_probabilities(m, user.item_features, INTERACTION_COLUMNS)[1]
+                  for m, user in zip(standardizer.inverse(m_hat), users[rows])]
+    return probs
 
 
 def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> dict:

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import ConfigError, _build, _merge, check, read_json
+from .errors import ConfigError, _build, _merge, check, open_regular, read_json
 from .game import DEFAULT_NODES, CloudParams, EdgeNodeParams, SolverSettings
 from .prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
@@ -433,7 +433,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     """Load and validate a config file (None: the defaults); OSError if unreadable or too large."""
     if path is None:
         return parse_config("")
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         raw = fh.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
         raise OSError(errno.EFBIG, f"larger than {MAX_CONFIG_BYTES} bytes")

@@ -13,35 +13,34 @@ no entry other than those four, the header through the config file's
 validator (no key missing or unknown, each of its JSON type and range), a
 ``params`` vector exactly as long as that network's tensors, both standardizer
 tensors with one entry per feature and a positive ``std``, and every stored
-number finite. A path is read only if it names a regular file, not a device
-such as ``/dev/zero`` or a FIFO. A failed check raises one ``ValueError``
-naming what failed, e.g. ``checkpoint header config.heads: missing``.
+number finite. The path is opened by `errors.open_regular`, and no entry is
+read that is larger than an admitted network's weights. A failed check raises
+one ``ValueError`` naming what failed, e.g. ``checkpoint header config.heads:
+missing``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 import tokenize
 import zipfile
-from contextlib import nullcontext
 from dataclasses import asdict
-from os import PathLike
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
-from ..config import NoiseSchedule
-from ..errors import (ConfigError, _build, _merge, check, located, read_json, shown,
-                      writing)
+from ..config import MEMORY_BUDGET, NoiseSchedule
+from ..errors import (ConfigError, _build, _merge, check, located, open_regular, read_json,
+                      shown, writing)
 from .data import Standardizer
 from .denoiser import AttentionGatedDenoiser, DenoiserConfig, param_count
 
 FORMAT_VERSION = 3
 ENTRIES = ("meta", "params", "standardizer.mean", "standardizer.std")
+# the largest entry stored: an admitted network's weights (six copies fit in
+# MEMORY_BUDGET) after the longest .npy header of format 1.0
+MAX_ENTRY_BYTES = MEMORY_BUDGET // 6 + 10 + 0xFFFF
 
 
 def _header(config: DenoiserConfig, schedule: NoiseSchedule, step_count: int) -> dict:
@@ -81,15 +80,18 @@ def _tensor(entries: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _read_entries(file) -> dict[str, np.ndarray]:
     """Each member of the .npz archive in the open `file`, by its name less `.npy`. Each
-    must be stored as `np.savez` stores it: uncompressed, unencrypted, a .npy
-    file of format 1.0 whose header declares exactly the data it holds, so a
-    damaged shape is refused before anything is allocated for it."""
+    must be stored as `np.savez` stores it: uncompressed, unencrypted, at most
+    MAX_ENTRY_BYTES by the archive's directory, a .npy file of format 1.0
+    whose header declares exactly the data it holds, so neither a damaged
+    shape nor a huge entry is allocated for."""
     entries = {}
     with zipfile.ZipFile(file) as archive:
         for info in archive.infolist():
             key = info.filename.removesuffix(".npy")
             if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
                 raise ValueError(f"entry {shown(key)}: compressed or encrypted")
+            if info.file_size > MAX_ENTRY_BYTES:
+                raise ValueError(f"entry {shown(key)}: larger than {MAX_ENTRY_BYTES} bytes")
             with archive.open(info) as fh:
                 if np.lib.format.read_magic(fh) != (1, 0):
                     raise ValueError(f"entry {shown(key)}: not a .npy file of format 1.0")
@@ -103,20 +105,15 @@ def _read_entries(file) -> dict[str, np.ndarray]:
     return entries
 
 
-def load_checkpoint(path: str | Path | BinaryIO):
-    """Returns (model, schedule, standardizer) from a path or an open binary file.
+def load_checkpoint(path: str | Path):
+    """Returns (model, schedule, standardizer) from the archive at `path`.
 
-    Raises ValueError for a path that is not a regular file and, naming the
-    entry or header key, for an archive that does not match its own header.
-    A path that cannot be opened raises OSError; an OSError once it is open
-    is damage, such as a directory record that sends a seek before the start.
+    Raises ValueError, naming the entry or header key, for an archive that
+    does not match its own header. A path that cannot be opened, or is not a
+    regular file, raises OSError; an OSError once it is open is damage, such
+    as a directory record that sends a seek before the start.
     """
-    # opened without blocking, so a FIFO is refused below, not waited on for a writer
-    opened = (open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
-              if isinstance(path, (str, PathLike)) else nullcontext(path))
-    with opened as file:
-        if file is not path and not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-            raise ValueError(f"{shown(str(path))}: not a regular file")
+    with open_regular(path) as file:
         try:
             entries = _read_entries(file)
         # numpy's .npy header parser lets its tokenizer's error through, and

@@ -1,6 +1,7 @@
 """Shared exception and warning types, the wording of every fault, the one
-validator for JSON input, and the one writer of each artifact format: JSON, and
-CSV with floats as their repr.
+opener of a file a user names (`open_regular`: config, trace, checkpoint), the
+one validator for JSON input, and the one writer of each artifact format: JSON,
+and CSV with floats as their repr.
 
 A fault reads ``<where>: must be <rule>, got <value>`` (`check`), each value cut
 to 60 characters (`shown`); `located` prefixes where a ValueError came from, and
@@ -13,8 +14,11 @@ import it.
 
 import csv
 import difflib
+import errno
 import json
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -93,6 +97,19 @@ def writing(path: str | Path):
         if exc.filename is None:
             exc.filename = Path(path).name
         raise
+
+
+def open_regular(path: str | Path, mode: str = "rb", **text):
+    """`open(path, mode, **text)` for a file a user names, refusing anything but
+    a regular file with ``OSError(EINVAL, "not a regular file")``. It opens
+    without blocking, so a FIFO with no writer is refused, not waited on, and
+    a device such as ``/dev/zero`` is never read."""
+    file = open(path, mode, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK),
+                **text)
+    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        file.close()
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
+    return file
 
 
 def read_json(text: str, where: str):

@@ -24,7 +24,7 @@ from itertools import chain, count, islice
 from operator import lt
 from pathlib import Path
 
-from .errors import check, shown, writing
+from .errors import check, open_regular, shown, writing
 
 Coord = tuple[int, int]
 
@@ -422,7 +422,7 @@ def _trace_blocks(path: str | Path) -> Iterator[Iterator[Coord]]:
     iterator per line from `_line_points`, up to the fault it raises."""
     last: float = -math.inf            # the step index before the first
     lineno = 0                         # lines in the blocks before
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_regular(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while block := fh.read(_TRACE_BLOCK_CHARS):
             if not block.endswith("\n"):
                 block += fh.readline(_TRACE_LINE_CHARS + 1)
@@ -438,8 +438,8 @@ def _trace_blocks(path: str | Path) -> Iterator[Iterator[Coord]]:
 def load_trace(path: str | Path) -> Iterator[Coord]:
     """Each point of a mobility trace, read as it is asked for: one
     `step_index x y` line per point, with step indices strictly increasing in
-    file order. The file is UTF-8, fields are ASCII integers, and blank lines
-    and lines starting with `#` are skipped; a line longer than
+    file order. The file is regular and UTF-8, fields are ASCII integers, and
+    blank lines and lines starting with `#` are skipped; a line longer than
     _TRACE_LINE_CHARS characters, its newline included, or holding a byte that
     is not UTF-8, comments included, is a fault. The file is read
     _TRACE_BLOCK_CHARS characters at a time, and then the rest of the block's

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -462,6 +463,30 @@ class TestBatchedScoring:
         assert peaks[cap] > (cap - 0.5) * peaks[1]          # the activations dominate
         assert peaks[4 * cap] < peaks[cap] + 0.25 * peaks[1]
         assert peaks[2 * cap] < peaks[cap] + 0.25 * peaks[1]
+
+    def test_scoring_holds_one_chunk_of_inputs(self, monkeypatch):
+        # each chunk's histories, noise and outputs are stacked only while it is
+        # scored, so past a few chunks the peak grows by the returned list and a
+        # pointer or two a user; stacked for every user at once, by 3.8 KiB a user
+        cap, many = 2, 200
+        monkeypatch.setattr(DenoiserConfig, "training_rows", lambda config, seq_len: cap)
+        users = make_population(PlantedConfig(n_users=many, seq_len=16), seed=0)
+        model, standardizer = _scorer(8, users)
+        schedule = NoiseSchedule()
+        preference_probabilities(model, schedule, standardizer, users[:cap], 140, 140,
+                                 [np.random.default_rng(0)] * cap)       # caches filled
+        excess = {}
+        for n in (8 * cap, many):
+            rngs = [np.random.default_rng(i) for i in range(n)]
+            tracemalloc.start()
+            try:
+                probs = preference_probabilities(model, schedule, standardizer, users[:n], 140,
+                                                 140, rngs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess[n] = peak - sys.getsizeof(probs) - sum(map(sys.getsizeof, probs))
+        assert excess[many] - excess[8 * cap] < 32 * (many - 8 * cap)
 
 
 class TestCompare:

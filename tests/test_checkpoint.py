@@ -16,7 +16,7 @@ from renderopt import errors
 from renderopt.cli import EXIT_CONFIG, main
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint)
-from renderopt.diffusion.checkpoint import ENTRIES, FORMAT_VERSION
+from renderopt.diffusion.checkpoint import ENTRIES, FORMAT_VERSION, MAX_ENTRY_BYTES
 from renderopt.diffusion.denoiser import param_shapes
 
 
@@ -101,11 +101,16 @@ def _tiny_archive() -> tuple[dict, dict]:
     return arrays, meta
 
 
-def _pack(arrays: dict, meta) -> io.BytesIO:
-    buf = io.BytesIO()
-    np.savez(buf, **arrays, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    buf.seek(0)
-    return buf
+def _pack(arrays: dict, meta, path: Path) -> Path:
+    """`path`, written as an archive of `arrays` and the header `meta`."""
+    np.savez(path, **arrays, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    return path
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory for archives, shared by the examples of a property test."""
+    return tmp_path_factory.mktemp("archives")
 
 
 def _size(config: DenoiserConfig) -> int:
@@ -218,11 +223,11 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("edit, message", [c[1:] for c in CORRUPTIONS],
                          ids=[c[0] for c in CORRUPTIONS])
-def test_corrupt_checkpoint_rejected_naming_the_problem(edit, message):
+def test_corrupt_checkpoint_rejected_naming_the_problem(tmp_path, edit, message):
     arrays, meta = _tiny_archive()
     edit(arrays, meta)
     with pytest.raises(ValueError) as info:
-        load_checkpoint(_pack(arrays, meta))
+        load_checkpoint(_pack(arrays, meta, tmp_path / "model.npz"))
     assert str(info.value).startswith(message)
     assert "\n" not in str(info.value)
 
@@ -244,59 +249,92 @@ def test_single_array_file_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("descr", ["|S0", "<U0", "|V0"])
-def test_zero_size_dtype_with_a_huge_shape_refused(descr):
+def test_zero_size_dtype_with_a_huge_shape_refused(tmp_path, descr):
     # no data bytes match any shape at itemsize 0: the entry must still be
     # refused, not allocated at its declared 2**40 items
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False,
                                                   "shape": (2**40,)})
-    raw = io.BytesIO()
-    with zipfile.ZipFile(raw, "w") as archive:
+    path = tmp_path / "model.npz"
+    with zipfile.ZipFile(path, "w") as archive:
         archive.writestr("params.npy", header.getvalue())
-    raw.seek(0)
     with pytest.raises(ValueError, match="not a readable .npz archive"):
-        load_checkpoint(raw)
+        load_checkpoint(path)
 
 
-def test_no_meta_entry_rejected():
+def test_no_meta_entry_rejected(tmp_path):
     arrays, _ = _tiny_archive()
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    buf.seek(0)
+    path = tmp_path / "model.npz"
+    np.savez(path, **arrays)
     with pytest.raises(ValueError, match="checkpoint has no meta header"):
-        load_checkpoint(buf)
+        load_checkpoint(path)
+
+
+def test_entry_larger_than_any_admitted_network_refused_unread(tmp_path, monkeypatch):
+    # the bound is the directory's size of each entry: at the largest entry's
+    # size the archive loads, one byte less and that entry is named unopened
+    arrays, meta = _tiny_archive()
+    path = _pack(arrays, meta, tmp_path / "model.npz")
+    with zipfile.ZipFile(path) as archive:
+        largest = max(archive.infolist(), key=lambda info: info.file_size)
+    monkeypatch.setattr("renderopt.diffusion.checkpoint.MAX_ENTRY_BYTES", largest.file_size)
+    load_checkpoint(path)
+    monkeypatch.setattr("renderopt.diffusion.checkpoint.MAX_ENTRY_BYTES", largest.file_size - 1)
+    monkeypatch.setattr(zipfile.ZipFile, "open", None)      # refused before any entry opens
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).endswith(f"not a readable .npz archive (entry "
+                                    f"{largest.filename[:-4]!r}: larger than "
+                                    f"{largest.file_size - 1} bytes)")
+
+
+def test_widest_admitted_network_fits_the_entry_bound():
+    # the widest d_model DenoiserConfig admits at each head count stores its
+    # weights in an entry the loader reads
+    for heads in (1, 2, 4):
+        step = math.lcm(2, heads)                 # even and divisible by heads
+        d_model = step
+        with pytest.raises(ValueError, match="six weight copies"):
+            while True:
+                DenoiserConfig(d_model=d_model + step, heads=heads)
+                d_model += step
+        header = io.BytesIO()
+        size = _size(DenoiserConfig(d_model=d_model, heads=heads))
+        np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False,
+                                                      "shape": (size,)})
+        assert len(header.getvalue()) + 8 * size <= MAX_ENTRY_BYTES
 
 
 @pytest.mark.parametrize("raw", [np.array(10**12),
                                  np.frombuffer(b"{}", np.uint8).astype(np.uint16),
                                  np.frombuffer(b"\xff", np.uint8)],
                          ids=["0-d-integer", "uint16-json", "not-utf8"])
-def test_meta_must_be_utf8_json_bytes(raw):
+def test_meta_must_be_utf8_json_bytes(tmp_path, raw):
     # bytes() of a 0-d integer array would allocate that many zero bytes
     arrays, _ = _tiny_archive()
-    buf = io.BytesIO()
-    np.savez(buf, **arrays, meta=raw)
-    buf.seek(0)
+    path = tmp_path / "model.npz"
+    np.savez(path, **arrays, meta=raw)
     with pytest.raises(ValueError, match="^checkpoint header: not UTF-8 JSON bytes$"):
-        load_checkpoint(buf)
+        load_checkpoint(path)
 
 
-def test_loading_draws_no_random_weights(monkeypatch):
+def test_loading_draws_no_random_weights(tmp_path, monkeypatch):
     arrays, meta = _tiny_archive()
+    path = _pack(arrays, meta, tmp_path / "model.npz")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("load_checkpoint drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    model, _, _ = load_checkpoint(_pack(arrays, meta))
+    model, _, _ = load_checkpoint(path)
     assert list(model.params) == list(param_shapes(TINY))
     assert np.array_equal(np.concatenate([p.ravel() for p in model.params.values()]),
                           arrays["params"])
 
 
-def test_loaded_tensors_are_views_of_one_vector():
+def test_loaded_tensors_are_views_of_one_vector(tmp_path):
     arrays, meta = _tiny_archive()
-    model, _, _ = load_checkpoint(_pack(arrays, meta))
+    model, _, _ = load_checkpoint(_pack(arrays, meta, tmp_path / "model.npz"))
     base = model.params["in.w"].base
     assert base is not None and base.size == TINY_SIZE
     assert all(p.base is base for p in model.params.values())
@@ -304,38 +342,36 @@ def test_loaded_tensors_are_views_of_one_vector():
         assert model.params[name].shape == shape
 
 
-def _format_1_archive() -> io.BytesIO:
-    """The tiny checkpoint in the previous layout: one `param.<name>` entry per
-    tensor and the tensor shapes in the header."""
+def _format_1_archive(path: Path) -> Path:
+    """`path`, written as the tiny checkpoint in the previous layout: one
+    `param.<name>` entry per tensor and the tensor shapes in the header."""
     arrays, meta = _tiny_archive()
-    model, _, _ = load_checkpoint(_pack(arrays, meta))
-    old = {f"param.{k}": v for k, v in model.params.items()}
+    params = AttentionGatedDenoiser(TINY, weights=arrays["params"]).params
+    old = {f"param.{k}": v for k, v in params.items()}
     old["standardizer.mean"], old["standardizer.std"] = (arrays["standardizer.mean"],
                                                          arrays["standardizer.std"])
-    meta.update(format_version=1, shapes={k: list(v.shape) for k, v in model.params.items()})
-    return _pack(old, meta)
+    meta.update(format_version=1, shapes={k: list(v.shape) for k, v in params.items()})
+    return _pack(old, meta, path)
 
 
-def test_format_1_archive_rejected():
+def test_format_1_archive_rejected(tmp_path):
     with pytest.raises(ValueError) as info:
-        load_checkpoint(_format_1_archive())
+        load_checkpoint(_format_1_archive(tmp_path / "model.npz"))
     assert str(info.value) == f"checkpoint format 1 != supported {FORMAT_VERSION}"
 
 
-def _format_2_archive() -> io.BytesIO:
-    """The tiny checkpoint in the current layout, but written for the exact-erf
-    GELU of format 2, so its weights describe another function."""
+def _format_2_archive(path: Path) -> Path:
+    """`path`, written as the tiny checkpoint in the current layout, but for
+    the exact-erf GELU of format 2, so its weights describe another function."""
     arrays, meta = _tiny_archive()
     meta["format_version"] = 2
-    return _pack(arrays, meta)
+    return _pack(arrays, meta, path)
 
 
 @pytest.mark.parametrize("command", ["diffusion-infer", "bench-run"])
 @pytest.mark.parametrize("version", [1, 2])
 def test_cli_rejects_format_1_archive(tmp_path, capsys, command, version):
-    path = tmp_path / "model.npz"
-    archive = _format_1_archive() if version == 1 else _format_2_archive()
-    path.write_bytes(archive.getvalue())
+    path = (_format_1_archive if version == 1 else _format_2_archive)(tmp_path / "model.npz")
     argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     if command == "bench-run":
         argv += ["--policies", "proposed,none"]
@@ -347,8 +383,7 @@ def test_cli_rejects_format_1_archive(tmp_path, capsys, command, version):
 def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):
     arrays, meta = _tiny_archive()
     meta["schedule"]["steps"] = 10**12
-    path = tmp_path / "model.npz"
-    path.write_bytes(_pack(arrays, meta).getvalue())
+    path = _pack(arrays, meta, tmp_path / "model.npz")
     argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
@@ -361,8 +396,7 @@ def test_cli_rejects_huge_schedule_in_header(tmp_path, capsys):
 def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
     arrays, meta = _tiny_archive()
     _drop_tensor("params")(arrays, meta)
-    path = tmp_path / "model.npz"
-    path.write_bytes(_pack(arrays, meta).getvalue())
+    path = _pack(arrays, meta, tmp_path / "model.npz")
     argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     if command == "bench-run":
         argv += ["--policies", "proposed,none"]
@@ -374,9 +408,9 @@ def test_cli_exits_config_with_one_line(tmp_path, capsys, command):
 def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
     # the central directory's offset, 6 bytes from the end, made huge: zipfile
     # seeks before the file start, and the OSError that raises is no I/O fault
-    raw = bytearray(_pack(*_tiny_archive()).getvalue())
+    path = _pack(*_tiny_archive(), tmp_path / "model.npz")
+    raw = bytearray(path.read_bytes())
     raw[-6:-1] = b"\xff" * 5
-    path = tmp_path / "model.npz"
     path.write_bytes(raw)
     argv = ["diffusion-infer", "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
@@ -390,8 +424,7 @@ def test_cli_reports_a_seek_before_the_file_start_as_damage(tmp_path, capsys):
 def test_cli_rejects_checkpoint_without_standardizer(tmp_path, capsys, command):
     arrays, meta = _tiny_archive()
     _drop_standardizer(arrays, meta)
-    path = tmp_path / "model.npz"
-    path.write_bytes(_pack(arrays, meta).getvalue())
+    path = _pack(arrays, meta, tmp_path / "model.npz")
     argv = [command, "--checkpoint", str(path), "--out-dir", str(tmp_path / "out")]
     if command == "bench-run":
         argv += ["--policies", "proposed,none"]
@@ -434,7 +467,7 @@ def _json_type_ok(default, value) -> bool:
 @hyp_settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(HEADER_PATHS), value=st.none() | JSON_VALUES,
        delete=st.booleans())
-def test_any_header_edit_loads_or_names_a_key(path, value, delete):
+def test_any_header_edit_loads_or_names_a_key(scratch, path, value, delete):
     """Whatever one header key is replaced with (or if it is deleted), loading
     either succeeds or raises one ValueError line about the checkpoint; a
     deleted key, or a value of the wrong JSON type for its key (object,
@@ -444,7 +477,7 @@ def test_any_header_edit_loads_or_names_a_key(path, value, delete):
     arrays, meta = _tiny_archive()
     (_drop(path) if delete else _set(path, value))(arrays, meta)
     try:
-        load_checkpoint(_pack(arrays, meta))
+        load_checkpoint(_pack(arrays, meta, scratch / "header-edit.npz"))
     except ValueError as exc:
         message = str(exc)
         assert message.startswith("checkpoint ") and "\n" not in message
@@ -477,7 +510,7 @@ ENTRY_NAMES = st.text(st.characters(codec="ascii", categories=["L", "N"], includ
 @hyp_settings(max_examples=300, deadline=None)
 @given(key=st.sampled_from(ENTRIES), action=st.sampled_from(["drop", "replace", "add"]),
        array=SMALL_ARRAYS, extra=ENTRY_NAMES)
-def test_any_entry_edit_loads_or_names_the_entry(key, action, array, extra):
+def test_any_entry_edit_loads_or_names_the_entry(scratch, key, action, array, extra):
     """Drop one of the four entries, replace it with an arbitrary small array,
     or add a fifth one: loading either returns the stored weights bit for bit
     or raises one ValueError line naming the entry (the header for `meta`)."""
@@ -492,11 +525,10 @@ def test_any_entry_edit_loads_or_names_the_entry(key, action, array, extra):
     else:
         arrays[extra] = array
         name = extra
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    buf.seek(0)
+    path = scratch / "entry-edit.npz"
+    np.savez(path, **arrays)
     try:
-        model, _, _ = load_checkpoint(buf)
+        model, _, _ = load_checkpoint(path)
     except ValueError as exc:
         message = str(exc)
         assert message.startswith("checkpoint ") and "\n" not in message

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
+import ast
 import errno
 import hashlib
 import io
@@ -25,14 +26,16 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from conftest import CRITERION_7
 from oracles import save_trace
-from renderopt import cli
+from renderopt import cli, errors
 from renderopt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from renderopt.config import DEFAULTS, MEMORY_BUDGET, param_shapes, parse_config
 from renderopt.diffusion import (AttentionGatedDenoiser, DenoiserConfig, NoiseSchedule,
                                  Standardizer, load_checkpoint, save_checkpoint,
                                  skip_step_infer)
+from renderopt.diffusion.checkpoint import MAX_ENTRY_BYTES
 from renderopt.errors import ConfigError, shown
 from renderopt.prerender import MAX_WALK_STEPS
+from sparse import holes_kept, save_sparse_npz
 
 FAST_DIFFUSION = {"diffusion": CRITERION_7["diffusion"]}
 FAST_BENCH = {"bench": CRITERION_7["bench"], "diffusion": {"d_model": 16, "heads": 2}}
@@ -77,6 +80,26 @@ def _run_cli(*argv, timeout=60, **child):
     """`_cli_child(*argv, **child)` run to its end, its output captured as text."""
     command, keywords = _cli_child(*argv, **child)
     return subprocess.run(command, capture_output=True, text=True, timeout=timeout, **keywords)
+
+
+# what a path option may name besides a regular file; each is refused unread
+PATH_KINDS = ["fifo", "fifo link", "/dev/null", "/dev/zero", "directory"]
+
+
+def _special_path(directory: Path, kind: str) -> str:
+    """A path of a kind in PATH_KINDS, made in `directory` on first use: a FIFO
+    with no writer, a symlink to that FIFO, or an empty directory."""
+    if kind.startswith("/dev/"):
+        return kind
+    fifo = directory / "fifo"
+    if not os.path.lexists(fifo):
+        os.mkfifo(fifo)
+    path = directory / kind
+    if kind == "directory" and not path.exists():
+        path.mkdir()
+    elif kind == "fifo link" and not os.path.lexists(path):
+        path.symlink_to(fifo)
+    return str(path)
 
 
 class TestGameSolve:
@@ -472,23 +495,24 @@ class TestErrorPaths:
     # each was read whole: /dev/zero died with a MemoryError traceback (for a
     # checkpoint in zipfile's end-record scan, or was killed for memory), and
     # the whitespace line and the padded config walked and solved with exit 0;
-    # a FIFO ("mkfifo", made in tmp_path) with no writer blocked the checkpoint's open
+    # a FIFO ("mkfifo", made in tmp_path) with no writer blocked the checkpoint's
+    # open; now no path option reads what is not a regular file (`TestInputDoor`)
     UNBOUNDED = [
         ("prerender-sim", "--trace", "/dev/zero",
-         "'/dev/zero':1: expected 'step_index x y' integers, got '\\x00"),
+         "--trace: cannot read '/dev/zero': not a regular file"),
         ("game-solve", "--config", "/dev/zero",
-         "--config: cannot read '/dev/zero': larger than 1048576 bytes"),
+         "--config: cannot read '/dev/zero': not a regular file"),
         ("prerender-sim", "--trace", "0 1 1\n" + " " * 20_000 + "\n1 2 1\n",
          "{path}:2: expected 'step_index x y' integers, got '' in a line longer than "
          "16384 characters"),
         ("game-solve", "--config", "{}" + " " * (1 << 20),
          "--config: cannot read {path}: larger than 1048576 bytes"),
         ("diffusion-infer", "--checkpoint", "/dev/zero",
-         "--checkpoint: '/dev/zero': not a regular file"),
+         "--checkpoint: cannot read '/dev/zero': not a regular file"),
         ("bench-run", "--checkpoint", "/dev/zero",
-         "--checkpoint: '/dev/zero': not a regular file"),
+         "--checkpoint: cannot read '/dev/zero': not a regular file"),
         ("diffusion-infer", "--checkpoint", "mkfifo",
-         "--checkpoint: {path}: not a regular file"),
+         "--checkpoint: cannot read {path}: not a regular file"),
         # sizes each within its own bound, that exited 1 with an ArrayMemoryError
         # traceback of 34-40 lines before one rule counted them together
         ("diffusion-train", "--config", json.dumps({"diffusion": {"d_model": 1024,
@@ -525,6 +549,20 @@ class TestErrorPaths:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"{command}: ")
         assert problem.format(path=shown(source)) in proc.stderr
+
+    def test_sparse_checkpoint_exits_config_unread(self, tmp_path):
+        # a 3 GB params entry, a hole on disk: read whole, it exited 1 with a
+        # MemoryError traceback under the 2 GiB cap
+        path = tmp_path / "sparse.npz"
+        save_sparse_npz(path, 375_000_000)
+        if not holes_kept(path):
+            pytest.skip("this file system fills holes")
+        proc = _run_cli("diffusion-infer", "--checkpoint", str(path),
+                        "--out-dir", str(tmp_path / "out"), timeout=30, memory_cap=2 << 30)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-300:]
+        assert proc.stderr == (f"diffusion-infer: config error: --checkpoint: {shown(str(path))}: "
+                               f"not a readable .npz archive (entry 'params': larger than "
+                               f"{MAX_ENTRY_BYTES} bytes)\n")
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(section=st.sampled_from(["diffusion", "bench.train"]),
@@ -1088,6 +1126,82 @@ class TestErrorPaths:
         assert set(manifest["outputs"]) == on_disk
 
 
+class TestInputDoor:
+    """Every path option opens its file through `errors.open_regular`: what is
+    not a regular file exits 2 in one line naming the option and the path,
+    unread, and a FIFO is not waited on for a writer."""
+
+    OPTIONS = [("game-solve", "--config"), ("prerender-sim", "--trace"),
+               ("diffusion-infer", "--checkpoint")]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this system")
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    @pytest.mark.parametrize("command, option", OPTIONS, ids=[o for _, o in OPTIONS])
+    def test_path_option_refuses_what_is_not_a_regular_file(self, tmp_path, command, option,
+                                                            kind):
+        path = _special_path(tmp_path, kind)
+        if not os.path.exists(path) and kind.startswith("/dev/"):
+            pytest.skip(f"no {path} on this system")
+        proc = _run_cli(command, option, path, "--out-dir", str(tmp_path / "out"), timeout=10)
+        reason = os.strerror(errno.EISDIR) if kind == "directory" else "not a regular file"
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == (f"{command}: config error: {option}: cannot read {shown(path)}: "
+                               f"{reason}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_loaders_open_through_the_door(self, tmp_path, monkeypatch):
+        from renderopt import config, prerender
+        from renderopt.diffusion import checkpoint
+        opened = []
+
+        def door(path, *args, **kwargs):
+            opened.append(str(path))
+            return errors.open_regular(path, *args, **kwargs)
+
+        for module in (config, prerender, checkpoint):
+            monkeypatch.setattr(module, "open_regular", door)
+        settings = _write_config(tmp_path, {})
+        trace = tmp_path / "walk.trace"
+        save_trace(trace, [(0, 0), (1, 0)])
+        model = tmp_path / "model.npz"
+        save_checkpoint(model, AttentionGatedDenoiser(DenoiserConfig(d_model=8, heads=2)),
+                        NoiseSchedule(), Standardizer(mean=np.zeros(6), std=np.ones(6)))
+        config.load_config(settings)
+        assert list(prerender.load_trace(trace)) == [(0, 0), (1, 0)]
+        checkpoint.load_checkpoint(model)
+        assert opened == [settings, str(trace), str(model)]
+
+    def test_src_reads_files_only_through_the_door(self):
+        # outside `open_regular`, the builtin `open` only writes, nothing opens
+        # through `os` or `io`, and no open file or stand-in takes a path's place
+        bad = []
+        for path in sorted(Path(errors.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            door = {id(node) for fn in ast.walk(tree) if path.name == "errors.py"
+                    and isinstance(fn, ast.FunctionDef) and fn.name == "open_regular"
+                    for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if id(node) in door:
+                    continue
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or getattr(node, "name", None))
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in (
+                        "nullcontext", "BinaryIO", "O_NONBLOCK", "read_text", "read_bytes"):
+                    bad.append((path.name, node.lineno, name))
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "open" and \
+                        isinstance(func.value, ast.Name) and func.value.id in ("os", "io"):
+                    bad.append((path.name, node.lineno, f"{func.value.id}.open"))
+                if isinstance(func, ast.Name) and func.id == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (k.value for k in node.keywords if k.arg == "mode"), None)
+                    if not (isinstance(mode, ast.Constant) and "w" in mode.value):
+                        bad.append((path.name, node.lineno, "open to read"))
+        assert bad == []
+
+
 # the fuzz runs: every command sized to about a second in a child interpreter
 FUZZ_CONFIG = {"diffusion": {"dataset_users": 16, "epochs": 1, "d_model": 8, "heads": 2},
                "bench": {"scenes": 2, "train": {"users": 16, "epochs": 1}},
@@ -1152,8 +1266,9 @@ _LONG_NAME = st.builds(lambda unit, n: (unit * n)[:n].encode()[:130_000].decode(
 @st.composite
 def cli_cases(draw):
     """(argv without --config/--out-dir, out-dir name, (trace file name, its
-    bytes or None), and a path option given last with a name too long for a
-    path, or None)."""
+    bytes or None), a path option given last with a name too long for a
+    path, or None, and the kind from PATH_KINDS of the file each path option
+    given names, where it is not a regular file)."""
     command = draw(st.sampled_from(["game-solve", "prerender-sim", "diffusion-train",
                                     "diffusion-infer", "bench-run"]))
     argv = [command]
@@ -1181,20 +1296,33 @@ def cli_cases(draw):
     long_path = None
     if draw(st.integers(0, 3)) == 0:
         long_path = draw(st.sampled_from(options)), draw(_LONG_NAME)
-    return argv, draw(st.sampled_from(_OUT_NAMES)), (trace_name, trace), long_path
+    named = ["--config"] + ["--trace"] * (trace is not None) + ["--checkpoint"] * (
+        "<checkpoint>" in argv)
+    kinds = {option: kind for option in named
+             if (kind := draw(st.just("file") | st.sampled_from(PATH_KINDS))) != "file"}
+    return argv, draw(st.sampled_from(_OUT_NAMES)), (trace_name, trace), long_path, kinds
 
 
 @hyp_settings(max_examples=40, deadline=None)
 @given(case=cli_cases())
-@example(case=(["game-solve"], "out", ("walk.trace", None), ("--out-dir", "d/" * 49_900)))
-@example(case=(["game-solve"], "out", ("walk.trace", None), ("--config", "ö" * 65_000)))
+@example(case=(["game-solve"], "out", ("walk.trace", None), ("--out-dir", "d/" * 49_900), {}))
+@example(case=(["game-solve"], "out", ("walk.trace", None), ("--config", "ö" * 65_000), {}))
+@example(case=(["prerender-sim"], "out", ("walk.trace", b"0 1 1\n"), None,
+               {"--trace": "fifo link"}))
 def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
     """Exit 0, 2 or 3 with at most one stderr line, in bounded time; a failed
     run leaves everything as it was, a run that succeeds publishes a manifest
     that lists every file in its out dir. A path too long for the OS, given
-    last, exits 2 with a line of at most 300 characters."""
+    last, exits 2 with a line of at most 300 characters, and so does a path
+    option naming what is not a regular file."""
     config, checkpoint = fuzz_inputs
-    argv, out_name, (trace_name, trace), long_path = case
+    argv, out_name, (trace_name, trace), long_path, kinds = case
+    # made apart from `base`, whose files `_tree` reads: a FIFO there would block it
+    special = tmp_path_factory.mktemp("special")
+    if "--config" in kinds:
+        config = _special_path(special, kinds["--config"])
+    if "--checkpoint" in kinds:
+        checkpoint = _special_path(special, kinds["--checkpoint"])
     base = tmp_path_factory.mktemp("fuzz")
     (base / "an empty dir").mkdir()
     (base / "a file").write_text("x\n")
@@ -1203,7 +1331,9 @@ def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
                      "probabilities.csv", "metrics.csv"):
         (base / "blocked" / artifact).mkdir()
     argv = [checkpoint if a == "<checkpoint>" else a for a in argv]
-    if trace is not None:
+    if "--trace" in kinds:
+        argv += ["--trace", _special_path(special, kinds["--trace"])]
+    elif trace is not None:
         trace_path = base / trace_name
         trace_path.write_bytes(trace)
         argv += ["--trace", str(trace_path)]
@@ -1215,7 +1345,7 @@ def test_any_flags_and_trace_exit_cleanly(fuzz_inputs, tmp_path_factory, case):
                     memory_cap=2 << 30)
     assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), proc.stderr[:300]
     assert proc.stderr.count("\n") <= 1, proc.stderr[:300]
-    if long_path is not None:
+    if long_path is not None or kinds:
         assert proc.returncode == EXIT_CONFIG and len(proc.stderr) <= 300, proc.stderr[:300]
     if proc.returncode != EXIT_OK:
         assert proc.stderr

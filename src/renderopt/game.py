@@ -151,8 +151,10 @@ def _probe_offsets(h: float) -> Iterator[tuple[float, float]]:
 def _golden_steps(width: float, tolerance: float) -> _Steps:
     """The probe offsets of each step of a golden-section search over
     [0, width] to `tolerance`. They depend on nothing else, and every search
-    of one node starts from its demand cap, so a solve makes them once a node."""
-    n = max(1, math.ceil(math.log(tolerance / width) / math.log(_INVPHI)))
+    of one node starts from its demand cap, so a solve makes them once a node.
+    A tolerance no finer than the width takes one step; testing that first
+    keeps tolerance / width from overflowing to inf."""
+    n = 1 if tolerance >= width else math.ceil(math.log(tolerance / width) / math.log(_INVPHI))
     return tuple(itertools.islice(_probe_offsets(width), 1, n + 1))
 
 

@@ -229,7 +229,8 @@ def edge_best_response_unplanned(node: EdgeNodeParams, d_others_sum: float, pric
 
     a, b = 0.0, node.demand_max
     h = b - a
-    n = max(1, math.ceil(math.log(settings.br_tolerance / h) / math.log(_INVPHI)))
+    n = (1 if settings.br_tolerance >= h
+         else math.ceil(math.log(settings.br_tolerance / h) / math.log(_INVPHI)))
     c = a + _INVPHI2 * h
     dd = a + _INVPHI * h
     yc = alpha * log1p(c) - beta * c * (c + d_others_sum) / cap - price * c

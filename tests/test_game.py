@@ -136,6 +136,14 @@ class TestPlannedSearch:
         assert _outcome(edge_best_response, *args) == _outcome(edge_best_response_unplanned,
                                                                *args)
 
+    def test_a_tolerance_past_the_width_takes_one_step(self):
+        # 1e281 / 1e-28 overflows to inf: the step count must not go through it
+        assert len(game._golden_steps(1e-28, 1e281)) == 1
+        assert len(game._golden_steps(2.0, 2.0)) == 1
+        nodes = [node(beta=0.5, demand_max=1e-28, nid="0"), node(beta=0.3, nid="1")]
+        eq = solve_stackelberg(CloudParams(), nodes, SolverSettings(br_tolerance=1e281))
+        assert all(math.isfinite(d) for d in eq.demands)
+
     def test_a_solve_makes_each_nodes_steps_once(self, monkeypatch):
         # five nodes, each with a width of its own
         made = []

@@ -14,7 +14,7 @@ across platforms. The tree check is `errors._merge`, shared with checkpoints.
 The section classes of the numpy-backed modules (diffusion, synthetic, bench)
 are written here, and those modules re-export them; the game's and the
 pre-renderer's stay in theirs. This module loads no numpy, so `game-solve` and
-a trace replay never do. `NoiseSchedule` imports numpy when its arrays are
+`prerender-sim` never do. `NoiseSchedule` imports numpy when its arrays are
 first used.
 """
 

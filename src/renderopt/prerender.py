@@ -28,7 +28,8 @@ from .errors import check, open_regular, shown, writing
 
 Coord = tuple[int, int]
 
-# the longest walk: prerender-sim peaks at ~46 MB RSS for it on the default floor
+# the longest walk: prerender-sim peaks at ~31 MB RSS for it on the default floor,
+# seeded or replayed
 MAX_WALK_STEPS = 1_000_000
 
 
@@ -211,32 +212,14 @@ def step_latency(frame: PanoramaFrame, timing: TimingModel, work: float,
     return timing.t_request + work / timing.render_throughput + transmit
 
 
-_DRAW_BLOCK = 1024                     # raw 64-bit draws a seeded walk takes at a time
-
-
-def _halves(seed: int) -> Iterator[int]:
+def _halves(seed: int, wanted: int) -> Iterator[int]:
     """The 32-bit halves `np.random.default_rng(seed).integers` consumes, in
     its order: each raw 64-bit PCG64 draw's low half, then its high half.
-    Only a seeded walk draws, so only it imports numpy."""
-    import numpy as np
-    bit_generator = np.random.default_rng(seed).bit_generator
-    while True:
-        raw = bit_generator.random_raw(_DRAW_BLOCK)
-        yield from np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).ravel().tolist()
-
-
-def _bounded(halves: Iterator[int], n: int) -> int:
-    """The integer in [0, n) that `Generator.integers(n)` draws from these
-    halves, for 1 <= n < 2**32: Lemire's multiply-shift, which rejects a
-    half while the low 32 bits of `h * n` fall below (2**32 - n) % n (Lemire,
-    "Fast Random Integer Generation in an Interval", ACM TOMACS 29(1), 2019).
-    n == 1 takes no half."""
-    if n == 1:
-        return 0
-    m = next(halves) * n
-    while m & 0xFFFFFFFF < (0x100000000 - n) % n:
-        m = next(halves) * n
-    return m >> 32
+    They come from `pcg64`, which only a seeded walk imports; no numpy is
+    loaded. A draw is computed when a half of it is asked for, in blocks
+    sized so that the first `wanted` halves take no draw past them."""
+    from .pcg64 import halves
+    return halves(seed, (wanted + 1) // 2)
 
 
 def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int,
@@ -273,7 +256,8 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
     if current is not None and not world.contains(current):
         raise ValueError(f"start point {shown(current)} outside grid")
 
-    halves = _halves(seed)             # each pick is the one rng.integers would draw
+    if points is None:
+        draw = _halves(seed, horizon).__next__   # a step takes one half, bar rejections
     outcomes: list[tuple[PanoramaFrame, float, bool]] = []
     step_outcomes: list[int] = []
 
@@ -282,9 +266,11 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
         outcomes.append((frame, latency, latency > hop_deadlines[hop]))
         return len(outcomes) - 1
 
-    # per point, filled on the first visit: its neighbours, and per neighbour
-    # the outcome id of a hop into it once its frame is on the device
-    around: dict[Coord, tuple[list[Coord], list[int | None]]] = {}
+    # per point, filled on the first visit: its neighbours, per neighbour the
+    # outcome id of a hop into it once its frame is on the device, their
+    # number n, and the threshold below which a seeded pick rejects a half,
+    # (2**32 - n) % n; a replay onto a one-point floor finds n == 0
+    around: dict[Coord, tuple[list[Coord], list[int | None], int, int]] = {}
     frames: dict[Coord, PanoramaFrame] = {}      # per entered point
     # per (entered point, hop kind |dx| + |dy|): the outcome id once its frame
     # is on the device; every I-frame is, and a P-frame from its first entry on
@@ -301,10 +287,21 @@ def simulate_walk(world: GridWorld, timing: TimingModel, horizon: int, seed: int
             options = neighbors(world, current)
             if not options and points is None:      # a one-point floor: the walk stays put
                 options = [current]
-            near = around[current] = (options, [None] * len(options))
-        options, ids = near
+            n = len(options)
+            near = around[current] = (options, [None] * n, n, n and 0x100000000 % n)
+        options, ids, n, threshold = near
         if points is None:
-            i = _bounded(halves, len(options))
+            # the integer in [0, n) `Generator.integers(n)` draws: Lemire's
+            # multiply-shift, which rejects a half while the low 32 bits of
+            # half * n fall below the threshold (Lemire, "Fast Random Integer
+            # Generation in an Interval", ACM TOMACS 29(1), 2019); n == 1
+            # takes no half
+            i = 0
+            if n > 1:
+                m = draw() * n
+                while m & 0xFFFFFFFF < threshold:
+                    m = draw() * n
+                i = m >> 32
             nxt = options[i]
         else:
             try:

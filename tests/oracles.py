@@ -483,6 +483,21 @@ def walk_eager(world: GridWorld, timing: TimingModel, horizon: int, seed: int,
     return entered, latencies, missed, bytes_tx
 
 
+def _bounded(halves: Iterator[int], n: int) -> int:
+    """The integer in [0, n) that `Generator.integers(n)` draws from these
+    32-bit halves, for 1 <= n < 2**32, one call at a time: the reference for
+    the pick `simulate_walk` makes inline. Lemire's multiply-shift rejects a
+    half while the low 32 bits of `h * n` fall below (2**32 - n) % n (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 29(1), 2019).
+    n == 1 takes no half."""
+    if n == 1:
+        return 0
+    m = next(halves) * n
+    while m & 0xFFFFFFFF < (0x100000000 - n) % n:
+        m = next(halves) * n
+    return m >> 32
+
+
 def walk_steps(result: WalkResult) -> tuple[list, list[float], list[bool]]:
     """(entered frames, latencies, missed flags) of a walk, one per step,
     read from its outcome table through the per-step outcome ids."""

@@ -3,17 +3,18 @@
 import io
 import math
 import re
+import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, islice
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import (load_trace_linewise, save_trace, segment_regions_bruteforce, walk_eager,
-                     walk_steps, write_walk_csv_rowwise)
-from renderopt import prerender
+from oracles import (_bounded, load_trace_linewise, save_trace, segment_regions_bruteforce,
+                     walk_eager, walk_steps, write_walk_csv_rowwise)
+from renderopt import pcg64, prerender
 from renderopt.config import WalkSettings
 from renderopt.errors import shown
 from renderopt.prerender import (MAX_WALK_STEPS, EncodingSpec, GridWorld,
@@ -310,41 +311,109 @@ def test_walk_matches_eager_reference_on_any_floor(tmp_path_factory, w, h, k, di
 
 
 class TestBlockDraws:
-    """A seeded walk picks its next point from raw draws taken in blocks."""
+    """A seeded walk picks its next point from raw draws taken in blocks from
+    `renderopt.pcg64`, its own integer-only PCG64."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**256), wanted=st.integers(0, 1200))
+    @example(seed=0, wanted=0)
+    @example(seed=2**32 - 1, wanted=300)
+    @example(seed=2**32, wanted=1)
+    @example(seed=2**128 - 1, wanted=511)              # four words, the most one pool takes
+    @example(seed=2**128, wanted=513)                  # five: the remaining-entropy branch
+    @example(seed=int("9" * 4300), wanted=4000)        # the largest --seed argparse accepts
+    def test_stream_equals_random_raw(self, seed, wanted):
+        """The walk's draw source gives `default_rng(seed).bit_generator
+        .random_raw`'s 64-bit draws, low half first, over three blocks."""
+        halves = prerender._halves(seed, wanted)
+        draws = 3 * pcg64._BLOCK
+        raw = [lo | hi << 32 for lo, hi in islice(zip(halves, halves), draws)]
+        assert raw == np.random.default_rng(seed).bit_generator.random_raw(draws).tolist()
+
+    def test_blocks_end_at_the_draws_asked_for(self):
+        # a 300-step walk on a 200x200 floor takes 300 halves: 150 draws, one block
+        assert len(next(pcg64._blocks(*pcg64._seeded(0), 150))) == 300
+        blocks = pcg64._blocks(*pcg64._seeded(0), 600)
+        assert [len(next(blocks)) for _ in range(4)] == [512, 512, 176, 512]
+
+    def test_largest_seed_seeds_in_milliseconds(self):
+        seed = int("9" * 4300)
+        started = time.process_time()
+        pcg64._seeded(seed)
+        assert time.process_time() - started < 0.05
+
+    def test_negative_seed_raises_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            prerender._halves(-1, 1)
 
     @hyp_settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**64),
            ns=st.lists(st.one_of(st.integers(1, 8), st.integers(1, 2**32 - 1)),
-                       min_size=1, max_size=100))
-    @example(seed=9001, ns=[7, 1, 2**31 + 1] * 1500)        # past two blocks, many rejections
-    def test_equals_rng_integers(self, seed, ns):
-        """`_bounded` over `_halves(seed)` gives exactly what `rng.integers(n)`
-        gives on a fresh generator with the same seed, one call at a time.
-        Past n = 2**31 the rejection zone is nearly half of all halves, so
-        rejections are compared here too. If a numpy release changes how
-        `Generator.integers` draws, this test fails, and the fix is to go back
-        to `rng.integers` in `simulate_walk`."""
+                       min_size=1, max_size=100),
+           w=st.integers(1, 5), h=st.integers(1, 5), diagonal=st.booleans())
+    @example(seed=9001, ns=[7, 1, 2**31 + 1] * 1500, w=3, h=3, diagonal=True)  # many rejections
+    def test_equals_rng_integers(self, seed, ns, w, h, diagonal):
+        """A seeded walk's own picks, each its next point's index among the
+        neighbours, are what `rng.integers(n)` gives one call at a time on a
+        fresh generator with the same seed. `oracles._bounded`, the reference
+        the rejection tests below hold the walk's inline pick to, gives them
+        too over the walk's draw source at any n; past n = 2**31 the rejection
+        zone is nearly half of all halves. The walk draws from `pcg64`, so a
+        numpy release that changes how `Generator.integers` draws no longer
+        moves a walk: this test then fails, and says only that the walk's
+        picks are no longer numpy's."""
+        world = GridWorld(width=w, height=h, diagonal=diagonal)
+        current = (w // 2, h // 2)
+        picks = []
+        for frame in walk_steps(simulate_walk(world, TIMING, 60, seed, ENCODING, WORK))[0]:
+            options = neighbors(world, current) or [current]
+            picks.append((options.index(frame.grid_point), len(options)))
+            current = frame.grid_point
         rng = np.random.default_rng(seed)
-        halves = prerender._halves(seed)
-        assert [prerender._bounded(halves, n) for n in ns] == [int(rng.integers(n)) for n in ns]
+        assert [i for i, _ in picks] == [int(rng.integers(n)) for _, n in picks]
+        rng = np.random.default_rng(seed)
+        halves = prerender._halves(seed, len(ns))
+        assert [_bounded(halves, n) for n in ns] == [int(rng.integers(n)) for n in ns]
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_rejected_half_takes_the_next(self, n):
-        # for a walk's n (at most 8) a half is rejected with probability below
-        # 2**-29, so no seed reaches this branch: take the halves h with
-        # h * n = k mod 2**32 for every k below the threshold instead
+        # for a walk's n a half is rejected with probability below 2**-29, so
+        # no seed reaches this branch: take the halves h with h * n = k mod
+        # 2**32 for every k below the threshold instead, each three times
         threshold = (2**32 - n) % n
-        rejected = [k * pow(n, -1, 2**32) % 2**32 for k in range(threshold)]
+        rejected = [k * pow(n, -1, 2**32) % 2**32 for k in range(threshold)] * 3
         assert rejected and all((h * n) & 0xFFFFFFFF < threshold for h in rejected)
+        assert _bounded(iter([*rejected, 2**32 - 1, 0]), n) == n - 1
+        if n == 7:          # no floor has a point with 7 neighbours: the reference alone
+            return
+        # a seeded walk starts at the floor's middle, on a 3x2 floor an edge
+        # point: 3 neighbours on an axis floor, 5 on a diagonal one
+        world = GridWorld(width=3, height=2, diagonal=n == 5)
+        options = neighbors(world, (1, 1))
+        assert len(options) == n
         halves = iter([*rejected, 2**32 - 1, 0])
-        assert prerender._bounded(halves, n) == n - 1
+        with mock.patch.object(prerender, "_halves", lambda seed, wanted: halves):
+            result = simulate_walk(world, TIMING, 1, 0, ENCODING, WORK)
+        assert walk_steps(result)[0][0].grid_point == options[n - 1]
         assert next(halves) == 0
 
     def test_one_option_takes_no_half(self):
+        assert _bounded(iter([2**32 - 1, 0]), 1) == 0
+        # a 1x1 floor stays put, and takes no half
         halves = iter([2**32 - 1, 0])
-        assert prerender._bounded(halves, 1) == 0
-        assert prerender._bounded(halves, 2) == 1
-        assert next(halves) == 0
+        with mock.patch.object(prerender, "_halves", lambda seed, wanted: halves):
+            result = simulate_walk(GridWorld(width=1, height=1), TIMING, 3, 0, ENCODING, WORK)
+        assert [f.grid_point for f in walk_steps(result)[0]] == [(0, 0)] * 3
+        assert next(halves) == 2**32 - 1
+        # a 1x3 floor: the middle has two neighbours and takes the first
+        # half, an end has one and takes none, and the middle takes the second
+        halves = iter([2**32 - 1, 0])
+        with mock.patch.object(prerender, "_halves", lambda seed, wanted: halves):
+            result = simulate_walk(GridWorld(width=1, height=3), TIMING, 3, 0, ENCODING, WORK)
+        assert [f.grid_point for f in walk_steps(result)[0]] == [(0, 0), (0, 1), (0, 2)]
+        assert next(halves, None) is None
 
 
 _FIELD = st.integers(-10**30, 10**30)

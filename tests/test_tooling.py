@@ -136,18 +136,22 @@ def _modules_after(argv):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    # numpy is the only runtime dependency, and importing the CLI loads none of it
-    assert not {"numpy", "scipy"} & _modules_after(None)
-    # the pricing game and a trace replay run in pure Python
+    # numpy is the only runtime dependency, and importing the CLI loads none of
+    # it, nor the walk's PCG64
+    assert not {"numpy", "scipy", "renderopt.pcg64"} & _modules_after(None)
+    # the pricing game and a trace replay run in pure Python, and a replay
+    # seeds nothing
     assert "numpy" not in _modules_after(["game-solve", "--out-dir", str(tmp_path / "game")])
     trace = tmp_path / "walk.trace"
     trace.write_text("0 5 5\n1 5 6\n2 6 6\n")
-    assert "numpy" not in _modules_after(["prerender-sim", "--trace", str(trace),
-                                          "--out-dir", str(tmp_path / "replay")])
-    # a seeded walk draws with numpy, but loads none of the diffusion stack
+    assert not {"numpy", "renderopt.pcg64"} & _modules_after(
+        ["prerender-sim", "--trace", str(trace), "--out-dir", str(tmp_path / "replay")])
+    # a seeded walk draws from renderopt's own PCG64, and loads no numpy and
+    # none of the diffusion stack
     loaded = _modules_after(["prerender-sim", "--out-dir", str(tmp_path / "walk")])
-    assert "numpy" in loaded
-    assert not {"renderopt.diffusion", "renderopt.bench", "renderopt.synthetic"} & loaded
+    assert "renderopt.pcg64" in loaded
+    assert not {"numpy", "renderopt.diffusion", "renderopt.bench",
+                "renderopt.synthetic"} & loaded
 
 
 def test_tracer_installs_and_records_spans(tmp_path):

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import ConfigError, _build, _merge, check, open_regular, read_json
+from .errors import ConfigError, _build, _merge, check, open_regular, read_json, shown
 from .game import DEFAULT_NODES, CloudParams, EdgeNodeParams, SolverSettings
 from .prerender import MAX_WALK_STEPS, EncodingSpec, GridWorld, TimingModel
 
@@ -54,8 +54,8 @@ def _check_strided_step(name: str, step: int, stride: int) -> None:
     """A noise step denoised in strides: at least 1, and `stride` divides it.
     A command that denoises checks it against its schedule (`NoiseSchedule.check_step`)."""
     check(step >= 1, name, "an integer >= 1", step)
-    check(stride >= 1 and step % stride == 0, "stride", f"a positive divisor of {name} ({step})",
-          stride)
+    check(stride >= 1 and step % stride == 0, "stride",
+          f"a positive divisor of {name} ({shown(step)})", stride)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class DenoiserConfig:
         check(6 * 8 * param_count(self) <= MEMORY_BUDGET, "d_model", "small enough that six "
               f"weight copies fit in {MEMORY_BUDGET >> 20} MiB", self.d_model)
         check(self.d_model % 2 == 0, "d_model", "even", self.d_model)
-        check(self.d_model % self.heads == 0, "d_model", f"divisible by heads ({self.heads})",
-              self.d_model)
+        check(self.d_model % self.heads == 0, "d_model",
+              f"divisible by heads ({shown(self.heads)})", self.d_model)
 
     @property
     def gate_dim(self) -> int:
@@ -149,7 +149,7 @@ class NoiseSchedule:
         check(1 <= self.steps <= 100_000, "steps", "an integer in [1, 100000]", self.steps)
         check(0 < self.beta_start < 1, "beta_start", "in (0, 1)", self.beta_start)
         check(self.beta_start < self.beta_end < 1, "beta_end",
-              f"in (beta_start ({self.beta_start}), 1)", self.beta_end)
+              f"in (beta_start ({shown(self.beta_start)}), 1)", self.beta_end)
 
     @cached_property
     def betas(self) -> np.ndarray:
@@ -235,10 +235,10 @@ class WorkloadConfig:
         check(self.scenes >= 1, "scenes", "an integer >= 1", self.scenes)
         check(self.fps >= 1, "fps", "an integer >= 1", self.fps)
         check(self.frames_per_scene == self.fps * 60, "frames_per_scene",
-              f"fps * 60 = {self.fps * 60} (scenes are one minute long)",
+              f"fps * 60 = {shown(self.fps * 60)} (scenes are one minute long)",
               self.frames_per_scene)
         check(2 <= self.regions_per_scene <= MAX_REGIONS // self.scenes, "regions_per_scene",
-              f"an integer in [2, {MAX_REGIONS} // scenes ({self.scenes})]",
+              f"an integer in [2, {MAX_REGIONS} // scenes ({shown(self.scenes)})]",
               self.regions_per_scene)
         check(0 < self.interest_fraction < 1, "interest_fraction", "in (0, 1)",
               self.interest_fraction)
@@ -276,7 +276,7 @@ class CostModel:
 
     def __post_init__(self):
         check(self.lod_low > 0, "lod_low", "a positive number", self.lod_low)
-        check(self.lod_high > self.lod_low, "lod_high", f"> lod_low ({self.lod_low})",
+        check(self.lod_high > self.lod_low, "lod_high", f"> lod_low ({shown(self.lod_low)})",
               self.lod_high)
         check(self.throughput > 0, "throughput", "a positive number", self.throughput)
 

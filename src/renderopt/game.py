@@ -25,7 +25,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ConvergenceWarning, check
+from .errors import ConvergenceWarning, check, shown
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -65,9 +65,9 @@ class CloudParams:
     def __post_init__(self):
         check(self.unit_cost > 0, "unit_cost", "a positive number", self.unit_cost)
         check(self.price_min >= self.unit_cost, "price_min",
-              f">= unit_cost ({self.unit_cost})", self.price_min)
+              f">= unit_cost ({shown(self.unit_cost)})", self.price_min)
         check(self.price_max > self.price_min, "price_max",
-              f"> price_min ({self.price_min})", self.price_max)
+              f"> price_min ({shown(self.price_min)})", self.price_max)
         check(self.capacity > 0, "capacity", "a positive number", self.capacity)
 
 

@@ -208,6 +208,34 @@ class TestValidation:
         assert str(info.value) == (
             f"diffusion.beta_end: must be in (beta_start (0.0001), 1), got {beta_end}")
 
+    # a rule whose requirement repeats another of the user's values: a huge one is cut there too
+    HUGE = 10 ** 200
+    ECHOED_IN_REQUIREMENT = {
+        "infer_noise_step": ({"diffusion": {"infer_noise_step": HUGE}}, "diffusion.stride: "
+                             f"must be a positive divisor of infer_noise_step ({shown(HUGE)})"),
+        "t_noise": ({"bench": {"t_noise": HUGE}},
+                    f"bench.stride: must be a positive divisor of t_noise ({shown(HUGE)})"),
+        "heads": ({"diffusion": {"heads": HUGE}},
+                  f"diffusion.d_model: must be divisible by heads ({shown(HUGE)})"),
+        "fps": ({"bench": {"fps": HUGE}},
+                f"bench.frames_per_scene: must be fps * 60 = {shown(HUGE * 60)} "),
+        "scenes": ({"bench": {"scenes": HUGE}}, "bench.regions_per_scene: "
+                   f"must be an integer in [2, 100000 // scenes ({shown(HUGE)})]"),
+        "lod_low": ({"bench": {"lod_low": HUGE}},
+                    f"bench.lod_high: must be > lod_low ({shown(HUGE)})"),
+        "unit_cost": ({"game": {"cloud": {"unit_cost": HUGE}}},
+                      f"game.cloud.price_min: must be >= unit_cost ({shown(HUGE)})"),
+        "price_min": ({"game": {"cloud": {"price_min": HUGE}}},
+                      f"game.cloud.price_max: must be > price_min ({shown(HUGE)})"),
+    }
+
+    @pytest.mark.parametrize("payload, start", ECHOED_IN_REQUIREMENT.values(),
+                             ids=ECHOED_IN_REQUIREMENT)
+    def test_huge_value_cut_where_a_requirement_repeats_it(self, payload, start):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(payload))
+        assert str(info.value).startswith(start) and len(str(info.value)) <= 160, str(info.value)
+
     @pytest.mark.parametrize("payload, message", SETTINGS_RULES,
                              ids=[m.split(":")[0] for _, m in SETTINGS_RULES])
     def test_settings_class_rule_message(self, payload, message):
